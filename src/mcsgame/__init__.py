@@ -26,7 +26,6 @@ from .leader import (
     SolverConfig,
     compute_se,
     price_box,
-    solve_optimal_prices,
     sp_payoff_gradient,
     sp_payoff_hessian,
 )

@@ -203,7 +203,6 @@ def cmd_static(setup: RunSetup, out_dir: str) -> int:
         float(np.sum(res.allocations.values)),
         res.iterations,
         res.grad_residual,
-        res.multistart_spread,
         res.converged,
     ]
 
@@ -235,7 +234,6 @@ def cmd_static(setup: RunSetup, out_dir: str) -> int:
             "total_allocation",
             "iterations",
             "grad_residual",
-            "multistart_spread",
             "converged",
         ],
         [summary_row],
@@ -428,12 +426,10 @@ def cmd_sweep(setup: RunSetup, out_dir: str, svg: bool) -> int:
         "total_allocation",
         "iterations",
         "grad_residual",
-        "multistart_spread",
         "converged",
     ]
     summary_rows = [
-        [s.label, s.sp_payoff, s.total_allocation, s.iterations, s.grad_residual,
-         s.multistart_spread, s.converged]
+        [s.label, s.sp_payoff, s.total_allocation, s.iterations, s.grad_residual, s.converged]
         for s in result.summaries
     ]
 
@@ -570,3 +566,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

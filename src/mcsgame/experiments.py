@@ -89,7 +89,7 @@ def generate_scenario(spec: ScenarioSpec, seed: int) -> Scenario:
     """Draw user economics from the configured ranges, deterministically in seed."""
     rng = np.random.Generator(np.random.PCG64(seed))
     mus = tuple(_draw_mu(spec, rng) for _ in range(spec.n_mus))
-    return Scenario(utility_scale=spec.utility_scale, mus=mus, seed=seed)
+    return Scenario(utility_scale=spec.utility_scale, mus=mus)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,6 @@ class SweepDenseRow:
     total_allocation: float
     iterations: int
     grad_residual: float
-    multistart_spread: float
     converged: bool
 
 
@@ -229,7 +228,6 @@ def _summary(label: str, res: EquilibriumResult) -> SweepDenseRow:
         total_allocation=float(np.sum(res.allocations.values)),
         iterations=res.iterations,
         grad_residual=res.grad_residual,
-        multistart_spread=res.multistart_spread,
         converged=res.converged,
     )
 
@@ -267,7 +265,7 @@ def run_sweep(
             if any(v >= value for v in vals):
                 raise ValueError(f"every swept unit_cost must stay below own_value {value}")
             mus = tuple(MuProfile(spec.capacity, value, v, spec.demand()) for v in vals)
-        scenario = Scenario(spec.utility_scale, mus, seed=seed)
+        scenario = Scenario(spec.utility_scale, mus)
         res = compute_se(scenario, solver)
         result.points.extend(_rows_for(scenario, res, vals))
         result.summaries.append(_summary("joint", res))
@@ -280,11 +278,11 @@ def run_sweep(
                 raise ValueError("demand_upper values must exceed demand_lo")
             demand = _DEMAND_KINDS[spec.demand_kind](spec.demand_lo, v)
             mus = tuple(replace(mu, demand=demand) for mu in base.mus)
-            scenario = Scenario(base.utility_scale, mus, seed=seed)
+            scenario = Scenario(base.utility_scale, mus)
         else:
             if v <= 0.0:
                 raise ValueError("utility scale values must be positive")
-            scenario = Scenario(v, base.mus, seed=seed)
+            scenario = Scenario(v, base.mus)
         res = compute_se(scenario, solver)
         result.points.extend(_rows_for(scenario, res, [v] * scenario.n))
         result.summaries.append(_summary(f"{v:g}", res))

@@ -31,7 +31,8 @@ class BestResponse:
     """Optimal sale with its first two price sensitivities.
 
     slope is d(allocation)/d(price) and curvature the second derivative;
-    both are 0 outside the interior branch.  On the interior branch the
+    both are 0 outside the interior branch, and +inf and -inf where the
+    kept quantile sits on a vanishing density.  On the interior branch the
     slope is 1 / (f(q) (own_value - unit_cost)) with q the kept demand
     quantile, and the curvature is f'(q) / (f(q)^3 (own_value -
     unit_cost)^2), which is non-positive for non-increasing densities.
@@ -75,11 +76,10 @@ def best_response(mu: MuProfile, price: float) -> BestResponse:
     dens = mu.demand.pdf(kept)
     if dens <= 0.0:
         # only reachable at price == unit_cost with capacity past the
-        # demand support and a density vanishing at its upper end
-        raise ValueError(
-            "demand density vanishes at the kept quantile; "
-            "best-response sensitivities are undefined here"
-        )
+        # demand support and a density vanishing at its upper end: the
+        # right-hand limit, where the response leaves the lower face
+        # with unbounded slope
+        return BestResponse(alloc, Region.INTERIOR, math.inf, -math.inf)
     slope = 1.0 / (dens * margin)
     curvature = mu.demand.pdf_slope(kept) / (dens**3 * margin**2)
     return BestResponse(alloc, Region.INTERIOR, slope, curvature)

@@ -42,9 +42,7 @@ def _random_scenario(rng: np.random.Generator, n: int = 4) -> Scenario:
             if value - cost >= 0.1:
                 break
         mus.append(MuProfile(20.0, value, cost, UniformDemand(0.0, 25.0)))
-    return Scenario(
-        utility_scale=rng.uniform(20.0, 60.0), mus=tuple(mus), seed=int(rng.integers(2**32))
-    )
+    return Scenario(utility_scale=rng.uniform(20.0, 60.0), mus=tuple(mus))
 
 
 def _payoff_at(scenario: Scenario, p: np.ndarray) -> float:

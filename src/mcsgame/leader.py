@@ -1,24 +1,30 @@
-"""Platform-side pricing: payoff derivatives and equilibrium solver.
+"""Platform-side pricing: payoff derivatives and the exact equilibrium.
 
 Because each user's best response depends only on its own price, the
 platform payoff U(p) = utility_scale * ln(b(p)) - p.x*(p) with
 b = 1 + sum ln(1 + x*_n) is smooth on the price box
 [threshold_n, own_value_n]^N and strictly concave there for admitted
-demand laws.  The solver runs projected gradient ascent with Armijo
-backtracking, scaled per coordinate by the analytic curvature so badly
-conditioned boxes (tiny own_value - unit_cost margins) converge inside
-the iteration budget.
+demand laws.
+
+compute_se solves the same problem in allocation space.  The price that
+buys x units from user n is the inverse response
+p_n(x) = own_value - margin * F(capacity - x), and users interact only
+through the index b.  With the platform's marginal utility g =
+utility_scale / b held fixed, each user's optimality condition
+g / (1 + x) = p_n(x) + x p_n'(x) is a separate monotone equation (a
+quadratic for uniform demand, a cubic for linear demand), and g is the
+single root of g * b(g) = utility_scale.  The price-space gradient then
+certifies the result independently of how it was found.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .follower import best_response, price_threshold
-from .model import AllocationProfile, PriceProfile, Scenario, mu_payoff
+from .model import AllocationProfile, PriceProfile, Scenario, mu_payoff, sp_payoff
 
 __all__ = [
     "SolverConfig",
@@ -26,35 +32,24 @@ __all__ = [
     "price_box",
     "sp_payoff_gradient",
     "sp_payoff_hessian",
-    "solve_optimal_prices",
     "compute_se",
 ]
 
 _BOX_SLACK = 1e-9
 _HESSIAN_FACE_MARGIN = 1e-6
+_INNER_BUDGET = 100
+_OUTER_BUDGET = 200
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rule, iteration budget and line-search constants."""
+    """Largest KKT residual an equilibrium may carry and still count as solved."""
 
     tol: float = 1e-8
-    max_iters: int = 20000
-    n_starts: int = 5
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    armijo_slope: float = 1e-4
-    record_trace: bool = False
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.max_iters < 1 or self.n_starts < 1:
-            raise ValueError("max_iters and n_starts must be at least 1")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if not 0.0 < self.armijo_slope < 1.0:
-            raise ValueError("armijo_slope must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -67,9 +62,7 @@ class EquilibriumResult:
     mu_payoffs: np.ndarray
     iterations: int
     grad_residual: float
-    multistart_spread: float
     converged: bool
-    objective_trace: tuple[float, ...] | None = None
 
 
 def price_box(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -82,15 +75,6 @@ def price_box(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     lo = np.array([price_threshold(mu) for mu in scenario.mus])
     hi = scenario.own_values()
     return lo, hi
-
-
-def _check_admissible(scenario: Scenario) -> None:
-    for i, mu in enumerate(scenario.mus):
-        if not mu.demand.admissible():
-            raise ValueError(
-                f"mu {i}: demand law {mu.demand.kind!r} is not admitted for "
-                "equilibrium solving (needs a non-increasing density, positive below hi)"
-            )
 
 
 def _responses(scenario: Scenario, p: np.ndarray):
@@ -116,17 +100,10 @@ def _require_in_box(scenario: Scenario, p: np.ndarray) -> np.ndarray:
 
 
 def _gradient_from(scenario, p, alloc, slope):
-    b = 1.0 + float(np.sum(np.log1p(alloc)))
-    gp = scenario.utility_scale / b
-    return gp * slope / (1.0 + alloc) - p * slope - alloc
-
-
-def _hessian_diag_from(scenario, p, alloc, slope, curv):
-    b = 1.0 + float(np.sum(np.log1p(alloc)))
-    gp = scenario.utility_scale / b
-    gpp = -scenario.utility_scale / (b * b)
-    opx = 1.0 + alloc
-    return (gpp - gp) / opx**2 * slope**2 - 2.0 * slope + (gp / opx - p) * curv
+    gp = scenario.utility_scale / (1.0 + float(np.sum(np.log1p(alloc))))
+    # one product per user: an infinite slope at a vanishing density
+    # gives a signed infinity here rather than inf - inf
+    return slope * (gp / (1.0 + alloc) - p) - alloc
 
 
 def sp_payoff_gradient(scenario: Scenario, p) -> np.ndarray:
@@ -153,157 +130,134 @@ def sp_payoff_hessian(scenario: Scenario, p) -> np.ndarray:
         raise ValueError("hessian is only evaluated strictly inside the price box")
     alloc, slope, curv = _responses(scenario, pa)
     b = 1.0 + float(np.sum(np.log1p(alloc)))
+    gp = scenario.utility_scale / b
     gpp = -scenario.utility_scale / (b * b)
-    q = slope / (1.0 + alloc)
+    opx = 1.0 + alloc
+    q = slope / opx
     hess = gpp * np.outer(q, q)
-    np.fill_diagonal(hess, _hessian_diag_from(scenario, pa, alloc, slope, curv))
+    diag = (gpp - gp) / opx**2 * slope**2 - 2.0 * slope + (gp / opx - pa) * curv
+    np.fill_diagonal(hess, diag)
     return hess
 
 
-def _objective(scenario: Scenario, p: np.ndarray) -> float:
-    alloc, _, _ = _responses(scenario, p)
-    b = 1.0 + float(np.sum(np.log1p(alloc)))
-    return scenario.utility_scale * math.log(b) - float(p @ alloc)
+class _Market:
+    """The leader problem in allocation space, one array entry per user.
 
-
-def _grad_and_residual(scenario, p, lo, hi):
-    alloc, slope, curv = _responses(scenario, p)
-    grad = _gradient_from(scenario, p, alloc, slope)
-    residual = float(np.max(np.abs(p - np.clip(p + grad, lo, hi))))
-    diag = _hessian_diag_from(scenario, p, alloc, slope, curv)
-    return grad, residual, diag
-
-
-_POLISH_BUDGET = 100
-
-
-def _ascend(scenario, p0, lo, hi, cfg: SolverConfig):
-    """One projected ascent run.  Returns (p, payoff, iters, residual, ok, trace).
-
-    The Armijo phase certifies ascent through objective comparisons and
-    carries all global progress.  Near the optimum the remaining payoff
-    gain drops below float64 resolution while the gradient is still
-    readable, so a short damped diagonal-Newton polish that backtracks
-    on the projected-gradient residual finishes the last decades.
+    With the demand tail P(D > z) = ((hi - z) / (hi - lo))**k, selling
+    x units leaves the tail share s = (x + hi - capacity) / (hi - lo)
+    unserved, so the price that buys them is
+    p(x) = unit_cost + margin * s**k.  The price box maps onto
+    x in [max(capacity - hi, 0), max(capacity - lo, 0)].
     """
-    p = np.clip(p0, lo, hi)
-    payoff = _objective(scenario, p)
-    trace = [payoff] if cfg.record_trace else None
-    converged = False
-    iters = 0
-    grad, residual, diag = _grad_and_residual(scenario, p, lo, hi)
-    while iters < cfg.max_iters:
-        if residual <= cfg.tol:
-            converged = True
-            break
-        iters += 1
-        direction = grad / np.maximum(np.abs(diag), 1e-12)
-        step = cfg.step_init
-        moved = False
-        while step > 1e-18:
-            cand = np.clip(p + step * direction, lo, hi)
-            gain_linear = float(grad @ (cand - p))
-            if gain_linear <= 0.0:
-                # every still-free coordinate is blocked at a face
+
+    def __init__(self, scenario: Scenario):
+        for i, mu in enumerate(scenario.mus):
+            if mu.demand.tail_power is None or not mu.demand.admissible():
+                raise ValueError(
+                    f"mu {i}: demand law {mu.demand.kind!r} is not admitted for "
+                    "equilibrium solving (needs a non-increasing density, positive below hi)"
+                )
+        cap = scenario.capacities()
+        lo = np.array([mu.demand.lo for mu in scenario.mus])
+        hi = np.array([mu.demand.hi for mu in scenario.mus])
+        self.cost = scenario.unit_costs()
+        self.margin = scenario.own_values() - self.cost
+        self.shift = hi - cap
+        self.width = hi - lo
+        self.power = np.array([mu.demand.tail_power for mu in scenario.mus])
+        self.x_lo = np.maximum(cap - hi, 0.0)
+        self.x_hi = np.maximum(cap - lo, 0.0)
+
+    def _share(self, x: np.ndarray) -> np.ndarray:
+        return np.clip((x + self.shift) / self.width, 0.0, 1.0)
+
+    def price(self, x: np.ndarray) -> np.ndarray:
+        return self.cost + self.margin * self._share(x) ** self.power
+
+    def allocations(self, g: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every user's optimal sale at marginal utility g, with dx/dg.
+
+        Solves (1 + x) C'(x) = g, where C(x) = x p(x) is the cost of
+        buying x units, clipped to the allocation range.  For k <= 2 the
+        left side is increasing and convex there, so Newton steps from
+        the top of the range descend monotonically onto the root.  dx/dg
+        is 0 for users held at either end of the range.
+        """
+        k, m, w = self.power, self.margin, self.width
+        x = self.x_hi.copy()
+        for _ in range(_INNER_BUDGET):
+            s = self._share(x)
+            s_k1 = s ** (k - 1.0)
+            marginal = self.cost + m * s_k1 * (s + k * x / w)
+            # C''(x); the (k - 1) term is exact for k in {1, 2}
+            curvature = (m * k / w) * (2.0 * s_k1 + (k - 1.0) * x / w)
+            dphi = marginal + (1.0 + x) * curvature
+            nxt = np.clip(x - ((1.0 + x) * marginal - g) / dphi, self.x_lo, self.x_hi)
+            done = bool(np.all(np.abs(nxt - x) <= 1e-14 * (1.0 + x)))
+            x = nxt
+            if done:
                 break
-            cand_payoff = _objective(scenario, cand)
-            if cand_payoff >= payoff + cfg.armijo_slope * gain_linear:
-                p, payoff = cand, cand_payoff
-                moved = True
-                break
-            step *= cfg.step_shrink
-        if not moved:
-            break
-        if cfg.record_trace:
-            trace.append(payoff)
-        grad, residual, diag = _grad_and_residual(scenario, p, lo, hi)
-    for _ in range(_POLISH_BUDGET):
-        if converged or residual <= cfg.tol or iters >= cfg.max_iters:
-            converged = converged or residual <= cfg.tol
-            break
-        iters += 1
-        direction = grad / np.maximum(np.abs(diag), 1e-12)
-        damping = 1.0
-        improved = False
-        while damping > 1e-12:
-            cand = np.clip(p + damping * direction, lo, hi)
-            cand_grad, cand_residual, cand_diag = _grad_and_residual(scenario, cand, lo, hi)
-            if cand_residual < residual:
-                p, grad, residual, diag = cand, cand_grad, cand_residual, cand_diag
-                improved = True
-                break
-            damping *= 0.5
-        if not improved:
-            break
-    converged = converged or residual <= cfg.tol
-    return p, _objective(scenario, p), iters, residual, converged, trace
+        inside = (x > self.x_lo) & (x < self.x_hi)
+        return x, np.where(inside, 1.0 / dphi, 0.0)
 
 
-def solve_optimal_prices(scenario: Scenario, config: SolverConfig | None = None) -> EquilibriumResult:
-    """Maximize the platform payoff over the price box.
+def _solve(market: _Market, utility_scale: float) -> tuple[np.ndarray, int]:
+    """Allocations at the root g of g * b(g) = utility_scale, and the step count.
 
-    Runs n_starts independent ascents from prices drawn uniformly in
-    the box (seeded by scenario.seed plus the start index) and keeps the
-    best payoff, ties broken by the lower start index.  converged is
-    True only when every start met the tolerance; otherwise the result
-    still carries the best iterate and its residual.
+    g * b(g) increases in g, lies below utility_scale at
+    utility_scale / b_max and above it at utility_scale, so Newton steps
+    kept inside that shrinking bracket (bisecting when one leaves it)
+    find the root.
     """
-    cfg = config or SolverConfig()
-    _check_admissible(scenario)
-    lo, hi = price_box(scenario)
-    runs = []
-    for k in range(cfg.n_starts):
-        rng = np.random.Generator(np.random.PCG64((scenario.seed + k) % 2**64))
-        p0 = lo + rng.uniform(0.0, 1.0, size=scenario.n) * (hi - lo)
-        runs.append(_ascend(scenario, p0, lo, hi, cfg))
-    finals = np.array([r[0] for r in runs])
-    spread = 0.0
-    for a in range(len(runs)):
-        for b in range(a + 1, len(runs)):
-            spread = max(spread, float(np.max(np.abs(finals[a] - finals[b]))))
-    order = sorted(range(len(runs)), key=lambda k: (-runs[k][1], k))
-    p_best, payoff, iters, residual, _, trace = runs[order[0]]
-    all_ok = all(r[4] for r in runs)
-    alloc, _, _ = _responses(scenario, p_best)
-    payoffs = np.array([
-        mu_payoff(mu, float(alloc[i]), float(p_best[i])) for i, mu in enumerate(scenario.mus)
-    ])
-    return EquilibriumResult(
-        prices=PriceProfile(p_best),
-        allocations=AllocationProfile(alloc),
-        sp_payoff=payoff,
-        mu_payoffs=payoffs,
-        iterations=iters,
-        grad_residual=residual,
-        multistart_spread=spread,
-        converged=all_ok,
-        objective_trace=tuple(trace) if trace is not None else None,
-    )
+    g_lo = utility_scale / (1.0 + float(np.sum(np.log1p(market.x_hi))))
+    # one float above utility_scale, so that a Newton step may land on
+    # utility_scale itself: the root when nothing is bought
+    g_hi = float(np.nextafter(utility_scale, np.inf))
+    g = g_lo
+    for step in range(1, _OUTER_BUDGET + 1):
+        x, dx_dg = market.allocations(g)
+        b = 1.0 + float(np.sum(np.log1p(x)))
+        excess = g * b - utility_scale
+        if excess <= 0.0:
+            g_lo = g
+        if excess >= 0.0:
+            g_hi = g
+        nxt = g - excess / (b + g * float(np.sum(dx_dg / (1.0 + x))))
+        if abs(nxt - g) <= 1e-15 * g or g_hi - g_lo <= 1e-15 * g:
+            break
+        if not g_lo < nxt < g_hi:
+            nxt = 0.5 * (g_lo + g_hi)
+        g = nxt
+    return x, step
 
 
 def compute_se(scenario: Scenario, config: SolverConfig | None = None) -> EquilibriumResult:
-    """Stackelberg equilibrium: solved prices plus follower responses.
+    """Stackelberg equilibrium: exact leader prices plus follower responses.
 
-    Prices of users left at zero allocation are reported canonically at
-    their threshold, which is where the solver's lower box face sits.
+    Users held at the bottom of their allocation range are priced at
+    their threshold and those at the top at own_value.  iterations
+    counts the outer root steps.  grad_residual is the projected
+    residual max |p - clip(p + grad U(p), box)| of the sp_payoff_gradient
+    formula, and converged says it is within config.tol.
     """
-    res = solve_optimal_prices(scenario, config)
-    p = res.prices.values.copy()
-    lo, _ = price_box(scenario)
-    snap = res.allocations.values <= 1e-12
-    p[snap] = lo[snap]
-    alloc, _, _ = _responses(scenario, p)
+    cfg = config or SolverConfig()
+    market = _Market(scenario)
+    x, iterations = _solve(market, scenario.utility_scale)
+    lo, hi = price_box(scenario)
+    p = np.clip(market.price(x), lo, hi)
+    p = np.where(x <= market.x_lo, lo, np.where(x >= market.x_hi, hi, p))
+    alloc, slope, _ = _responses(scenario, p)
+    grad = _gradient_from(scenario, p, alloc, slope)
+    residual = float(np.max(np.abs(p - np.clip(p + grad, lo, hi))))
     payoffs = np.array([
         mu_payoff(mu, float(alloc[i]), float(p[i])) for i, mu in enumerate(scenario.mus)
     ])
     return EquilibriumResult(
         prices=PriceProfile(p),
         allocations=AllocationProfile(alloc),
-        sp_payoff=_objective(scenario, p),
+        sp_payoff=sp_payoff(alloc, p, scenario.utility_scale),
         mu_payoffs=payoffs,
-        iterations=res.iterations,
-        grad_residual=res.grad_residual,
-        multistart_spread=res.multistart_spread,
-        converged=res.converged,
-        objective_trace=res.objective_trace,
+        iterations=iterations,
+        grad_residual=residual,
+        converged=residual <= cfg.tol,
     )

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "DemandDistribution",
@@ -33,8 +32,6 @@ __all__ = [
     "mu_own_profit",
     "mu_payoff",
 ]
-
-_QUAD_ABS_TOL = 1e-10
 
 
 def _as_vector(v) -> np.ndarray:
@@ -61,11 +58,15 @@ def _frozen_vector(v) -> np.ndarray:
 class DemandDistribution:
     """Base class for single-user demand laws on a bounded support [lo, hi].
 
-    Subclasses fix ``kind`` and implement pdf, cdf, quantile, pdf_slope
-    and sample.  ``quantile`` uses the inf convention, so quantile(0.0)
-    is lo and quantile(1.0) is hi.  Only laws with a non-increasing,
-    strictly positive density on [lo, hi) are admitted by the
-    equilibrium solver; others may still be evaluated.
+    Subclasses fix ``kind`` and implement pdf, cdf, quantile, pdf_slope,
+    expected_min and sample.  ``quantile`` uses the inf convention, so
+    quantile(0.0) is lo and quantile(1.0) is hi.  Only laws with a
+    non-increasing, strictly positive density on [lo, hi) are admitted
+    by the equilibrium solver; others may still be evaluated.
+
+    The equilibrium solver also needs the tail in the form
+    P(demand > z) = ((hi - z) / (hi - lo)) ** tail_power on [lo, hi],
+    with tail_power 1 or 2; laws without it leave tail_power None.
     """
 
     lo: float
@@ -73,6 +74,7 @@ class DemandDistribution:
 
     kind: ClassVar[str] = "abstract"
     nonincreasing_density: ClassVar[bool] = False
+    tail_power: ClassVar[float | None] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -93,12 +95,12 @@ class DemandDistribution:
         """Derivative of the density inside the support."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def expected_min(self, r: float) -> float:
+        """E[min(demand, r)] in closed form."""
         raise NotImplementedError
 
-    def positive_density_on(self, z: float) -> bool:
-        """True when the density is strictly positive at z in [lo, hi)."""
-        return self.lo <= z < self.hi and self.pdf(z) > 0.0
+    def sample(self, rng: np.random.Generator, size=None):
+        raise NotImplementedError
 
     def admissible(self) -> bool:
         """Whether the law qualifies for equilibrium solving.
@@ -120,6 +122,7 @@ class UniformDemand(DemandDistribution):
 
     kind: ClassVar[str] = "uniform"
     nonincreasing_density: ClassVar[bool] = True
+    tail_power: ClassVar[float] = 1.0
 
     def pdf(self, z: float) -> float:
         if self.lo <= z <= self.hi:
@@ -141,6 +144,14 @@ class UniformDemand(DemandDistribution):
     def pdf_slope(self, z: float) -> float:
         return 0.0
 
+    def expected_min(self, r: float) -> float:
+        if r <= self.lo:
+            return r
+        if r >= self.hi:
+            return 0.5 * (self.lo + self.hi)
+        w = self.hi - self.lo
+        return (r * r - self.lo * self.lo) / (2.0 * w) + r * (self.hi - r) / w
+
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(self.lo, self.hi, size=size)
 
@@ -156,6 +167,7 @@ class LinearDemand(DemandDistribution):
 
     kind: ClassVar[str] = "linear"
     nonincreasing_density: ClassVar[bool] = True
+    tail_power: ClassVar[float] = 2.0
 
     def pdf(self, z: float) -> float:
         if self.lo <= z <= self.hi:
@@ -181,6 +193,13 @@ class LinearDemand(DemandDistribution):
             w = self.hi - self.lo
             return -2.0 / (w * w)
         return 0.0
+
+    def expected_min(self, r: float) -> float:
+        if r <= self.lo:
+            return r
+        w = self.hi - self.lo
+        t = (self.hi - min(r, self.hi)) / w
+        return self.lo + (w / 3.0) * (1.0 - t * t * t)
 
     def sample(self, rng: np.random.Generator, size=None):
         u = rng.uniform(0.0, 1.0, size=size)
@@ -218,11 +237,10 @@ class MuProfile:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A pricing game instance: platform weight, users and base seed."""
+    """A pricing game instance: platform weight and users."""
 
     utility_scale: float
     mus: tuple[MuProfile, ...]
-    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.utility_scale) and self.utility_scale > 0.0):
@@ -230,8 +248,6 @@ class Scenario:
         if len(self.mus) == 0:
             raise ValueError("scenario needs at least one mobile user")
         object.__setattr__(self, "mus", tuple(self.mus))
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit an unsigned 64-bit integer")
 
     @property
     def n(self) -> int:
@@ -324,43 +340,17 @@ def sp_payoff(x, p, utility_scale: float) -> float:
 # user side
 
 
-def _expected_min_uniform(dist: UniformDemand, cap: float) -> float:
-    # E[min(demand, cap)] in closed form
-    if cap <= dist.lo:
-        return cap
-    if cap >= dist.hi:
-        return 0.5 * (dist.lo + dist.hi)
-    w = dist.hi - dist.lo
-    return (cap * cap - dist.lo * dist.lo) / (2.0 * w) + cap * (dist.hi - cap) / w
-
-
-def _expected_min_quad(dist: DemandDistribution, cap: float) -> float:
-    if cap <= dist.lo:
-        return cap
-    upper = min(cap, dist.hi)
-    body, _ = quad(lambda z: z * dist.pdf(z), dist.lo, upper, epsabs=_QUAD_ABS_TOL)
-    if cap >= dist.hi:
-        return body
-    return body + cap * (1.0 - dist.cdf(cap))
-
-
 def mu_own_profit(mu: MuProfile, remaining: float) -> float:
     """Expected own-demand profit when ``remaining`` units are kept.
 
-    Equals (own_value - unit_cost) * E[min(demand, remaining)].  Uniform
-    demand uses the closed form; any other law goes through adaptive
-    quadrature with absolute tolerance 1e-10.
+    Equals (own_value - unit_cost) * E[min(demand, remaining)], with the
+    expectation in the demand law's closed form.
     """
     if not 0.0 <= remaining <= mu.capacity:
         raise ValueError(
             f"remaining must lie in [0, {mu.capacity}], got {remaining}"
         )
-    margin = mu.own_value - mu.unit_cost
-    if isinstance(mu.demand, UniformDemand):
-        served = _expected_min_uniform(mu.demand, remaining)
-    else:
-        served = _expected_min_quad(mu.demand, remaining)
-    return margin * served
+    return (mu.own_value - mu.unit_cost) * mu.demand.expected_min(remaining)
 
 
 def mu_payoff(mu: MuProfile, x: float, price: float) -> float:

@@ -1,4 +1,4 @@
-"""Minimal SVG line and bar charts.
+"""Minimal SVG line charts.
 
 Charts are conveniences for eyeballing runs; the CSVs remain the data
 of record.  Output is plain SVG 1.1 text with no scripts, fonts, or
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-__all__ = ["line_chart", "bar_chart"]
+__all__ = ["line_chart"]
 
 _WIDTH = 640
 _HEIGHT = 400
@@ -79,19 +79,18 @@ def _open_svg(title: str) -> list[str]:
     ]
 
 
-def _axes(parts: list[str], frame: _Frame, x_label: str, y_label: str, x_ticks: bool = True) -> None:
+def _axes(parts: list[str], frame: _Frame, x_label: str, y_label: str) -> None:
     x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
     y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
-    if x_ticks:
-        for t in _ticks(frame.x_lo, frame.x_hi):
-            px = frame.px(t)
-            parts.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 4}" stroke="black"/>')
-            parts.append(
-                f'<text x="{px:.2f}" y="{y0 + 17}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
-            )
+    for t in _ticks(frame.x_lo, frame.x_hi):
+        px = frame.px(t)
+        parts.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 4}" stroke="black"/>')
+        parts.append(
+            f'<text x="{px:.2f}" y="{y0 + 17}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
+        )
     for t in _ticks(frame.y_lo, frame.y_hi):
         py = frame.py(t)
         parts.append(f'<line x1="{x0 - 4}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>')
@@ -150,43 +149,6 @@ def line_chart(
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
     if len(series) > 1:
         _legend(parts, list(series))
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path
-
-
-def bar_chart(
-    path: str,
-    title: str,
-    x_label: str,
-    y_label: str,
-    labels: Sequence[str],
-    values: Sequence[float],
-) -> str:
-    """Plot labeled bars and write the file."""
-    if not labels or len(labels) != len(values):
-        raise ValueError("labels and values must be non-empty and equal length")
-    vals = [float(v) for v in values]
-    frame = _Frame(0.0, float(len(vals)), min(0.0, min(vals)), max(0.0, max(vals)))
-    parts = _open_svg(title)
-    _axes(parts, frame, x_label, y_label, x_ticks=False)
-    base = frame.py(0.0)
-    for i, v in enumerate(vals):
-        left = frame.px(i + 0.15)
-        right = frame.px(i + 0.85)
-        top = frame.py(v)
-        y = min(top, base)
-        h = abs(base - top)
-        color = _PALETTE[i % len(_PALETTE)]
-        parts.append(
-            f'<rect x="{left:.2f}" y="{y:.2f}" width="{right - left:.2f}" '
-            f'height="{h:.2f}" fill="{color}" fill-opacity="0.8"/>'
-        )
-        parts.append(
-            f'<text x="{(left + right) / 2:.2f}" y="{_HEIGHT - _MARGIN_B + 17}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">{_esc(str(labels[i]))}</text>'
-        )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -12,7 +12,7 @@ def example_mu():
 
 @pytest.fixture
 def single_mu_scenario(example_mu):
-    return Scenario(utility_scale=50.0, mus=(example_mu,), seed=0)
+    return Scenario(utility_scale=50.0, mus=(example_mu,))
 
 
 def make_scenario(seed: int, n: int = 5, utility_scale: float = 50.0) -> Scenario:
@@ -23,7 +23,7 @@ def make_scenario(seed: int, n: int = 5, utility_scale: float = 50.0) -> Scenari
         cost, value = rng.uniform(0.0, 1.0, size=2)
         if value > cost:
             mus.append(MuProfile(20.0, float(value), float(cost), UniformDemand(0.0, 25.0)))
-    return Scenario(utility_scale=utility_scale, mus=tuple(mus), seed=seed)
+    return Scenario(utility_scale=utility_scale, mus=tuple(mus))
 
 
 @pytest.fixture

@@ -20,10 +20,16 @@ from mcsgame.dynamics import EnvConfig
 from mcsgame.experiments import ScenarioSpec, generate_scenario, play_greedy, play_random, run_sweep
 from mcsgame.follower import Region, best_response, foc_residual, price_threshold
 from mcsgame.gradcheck import run_all
-from mcsgame.leader import compute_se, sp_payoff_gradient, sp_payoff_hessian
+from mcsgame.leader import compute_se, price_box, sp_payoff_gradient, sp_payoff_hessian
 from mcsgame.learner import TrainConfig, train
 from mcsgame.model import LinearDemand, MuProfile, Scenario, UniformDemand
-from oracles import follower_grid_best, leader_grid_best_uniform_n1, mu_payoff_oracle, random_mu_params
+from oracles import (
+    follower_grid_best,
+    leader_ascent,
+    leader_grid_best_uniform_n1,
+    mu_payoff_oracle,
+    random_mu_params,
+)
 
 
 def _rng(seed):
@@ -84,7 +90,6 @@ def test_criterion_03_single_user_solver_vs_grid():
     scen = Scenario(
         utility_scale=50.0,
         mus=(MuProfile(20.0, 1.0, 0.0, UniformDemand(0.0, 25.0)),),
-        seed=0,
     )
     res = compute_se(scen)
     p_ref, payoff_ref, _ = leader_grid_best_uniform_n1(1.0, 0.0, 0.0, 25.0, 20.0, 50.0, step=1e-4)
@@ -108,11 +113,32 @@ def _solved_scenarios():
 
 
 def test_criterion_04_multistart_uniqueness():
+    # the exact solver's prices carry their own KKT certificate, and five
+    # independent price-space ascents from random points of the box all
+    # land on them
     t0 = time.perf_counter()
-    for scen, res in _solved_scenarios().values():
+    for seed, (scen, res) in _solved_scenarios().items():
         assert res.converged
-        assert res.multistart_spread <= 1e-5
-    _announce(4, "five starts land on one optimum for 50 scenarios", time.perf_counter() - t0)
+        p = res.prices.values
+        lo, hi = price_box(scen)
+        assert np.max(np.abs(p - np.clip(p + sp_payoff_gradient(scen, p), lo, hi))) <= 1e-8
+        # ScenarioSpec() users share one demand law and capacity
+        ((kind, d_lo, d_hi, cap),) = {
+            (mu.demand.kind, mu.demand.lo, mu.demand.hi, mu.capacity) for mu in scen.mus
+        }
+        finals = []
+        for k in range(5):
+            p0 = lo + _rng(seed + k).uniform(0.0, 1.0, size=scen.n) * (hi - lo)
+            p_ref, residual = leader_ascent(
+                kind, d_lo, d_hi, cap, scen.own_values(), scen.unit_costs(),
+                scen.utility_scale, p0,
+            )
+            assert residual <= 1e-8
+            assert np.max(np.abs(p_ref - p)) <= 1e-5
+            finals.append(p_ref)
+        assert np.max(np.ptp(finals, axis=0)) <= 1e-5
+    _announce(4, "exact solver and five reference ascents agree on 50 scenarios",
+              time.perf_counter() - t0)
 
 
 def test_criterion_05_price_bound():
@@ -135,7 +161,7 @@ def _margin_population(rng, n=5):
         if value - cost < 0.1:
             continue
         mus.append(MuProfile(20.0, value, cost, UniformDemand(0.0, 25.0)))
-    return Scenario(utility_scale=float(rng.uniform(20.0, 60.0)), mus=tuple(mus), seed=0)
+    return Scenario(utility_scale=float(rng.uniform(20.0, 60.0)), mus=tuple(mus))
 
 
 def test_criterion_06_concavity_certificate():

@@ -3,6 +3,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,6 @@ def _write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
-FAST_SOLVER = ["--set", "solver.n_starts=2"]
 TINY_TRAIN = [
     "--set", "train.episodes=2",
     "--set", "train.steps_per_batch=8",
@@ -63,7 +66,7 @@ def test_static_writes_equilibrium_files(tmp_path):
 
 
 def test_static_reruns_byte_identical(tmp_path):
-    args = ["static", "--seed", "3", *FAST_SOLVER]
+    args = ["static", "--seed", "3"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main([*args, "--out", str(a)]) == 0
     assert main([*args, "--out", str(b)]) == 0
@@ -76,7 +79,7 @@ def test_static_reruns_byte_identical(tmp_path):
 
 def test_manifest_hashes_are_real(tmp_path):
     out = tmp_path / "run"
-    assert main(["static", "--seed", "1", *FAST_SOLVER, "--out", str(out)]) == 0
+    assert main(["static", "--seed", "1", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["format"] == "mcsgame-manifest"
     assert manifest["command"] == "static"
@@ -87,22 +90,22 @@ def test_manifest_hashes_are_real(tmp_path):
     # the echoed config is complete enough to rerun from
     assert manifest["config"]["seed"] == 1
     assert manifest["config"]["scenario"]["n_mus"] == 5
-    assert manifest["config"]["solver"]["n_starts"] == 2
+    assert manifest["config"]["solver"] == {"tol": 1e-8}
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):
     cfg = _write_config(tmp_path, {"seed": 3})
     out_flag = tmp_path / "flag"
     out_pure = tmp_path / "pure"
-    assert main(["static", "--config", cfg, "--seed", "11", *FAST_SOLVER, "--out", str(out_flag)]) == 0
-    assert main(["static", "--seed", "11", *FAST_SOLVER, "--out", str(out_pure)]) == 0
+    assert main(["static", "--config", cfg, "--seed", "11", "--out", str(out_flag)]) == 0
+    assert main(["static", "--seed", "11", "--out", str(out_pure)]) == 0
     assert _cell(out_flag / "summary.csv", "seed") == "11"
     assert (out_flag / "equilibrium.csv").read_bytes() == (out_pure / "equilibrium.csv").read_bytes()
 
 
 def test_set_override_changes_population(tmp_path):
     out = tmp_path / "run"
-    rc = main(["static", "--seed", "0", "--set", "scenario.n_mus=2", *FAST_SOLVER, "--out", str(out)])
+    rc = main(["static", "--seed", "0", "--set", "scenario.n_mus=2", "--out", str(out)])
     assert rc == 0
     _, rows = _read_csv(out / "equilibrium.csv")
     assert len(rows) == 2
@@ -124,17 +127,38 @@ def test_single_user_matches_grid_oracle(tmp_path):
 
 def test_nonconvergence_exits_3_but_writes(tmp_path):
     out = tmp_path / "run"
-    rc = main(
-        [
-            "static", "--seed", "0", "--out", str(out),
-            "--set", "solver.max_iters=1",
-            "--set", "solver.tol=1e-18",
-            "--set", "solver.n_starts=1",
-        ]
-    )
+    rc = main(["static", "--seed", "0", "--out", str(out), "--set", "solver.tol=1e-18"])
     assert rc == 3
     assert (out / "equilibrium.csv").is_file()
     assert _cell(out / "summary.csv", "converged") == "0"
+
+
+@pytest.mark.parametrize("capacity", [25, 30])
+def test_static_linear_capacity_past_support(tmp_path, capacity):
+    # capacity >= demand_hi puts the lower price face at unit_cost, where
+    # the linear density vanishes; seed 0 at 30 holds its first user there
+    out = tmp_path / "run"
+    rc = main([
+        "static", "--seed", "0", "--out", str(out),
+        "--set", 'scenario.demand_kind="linear"', "--set", f"scenario.capacity={capacity}",
+    ])
+    assert rc == 0
+    assert _cell(out / "summary.csv", "converged") == "1"
+    assert float(_cell(out / "summary.csv", "grad_residual")) <= 1e-8
+    if capacity == 30:
+        assert _cell(out / "equilibrium.csv", "p_star") == _cell(out / "equilibrium.csv", "unit_cost")
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcsgame", "static", "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["equilibrium.csv", "manifest.json", "summary.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +192,12 @@ def test_bad_field_value_exits_2(tmp_path):
     assert main(["static", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
 
 
+def test_removed_solver_field_exits_2(tmp_path):
+    out = tmp_path / "run"
+    assert main(["static", "--set", "solver.n_starts=2", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_set_without_equals_exits_2(tmp_path):
     rc = main(["static", "--set", "scenario.n_mus", "--out", str(tmp_path / "run")])
     assert rc == 2
@@ -184,7 +214,7 @@ def test_missing_out_flag_is_a_usage_error():
 
 def test_train_emits_full_artifact_set(tmp_path):
     out = tmp_path / "run"
-    rc = main(["train", "--seed", "0", "--out", str(out), "--steps-trace", "on", *FAST_SOLVER, *TINY_TRAIN])
+    rc = main(["train", "--seed", "0", "--out", str(out), "--steps-trace", "on", *TINY_TRAIN])
     assert rc == 0
 
     header, rows = _read_csv(out / "episodes.csv")
@@ -219,7 +249,7 @@ def test_train_emits_full_artifact_set(tmp_path):
 
 def test_train_svg_off_and_no_steps_trace(tmp_path):
     out = tmp_path / "run"
-    rc = main(["train", "--seed", "0", "--out", str(out), "--svg", "off", *FAST_SOLVER, *TINY_TRAIN])
+    rc = main(["train", "--seed", "0", "--out", str(out), "--svg", "off", *TINY_TRAIN])
     assert rc == 0
     assert not list(out.glob("*.svg"))
     assert not (out / "steps.csv").exists()
@@ -228,7 +258,7 @@ def test_train_svg_off_and_no_steps_trace(tmp_path):
 
 
 def test_train_reruns_identical_manifests(tmp_path):
-    args = ["train", "--seed", "5", "--svg", "off", *FAST_SOLVER, *TINY_TRAIN]
+    args = ["train", "--seed", "5", "--svg", "off", *TINY_TRAIN]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main([*args, "--out", str(a)]) == 0
     assert main([*args, "--out", str(b)]) == 0
@@ -242,7 +272,7 @@ def test_train_divergence_exits_4_with_snapshot(tmp_path):
     with np.errstate(all="ignore"):
         rc = main(
             [
-                "train", "--seed", "0", "--out", str(out), *FAST_SOLVER,
+                "train", "--seed", "0", "--out", str(out),
                 "--set", "train.critic_lr=1e9",
                 "--set", "train.episodes=50",
                 "--set", "train.steps_per_batch=8",
@@ -274,7 +304,7 @@ def test_sweep_delta_layout(tmp_path):
         },
     )
     out = tmp_path / "run"
-    rc = main(["sweep", "--config", cfg, "--seed", "0", *FAST_SOLVER, "--out", str(out)])
+    rc = main(["sweep", "--config", cfg, "--seed", "0", "--out", str(out)])
     assert rc == 0
     header, rows = _read_csv(out / "sweep_mus.csv")
     assert len(rows) == 3
@@ -297,7 +327,7 @@ def test_sweep_demand_upper_layout(tmp_path):
         },
     )
     out = tmp_path / "run"
-    rc = main(["sweep", "--config", cfg, "--seed", "4", *FAST_SOLVER, "--out", str(out)])
+    rc = main(["sweep", "--config", cfg, "--seed", "4", "--out", str(out)])
     assert rc == 0
     _, rows = _read_csv(out / "sweep_mus.csv")
     assert len(rows) == 4

@@ -12,7 +12,7 @@ from mcsgame.dynamics import (
     step_trace_columns,
 )
 from mcsgame.leader import compute_se
-from mcsgame.model import MuProfile, Scenario, UniformDemand
+from mcsgame.model import LinearDemand, MuProfile, Scenario, UniformDemand
 from conftest import make_scenario
 
 
@@ -26,7 +26,7 @@ def _costly_scenario():
         MuProfile(20.0, 0.5 + 0.1 * i, 0.1 + 0.05 * i, UniformDemand(0.0, 25.0))
         for i in range(3)
     )
-    return Scenario(50.0, mus, seed=0)
+    return Scenario(50.0, mus)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,19 @@ def test_step_zero_prices_zero_reward():
     assert np.array_equal(tr.next_state.allocations[-1], np.zeros(3))
     assert tr.reward == 0.0
     assert not tr.clamped
+
+
+def test_step_zero_price_at_zero_cost_past_the_support():
+    # capacity >= demand_hi under linear demand: price 0 equals the unit
+    # cost 0, where the kept quantile sits on the vanishing density
+    mus = tuple(MuProfile(cap, 0.8, 0.0, LinearDemand(0.0, 25.0)) for cap in (25.0, 30.0))
+    scenario = Scenario(50.0, mus)
+    cfg = EnvConfig(history_rounds=1)
+    state = env_reset(scenario, cfg, _rng(4))
+    tr = env_step(scenario, cfg, state, np.zeros(2))
+    assert np.array_equal(tr.next_state.allocations[-1], [0.0, 5.0])
+    assert tr.sp_payoff == pytest.approx(50.0 * np.log(1.0 + np.log(6.0)), rel=1e-12)
+    assert np.array_equal(tr.mu_payoffs, [0.0, 0.0])
 
 
 def test_step_reward_scaling(five_mu_scenario):

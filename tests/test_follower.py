@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -73,8 +75,13 @@ def test_best_response_vanishing_density_corner():
     # unit cost and the kept quantile lands where the density is zero
     mu = MuProfile(25.0, 1.0, 0.0, LinearDemand(0.0, 25.0))
     assert price_threshold(mu) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        best_response(mu, 0.0)
+    # the right-hand limit: nothing beyond capacity - hi is sold, and the
+    # response leaves that face with unbounded slope
+    for cap, sold in ((25.0, 0.0), (30.0, 5.0)):
+        corner = best_response(MuProfile(cap, 1.0, 0.0, LinearDemand(0.0, 25.0)), 0.0)
+        assert corner.region is Region.INTERIOR
+        assert corner.allocation == sold
+        assert corner.slope == math.inf and corner.curvature == -math.inf
     br = best_response(mu, 1e-4)
     assert br.region is Region.INTERIOR
     assert br.allocation > 0.0

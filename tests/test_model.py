@@ -188,10 +188,25 @@ def test_own_profit_scales_with_margin():
 
 
 def test_own_profit_quad_agrees_with_oracle():
-    mu = MuProfile(20.0, 1.0, 0.0, LinearDemand(0.0, 25.0))
-    for remaining in (0.0, 5.0, 12.5, 20.0):
-        want = float(expected_min("linear", 0.0, 25.0, remaining))
-        assert mu_own_profit(mu, remaining) == pytest.approx(want, abs=1e-6)
+    # remaining below, at, inside, at the top of and past the support
+    for lo, hi in ((0.0, 25.0), (4.0, 18.0)):
+        mu = MuProfile(30.0, 1.0, 0.0, LinearDemand(lo, hi))
+        for remaining in (0.0, lo, 0.5 * (lo + hi), 12.5, hi, 27.5):
+            want = float(expected_min("linear", lo, hi, remaining))
+            assert mu_own_profit(mu, remaining) == pytest.approx(want, abs=1e-6)
+
+
+def test_linear_expected_min_pinned_by_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for lo, hi in ((0.0, 25.0), (4.0, 18.0)):
+        d = LinearDemand(lo, hi)
+        for r in (0.0, lo, 0.5 * (lo + hi), 12.5, hi, 27.5):
+            # split at the kink of min(z, r) when it lies inside the support
+            nodes = [lo, r, hi] if lo < r < hi else [lo, hi]
+            with mpmath.workdps(40):
+                w = mpmath.mpf(hi) - lo
+                want = mpmath.quad(lambda z: min(z, r) * 2 * (hi - z) / w**2, nodes)
+            assert abs(d.expected_min(r) - float(want)) <= 1e-13
 
 
 def test_own_profit_rejects_out_of_range(example_mu):
@@ -260,11 +275,9 @@ def test_mu_profile_validation():
 
 def test_scenario_validation(example_mu):
     with pytest.raises(ValueError):
-        Scenario(0.0, (example_mu,), seed=0)
+        Scenario(0.0, (example_mu,))
     with pytest.raises(ValueError):
-        Scenario(50.0, (), seed=0)
-    with pytest.raises(ValueError):
-        Scenario(50.0, (example_mu,), seed=-1)
+        Scenario(50.0, ())
 
 
 def test_scenario_vector_accessors(five_mu_scenario):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcsgame.reporting import MANIFEST_NAME, format_value, sha256_file, write_csv, write_manifest
-from mcsgame.svgplot import bar_chart, line_chart
+from mcsgame.svgplot import line_chart
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +118,3 @@ def test_line_chart_rejects_mismatched_lengths(tmp_path):
     with pytest.raises(ValueError):
         line_chart(str(tmp_path / "bad.svg"), "t", "x", "y", {"s": ([0, 1], [1.0])})
 
-
-def test_bar_chart_is_valid_svg_with_labels(tmp_path):
-    raw = _chart_bytes(
-        tmp_path, bar_chart, "bars.svg", "means", "policy", "payoff",
-        ["greedy", "random", "learned"], [39.3, 72.0, 96.5],
-    )
-    root = ET.fromstring(raw)
-    assert root.tag.endswith("svg")
-    for label in (b"greedy", b"random", b"learned"):
-        assert label in raw
-
-
-def test_bar_chart_handles_negative_values(tmp_path):
-    raw = _chart_bytes(
-        tmp_path, bar_chart, "neg.svg", "t", "x", "y", ["a", "b"], [-1.0, 2.0]
-    )
-    ET.fromstring(raw)
