@@ -41,7 +41,6 @@ class EnvConfig:
     history_rounds: int = 3
     reward_scale: float = 0.01
     p_max: float = 1.0
-    episode_length: int = 128
 
     def __post_init__(self):
         if self.history_rounds < 1:
@@ -50,12 +49,27 @@ class EnvConfig:
             raise ValueError("reward_scale must be positive")
         if not (math.isfinite(self.p_max) and self.p_max > 0.0):
             raise ValueError("p_max must be positive")
-        if self.episode_length < 1:
-            raise ValueError("episode_length must be at least 1")
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def _frozen(arr) -> np.ndarray:
+    """A read-only float64 array owning its data; such an array is kept as is."""
+    if (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == np.float64
+        and arr.base is None
+        and not arr.flags.writeable
+    ):
+        return arr
     out = np.array(arr, dtype=float, copy=True)
+    out.flags.writeable = False
+    return out
+
+
+def _slide(window: np.ndarray, newest: np.ndarray) -> np.ndarray:
+    """A fresh read-only window: window without its oldest row, newest appended."""
+    out = np.empty_like(window)
+    out[:-1] = window[1:]
+    out[-1] = newest
     out.flags.writeable = False
     return out
 
@@ -142,20 +156,20 @@ def env_step(scenario: Scenario, config: EnvConfig, state: GameState, action) ->
     raw = np.asarray(getattr(action, "values", action), dtype=float)
     if raw.shape != (scenario.n,):
         raise ValueError(f"action must have {scenario.n} entries, got shape {raw.shape}")
-    if not np.all(np.isfinite(raw)):
+    if not np.isfinite(raw).all():
         raise ValueError("action prices must be finite")
     if state.window != config.history_rounds or state.n_mus != scenario.n:
         raise ValueError("state shape does not match scenario and config")
-    executed = np.clip(raw, 0.0, config.p_max)
-    clamped = bool(np.any(executed != raw))
+    executed = raw.clip(0.0, config.p_max)
+    clamped = bool((executed != raw).any())
     alloc = respond(scenario, executed)
     payoff = sp_payoff(alloc, executed, scenario.utility_scale)
     payoffs = np.array([
         mu_payoff(mu, float(alloc[i]), float(executed[i])) for i, mu in enumerate(scenario.mus)
     ])
     next_state = GameState(
-        prices=np.vstack([state.prices[1:], executed[None, :]]),
-        allocations=np.vstack([state.allocations[1:], alloc[None, :]]),
+        prices=_slide(state.prices, executed),
+        allocations=_slide(state.allocations, alloc),
     )
     return Transition(
         state=state,

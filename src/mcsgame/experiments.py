@@ -107,17 +107,21 @@ class BaselineResult:
     mean_mu_payoffs: np.ndarray
 
 
-def play_constant(
-    scenario: Scenario, env_config: EnvConfig, prices: np.ndarray, steps: int, seed: int, name: str
+def _rollout(
+    scenario: Scenario, env_config: EnvConfig, steps: int, seed: int, name: str, prices_for
 ) -> BaselineResult:
-    """Roll the environment under one fixed price profile."""
+    """Average the environment's outcomes under prices_for(rng), one call per step.
+
+    One RNG stream, seeded by seed, draws the initial history first and
+    then whatever prices_for draws.
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
     state = env_reset(scenario, env_config, rng)
     total_payoff = 0.0
     total_reward = 0.0
     total_mu = np.zeros(scenario.n)
     for _ in range(steps):
-        tr = env_step(scenario, env_config, state, prices)
+        tr = env_step(scenario, env_config, state, prices_for(rng))
         state = tr.next_state
         total_payoff += tr.sp_payoff
         total_reward += tr.reward
@@ -125,22 +129,21 @@ def play_constant(
     return BaselineResult(name, steps, total_payoff / steps, total_reward / steps, total_mu / steps)
 
 
+def play_constant(
+    scenario: Scenario, env_config: EnvConfig, prices: np.ndarray, steps: int, seed: int, name: str
+) -> BaselineResult:
+    """Roll the environment under one fixed price profile."""
+    return _rollout(scenario, env_config, steps, seed, name, lambda rng: prices)
+
+
 def play_random(
     scenario: Scenario, env_config: EnvConfig, steps: int, seed: int
 ) -> BaselineResult:
     """Roll the environment under uniformly random prices."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    state = env_reset(scenario, env_config, rng)
-    total_payoff = 0.0
-    total_reward = 0.0
-    total_mu = np.zeros(scenario.n)
-    for _ in range(steps):
-        tr = env_step(scenario, env_config, state, random_policy(scenario.n, env_config, rng))
-        state = tr.next_state
-        total_payoff += tr.sp_payoff
-        total_reward += tr.reward
-        total_mu += tr.mu_payoffs
-    return BaselineResult("random", steps, total_payoff / steps, total_reward / steps, total_mu / steps)
+    return _rollout(
+        scenario, env_config, steps, seed, "random",
+        lambda rng: random_policy(scenario.n, env_config, rng),
+    )
 
 
 def play_greedy(

@@ -8,6 +8,13 @@ network with a linear scalar head.  Both are updated by plain gradient
 steps computed by hand; there is no autograd, optimizer state, GAE,
 entropy bonus or mini-batching.
 
+Each episode's work is done once.  The rollout observes every state
+once and fills a preallocated TrajectoryBuffer in place.  After the
+bootstrap value is set, the buffer builds one EpisodeBatch (the stacked
+records, the return targets and the advantages), and every inner update
+epoch reads that batch.  The actor and critic gradients backpropagate
+through the forward pass they have just computed on it.
+
 This module sees the game only through dynamics.env_reset/env_step and
 the (state, reward) stream they produce.  It never imports the market
 model and never reads user profile fields, so the agent cannot peek at
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +39,7 @@ __all__ = [
     "PolicyParams",
     "TrainConfig",
     "TrajectoryBuffer",
+    "EpisodeBatch",
     "EpisodeStats",
     "TrainingDiverged",
     "mlp_init",
@@ -124,15 +132,16 @@ def mlp_init(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # With e = exp(-|z|), which cannot overflow, this is 1/(1+e) for
+    # z >= 0 and e/(1+e) otherwise: the textbook form on each half-line.
+    # minimum(z, -z) rather than -abs(z) keeps the sign of a NaN, so a
+    # NaN input gives the same bits as exp(z)/(1+exp(z)) would.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _forward_cached(params: MlpParams, x: np.ndarray):
+    """Forward pass that also returns what the backward pass needs."""
     a = np.atleast_2d(np.asarray(x, dtype=float))
     acts = [a]
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
@@ -143,25 +152,18 @@ def _forward_cached(params: MlpParams, x: np.ndarray):
         out = params.output_scale * _sigmoid(z)
     else:
         out = z
-    return out, z, acts
+    return out, acts
 
 
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
     """Evaluate the network on one input (in,) or a batch (B, in)."""
-    single = np.asarray(x).ndim == 1
-    out, _, _ = _forward_cached(params, x)
+    single = np.ndim(x) == 1
+    out, _ = _forward_cached(params, x)
     return out[0] if single else out
 
 
-def mlp_backward(params: MlpParams, x, upstream) -> MlpGrads:
-    """Backpropagate d(loss)/d(output) to parameter gradients.
-
-    A batched upstream (B, out) yields gradients summed over the batch.
-    The forward pass is recomputed from x, so the call is
-    self-contained.
-    """
-    single = np.asarray(x).ndim == 1
-    out, z, acts = _forward_cached(params, x)
+def _backprop(params: MlpParams, out: np.ndarray, acts: list, upstream) -> MlpGrads:
+    """Parameter gradients from a forward pass already computed by _forward_cached."""
     up = np.atleast_2d(np.asarray(upstream, dtype=float))
     if up.shape != out.shape:
         raise ValueError(f"upstream shape {up.shape} does not match output {out.shape}")
@@ -170,8 +172,8 @@ def mlp_backward(params: MlpParams, x, upstream) -> MlpGrads:
         dz = up * params.output_scale * s * (1.0 - s)
     else:
         dz = up
-    gw = [np.empty_like(W) for W in params.weights]
-    gb = [np.empty_like(b) for b in params.biases]
+    gw = [None] * len(params.weights)
+    gb = [None] * len(params.biases)
     for i in range(len(params.weights) - 1, -1, -1):
         gw[i] = dz.T @ acts[i]
         gb[i] = dz.sum(axis=0)
@@ -179,6 +181,16 @@ def mlp_backward(params: MlpParams, x, upstream) -> MlpGrads:
             da = dz @ params.weights[i]
             dz = da * (1.0 - acts[i] ** 2)  # tanh'
     return MlpGrads(gw, gb)
+
+
+def mlp_backward(params: MlpParams, x, upstream) -> MlpGrads:
+    """Backpropagate d(loss)/d(output) to parameter gradients.
+
+    A batched upstream (B, out) yields gradients summed over the batch.
+    The forward pass is computed from x, so the call is self-contained;
+    the PPO gradients below reuse their own forward pass instead.
+    """
+    return _backprop(params, *_forward_cached(params, x), upstream)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +215,7 @@ class PolicyParams:
         arrays = self.actor.weights + self.actor.biases
         arrays += self.critic.weights + self.critic.biases
         arrays += [self.log_std]
-        return all(np.all(np.isfinite(a)) for a in arrays)
+        return all(np.isfinite(a).all() for a in arrays)
 
 
 def observe(state: GameState, price_scale: float) -> np.ndarray:
@@ -222,16 +234,18 @@ def observe(state: GameState, price_scale: float) -> np.ndarray:
 def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, action: np.ndarray) -> float:
     """Log density of a diagonal Gaussian at the given action."""
     z = (np.asarray(action) - mean) / np.exp(log_std)
-    return float(np.sum(-0.5 * _LOG_2PI - log_std - 0.5 * z * z))
+    return float((-0.5 * _LOG_2PI - log_std - 0.5 * z * z).sum())
 
 
-def policy_sample(policy: PolicyParams, state: GameState, rng: np.random.Generator):
-    """Draw an action and report its log density before any clamping.
+def policy_sample(policy: PolicyParams, feats: np.ndarray, rng: np.random.Generator):
+    """Draw an action for the observed features and report its log density.
 
-    The environment clamps out-of-range prices itself; the density must
-    belong to the raw sample or the PPO ratios are biased.
+    feats is observe(state, policy.obs_price_scale); the caller observes
+    once and reuses the features for the critic and the buffer.  The
+    density belongs to the raw sample, before any clamping: the
+    environment clamps out-of-range prices itself, and a density of the
+    clamped price would bias the PPO ratios.
     """
-    feats = observe(state, policy.obs_price_scale)
     mean = mlp_forward(policy.actor, feats)
     action = mean + np.exp(policy.log_std) * rng.standard_normal(mean.size)
     return action, gaussian_log_prob(mean, policy.log_std, action)
@@ -246,51 +260,126 @@ def policy_mean_action(policy: PolicyParams, state: GameState) -> np.ndarray:
 # trajectory buffer and PPO pieces
 
 
-@dataclass
-class TrajectoryBuffer:
-    """On-policy records of the current episode, cleared every episode."""
+@dataclass(frozen=True)
+class EpisodeBatch:
+    """One episode's stacked records with its return targets and advantages.
 
-    capacity: int
-    features: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
-    log_probs: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-    bootstrap_value: float | None = None
+    Every array is read-only; the batch is shared by all update epochs.
+    """
+
+    gamma: float
+    features: np.ndarray
+    actions: np.ndarray
+    log_probs: np.ndarray
+    rewards: np.ndarray
+    values: np.ndarray
+    targets: np.ndarray
+    advantages: np.ndarray
+
+
+class TrajectoryBuffer:
+    """On-policy records of the current episode, cleared every episode.
+
+    Steps are written in place into arrays sized for ``capacity`` steps.
+    The episode's batch (stacked records, return targets, advantages) is
+    built once by batch() after the bootstrap value is set, and every
+    update epoch reuses it; add, clear and a new bootstrap value drop it.
+    features, actions, log_probs, rewards and values are writable views
+    of the filled rows: after writing into them, set bootstrap_value
+    again so the batch is rebuilt.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = int(capacity)
+        self.size = 0
+        # feature and action widths are set by the first add
+        self._features = np.empty((self.capacity, 0))
+        self._actions = np.empty((self.capacity, 0))
+        self._log_probs = np.empty(self.capacity)
+        self._rewards = np.empty(self.capacity)
+        self._values = np.empty(self.capacity)
+        self._bootstrap = None
+        self._batch = None
 
     def add(self, feats, action, log_prob, reward, value):
         if self.size >= self.capacity:
             raise ValueError("buffer is full")
-        self.features.append(np.asarray(feats, dtype=float))
-        self.actions.append(np.asarray(action, dtype=float))
-        self.log_probs.append(float(log_prob))
-        self.rewards.append(float(reward))
-        self.values.append(float(value))
+        feats = np.asarray(feats, dtype=float)
+        action = np.asarray(action, dtype=float)
+        k = self.size
+        if (feats.shape, action.shape) != (self._features.shape[1:], self._actions.shape[1:]):
+            if k > 0:
+                raise ValueError("every step must have the same feature and action shapes")
+            self._features = np.empty((self.capacity, *feats.shape))
+            self._actions = np.empty((self.capacity, *action.shape))
+        self._features[k] = feats
+        self._actions[k] = action
+        self._log_probs[k] = float(log_prob)
+        self._rewards[k] = float(reward)
+        self._values[k] = float(value)
+        self.size = k + 1
+        self._batch = None
 
     def clear(self):
-        self.features.clear()
-        self.actions.clear()
-        self.log_probs.clear()
-        self.rewards.clear()
-        self.values.clear()
+        self.size = 0
         self.bootstrap_value = None
 
     @property
-    def size(self) -> int:
-        return len(self.rewards)
+    def bootstrap_value(self) -> float | None:
+        """Critic value of the state after the last step, V(s(D+1))."""
+        return self._bootstrap
+
+    @bootstrap_value.setter
+    def bootstrap_value(self, value):
+        self._bootstrap = value
+        self._batch = None
+
+    @property
+    def features(self) -> np.ndarray:
+        return self._features[: self.size]
+
+    @property
+    def actions(self) -> np.ndarray:
+        return self._actions[: self.size]
+
+    @property
+    def log_probs(self) -> np.ndarray:
+        return self._log_probs[: self.size]
+
+    @property
+    def rewards(self) -> np.ndarray:
+        return self._rewards[: self.size]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values[: self.size]
 
     def stacked(self):
+        """Fresh copies of (features, actions, log_probs, rewards, values)."""
         if self.size == 0:
             raise ValueError("buffer is empty")
         if self.bootstrap_value is None:
             raise ValueError("bootstrap value has not been set")
         return (
-            np.stack(self.features),
-            np.stack(self.actions),
-            np.array(self.log_probs),
-            np.array(self.rewards),
-            np.array(self.values),
+            self.features.copy(),
+            self.actions.copy(),
+            self.log_probs.copy(),
+            self.rewards.copy(),
+            self.values.copy(),
         )
+
+    def batch(self, gamma: float) -> EpisodeBatch:
+        """The episode's batch for discount gamma, built on first use."""
+        if not 0.0 <= gamma <= 1.0:
+            raise ValueError("gamma must lie in [0, 1]")
+        if self._batch is None or self._batch.gamma != gamma:
+            feats, actions, log_probs, rewards, values = self.stacked()
+            targets = _targets(rewards, self.bootstrap_value, gamma)
+            arrays = (feats, actions, log_probs, rewards, values, targets, targets - values)
+            for arr in arrays:
+                arr.flags.writeable = False
+            self._batch = EpisodeBatch(gamma, *arrays)
+        return self._batch
 
 
 def _targets(rewards: np.ndarray, bootstrap: float, gamma: float) -> np.ndarray:
@@ -308,12 +397,10 @@ def advantage_estimates(buffer: TrajectoryBuffer, gamma: float) -> np.ndarray:
 
     Values are the critic outputs recorded when the steps were taken,
     and the bootstrap V(s(D+1)) is treated as a constant, so the
-    estimates stay fixed across the inner update epochs.
+    estimates stay fixed across the inner update epochs.  The returned
+    array is the buffer's read-only cached copy.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    _, _, _, rewards, values = buffer.stacked()
-    return _targets(rewards, buffer.bootstrap_value, gamma) - values
+    return buffer.batch(gamma).advantages
 
 
 def clip_ratio(f, epsilon: float):
@@ -321,20 +408,20 @@ def clip_ratio(f, epsilon: float):
     return np.clip(f, 1.0 - epsilon, 1.0 + epsilon)
 
 
-def _ratio_pieces(policy: PolicyParams, buffer: TrajectoryBuffer, epsilon: float, gamma: float):
-    feats, actions, logp_old, _, _ = buffer.stacked()
-    adv = advantage_estimates(buffer, gamma)
-    mean = mlp_forward(policy.actor, feats)
+def _ratio_pieces(policy: PolicyParams, batch: EpisodeBatch):
+    mean, acts = _forward_cached(policy.actor, batch.features)
     std = np.exp(policy.log_std)
-    z = (actions - mean) / std
+    z = (batch.actions - mean) / std
     logp_now = np.sum(-0.5 * _LOG_2PI - policy.log_std - 0.5 * z * z, axis=1)
-    f = np.exp(logp_now - logp_old)
-    return feats, adv, mean, std, z, f
+    f = np.exp(logp_now - batch.log_probs)
+    return mean, acts, std, z, f
 
 
 def ppo_surrogate(policy: PolicyParams, buffer: TrajectoryBuffer, epsilon: float, gamma: float) -> float:
     """Clipped surrogate objective, summed over the buffer."""
-    _, adv, _, _, _, f = _ratio_pieces(policy, buffer, epsilon, gamma)
+    batch = buffer.batch(gamma)
+    f = _ratio_pieces(policy, batch)[-1]
+    adv = batch.advantages
     return float(np.sum(np.minimum(f * adv, clip_ratio(f, epsilon) * adv)))
 
 
@@ -356,13 +443,15 @@ def ppo_actor_gradient(
     once the min saturates at a clipped constant the contribution is
     exactly zero.
     """
-    feats, adv, mean, std, z, f = _ratio_pieces(policy, buffer, epsilon, gamma)
+    batch = buffer.batch(gamma)
+    mean, acts, std, z, f = _ratio_pieces(policy, batch)
+    adv = batch.advantages
     unclipped = f * adv
     clipped = clip_ratio(f, epsilon) * adv
     active = (unclipped <= clipped) | ((f >= 1.0 - epsilon) & (f <= 1.0 + epsilon))
-    coef = np.where(active, f * adv, 0.0)
+    coef = np.where(active, unclipped, 0.0)
     upstream_mean = coef[:, None] * z / std
-    mlp_grads = mlp_backward(policy.actor, feats, upstream_mean)
+    mlp_grads = _backprop(policy.actor, mean, acts, upstream_mean)
     log_std_grad = np.sum(coef[:, None] * (z * z - 1.0), axis=0)
     return ActorGrads(mlp_grads, log_std_grad)
 
@@ -371,12 +460,11 @@ def critic_loss_and_gradient(
     policy: PolicyParams, buffer: TrajectoryBuffer, gamma: float
 ) -> tuple[float, MlpGrads]:
     """Summed squared error of the critic against fixed return targets."""
-    feats, _, _, rewards, _ = buffer.stacked()
-    targets = _targets(rewards, buffer.bootstrap_value, gamma)
-    v = mlp_forward(policy.critic, feats)[:, 0]
-    resid = v - targets
+    batch = buffer.batch(gamma)
+    out, acts = _forward_cached(policy.critic, batch.features)
+    resid = out[:, 0] - batch.targets
     loss = float(np.sum(resid * resid))
-    grads = mlp_backward(policy.critic, feats, (2.0 * resid)[:, None])
+    grads = _backprop(policy.critic, out, acts, (2.0 * resid)[:, None])
     return loss, grads
 
 
@@ -488,6 +576,9 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
     buffer = TrajectoryBuffer(cfg.steps_per_batch)
     trace: list[EpisodeStats] = []
     n = state.n_mus
+    # observed once per state: by the step that acts on it, and by the
+    # bootstrap value when it ends an episode
+    feats = observe(state, policy.obs_price_scale)
 
     for ep in range(1, cfg.episodes + 1):
         buffer.clear()
@@ -497,14 +588,14 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
         sum_allocs = np.zeros(n)
         sum_mu_payoffs = np.zeros(n)
         for k in range(1, cfg.steps_per_batch + 1):
-            feats = observe(state, policy.obs_price_scale)
-            action, log_prob = policy_sample(policy, state, rng)
+            action, log_prob = policy_sample(policy, feats, rng)
             value = float(mlp_forward(policy.critic, feats)[0])
             tr = env_step(scenario, env_config, state, action)
             if on_step is not None:
                 on_step(ep, k, tr)
             buffer.add(feats, action, log_prob, tr.reward, value)
             state = tr.next_state
+            feats = observe(state, policy.obs_price_scale)
             sum_reward += tr.reward
             sum_payoff += tr.sp_payoff
             sum_prices += tr.action.values
@@ -512,9 +603,7 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
             sum_mu_payoffs += tr.mu_payoffs
         if buffer.size != cfg.steps_per_batch:
             raise AssertionError("buffer must hold exactly one batch at update time")
-        buffer.bootstrap_value = float(
-            mlp_forward(policy.critic, observe(state, policy.obs_price_scale))[0]
-        )
+        buffer.bootstrap_value = float(mlp_forward(policy.critic, feats)[0])
 
         critic_loss = math.nan
         for epoch in range(1, cfg.update_epochs + 1):
@@ -579,12 +668,11 @@ def save_policy(path, policy: PolicyParams, env_config: EnvConfig, train_config:
     """Write a self-describing JSON checkpoint.  Round-trips exactly."""
     record = {
         "format": "mcsgame-policy",
-        "version": 1,
+        "version": 2,
         "env": {
             "history_rounds": env_config.history_rounds,
             "reward_scale": env_config.reward_scale,
             "p_max": env_config.p_max,
-            "episode_length": env_config.episode_length,
         },
         "train": {
             "gamma": train_config.gamma,
@@ -607,9 +695,13 @@ def save_policy(path, policy: PolicyParams, env_config: EnvConfig, train_config:
 
 
 def load_policy(path) -> tuple[PolicyParams, dict]:
-    """Read a checkpoint back; returns the policy and the raw record."""
+    """Read a checkpoint back; returns the policy and the raw record.
+
+    Version 1 checkpoints also carry env.episode_length, a field that
+    never had an effect; it is left in the returned record.
+    """
     record = json.loads(Path(path).read_text())
-    if record.get("format") != "mcsgame-policy" or record.get("version") != 1:
+    if record.get("format") != "mcsgame-policy" or record.get("version") not in (1, 2):
         raise ValueError("not a recognized policy checkpoint")
     policy = PolicyParams(
         actor=_mlp_from_record(record["actor"]),

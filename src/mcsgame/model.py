@@ -273,7 +273,7 @@ class PriceProfile:
         arr = _frozen_vector(self.values)
         if arr.size == 0:
             raise ValueError("price profile must not be empty")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        if not np.isfinite(arr).all() or (arr < 0.0).any():
             raise ValueError("prices must be finite and non-negative")
         object.__setattr__(self, "values", arr)
 
@@ -291,7 +291,7 @@ class AllocationProfile:
         arr = _frozen_vector(self.values)
         if arr.size == 0:
             raise ValueError("allocation profile must not be empty")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        if not np.isfinite(arr).all() or (arr < 0.0).any():
             raise ValueError("allocations must be finite and non-negative")
         object.__setattr__(self, "values", arr)
 
@@ -315,9 +315,9 @@ def aggregate_contribution(x) -> float:
     the platform utility below is 0 when nothing is bought.
     """
     arr = _as_vector(x)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    if (arr < 0.0).any() or not np.isfinite(arr).all():
         raise ValueError("allocations must be finite and non-negative")
-    return 1.0 + float(np.sum(np.log1p(arr)))
+    return 1.0 + float(np.log1p(arr).sum())
 
 
 def sp_utility(x, utility_scale: float) -> float:

@@ -8,6 +8,8 @@ mcsgame, so agreement between the two is evidence, not tautology.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 GRID = 40001
@@ -212,3 +214,118 @@ def random_mu_params(rng, kinds=("uniform", "linear")):
             break
     kind = kinds[int(rng.integers(len(kinds)))]
     return kind, 0.0, 25.0, 20.0, float(value), float(cost)
+
+
+# ---------------------------------------------------------------------------
+# PPO update, the re-stacking form
+#
+# The learner builds one batch per episode and backpropagates through the
+# forward pass it has already computed.  The reference below keeps the
+# earlier form: every call restacks the buffer's rows, reruns the
+# return-target loop, and every backward pass recomputes its forward pass.
+# It reads the policy's weight arrays and the buffer's rows as plain data
+# and calls nothing in mcsgame, so equality of the two is a check on the
+# refactor, bit for bit.
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def masked_sigmoid(z):
+    """Logistic function with the positive and negative halves scattered by mask."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _ref_forward(net, x):
+    a = np.atleast_2d(np.asarray(x, dtype=float))
+    acts = [a]
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.tanh(a @ W.T + b)
+        acts.append(a)
+    z = a @ net.weights[-1].T + net.biases[-1]
+    out = net.output_scale * masked_sigmoid(z) if net.bounded_output else z
+    return out, acts
+
+
+def _ref_backward(net, x, upstream):
+    out, acts = _ref_forward(net, x)
+    up = np.atleast_2d(np.asarray(upstream, dtype=float))
+    if net.bounded_output:
+        s = out / net.output_scale
+        dz = up * net.output_scale * s * (1.0 - s)
+    else:
+        dz = up
+    gw = [None] * len(net.weights)
+    gb = [None] * len(net.biases)
+    for i in range(len(net.weights) - 1, -1, -1):
+        gw[i] = dz.T @ acts[i]
+        gb[i] = dz.sum(axis=0)
+        if i > 0:
+            dz = (dz @ net.weights[i]) * (1.0 - acts[i] ** 2)
+    return gw, gb
+
+
+def _ref_stack(buffer):
+    return (
+        np.stack([np.asarray(row, dtype=float) for row in buffer.features]),
+        np.stack([np.asarray(row, dtype=float) for row in buffer.actions]),
+        np.array([float(v) for v in buffer.log_probs]),
+        np.array([float(v) for v in buffer.rewards]),
+        np.array([float(v) for v in buffer.values]),
+    )
+
+
+def _ref_targets(rewards, bootstrap, gamma):
+    out = np.empty(rewards.size)
+    acc = bootstrap
+    for k in range(rewards.size - 1, -1, -1):
+        acc = rewards[k] + gamma * acc
+        out[k] = acc
+    return out
+
+
+def _ref_ratio_pieces(policy, buffer, gamma):
+    feats, actions, logp_old, rewards, values = _ref_stack(buffer)
+    adv = _ref_targets(rewards, buffer.bootstrap_value, gamma) - values
+    mean, _ = _ref_forward(policy.actor, feats)
+    std = np.exp(policy.log_std)
+    z = (actions - mean) / std
+    logp_now = np.sum(-0.5 * _LOG_2PI - policy.log_std - 0.5 * z * z, axis=1)
+    return feats, adv, std, z, np.exp(logp_now - logp_old)
+
+
+def ppo_reference(policy, buffer, epsilon, gamma):
+    """Clipped surrogate, actor gradient and critic loss/gradient, each computed afresh.
+
+    Returns a dict with keys surrogate, actor_weights, actor_biases,
+    log_std, critic_loss, critic_weights and critic_biases.
+    """
+    _, adv, _, _, f = _ref_ratio_pieces(policy, buffer, gamma)
+    clip = np.clip(f, 1.0 - epsilon, 1.0 + epsilon)
+    surrogate = float(np.sum(np.minimum(f * adv, clip * adv)))
+
+    feats, adv, std, z, f = _ref_ratio_pieces(policy, buffer, gamma)
+    unclipped = f * adv
+    clipped = np.clip(f, 1.0 - epsilon, 1.0 + epsilon) * adv
+    active = (unclipped <= clipped) | ((f >= 1.0 - epsilon) & (f <= 1.0 + epsilon))
+    coef = np.where(active, f * adv, 0.0)
+    actor_w, actor_b = _ref_backward(policy.actor, feats, coef[:, None] * z / std)
+    log_std = np.sum(coef[:, None] * (z * z - 1.0), axis=0)
+
+    feats, _, _, rewards, _ = _ref_stack(buffer)
+    targets = _ref_targets(rewards, buffer.bootstrap_value, gamma)
+    resid = _ref_forward(policy.critic, feats)[0][:, 0] - targets
+    critic_w, critic_b = _ref_backward(policy.critic, feats, (2.0 * resid)[:, None])
+    return {
+        "surrogate": surrogate,
+        "actor_weights": actor_w,
+        "actor_biases": actor_b,
+        "log_std": log_std,
+        "critic_loss": float(np.sum(resid * resid)),
+        "critic_weights": critic_w,
+        "critic_biases": critic_b,
+    }

@@ -198,6 +198,15 @@ def test_removed_solver_field_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_removed_env_episode_length_exits_2(tmp_path):
+    # steps_per_batch sets the episode length; the old field had no effect
+    out = tmp_path / "run"
+    rc = main(["train", "--seed", "1", "--set", "env.episode_length=16",
+               "--set", "train.episodes=1", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_set_without_equals_exits_2(tmp_path):
     rc = main(["static", "--set", "scenario.n_mus", "--out", str(tmp_path / "run")])
     assert rc == 2

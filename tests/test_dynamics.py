@@ -138,6 +138,18 @@ def test_step_slides_window(five_mu_scenario):
     assert np.allclose(nxt.allocations[-1], respond(five_mu_scenario, action))
 
 
+def test_step_window_is_fresh_and_read_only(five_mu_scenario):
+    cfg = EnvConfig(history_rounds=3)
+    state = env_reset(five_mu_scenario, cfg, _rng(6))
+    prices, allocs = state.prices.copy(), state.allocations.copy()
+    nxt = env_step(five_mu_scenario, cfg, state, np.full(5, 0.6)).next_state
+    for new, old in ((nxt.prices, state.prices), (nxt.allocations, state.allocations)):
+        assert new.dtype == np.float64 and not new.flags.writeable
+        assert not np.shares_memory(new, old)
+    assert np.array_equal(state.prices, prices)
+    assert np.array_equal(state.allocations, allocs)
+
+
 def test_step_deterministic(five_mu_scenario):
     cfg = EnvConfig()
     state = env_reset(five_mu_scenario, cfg, _rng(7))
@@ -209,6 +221,17 @@ def test_state_arrays_read_only():
         state.prices[0, 0] = 1.0
 
 
+def test_state_copies_caller_arrays():
+    prices, allocs = np.zeros((2, 2)), np.ones((2, 2))
+    state = GameState(prices=prices, allocations=allocs)
+    prices[0, 0] = allocs[0, 0] = 7.0
+    assert state.prices[0, 0] == 0.0 and state.allocations[0, 0] == 1.0
+    # a read-only view shares a writable base, so it is copied too
+    view = prices[:1]
+    view.flags.writeable = False
+    assert not np.shares_memory(GameState(prices=view, allocations=view).prices, prices)
+
+
 def test_env_config_validation():
     with pytest.raises(ValueError):
         EnvConfig(history_rounds=0)
@@ -216,6 +239,8 @@ def test_env_config_validation():
         EnvConfig(reward_scale=0.0)
     with pytest.raises(ValueError):
         EnvConfig(p_max=-1.0)
+    with pytest.raises(TypeError):  # steps_per_batch sets the episode length
+        EnvConfig(episode_length=16)
 
 
 def test_step_trace_columns_layout():

@@ -2,13 +2,15 @@
 
 import ast
 import inspect
+import json
 
 import numpy as np
 import pytest
 
 import mcsgame.learner as learner_mod
 from conftest import make_scenario
-from mcsgame.dynamics import EnvConfig, env_reset
+from mcsgame.dynamics import EnvConfig, env_reset, env_step
+from mcsgame.gradcheck import _toy_buffer, _toy_policy
 from mcsgame.learner import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -33,7 +35,7 @@ from mcsgame.learner import (
     save_policy,
     train,
 )
-from oracles import discounted_targets_oracle
+from oracles import discounted_targets_oracle, masked_sigmoid, ppo_reference
 
 
 def _rng(seed):
@@ -192,15 +194,16 @@ def _fresh_state(seed=0, n=3):
 def test_policy_sample_deterministic_in_rng():
     scenario, cfg, state = _fresh_state(4)
     policy = learner_mod._init_policy(state, cfg, TrainConfig(), _rng(9))
-    a1, lp1 = policy_sample(policy, state, _rng(33))
-    a2, lp2 = policy_sample(policy, state, _rng(33))
+    feats = observe(state, policy.obs_price_scale)
+    a1, lp1 = policy_sample(policy, feats, _rng(33))
+    a2, lp2 = policy_sample(policy, feats, _rng(33))
     assert np.array_equal(a1, a2) and lp1 == lp2
 
 
 def test_policy_sample_log_prob_is_of_raw_action():
     scenario, cfg, state = _fresh_state(4)
     policy = learner_mod._init_policy(state, cfg, TrainConfig(), _rng(9))
-    action, lp = policy_sample(policy, state, _rng(12))
+    action, lp = policy_sample(policy, observe(state, policy.obs_price_scale), _rng(12))
     mean = policy_mean_action(policy, state)
     assert lp == pytest.approx(gaussian_log_prob(mean, policy.log_std, action), abs=1e-12)
 
@@ -211,10 +214,11 @@ def test_tiny_log_std_concentrates_samples():
     policy = learner_mod._init_policy(state, cfg, TrainConfig(), _rng(9))
     policy.log_std = np.full(state.n_mus, -5.0)
     mean = policy_mean_action(policy, state)
+    feats = observe(state, policy.obs_price_scale)
     rng = _rng(77)
     sigma = np.exp(-5.0)
     for _ in range(1000):
-        action, _ = policy_sample(policy, state, rng)
+        action, _ = policy_sample(policy, feats, rng)
         assert np.all(np.abs(action - mean) < 5.0 * sigma)
 
 
@@ -487,6 +491,187 @@ def test_critic_descent_monotone_on_frozen_buffer():
 
 
 # ---------------------------------------------------------------------------
+# one batch per episode: the same bits as the re-stacking form
+
+
+def _rollout_policy_and_buffer(seed, steps=24):
+    """A buffer filled by the environment, the way train fills it."""
+    scenario, cfg, state = _fresh_state(seed)
+    rng = _rng(seed + 100)
+    policy = learner_mod._init_policy(state, cfg, TrainConfig(hidden=(16, 16)), rng)
+    buf = TrajectoryBuffer(steps)
+    for _ in range(steps):
+        feats = observe(state, policy.obs_price_scale)
+        action, lp = policy_sample(policy, feats, rng)
+        tr = env_step(scenario, cfg, state, action)
+        buf.add(feats, action, lp, tr.reward, float(mlp_forward(policy.critic, feats)[0]))
+        state = tr.next_state
+    feats = observe(state, policy.obs_price_scale)
+    buf.bootstrap_value = float(mlp_forward(policy.critic, feats)[0])
+    return policy, buf
+
+
+def _gradcheck_policy_and_buffer(seed):
+    rng = _rng(seed)
+    policy = _toy_policy(rng)
+    return policy, _toy_buffer(policy, rng)
+
+
+_UPDATE_CASES = {
+    "toy": lambda: _toy_policy_and_buffer(seed=13),
+    "toy-clipped": lambda: _toy_policy_and_buffer(
+        seed=13, ratio_offsets=[0.5, -0.5, 0.05, -0.05, 0.3, -0.3]
+    ),
+    "gradcheck-toy": lambda: _gradcheck_policy_and_buffer(3),
+    "rollout": lambda: _rollout_policy_and_buffer(5),
+}
+
+
+def _assert_update_matches_reference(policy, buf, eps, gamma):
+    ref = ppo_reference(policy, buf, eps, gamma)
+    for _ in range(2):  # the second round reads the cached batch
+        actor = ppo_actor_gradient(policy, buf, eps, gamma)
+        loss, critic = critic_loss_and_gradient(policy, buf, gamma)
+        assert ppo_surrogate(policy, buf, eps, gamma) == ref["surrogate"]
+        assert loss == ref["critic_loss"]
+        assert np.array_equal(actor.log_std, ref["log_std"])
+        pairs = [
+            (actor.mlp.weights, ref["actor_weights"]),
+            (actor.mlp.biases, ref["actor_biases"]),
+            (critic.weights, ref["critic_weights"]),
+            (critic.biases, ref["critic_biases"]),
+        ]
+        for got, want in pairs:
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("case", sorted(_UPDATE_CASES))
+def test_update_equals_restacking_reference_bitwise(case):
+    policy, buf = _UPDATE_CASES[case]()
+    _assert_update_matches_reference(policy, buf, 0.2, 0.9)
+    # move the policy off the sampling one so the ratios leave 1, as in
+    # the later inner epochs, and compare again on the same cached batch
+    grads = ppo_actor_gradient(policy, buf, 0.2, 0.9)
+    for i in range(len(policy.actor.weights)):
+        policy.actor.weights[i] += 0.05 * grads.mlp.weights[i]
+        policy.actor.biases[i] += 0.05 * grads.mlp.biases[i]
+    policy.log_std = policy.log_std + 0.05 * grads.log_std
+    _assert_update_matches_reference(policy, buf, 0.2, 0.9)
+
+
+def test_sigmoid_bitwise_equals_masked_form():
+    z = np.array(
+        [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 750.0, -750.0, np.nan, -np.nan]
+    )
+    for shape in ((z.size,), (1, z.size), (z.size, 1)):
+        got = learner_mod._sigmoid(z.reshape(shape))
+        want = masked_sigmoid(z.reshape(shape))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _step(buf, reward, value):
+    buf.add(np.ones(4), np.zeros(2), 0.0, reward, value)
+
+
+def test_batch_is_built_once_and_read_only():
+    buf = TrajectoryBuffer(3)
+    _step(buf, 1.0, 0.25)
+    _step(buf, 0.5, 0.5)
+    buf.bootstrap_value = 2.0
+    batch = buf.batch(1.0)
+    assert buf.batch(1.0) is batch
+    assert advantage_estimates(buf, 1.0) is batch.advantages
+    assert np.array_equal(batch.targets, [3.5, 2.5])
+    assert np.array_equal(batch.advantages, [3.25, 2.0])
+    with pytest.raises(ValueError):
+        batch.advantages[0] = 0.0
+    with pytest.raises(ValueError):
+        batch.features[0, 0] = 0.0
+
+
+def test_batch_is_rebuilt_after_add_clear_and_new_bootstrap():
+    buf = TrajectoryBuffer(3)
+    _step(buf, 1.0, 0.0)
+    _step(buf, 0.5, 0.0)
+    buf.bootstrap_value = 2.0
+    first = buf.batch(1.0)
+
+    _step(buf, 0.25, 0.0)  # the bootstrap value stays 2
+    after_add = buf.batch(1.0)
+    assert after_add is not first
+    assert np.array_equal(after_add.targets, [3.75, 2.75, 2.25])
+    assert np.array_equal(first.targets, [3.5, 2.5])  # an old batch is not overwritten
+
+    buf.bootstrap_value = 0.0
+    after_bootstrap = buf.batch(1.0)
+    assert after_bootstrap is not after_add
+    assert np.array_equal(after_bootstrap.targets, [1.75, 0.75, 0.25])
+
+    assert buf.batch(0.5) is not after_bootstrap
+    assert np.array_equal(buf.batch(0.5).targets, [1.3125, 0.625, 0.25])
+
+    buf.clear()
+    with pytest.raises(ValueError):
+        buf.batch(1.0)
+    _step(buf, 4.0, 1.0)
+    buf.bootstrap_value = 0.0
+    after_clear = buf.batch(1.0)
+    assert np.array_equal(after_clear.rewards, [4.0])
+    assert np.array_equal(after_clear.advantages, [3.0])
+
+
+def test_buffer_rejects_a_step_of_another_shape():
+    buf = TrajectoryBuffer(3)
+    _step(buf, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        buf.add(np.ones(5), np.zeros(2), 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        buf.add(np.ones(4), np.zeros(3), 0.0, 1.0, 0.0)
+    buf.clear()  # an emptied buffer takes any shape again
+    buf.add(np.ones(5), np.zeros(3), 0.0, 1.0, 0.0)
+    assert buf.features.shape == (1, 5) and buf.actions.shape == (1, 3)
+
+
+def test_train_does_each_episode_step_once(monkeypatch):
+    """Per episode: one batch, one target loop, one observation per state.
+
+    Every inner epoch runs one actor and one critic forward pass on the
+    batch, and its gradients backpropagate through those passes.
+    """
+    counts = dict.fromkeys(("stacked", "targets", "observe", "forward"), 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(TrajectoryBuffer, "stacked", counting("stacked", TrajectoryBuffer.stacked))
+    monkeypatch.setattr(learner_mod, "_targets", counting("targets", learner_mod._targets))
+    monkeypatch.setattr(learner_mod, "observe", counting("observe", learner_mod.observe))
+    monkeypatch.setattr(
+        learner_mod, "_forward_cached", counting("forward", learner_mod._forward_cached)
+    )
+
+    def no_recomputed_forward(*args):
+        raise AssertionError("the update must reuse its forward pass")
+
+    monkeypatch.setattr(learner_mod, "mlp_backward", no_recomputed_forward)
+    cfg = TrainConfig(**_SMALL)
+    train(make_scenario(3, n=3), EnvConfig(), cfg)
+    eps, steps, epochs = cfg.episodes, cfg.steps_per_batch, cfg.update_epochs
+    assert counts["stacked"] == eps and counts["targets"] == eps
+    # _init_policy observes the initial state for its input width
+    assert counts["observe"] == 2 + eps * steps
+    # per step an actor and a critic pass, then the bootstrap value, two
+    # passes per inner epoch and the final surrogate
+    assert counts["forward"] == eps * (2 * steps + 1 + 2 * epochs + 1)
+
+
+# ---------------------------------------------------------------------------
 # training loop
 
 
@@ -599,11 +784,33 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     assert loaded.obs_price_scale == policy.obs_price_scale
     assert record["train"]["seed"] == cfg.seed
     assert record["env"]["p_max"] == env_cfg.p_max
+    assert record["version"] == 2
+    assert sorted(record["env"]) == ["history_rounds", "p_max", "reward_scale"]
     # loaded policy plays identically
     state = env_reset(scenario, env_cfg, _rng(0))
     assert np.array_equal(
         policy_mean_action(policy, state), policy_mean_action(loaded, state)
     )
+
+
+def test_load_reads_version_1_and_rejects_unknown_versions(tmp_path):
+    policy, _ = _toy_policy_and_buffer(seed=2)
+    path = tmp_path / "ckpt.json"
+    save_policy(path, policy, EnvConfig(), TrainConfig())
+    record = json.loads(path.read_text())
+    record["version"] = 1
+    record["env"]["episode_length"] = 128
+    path.write_text(json.dumps(record))
+    loaded, raw = load_policy(path)
+    assert raw["version"] == 1
+    for a, b in zip(policy.actor.weights + policy.critic.weights,
+                    loaded.actor.weights + loaded.critic.weights):
+        assert np.array_equal(a, b)
+    assert np.array_equal(policy.log_std, loaded.log_std)
+    record["version"] = 3
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError):
+        load_policy(path)
 
 
 def test_load_rejects_foreign_json(tmp_path):
