@@ -16,22 +16,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
 
-import numpy as np
-
 from . import __version__
-from .dynamics import EnvConfig, step_trace_columns
-from .follower import best_response, price_threshold
+from .dynamics import EnvConfig, step_trace_columns, step_trace_row
+from .follower import best_response
 from .experiments import (
-    SWEEP_AXES,
+    SWEEP_FIELDS,
+    BaselineResult,
     ScenarioSpec,
+    UserRow,
     generate_scenario,
+    market_summary,
     play_greedy,
     play_random,
     run_sweep,
+    user_rows,
 )
 from .gradcheck import run_all
 from .leader import SolverConfig, compute_se
@@ -51,13 +54,7 @@ class ConfigError(Exception):
     pass
 
 
-_SECTIONS = {
-    "scenario": ScenarioSpec,
-    "env": EnvConfig,
-    "solver": SolverConfig,
-    "train": TrainConfig,
-}
-_TOP_KEYS = set(_SECTIONS) | {"seed", "baseline_steps", "sweep"}
+_TOP_KEYS = {"scenario", "env", "solver", "train", "seed", "baseline_steps", "sweep"}
 
 
 def _load_config_file(path: str) -> dict:
@@ -91,18 +88,23 @@ def _apply_override(cfg: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
+def _is_int(v) -> bool:
+    # JSON true and false arrive as bool, which Python counts as an int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _build_section(cls, data, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: must be an object")
-    names = [f.name for f in fields(cls)]
-    unknown = sorted(set(data) - set(names))
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ConfigError(f"{where}: unknown field(s) {', '.join(unknown)}")
     kwargs = {}
-    for name in names:
-        if name in data:
-            v = data[name]
-            kwargs[name] = tuple(v) if isinstance(v, list) else v
+    for name, v in data.items():
+        if types[name] in ("int", int) and not _is_int(v):
+            raise ConfigError(f"{where}: {name} must be an integer, got {v!r}")
+        kwargs[name] = tuple(v) if isinstance(v, list) else v
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:
@@ -117,10 +119,10 @@ class RunSetup:
         if unknown:
             raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
         self.seed = seed_flag if seed_flag is not None else raw.get("seed", 0)
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         self.baseline_steps = raw.get("baseline_steps", 1000)
-        if not isinstance(self.baseline_steps, int) or self.baseline_steps < 1:
+        if not _is_int(self.baseline_steps) or self.baseline_steps < 1:
             raise ConfigError("baseline_steps must be a positive integer")
         self.spec = _build_section(ScenarioSpec, raw.get("scenario", {}), "scenario")
         self.env = _build_section(EnvConfig, raw.get("env", {}), "env")
@@ -136,16 +138,18 @@ class RunSetup:
         unknown = sorted(set(self.sweep) - {"axis", "values"})
         if unknown:
             raise ConfigError(f"sweep: unknown field(s) {', '.join(unknown)}")
+        # run_sweep rejects an unknown axis and fewer than two values
         axis = self.sweep.get("axis")
         values = self.sweep.get("values")
-        if axis not in SWEEP_AXES:
-            raise ConfigError(f"sweep.axis must be one of {SWEEP_AXES}, got {axis!r}")
-        if not isinstance(values, list) or len(values) < 2:
-            raise ConfigError("sweep.values must be a list of at least two numbers")
+        if not isinstance(values, list):
+            raise ConfigError("sweep.values must be a list of numbers")
         try:
-            return axis, [float(v) for v in values]
+            floats = [float(v) for v in values if not isinstance(v, bool)]
         except (TypeError, ValueError):
-            raise ConfigError("sweep.values must be numeric")
+            floats = []
+        if len(floats) != len(values) or not all(map(math.isfinite, floats)):
+            raise ConfigError("sweep.values must be finite numbers")
+        return axis, floats
 
     def echo(self, command: str) -> dict:
         cfg = {
@@ -156,9 +160,6 @@ class RunSetup:
             "solver": asdict(self.solver),
             "train": asdict(self.train_config),
         }
-        cfg["scenario"]["unit_cost_range"] = list(self.spec.unit_cost_range)
-        cfg["scenario"]["own_value_range"] = list(self.spec.own_value_range)
-        cfg["train"]["hidden"] = list(self.train_config.hidden)
         if command == "sweep":
             axis, values = self.sweep_axis_values()
             cfg["sweep"] = {"axis": axis, "values": values}
@@ -169,6 +170,37 @@ def _mu_columns(prefix: str, n: int) -> list[str]:
     return [f"{prefix}_{i+1}" for i in range(n)]
 
 
+# Every column is read by name from the experiments records, plus the
+# region, seed and axis the commands add.
+_EQUILIBRIUM_COLUMNS = (
+    "mu_index", "own_value", "unit_cost", "capacity", "demand_lo", "demand_hi",
+    "price_threshold", "p_star", "x_star", "region", "mu_payoff",
+)
+_SWEEP_MU_COLUMNS = ("axis", "sweep_value", *(f.name for f in fields(UserRow)))
+_SOLVE_COLUMNS = ("sp_payoff", "total_allocation", "iterations", "grad_residual", "converged")
+_SUMMARY_COLUMNS = ("n_mus", "utility_scale", "seed", *_SOLVE_COLUMNS)
+_SWEEP_SUMMARY_COLUMNS = ("label", *_SOLVE_COLUMNS)
+
+
+def _write_table(out_dir: str, name: str, columns, rows) -> str:
+    """Write one CSV, reading each row's cells by column name; return its name."""
+    write_csv(os.path.join(out_dir, name), columns, [[row[c] for c in columns] for row in rows])
+    return name
+
+
+def _per_mu(xs: list, ys: list) -> dict:
+    """One chart series per user; ys holds every user at xs[0], then at xs[1], ..."""
+    n = len(ys) // len(xs)
+    return {f"MU {i+1}": (xs, ys[i::n]) for i in range(n)}
+
+
+def _draw(out_dir: str, x_label: str, charts) -> list[str]:
+    """Draw (file, title, y label, series) chart specs; return the file names."""
+    for name, title, y_label, series in charts:
+        line_chart(os.path.join(out_dir, name), title, x_label, y_label, series)
+    return [chart[0] for chart in charts]
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -176,69 +208,18 @@ def _mu_columns(prefix: str, n: int) -> list[str]:
 def cmd_static(setup: RunSetup, out_dir: str) -> int:
     scenario = generate_scenario(setup.spec, setup.seed)
     res = compute_se(scenario, setup.solver)
-
-    eq_rows = []
-    for i, mu in enumerate(scenario.mus):
-        p_i = float(res.prices.values[i])
-        eq_rows.append(
-            [
-                i + 1,
-                mu.own_value,
-                mu.unit_cost,
-                mu.capacity,
-                mu.demand.lo,
-                mu.demand.hi,
-                price_threshold(mu),
-                p_i,
-                float(res.allocations.values[i]),
-                best_response(mu, p_i).region.name.lower(),
-                float(res.mu_payoffs[i]),
-            ]
-        )
-    summary_row = [
-        scenario.n,
-        scenario.utility_scale,
-        setup.seed,
-        res.sp_payoff,
-        float(np.sum(res.allocations.values)),
-        res.iterations,
-        res.grad_residual,
-        res.converged,
+    users = [
+        dict(vars(row), region=best_response(mu, row.p_star).region.name.lower())
+        for mu, row in zip(scenario.mus, user_rows(scenario, res))
     ]
+    summary = dict(vars(market_summary("static", scenario, res)), seed=setup.seed)
 
     os.makedirs(out_dir, exist_ok=True)
-    write_csv(
-        os.path.join(out_dir, "equilibrium.csv"),
-        [
-            "mu_index",
-            "own_value",
-            "unit_cost",
-            "capacity",
-            "demand_lo",
-            "demand_hi",
-            "price_threshold",
-            "p_star",
-            "x_star",
-            "region",
-            "mu_payoff",
-        ],
-        eq_rows,
-    )
-    write_csv(
-        os.path.join(out_dir, "summary.csv"),
-        [
-            "n_mus",
-            "utility_scale",
-            "seed",
-            "sp_payoff",
-            "total_allocation",
-            "iterations",
-            "grad_residual",
-            "converged",
-        ],
-        [summary_row],
-    )
-    write_manifest(out_dir, "static", setup.echo("static"), ["equilibrium.csv", "summary.csv"])
+    artifacts = [
+        _write_table(out_dir, "equilibrium.csv", _EQUILIBRIUM_COLUMNS, users),
+        _write_table(out_dir, "summary.csv", _SUMMARY_COLUMNS, [summary]),
+    ]
+    write_manifest(out_dir, "static", setup.echo("static"), artifacts)
     if not res.converged:
         print(f"solver did not converge (residual {res.grad_residual:.3e})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -254,14 +235,7 @@ def cmd_train(setup: RunSetup, out_dir: str, svg: bool, steps_trace: bool) -> in
     step_rows: list[list] = []
 
     def record(ep: int, k: int, tr) -> None:
-        step_rows.append(
-            [ep, k]
-            + [float(v) for v in tr.action.values]
-            + [float(v) for v in tr.next_state.allocations[-1]]
-            + [tr.sp_payoff, tr.reward]
-            + [float(v) for v in tr.mu_payoffs]
-            + [tr.clamped]
-        )
+        step_rows.append(step_trace_row(ep, k, tr))
 
     try:
         policy, trace = train(
@@ -305,16 +279,15 @@ def cmd_train(setup: RunSetup, out_dir: str, svg: bool, steps_trace: bool) -> in
         for ep in trace
     ]
 
+    static_se = BaselineResult(
+        "static_se", 0, se.sp_payoff, setup.env.reward_scale * se.sp_payoff, se.mu_payoffs
+    )
     baseline_header = ["name", "steps", "mean_sp_payoff", "mean_reward"] + _mu_columns(
         "mean_mu_payoff", n
     )
     baseline_rows = [
-        ["greedy", greedy.steps, greedy.mean_sp_payoff, greedy.mean_reward]
-        + [float(v) for v in greedy.mean_mu_payoffs],
-        ["random", rand.steps, rand.mean_sp_payoff, rand.mean_reward]
-        + [float(v) for v in rand.mean_mu_payoffs],
-        ["static_se", 0, se.sp_payoff, setup.env.reward_scale * se.sp_payoff]
-        + [float(v) for v in se.mu_payoffs],
+        [b.name, b.steps, b.mean_sp_payoff, b.mean_reward] + [float(v) for v in b.mean_mu_payoffs]
+        for b in (greedy, rand, static_se)
     ]
 
     os.makedirs(out_dir, exist_ok=True)
@@ -327,47 +300,23 @@ def cmd_train(setup: RunSetup, out_dir: str, svg: bool, steps_trace: bool) -> in
         artifacts.append("steps.csv")
     if svg:
         episodes = [ep.episode for ep in trace]
-        line_chart(
-            os.path.join(out_dir, "prices.svg"),
-            "Mean price per episode",
-            "episode",
-            "price",
-            {f"MU {i+1}": (episodes, [float(ep.mean_prices[i]) for ep in trace]) for i in range(n)},
-        )
-        line_chart(
-            os.path.join(out_dir, "allocations.svg"),
-            "Mean allocation per episode",
-            "episode",
-            "allocation",
-            {
-                f"MU {i+1}": (episodes, [float(ep.mean_allocations[i]) for ep in trace])
-                for i in range(n)
-            },
-        )
-        flat = [se.sp_payoff] * len(episodes)
-        line_chart(
-            os.path.join(out_dir, "sp_payoff.svg"),
-            "SP payoff per episode",
-            "episode",
-            "payoff",
-            {
-                "training": (episodes, [ep.mean_sp_payoff for ep in trace]),
-                "static SE": (episodes, flat),
-                "greedy": (episodes, [greedy.mean_sp_payoff] * len(episodes)),
-                "random": (episodes, [rand.mean_sp_payoff] * len(episodes)),
-            },
-        )
-        line_chart(
-            os.path.join(out_dir, "mu_payoffs.svg"),
-            "Mean MU payoff per episode",
-            "episode",
-            "payoff",
-            {
-                f"MU {i+1}": (episodes, [float(ep.mean_mu_payoffs[i]) for ep in trace])
-                for i in range(n)
-            },
-        )
-        artifacts += ["prices.svg", "allocations.svg", "sp_payoff.svg", "mu_payoffs.svg"]
+
+        def per_mu(attr: str) -> dict:
+            return _per_mu(episodes, [float(v) for ep in trace for v in getattr(ep, attr)])
+
+        sp_payoffs = {
+            "training": (episodes, [ep.mean_sp_payoff for ep in trace]),
+            "static SE": (episodes, [se.sp_payoff] * len(episodes)),
+            "greedy": (episodes, [greedy.mean_sp_payoff] * len(episodes)),
+            "random": (episodes, [rand.mean_sp_payoff] * len(episodes)),
+        }
+        artifacts += _draw(out_dir, "episode", [
+            ("prices.svg", "Mean price per episode", "price", per_mu("mean_prices")),
+            ("allocations.svg", "Mean allocation per episode", "allocation",
+             per_mu("mean_allocations")),
+            ("sp_payoff.svg", "SP payoff per episode", "payoff", sp_payoffs),
+            ("mu_payoffs.svg", "Mean MU payoff per episode", "payoff", per_mu("mean_mu_payoffs")),
+        ])
     write_manifest(out_dir, "train", setup.echo("train"), artifacts)
 
     last = trace[-min(50, len(trace)):]
@@ -387,105 +336,30 @@ def cmd_sweep(setup: RunSetup, out_dir: str, svg: bool) -> int:
     except ValueError as e:
         raise ConfigError(str(e))
 
-    mu_header = [
-        "axis",
-        "sweep_value",
-        "mu_index",
-        "own_value",
-        "unit_cost",
-        "capacity",
-        "demand_lo",
-        "demand_hi",
-        "utility_scale",
-        "price_threshold",
-        "p_star",
-        "x_star",
-        "mu_payoff",
-    ]
-    mu_rows = [
-        [
-            axis,
-            pt.sweep_value,
-            pt.mu_index + 1,
-            pt.own_value,
-            pt.unit_cost,
-            pt.capacity,
-            pt.demand_lo,
-            pt.demand_hi,
-            pt.utility_scale,
-            pt.price_threshold,
-            pt.p_star,
-            pt.x_star,
-            pt.mu_payoff,
-        ]
-        for pt in result.points
-    ]
-    summary_header = [
-        "label",
-        "sp_payoff",
-        "total_allocation",
-        "iterations",
-        "grad_residual",
-        "converged",
-    ]
-    summary_rows = [
-        [s.label, s.sp_payoff, s.total_allocation, s.iterations, s.grad_residual, s.converged]
-        for s in result.summaries
-    ]
+    swept = SWEEP_FIELDS[axis]
+    mu_rows = [dict(vars(u), axis=axis, sweep_value=getattr(u, swept)) for u in result.points]
 
     os.makedirs(out_dir, exist_ok=True)
-    artifacts = ["sweep_mus.csv", "sweep_summary.csv"]
-    write_csv(os.path.join(out_dir, "sweep_mus.csv"), mu_header, mu_rows)
-    write_csv(os.path.join(out_dir, "sweep_summary.csv"), summary_header, summary_rows)
+    artifacts = [
+        _write_table(out_dir, "sweep_mus.csv", _SWEEP_MU_COLUMNS, mu_rows),
+        _write_table(out_dir, "sweep_summary.csv", _SWEEP_SUMMARY_COLUMNS,
+                     [vars(s) for s in result.summaries]),
+    ]
     if svg:
+        prices = [u.p_star for u in result.points]
+        allocations = [u.x_star for u in result.points]
         if axis in ("delta", "cost"):
-            xs = [pt.sweep_value for pt in result.points]
-            line_chart(
-                os.path.join(out_dir, "sweep_price.svg"),
-                f"Equilibrium price vs {axis}",
-                axis,
-                "price",
-                {"p*": (xs, [pt.p_star for pt in result.points])},
-            )
-            line_chart(
-                os.path.join(out_dir, "sweep_allocation.svg"),
-                f"Equilibrium allocation vs {axis}",
-                axis,
-                "allocation",
-                {"x*": (xs, [pt.x_star for pt in result.points])},
-            )
-            artifacts += ["sweep_price.svg", "sweep_allocation.svg"]
+            # one market with one user per value
+            price, allocation, extra = {"p*": (values, prices)}, {"x*": (values, allocations)}, []
         else:
-            n = setup.spec.n_mus
-
-            def by_mu(get):
-                return {
-                    f"MU {i+1}": (values, [get(pt) for pt in result.points if pt.mu_index == i])
-                    for i in range(n)
-                }
-
-            line_chart(
-                os.path.join(out_dir, "sweep_price.svg"),
-                f"Equilibrium price vs {axis}",
-                axis,
-                "price",
-                by_mu(lambda pt: pt.p_star),
-            )
-            line_chart(
-                os.path.join(out_dir, "sweep_allocation.svg"),
-                f"Equilibrium allocation vs {axis}",
-                axis,
-                "allocation",
-                by_mu(lambda pt: pt.x_star),
-            )
-            line_chart(
-                os.path.join(out_dir, "sweep_payoff.svg"),
-                f"SP payoff vs {axis}",
-                axis,
-                "payoff",
-                {"SP payoff": (values, [s.sp_payoff for s in result.summaries])},
-            )
-            artifacts += ["sweep_price.svg", "sweep_allocation.svg", "sweep_payoff.svg"]
+            price, allocation = _per_mu(values, prices), _per_mu(values, allocations)
+            payoffs = {"SP payoff": (values, [s.sp_payoff for s in result.summaries])}
+            extra = [("sweep_payoff.svg", f"SP payoff vs {axis}", "payoff", payoffs)]
+        artifacts += _draw(out_dir, axis, [
+            ("sweep_price.svg", f"Equilibrium price vs {axis}", "price", price),
+            ("sweep_allocation.svg", f"Equilibrium allocation vs {axis}", "allocation", allocation),
+            *extra,
+        ])
     write_manifest(out_dir, "sweep", setup.echo("sweep"), artifacts)
 
     if not result.converged:

@@ -31,6 +31,7 @@ __all__ = [
     "greedy_policy",
     "random_policy",
     "step_trace_columns",
+    "step_trace_row",
 ]
 
 
@@ -78,8 +79,7 @@ def _slide(window: np.ndarray, newest: np.ndarray) -> np.ndarray:
 class GameState:
     """The last L rounds of (prices, allocations), oldest first.
 
-    prices and allocations have shape (L, N).  features() flattens to
-    the length 2*L*N vector [p(t-L), x(t-L), ..., p(t-1), x(t-1)].
+    prices and allocations have shape (L, N).
     """
 
     prices: np.ndarray
@@ -100,10 +100,6 @@ class GameState:
     @property
     def n_mus(self) -> int:
         return self.prices.shape[1]
-
-    def features(self) -> np.ndarray:
-        rounds = np.concatenate([self.prices, self.allocations], axis=1)
-        return rounds.reshape(-1).copy()
 
 
 @dataclass(frozen=True)
@@ -203,3 +199,15 @@ def step_trace_columns(n_mus: int) -> list[str]:
     cols += [f"mu_payoff_{i+1}" for i in range(n_mus)]
     cols += ["clamped_flag"]
     return cols
+
+
+def step_trace_row(episode: int, step: int, tr: Transition) -> list:
+    """One row of the per-step trace CSV, in step_trace_columns order."""
+    return (
+        [episode, step]
+        + [float(v) for v in tr.action.values]
+        + [float(v) for v in tr.next_state.allocations[-1]]
+        + [tr.sp_payoff, tr.reward]
+        + [float(v) for v in tr.mu_payoffs]
+        + [tr.clamped]
+    )

@@ -27,10 +27,13 @@ __all__ = [
     "play_constant",
     "play_greedy",
     "play_random",
-    "SweepPoint",
-    "SweepDenseRow",
+    "UserRow",
+    "MarketSummary",
+    "user_rows",
+    "market_summary",
     "SweepResult",
     "SWEEP_AXES",
+    "SWEEP_FIELDS",
     "run_sweep",
 ]
 
@@ -59,8 +62,14 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.n_mus < 1:
             raise ValueError("n_mus must be at least 1")
+        if not (math.isfinite(self.capacity) and self.capacity > 0.0):
+            raise ValueError(f"capacity must be positive, got {self.capacity}")
+        if not (math.isfinite(self.utility_scale) and self.utility_scale > 0.0):
+            raise ValueError(f"utility_scale must be positive, got {self.utility_scale}")
         if self.demand_kind not in _DEMAND_KINDS:
             raise ValueError(f"unknown demand kind {self.demand_kind!r}")
+        # support bounds the law rejects fail here, while the config is read
+        self.demand()
         for name, (lo, hi) in (
             ("unit_cost_range", self.unit_cost_range),
             ("own_value_range", self.own_value_range),
@@ -158,14 +167,23 @@ def play_greedy(
 # ---------------------------------------------------------------------------
 # comparative-statics sweeps
 
-SWEEP_AXES = ("delta", "cost", "demand_upper", "lambda")
+# The UserRow field each axis sweeps: a row's sweep value is that field.
+SWEEP_FIELDS = {
+    "delta": "own_value",
+    "cost": "unit_cost",
+    "demand_upper": "demand_hi",
+    "lambda": "utility_scale",
+}
+SWEEP_AXES = tuple(SWEEP_FIELDS)
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One (swept value, user) row of a sweep."""
+class UserRow:
+    """One user of a solved market: its economics and its equilibrium.
 
-    sweep_value: float
+    mu_index counts from 1, as the CSVs print it.
+    """
+
     mu_index: int
     own_value: float
     unit_cost: float
@@ -180,10 +198,12 @@ class SweepPoint:
 
 
 @dataclass(frozen=True)
-class SweepDenseRow:
-    """Scenario-level summary of one solved sweep point."""
+class MarketSummary:
+    """Market-level outcome of one solve."""
 
     label: str
+    n_mus: int
+    utility_scale: float
     sp_payoff: float
     total_allocation: float
     iterations: int
@@ -191,48 +211,49 @@ class SweepDenseRow:
     converged: bool
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    axis: str
-    points: list[SweepPoint] = field(default_factory=list)
-    summaries: list[SweepDenseRow] = field(default_factory=list)
-
-    @property
-    def converged(self) -> bool:
-        return all(s.converged for s in self.summaries)
-
-
-def _rows_for(scenario: Scenario, res: EquilibriumResult, values_by_mu) -> list[SweepPoint]:
-    rows = []
-    for i, mu in enumerate(scenario.mus):
-        rows.append(
-            SweepPoint(
-                sweep_value=float(values_by_mu[i]),
-                mu_index=i,
-                own_value=mu.own_value,
-                unit_cost=mu.unit_cost,
-                capacity=mu.capacity,
-                demand_lo=mu.demand.lo,
-                demand_hi=mu.demand.hi,
-                utility_scale=scenario.utility_scale,
-                price_threshold=price_threshold(mu),
-                p_star=float(res.prices.values[i]),
-                x_star=float(res.allocations.values[i]),
-                mu_payoff=float(res.mu_payoffs[i]),
-            )
+def user_rows(scenario: Scenario, res: EquilibriumResult) -> list[UserRow]:
+    """One row per user of the solved scenario, in user order."""
+    return [
+        UserRow(
+            mu_index=i + 1,
+            own_value=mu.own_value,
+            unit_cost=mu.unit_cost,
+            capacity=mu.capacity,
+            demand_lo=mu.demand.lo,
+            demand_hi=mu.demand.hi,
+            utility_scale=scenario.utility_scale,
+            price_threshold=price_threshold(mu),
+            p_star=float(res.prices.values[i]),
+            x_star=float(res.allocations.values[i]),
+            mu_payoff=float(res.mu_payoffs[i]),
         )
-    return rows
+        for i, mu in enumerate(scenario.mus)
+    ]
 
 
-def _summary(label: str, res: EquilibriumResult) -> SweepDenseRow:
-    return SweepDenseRow(
+def market_summary(label: str, scenario: Scenario, res: EquilibriumResult) -> MarketSummary:
+    """The market-level row of one solve; label names the market within a sweep."""
+    return MarketSummary(
         label=label,
+        n_mus=scenario.n,
+        utility_scale=scenario.utility_scale,
         sp_payoff=res.sp_payoff,
         total_allocation=float(np.sum(res.allocations.values)),
         iterations=res.iterations,
         grad_residual=res.grad_residual,
         converged=res.converged,
     )
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    axis: str
+    points: list[UserRow] = field(default_factory=list)
+    summaries: list[MarketSummary] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return all(s.converged for s in self.summaries)
 
 
 def run_sweep(
@@ -255,7 +276,6 @@ def run_sweep(
     if len(values) < 2:
         raise ValueError("a sweep needs at least two values")
     vals = [float(v) for v in values]
-    result = SweepResult(axis=axis)
 
     if axis in ("delta", "cost"):
         if axis == "delta":
@@ -268,25 +288,26 @@ def run_sweep(
             if any(v >= value for v in vals):
                 raise ValueError(f"every swept unit_cost must stay below own_value {value}")
             mus = tuple(MuProfile(spec.capacity, value, v, spec.demand()) for v in vals)
-        scenario = Scenario(spec.utility_scale, mus)
-        res = compute_se(scenario, solver)
-        result.points.extend(_rows_for(scenario, res, vals))
-        result.summaries.append(_summary("joint", res))
-        return result
+        markets = [("joint", Scenario(spec.utility_scale, mus))]
+    else:
+        base = generate_scenario(spec, seed)
+        markets = []
+        for v in vals:
+            if axis == "demand_upper":
+                if v <= spec.demand_lo:
+                    raise ValueError("demand_upper values must exceed demand_lo")
+                demand = _DEMAND_KINDS[spec.demand_kind](spec.demand_lo, v)
+                mus = tuple(replace(mu, demand=demand) for mu in base.mus)
+                scenario = Scenario(base.utility_scale, mus)
+            else:
+                if v <= 0.0:
+                    raise ValueError("utility scale values must be positive")
+                scenario = Scenario(v, base.mus)
+            markets.append((f"{v:g}", scenario))
 
-    base = generate_scenario(spec, seed)
-    for v in vals:
-        if axis == "demand_upper":
-            if v <= spec.demand_lo:
-                raise ValueError("demand_upper values must exceed demand_lo")
-            demand = _DEMAND_KINDS[spec.demand_kind](spec.demand_lo, v)
-            mus = tuple(replace(mu, demand=demand) for mu in base.mus)
-            scenario = Scenario(base.utility_scale, mus)
-        else:
-            if v <= 0.0:
-                raise ValueError("utility scale values must be positive")
-            scenario = Scenario(v, base.mus)
+    result = SweepResult(axis=axis)
+    for label, scenario in markets:
         res = compute_se(scenario, solver)
-        result.points.extend(_rows_for(scenario, res, [v] * scenario.n))
-        result.summaries.append(_summary(f"{v:g}", res))
+        result.points.extend(user_rows(scenario, res))
+        result.summaries.append(market_summary(label, scenario, res))
     return result

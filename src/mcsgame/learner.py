@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +48,6 @@ __all__ = [
     "observe",
     "gaussian_log_prob",
     "policy_sample",
-    "policy_mean_action",
-    "advantage_estimates",
     "clip_ratio",
     "ppo_surrogate",
     "ppo_actor_gradient",
@@ -92,14 +90,6 @@ class MlpParams:
         for W, b in zip(self.weights, self.biases):
             if W.ndim != 2 or b.shape != (W.shape[0],):
                 raise ValueError("layer shapes are inconsistent")
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            [W.copy() for W in self.weights],
-            [b.copy() for b in self.biases],
-            self.bounded_output,
-            self.output_scale,
-        )
 
 
 @dataclass
@@ -206,11 +196,6 @@ class PolicyParams:
     critic: MlpParams
     obs_price_scale: float
 
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(
-            self.actor.copy(), self.log_std.copy(), self.critic.copy(), self.obs_price_scale
-        )
-
     def all_finite(self) -> bool:
         arrays = self.actor.weights + self.actor.biases
         arrays += self.critic.weights + self.critic.biases
@@ -251,11 +236,6 @@ def policy_sample(policy: PolicyParams, feats: np.ndarray, rng: np.random.Genera
     return action, gaussian_log_prob(mean, policy.log_std, action)
 
 
-def policy_mean_action(policy: PolicyParams, state: GameState) -> np.ndarray:
-    """Deterministic action, the Gaussian mean."""
-    return mlp_forward(policy.actor, observe(state, policy.obs_price_scale))
-
-
 # ---------------------------------------------------------------------------
 # trajectory buffer and PPO pieces
 
@@ -264,7 +244,12 @@ def policy_mean_action(policy: PolicyParams, state: GameState) -> np.ndarray:
 class EpisodeBatch:
     """One episode's stacked records with its return targets and advantages.
 
-    Every array is read-only; the batch is shared by all update epochs.
+    The advantages are the discounted reward-to-go plus bootstrap, minus
+    the sampled values.  Values are the critic outputs recorded when the
+    steps were taken, and the bootstrap V(s(D+1)) is treated as a
+    constant, so the estimates stay fixed across the inner update
+    epochs.  Every array is read-only; the batch is shared by all update
+    epochs.
     """
 
     gamma: float
@@ -390,17 +375,6 @@ def _targets(rewards: np.ndarray, bootstrap: float, gamma: float) -> np.ndarray:
         acc = rewards[k] + gamma * acc
         out[k] = acc
     return out
-
-
-def advantage_estimates(buffer: TrajectoryBuffer, gamma: float) -> np.ndarray:
-    """Discounted reward-to-go plus bootstrap, minus the sampled values.
-
-    Values are the critic outputs recorded when the steps were taken,
-    and the bootstrap V(s(D+1)) is treated as a constant, so the
-    estimates stay fixed across the inner update epochs.  The returned
-    array is the buffer's read-only cached copy.
-    """
-    return buffer.batch(gamma).advantages
 
 
 def clip_ratio(f, epsilon: float):
@@ -669,23 +643,8 @@ def save_policy(path, policy: PolicyParams, env_config: EnvConfig, train_config:
     record = {
         "format": "mcsgame-policy",
         "version": 2,
-        "env": {
-            "history_rounds": env_config.history_rounds,
-            "reward_scale": env_config.reward_scale,
-            "p_max": env_config.p_max,
-        },
-        "train": {
-            "gamma": train_config.gamma,
-            "clip_epsilon": train_config.clip_epsilon,
-            "steps_per_batch": train_config.steps_per_batch,
-            "update_epochs": train_config.update_epochs,
-            "actor_lr": train_config.actor_lr,
-            "critic_lr": train_config.critic_lr,
-            "episodes": train_config.episodes,
-            "hidden": list(train_config.hidden),
-            "log_std_init": train_config.log_std_init,
-            "seed": train_config.seed,
-        },
+        "env": asdict(env_config),
+        "train": asdict(train_config),
         "obs_price_scale": policy.obs_price_scale,
         "log_std": policy.log_std.tolist(),
         "actor": _mlp_record(policy.actor),

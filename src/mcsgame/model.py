@@ -277,9 +277,6 @@ class PriceProfile:
             raise ValueError("prices must be finite and non-negative")
         object.__setattr__(self, "values", arr)
 
-    def __len__(self) -> int:
-        return self.values.size
-
 
 @dataclass(frozen=True)
 class AllocationProfile:
@@ -294,14 +291,6 @@ class AllocationProfile:
         if not np.isfinite(arr).all() or (arr < 0.0).any():
             raise ValueError("allocations must be finite and non-negative")
         object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def feasible_for(self, scenario: Scenario) -> bool:
-        if len(self) != scenario.n:
-            return False
-        return bool(np.all(self.values <= scenario.capacities() + 1e-12))
 
 
 # ---------------------------------------------------------------------------

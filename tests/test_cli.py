@@ -212,6 +212,44 @@ def test_set_without_equals_exits_2(tmp_path):
     assert rc == 2
 
 
+_BAD_SCENARIO = [
+    "scenario.capacity=0",
+    "scenario.capacity=-1",
+    'scenario.capacity="20"',
+    "scenario.utility_scale=0",
+    "scenario.demand_lo=30",
+    "scenario.demand_hi=1e400",  # JSON reads this as inf
+    "scenario.n_mus=2.5",
+    "scenario.n_mus=true",
+    "seed=true",
+    "baseline_steps=true",
+]
+_BAD_TRAIN = [
+    "train.steps_per_batch=2.5",
+    "train.update_epochs=2.5",
+    "train.episodes=2.5",
+    "env.history_rounds=2.5",
+    "train.seed=2.5",
+]
+_BAD_SWEEP = ["sweep.values=[true,2]", "sweep.values=[1,1e400]", 'sweep.values=[1,"x"]']
+
+
+@pytest.mark.parametrize(
+    "command, assignment",
+    [("static", a) for a in _BAD_SCENARIO]
+    + [("train", a) for a in _BAD_TRAIN]
+    + [("sweep", a) for a in _BAD_SWEEP],
+)
+def test_invalid_value_exits_2_without_traceback(tmp_path, capsys, command, assignment):
+    out = tmp_path / "run"
+    extra = ["--set", 'sweep.axis="lambda"'] if command == "sweep" else []
+    rc = main([command, "--set", assignment, *extra, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_out_flag_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["static", "--seed", "0"])
@@ -344,6 +382,69 @@ def test_sweep_demand_upper_layout(tmp_path):
     assert [r[sh.index("label")] for r in srows] == ["20", "25"]
     for svg in ("sweep_price.svg", "sweep_allocation.svg", "sweep_payoff.svg"):
         assert (out / svg).is_file()
+
+
+_SWEPT_FIELDS = {
+    "delta": ("own_value", [0.3, 0.6, 0.9]),
+    "cost": ("unit_cost", [0.1, 0.3, 0.5]),
+    "demand_upper": ("demand_hi", [21.0, 30.0]),
+    "lambda": ("utility_scale", [20.0, 50.0]),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(_SWEPT_FIELDS))
+def test_sweep_value_is_the_swept_field(tmp_path, axis):
+    swept, values = _SWEPT_FIELDS[axis]
+    out = tmp_path / "run"
+    rc = main(["sweep", "--seed", "2", "--set", "scenario.n_mus=2",
+               "--set", f'sweep.axis="{axis}"', "--set", f"sweep.values={values}",
+               "--svg", "off", "--out", str(out)])
+    assert rc == 0
+    header, rows = _read_csv(out / "sweep_mus.csv")
+    sweep_value = [r[header.index("sweep_value")] for r in rows]
+    assert sweep_value == [r[header.index(swept)] for r in rows]
+    per_market = 1 if axis in ("delta", "cost") else 2
+    assert [float(v) for v in sweep_value[::per_market]] == values
+
+
+def test_csv_headers_are_pinned(tmp_path):
+    n2 = ["--set", "scenario.n_mus=2"]
+    static, train = tmp_path / "static", tmp_path / "train"
+    assert main(["static", *n2, "--out", str(static)]) == 0
+    assert main(["train", *n2, *TINY_TRAIN, "--steps-trace", "on", "--svg", "off",
+                 "--out", str(train)]) == 0
+    assert _read_csv(static / "equilibrium.csv")[0] == [
+        "mu_index", "own_value", "unit_cost", "capacity", "demand_lo", "demand_hi",
+        "price_threshold", "p_star", "x_star", "region", "mu_payoff",
+    ]
+    assert _read_csv(static / "summary.csv")[0] == [
+        "n_mus", "utility_scale", "seed", "sp_payoff", "total_allocation", "iterations",
+        "grad_residual", "converged",
+    ]
+    for axis, values in (("delta", "[0.5,0.9]"), ("lambda", "[20,50]")):
+        sweep = tmp_path / axis
+        assert main(["sweep", *n2, "--set", f'sweep.axis="{axis}"',
+                     "--set", f"sweep.values={values}", "--svg", "off", "--out", str(sweep)]) == 0
+        assert _read_csv(sweep / "sweep_mus.csv")[0] == [
+            "axis", "sweep_value", "mu_index", "own_value", "unit_cost", "capacity",
+            "demand_lo", "demand_hi", "utility_scale", "price_threshold", "p_star", "x_star",
+            "mu_payoff",
+        ]
+        assert _read_csv(sweep / "sweep_summary.csv")[0] == [
+            "label", "sp_payoff", "total_allocation", "iterations", "grad_residual", "converged",
+        ]
+    assert _read_csv(train / "episodes.csv")[0] == [
+        "episode", "mean_reward", "mean_sp_payoff", "actor_objective", "critic_loss",
+        "mean_price_1", "mean_price_2", "mean_allocation_1", "mean_allocation_2",
+        "mean_mu_payoff_1", "mean_mu_payoff_2",
+    ]
+    assert _read_csv(train / "baselines.csv")[0] == [
+        "name", "steps", "mean_sp_payoff", "mean_reward", "mean_mu_payoff_1", "mean_mu_payoff_2",
+    ]
+    assert _read_csv(train / "steps.csv")[0] == [
+        "episode", "step", "p_1", "p_2", "x_1", "x_2", "sp_payoff", "reward",
+        "mu_payoff_1", "mu_payoff_2", "clamped_flag",
+    ]
 
 
 def test_sweep_requires_config_section(tmp_path):

@@ -10,6 +10,7 @@ from mcsgame.dynamics import (
     random_policy,
     respond,
     step_trace_columns,
+    step_trace_row,
 )
 from mcsgame.leader import compute_se
 from mcsgame.model import LinearDemand, MuProfile, Scenario, UniformDemand
@@ -207,14 +208,6 @@ def test_random_policy_mean():
 # state plumbing
 
 
-def test_features_layout():
-    prices = np.array([[0.1, 0.2], [0.3, 0.4]])
-    allocs = np.array([[1.0, 2.0], [3.0, 4.0]])
-    state = GameState(prices=prices, allocations=allocs)
-    want = np.array([0.1, 0.2, 1.0, 2.0, 0.3, 0.4, 3.0, 4.0])
-    assert np.array_equal(state.features(), want)
-
-
 def test_state_arrays_read_only():
     state = GameState(prices=np.zeros((1, 2)), allocations=np.zeros((1, 2)))
     with pytest.raises(ValueError):
@@ -258,3 +251,18 @@ def test_step_trace_columns_layout():
         "mu_payoff_2",
         "clamped_flag",
     ]
+
+
+def test_step_trace_row_follows_columns():
+    scenario = _costly_scenario()
+    cfg = EnvConfig(p_max=1.0)
+    state = env_reset(scenario, cfg, _rng(3))
+    tr = env_step(scenario, cfg, state, np.array([0.2, 0.5, 1.5]))
+    row = dict(zip(step_trace_columns(3), step_trace_row(4, 9, tr)))
+    assert len(row) == len(step_trace_row(4, 9, tr))
+    assert (row["episode"], row["step"]) == (4, 9)
+    assert [row[f"p_{i}"] for i in (1, 2, 3)] == [0.2, 0.5, 1.0]
+    assert [row[f"x_{i}"] for i in (1, 2, 3)] == list(tr.next_state.allocations[-1])
+    assert (row["sp_payoff"], row["reward"]) == (tr.sp_payoff, tr.reward)
+    assert [row[f"mu_payoff_{i}"] for i in (1, 2, 3)] == list(tr.mu_payoffs)
+    assert row["clamped_flag"] is True

@@ -147,9 +147,8 @@ def test_delta_sweep_builds_one_joint_scenario():
     assert res.axis == "delta"
     assert res.converged
     assert len(res.summaries) == 1 and res.summaries[0].label == "joint"
-    assert [p.sweep_value for p in res.points] == values
+    assert [p.own_value for p in res.points] == values
     for p in res.points:
-        assert p.own_value == p.sweep_value
         assert p.unit_cost == 0.0
         assert p.capacity == spec.capacity
     # users who value their own data more sell less of it
@@ -190,7 +189,7 @@ def test_demand_upper_sweep_resamples_nothing():
     assert len(res.points) == 3 * spec.n_mus
     blocks = [res.points[i * spec.n_mus : (i + 1) * spec.n_mus] for i in range(3)]
     for v, block in zip(values, blocks):
-        assert all(p.sweep_value == v and p.demand_hi == v for p in block)
+        assert all(p.demand_hi == v for p in block)
     # the population itself is drawn once and shared across blocks
     for block in blocks[1:]:
         for p0, p in zip(blocks[0], block):

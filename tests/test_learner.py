@@ -1,6 +1,7 @@
 """Tests for the numpy PPO agent: networks, estimators, training loop."""
 
 import ast
+import dataclasses
 import inspect
 import json
 
@@ -19,7 +20,6 @@ from mcsgame.learner import (
     TrainConfig,
     TrainingDiverged,
     TrajectoryBuffer,
-    advantage_estimates,
     clip_ratio,
     critic_loss_and_gradient,
     gaussian_log_prob,
@@ -28,7 +28,6 @@ from mcsgame.learner import (
     mlp_forward,
     mlp_init,
     observe,
-    policy_mean_action,
     policy_sample,
     ppo_actor_gradient,
     ppo_surrogate,
@@ -40,6 +39,11 @@ from oracles import discounted_targets_oracle, masked_sigmoid, ppo_reference
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _mean_action(policy, state):
+    """The Gaussian mean, through the actor and observation train uses."""
+    return mlp_forward(policy.actor, observe(state, policy.obs_price_scale))
 
 
 def _zero_mlp(sizes, bounded_output=False, output_scale=1.0):
@@ -204,7 +208,7 @@ def test_policy_sample_log_prob_is_of_raw_action():
     scenario, cfg, state = _fresh_state(4)
     policy = learner_mod._init_policy(state, cfg, TrainConfig(), _rng(9))
     action, lp = policy_sample(policy, observe(state, policy.obs_price_scale), _rng(12))
-    mean = policy_mean_action(policy, state)
+    mean = _mean_action(policy, state)
     assert lp == pytest.approx(gaussian_log_prob(mean, policy.log_std, action), abs=1e-12)
 
 
@@ -213,7 +217,7 @@ def test_tiny_log_std_concentrates_samples():
     scenario, cfg, state = _fresh_state(4)
     policy = learner_mod._init_policy(state, cfg, TrainConfig(), _rng(9))
     policy.log_std = np.full(state.n_mus, -5.0)
-    mean = policy_mean_action(policy, state)
+    mean = _mean_action(policy, state)
     feats = observe(state, policy.obs_price_scale)
     rng = _rng(77)
     sigma = np.exp(-5.0)
@@ -225,7 +229,7 @@ def test_tiny_log_std_concentrates_samples():
 def test_mean_action_strictly_inside_price_box():
     scenario, cfg, state = _fresh_state(8)
     policy = learner_mod._init_policy(state, cfg, TrainConfig(), _rng(1))
-    mean = policy_mean_action(policy, state)
+    mean = _mean_action(policy, state)
     assert np.all(mean > 0.0) and np.all(mean < cfg.p_max)
 
 
@@ -278,25 +282,25 @@ def test_buffer_clear_empties_everything():
 def test_advantage_two_step_example():
     # gamma=1: targets (1.5, 0.5), sampled values (0.2, 0.1)
     buf = _filled_buffer([1.0, 0.5], [0.2, 0.1], 0.0)
-    adv = advantage_estimates(buf, 1.0)
+    adv = buf.batch(1.0).advantages
     assert np.allclose(adv, [1.3, 0.4], rtol=0, atol=1e-15)
 
 
 def test_advantage_zero_rewards_zero_values():
     buf = _filled_buffer([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.0)
-    assert np.array_equal(advantage_estimates(buf, 0.9), np.zeros(3))
+    assert np.array_equal(buf.batch(0.9).advantages, np.zeros(3))
 
 
 def test_advantage_gamma_zero_is_td_residual():
     buf = _filled_buffer([1.0, 0.5], [0.2, 0.1], 7.0)
-    adv = advantage_estimates(buf, 0.0)
+    adv = buf.batch(0.0).advantages
     assert np.allclose(adv, [0.8, 0.4], rtol=0, atol=1e-15)
 
 
 def test_advantage_bootstrap_discounting():
     # t2 = 0.5 + 0.5*2 = 1.5, t1 = 1 + 0.5*1.5 = 1.75
     buf = _filled_buffer([1.0, 0.5], [0.0, 0.0], 2.0)
-    adv = advantage_estimates(buf, 0.5)
+    adv = buf.batch(0.5).advantages
     assert np.allclose(adv, [1.75, 1.5], rtol=0, atol=1e-15)
 
 
@@ -305,14 +309,14 @@ def test_targets_match_double_loop_oracle():
     rewards = rng.uniform(-1, 1, 7)
     bootstrap = float(rng.uniform(-1, 1))
     buf = _filled_buffer(rewards, np.zeros(7), bootstrap)
-    adv = advantage_estimates(buf, 0.9)
+    adv = buf.batch(0.9).advantages
     assert np.allclose(adv, discounted_targets_oracle(rewards, bootstrap, 0.9), rtol=1e-12)
 
 
 def test_advantage_rejects_bad_gamma():
     buf = _filled_buffer([1.0], [0.0], 0.0)
     with pytest.raises(ValueError):
-        advantage_estimates(buf, 1.5)
+        buf.batch(1.5)
 
 
 def test_clip_ratio_examples():
@@ -352,7 +356,7 @@ def _toy_policy_and_buffer(seed=0, d_steps=6, ratio_offsets=None):
 
 def test_fresh_buffer_ratios_are_one():
     policy, buf = _toy_policy_and_buffer(seed=4)
-    adv = advantage_estimates(buf, 0.9)
+    adv = buf.batch(0.9).advantages
     surr = ppo_surrogate(policy, buf, 0.2, 0.9)
     # ratio == 1 everywhere, so the surrogate is just the advantage sum
     assert surr == pytest.approx(float(np.sum(adv)), rel=1e-12)
@@ -361,7 +365,7 @@ def test_fresh_buffer_ratios_are_one():
 def test_surrogate_clipping_is_pessimistic():
     # offset -0.5 => ratio e^0.5 ~ 1.65, outside the band
     policy, buf = _toy_policy_and_buffer(seed=4, ratio_offsets=[-0.5] * 6)
-    adv = advantage_estimates(buf, 0.9)
+    adv = buf.batch(0.9).advantages
     f = np.exp(0.5)
     expect = float(np.sum(np.minimum(f * adv, np.clip(f, 0.8, 1.2) * adv)))
     assert ppo_surrogate(policy, buf, 0.2, 0.9) == pytest.approx(expect, rel=1e-10)
@@ -582,7 +586,6 @@ def test_batch_is_built_once_and_read_only():
     buf.bootstrap_value = 2.0
     batch = buf.batch(1.0)
     assert buf.batch(1.0) is batch
-    assert advantage_estimates(buf, 1.0) is batch.advantages
     assert np.array_equal(batch.targets, [3.5, 2.5])
     assert np.array_equal(batch.advantages, [3.25, 2.0])
     with pytest.raises(ValueError):
@@ -786,10 +789,11 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     assert record["env"]["p_max"] == env_cfg.p_max
     assert record["version"] == 2
     assert sorted(record["env"]) == ["history_rounds", "p_max", "reward_scale"]
+    assert sorted(record["train"]) == sorted(f.name for f in dataclasses.fields(TrainConfig))
     # loaded policy plays identically
     state = env_reset(scenario, env_cfg, _rng(0))
     assert np.array_equal(
-        policy_mean_action(policy, state), policy_mean_action(loaded, state)
+        _mean_action(policy, state), _mean_action(loaded, state)
     )
 
 

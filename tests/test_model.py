@@ -302,10 +302,3 @@ def test_profile_validation():
         PriceProfile([0.1, -0.2])
     with pytest.raises(ValueError):
         AllocationProfile([np.nan])
-
-
-def test_allocation_feasibility(five_mu_scenario):
-    ok = AllocationProfile([1.0] * 5)
-    too_big = AllocationProfile([25.0] * 5)
-    assert ok.feasible_for(five_mu_scenario)
-    assert not too_big.feasible_for(five_mu_scenario)
