@@ -93,6 +93,24 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# what a JSON value must be to fill a config field, by the field's annotation
+_FIELD_VALUES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", _is_int),
+    "float": ("a number", _is_number),
+    "tuple[int, ...]": (
+        "a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))
+    ),
+    "tuple[float, float]": (
+        "a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))
+    ),
+}
+
+
 def _build_section(cls, data, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: must be an object")
@@ -102,12 +120,14 @@ def _build_section(cls, data, where: str):
         raise ConfigError(f"{where}: unknown field(s) {', '.join(unknown)}")
     kwargs = {}
     for name, v in data.items():
-        if types[name] in ("int", int) and not _is_int(v):
-            raise ConfigError(f"{where}: {name} must be an integer, got {v!r}")
+        what, fits = _FIELD_VALUES[types[name]]
+        if not fits(v):
+            raise ConfigError(f"{where}: {name} must be {what}, got {v!r}")
         kwargs[name] = tuple(v) if isinstance(v, list) else v
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
+        # OverflowError: an integer too large for a float field
         raise ConfigError(f"{where}: {e}")
 
 
@@ -145,7 +165,7 @@ class RunSetup:
             raise ConfigError("sweep.values must be a list of numbers")
         try:
             floats = [float(v) for v in values if not isinstance(v, bool)]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             floats = []
         if len(floats) != len(values) or not all(map(math.isfinite, floats)):
             raise ConfigError("sweep.values must be finite numbers")

@@ -112,38 +112,17 @@ def _toy_buffer(policy, rng: np.random.Generator, steps: int = 5):
     return buf
 
 
-def _actor_flat(policy) -> np.ndarray:
-    parts = [W.ravel() for W in policy.actor.weights]
-    parts += [b for b in policy.actor.biases]
-    parts += [policy.log_std]
-    return np.concatenate(parts)
+def _flat(arrays) -> np.ndarray:
+    """The entries of several arrays, one after another, as one vector."""
+    return np.concatenate([a.ravel() for a in arrays])
 
 
-def _set_actor_flat(policy, vec: np.ndarray) -> None:
+def _assign_flat(arrays, vec: np.ndarray) -> None:
+    """Write a vector laid out as by _flat back into the arrays, in place."""
     i = 0
-    for W in policy.actor.weights:
-        W.flat[:] = vec[i : i + W.size]
-        i += W.size
-    for b in policy.actor.biases:
-        b[:] = vec[i : i + b.size]
-        i += b.size
-    policy.log_std[:] = vec[i:]
-
-
-def _critic_flat(policy) -> np.ndarray:
-    parts = [W.ravel() for W in policy.critic.weights]
-    parts += [b for b in policy.critic.biases]
-    return np.concatenate(parts)
-
-
-def _set_critic_flat(policy, vec: np.ndarray) -> None:
-    i = 0
-    for W in policy.critic.weights:
-        W.flat[:] = vec[i : i + W.size]
-        i += W.size
-    for b in policy.critic.biases:
-        b[:] = vec[i : i + b.size]
-        i += b.size
+    for a in arrays:
+        a.flat[:] = vec[i : i + a.size]
+        i += a.size
 
 
 def check_mlp_backward(seed: int, probes: int = 10, perturb: float = 0.0) -> CheckResult:
@@ -184,20 +163,19 @@ def check_actor_gradient(seed: int, probes: int = 5, perturb: float = 0.0) -> Ch
         policy = _toy_policy(rng)
         buf = _toy_buffer(policy, rng)
         g = learner.ppo_actor_gradient(policy, buf, eps, gamma)
-        analytic = np.concatenate(
-            [W.ravel() for W in g.mlp.weights] + [b for b in g.mlp.biases] + [g.log_std]
-        ) * (1.0 + perturb)
-        base = _actor_flat(policy)
+        analytic = _flat([*g.mlp.weights, *g.mlp.biases, g.log_std]) * (1.0 + perturb)
+        params = [*policy.actor.weights, *policy.actor.biases, policy.log_std]
+        base = _flat(params)
         for i in range(base.size):
             v = base.copy()
             v[i] += 1e-6
-            _set_actor_flat(policy, v)
+            _assign_flat(params, v)
             up = learner.ppo_surrogate(policy, buf, eps, gamma)
             v[i] -= 2e-6
-            _set_actor_flat(policy, v)
+            _assign_flat(params, v)
             dn = learner.ppo_surrogate(policy, buf, eps, gamma)
             worst = max(worst, _rel_err(float(analytic[i]), (up - dn) / 2e-6))
-        _set_actor_flat(policy, base)
+        _assign_flat(params, base)
     return CheckResult("ppo_actor_gradient", probes, worst, 1e-4)
 
 
@@ -209,20 +187,19 @@ def check_critic_gradient(seed: int, probes: int = 5, perturb: float = 0.0) -> C
         policy = _toy_policy(rng)
         buf = _toy_buffer(policy, rng)
         _, grads = learner.critic_loss_and_gradient(policy, buf, gamma)
-        analytic = np.concatenate(
-            [W.ravel() for W in grads.weights] + [b for b in grads.biases]
-        ) * (1.0 + perturb)
-        base = _critic_flat(policy)
+        analytic = _flat([*grads.weights, *grads.biases]) * (1.0 + perturb)
+        params = [*policy.critic.weights, *policy.critic.biases]
+        base = _flat(params)
         for i in range(base.size):
             v = base.copy()
             v[i] += 1e-6
-            _set_critic_flat(policy, v)
+            _assign_flat(params, v)
             up = learner.critic_loss_and_gradient(policy, buf, gamma)[0]
             v[i] -= 2e-6
-            _set_critic_flat(policy, v)
+            _assign_flat(params, v)
             dn = learner.critic_loss_and_gradient(policy, buf, gamma)[0]
             worst = max(worst, _rel_err(float(analytic[i]), (up - dn) / 2e-6))
-        _set_critic_flat(policy, base)
+        _assign_flat(params, base)
     return CheckResult("critic_gradient", probes, worst, 1e-4)
 
 

@@ -3,7 +3,7 @@
 Because each user's best response depends only on its own price, the
 platform payoff U(p) = utility_scale * ln(b(p)) - p.x*(p) with
 b = 1 + sum ln(1 + x*_n) is smooth on the price box
-[threshold_n, own_value_n]^N and strictly concave there for admitted
+[threshold_n, own_value_n]^N and strictly concave there for both
 demand laws.
 
 compute_se solves the same problem in allocation space.  The price that
@@ -119,7 +119,7 @@ def sp_payoff_hessian(scenario: Scenario, p) -> np.ndarray:
 
     The cross terms couple users solely through the aggregate index, so
     the off-diagonal is a rank-one profile; the diagonal carries the
-    own-price curvature.  Symmetric and negative definite for admitted
+    own-price curvature.  Symmetric and negative definite for both
     demand laws.
     """
     pa = np.asarray(getattr(p, "values", p), dtype=float)
@@ -151,12 +151,6 @@ class _Market:
     """
 
     def __init__(self, scenario: Scenario):
-        for i, mu in enumerate(scenario.mus):
-            if mu.demand.tail_power is None or not mu.demand.admissible():
-                raise ValueError(
-                    f"mu {i}: demand law {mu.demand.kind!r} is not admitted for "
-                    "equilibrium solving (needs a non-increasing density, positive below hi)"
-                )
         cap = scenario.capacities()
         lo = np.array([mu.demand.lo for mu in scenario.mus])
         hi = np.array([mu.demand.hi for mu in scenario.mus])

@@ -56,25 +56,22 @@ def _frozen_vector(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DemandDistribution:
-    """Base class for single-user demand laws on a bounded support [lo, hi].
+    """Single-user demand law on a bounded support [lo, hi] with a power tail.
 
-    Subclasses fix ``kind`` and implement pdf, cdf, quantile, pdf_slope,
-    expected_min and sample.  ``quantile`` uses the inf convention, so
-    quantile(0.0) is lo and quantile(1.0) is hi.  Only laws with a
-    non-increasing, strictly positive density on [lo, hi) are admitted
-    by the equilibrium solver; others may still be evaluated.
-
-    The equilibrium solver also needs the tail in the form
-    P(demand > z) = ((hi - z) / (hi - lo)) ** tail_power on [lo, hi],
-    with tail_power 1 or 2; laws without it leave tail_power None.
+    P(demand > z) = t**k on [lo, hi], where t = (hi - z) / (hi - lo) is
+    the share of the support above z and k = ``tail_power``.  The density
+    k t**(k - 1) / (hi - lo) is non-increasing and positive on [lo, hi),
+    which the follower's quantile response and the leader's concavity
+    rest on; the formulas below hold for k in {1, 2}, the two laws the
+    subclasses fix together with ``kind``.  ``quantile`` uses the inf
+    convention, so quantile(0.0) is lo and quantile(1.0) is hi.
     """
 
     lo: float
     hi: float
 
-    kind: ClassVar[str] = "abstract"
-    nonincreasing_density: ClassVar[bool] = False
-    tail_power: ClassVar[float | None] = None
+    kind: ClassVar[str]
+    tail_power: ClassVar[float]
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -83,127 +80,76 @@ class DemandDistribution:
             raise ValueError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
 
     def pdf(self, z: float) -> float:
-        raise NotImplementedError
+        lo, hi = self.lo, self.hi
+        if not lo <= z <= hi:
+            return 0.0
+        k = self.tail_power
+        w = hi - lo
+        return k * ((hi - z) / w) ** (k - 1.0) / w
 
     def cdf(self, z: float) -> float:
-        raise NotImplementedError
+        lo, hi = self.lo, self.hi
+        if z <= lo:
+            return 0.0
+        if z >= hi:
+            return 1.0
+        return 1.0 - ((hi - z) / (hi - lo)) ** self.tail_power
 
     def quantile(self, q: float) -> float:
-        raise NotImplementedError
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile level must lie in [0, 1], got {q}")
+        lo, hi = self.lo, self.hi
+        z = hi - (hi - lo) * (1.0 - q) ** (1.0 / self.tail_power)
+        # hi - (hi - lo) can round below lo when lo is far below hi
+        return z if z > lo else lo
 
     def pdf_slope(self, z: float) -> float:
-        """Derivative of the density inside the support."""
-        raise NotImplementedError
+        """Derivative of the density inside the support.
+
+        -k (k - 1) t**(k - 2) / (hi - lo)**2, a constant for k in {1, 2};
+        0 outside the support, where the density is 0.
+        """
+        lo, hi = self.lo, self.hi
+        if not lo <= z <= hi:
+            return 0.0
+        k = self.tail_power
+        w = hi - lo
+        return k * (1.0 - k) / (w * w)
 
     def expected_min(self, r: float) -> float:
-        """E[min(demand, r)] in closed form."""
-        raise NotImplementedError
+        """E[min(demand, r)] in closed form.
 
-    def sample(self, rng: np.random.Generator, size=None):
-        raise NotImplementedError
-
-    def admissible(self) -> bool:
-        """Whether the law qualifies for equilibrium solving.
-
-        Requires a non-increasing density that stays positive on
-        [lo, hi); the value at hi itself may vanish.
+        The integral of the tail over [0, r]: r below the support, else
+        lo + (hi - lo) / (k + 1) * (1 - t**(k + 1)) with t taken at
+        min(r, hi).
         """
-        if not self.nonincreasing_density:
-            return False
-        # density is monotone here, so positivity on [lo, hi) reduces to
-        # positivity just left of hi
-        probe = self.hi - 1e-9 * (self.hi - self.lo)
-        return self.pdf(self.lo) > 0.0 and self.pdf(probe) > 0.0
+        lo, hi = self.lo, self.hi
+        if r <= lo:
+            return r
+        k = self.tail_power
+        w = hi - lo
+        t = (hi - r) / w if r < hi else 0.0
+        return lo + w / (k + 1.0) * (1.0 - t ** (k + 1.0))
 
 
 @dataclass(frozen=True)
 class UniformDemand(DemandDistribution):
-    """Uniform demand on [lo, hi]."""
+    """Uniform demand on [lo, hi]: density 1 / (hi - lo), tail power 1."""
 
     kind: ClassVar[str] = "uniform"
-    nonincreasing_density: ClassVar[bool] = True
     tail_power: ClassVar[float] = 1.0
-
-    def pdf(self, z: float) -> float:
-        if self.lo <= z <= self.hi:
-            return 1.0 / (self.hi - self.lo)
-        return 0.0
-
-    def cdf(self, z: float) -> float:
-        if z <= self.lo:
-            return 0.0
-        if z >= self.hi:
-            return 1.0
-        return (z - self.lo) / (self.hi - self.lo)
-
-    def quantile(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile level must lie in [0, 1], got {q}")
-        return self.lo + q * (self.hi - self.lo)
-
-    def pdf_slope(self, z: float) -> float:
-        return 0.0
-
-    def expected_min(self, r: float) -> float:
-        if r <= self.lo:
-            return r
-        if r >= self.hi:
-            return 0.5 * (self.lo + self.hi)
-        w = self.hi - self.lo
-        return (r * r - self.lo * self.lo) / (2.0 * w) + r * (self.hi - r) / w
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.uniform(self.lo, self.hi, size=size)
 
 
 @dataclass(frozen=True)
 class LinearDemand(DemandDistribution):
-    """Linearly decaying demand density on [lo, hi].
+    """Linearly decaying demand density on [lo, hi], tail power 2.
 
     f(z) = 2 (hi - z) / (hi - lo)^2, so small demands are more likely.
-    The density vanishes exactly at hi, which the admissibility rule
-    allows.
+    The density vanishes exactly at hi.
     """
 
     kind: ClassVar[str] = "linear"
-    nonincreasing_density: ClassVar[bool] = True
     tail_power: ClassVar[float] = 2.0
-
-    def pdf(self, z: float) -> float:
-        if self.lo <= z <= self.hi:
-            w = self.hi - self.lo
-            return 2.0 * (self.hi - z) / (w * w)
-        return 0.0
-
-    def cdf(self, z: float) -> float:
-        if z <= self.lo:
-            return 0.0
-        if z >= self.hi:
-            return 1.0
-        t = (self.hi - z) / (self.hi - self.lo)
-        return 1.0 - t * t
-
-    def quantile(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile level must lie in [0, 1], got {q}")
-        return self.hi - (self.hi - self.lo) * math.sqrt(1.0 - q)
-
-    def pdf_slope(self, z: float) -> float:
-        if self.lo <= z <= self.hi:
-            w = self.hi - self.lo
-            return -2.0 / (w * w)
-        return 0.0
-
-    def expected_min(self, r: float) -> float:
-        if r <= self.lo:
-            return r
-        w = self.hi - self.lo
-        t = (self.hi - min(r, self.hi)) / w
-        return self.lo + (w / 3.0) * (1.0 - t * t * t)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        u = rng.uniform(0.0, 1.0, size=size)
-        return self.hi - (self.hi - self.lo) * np.sqrt(1.0 - u)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,9 @@ _BAD_SCENARIO = [
     "scenario.n_mus=true",
     "seed=true",
     "baseline_steps=true",
+    "scenario.capacity=true",
+    "scenario.own_value_range=[0,true]",
+    "scenario.capacity=1" + "0" * 309,  # an int too large for a float
 ]
 _BAD_TRAIN = [
     "train.steps_per_batch=2.5",
@@ -230,8 +233,14 @@ _BAD_TRAIN = [
     "train.episodes=2.5",
     "env.history_rounds=2.5",
     "train.seed=2.5",
+    "train.hidden=[2.5]",
 ]
-_BAD_SWEEP = ["sweep.values=[true,2]", "sweep.values=[1,1e400]", 'sweep.values=[1,"x"]']
+_BAD_SWEEP = [
+    "sweep.values=[true,2]",
+    "sweep.values=[1,1e400]",
+    'sweep.values=[1,"x"]',
+    "sweep.values=[1,1" + "0" * 309 + "]",
+]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from mcsgame.leader import (
     sp_payoff_hessian,
 )
 from mcsgame.model import (
-    DemandDistribution,
     LinearDemand,
     MuProfile,
     Scenario,
@@ -207,41 +206,6 @@ def test_non_convergence_reported():
     res = compute_se(make_scenario(3), SolverConfig(tol=1e-18))
     assert not res.converged
     assert res.iterations >= 2
-
-
-def test_inadmissible_distribution_rejected():
-    @dataclass(frozen=True)
-    class RisingDemand(DemandDistribution):
-        # density increases on the support, violating the solver's
-        # concavity precondition
-        kind = "rising"
-        nonincreasing_density = False
-
-        def pdf(self, z):
-            w = self.hi - self.lo
-            return 2.0 * (z - self.lo) / (w * w) if self.lo <= z <= self.hi else 0.0
-
-        def cdf(self, z):
-            if z <= self.lo:
-                return 0.0
-            if z >= self.hi:
-                return 1.0
-            return ((z - self.lo) / (self.hi - self.lo)) ** 2
-
-        def quantile(self, q):
-            return self.lo + (self.hi - self.lo) * math.sqrt(q)
-
-        def pdf_slope(self, z):
-            w = self.hi - self.lo
-            return 2.0 / (w * w) if self.lo <= z <= self.hi else 0.0
-
-        def sample(self, rng, size=None):
-            return self.quantile(rng.uniform(0.0, 1.0, size))
-
-    mu = MuProfile(20.0, 1.0, 0.0, RisingDemand(0.0, 25.0))
-    scenario = Scenario(50.0, (mu,))
-    with pytest.raises(ValueError):
-        compute_se(scenario)
 
 
 # ---------------------------------------------------------------------------

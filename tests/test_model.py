@@ -17,7 +17,14 @@ from mcsgame.model import (
     sp_payoff,
     sp_utility,
 )
-from oracles import expected_min, mu_payoff_oracle
+from oracles import (
+    dist_cdf,
+    dist_pdf,
+    dist_pdf_slope,
+    dist_quantile,
+    expected_min,
+    mu_payoff_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -92,28 +99,72 @@ def test_sp_payoff_accepts_profile_wrappers():
 # demand distributions
 
 
-@pytest.mark.parametrize("demand", [UniformDemand(0.0, 25.0), LinearDemand(0.0, 25.0)])
+# both laws on a support from 0 and on one that starts above 0
+LAWS = [
+    UniformDemand(0.0, 25.0),
+    LinearDemand(0.0, 25.0),
+    UniformDemand(4.0, 18.0),
+    LinearDemand(4.0, 18.0),
+]
+
+
+def _probe_points(demand):
+    """The support's ends, interior points and points on either side of it."""
+    lo, hi = demand.lo, demand.hi
+    inside = np.linspace(lo, hi, 11)
+    below = [lo - 1.0, np.nextafter(lo, -np.inf)]
+    above = [np.nextafter(hi, np.inf), hi + 1.0]
+    return np.concatenate([below, inside, above])
+
+
+@pytest.mark.parametrize("demand", LAWS)
 def test_density_integrates_to_one(demand):
     z = np.linspace(demand.lo, demand.hi, 200001)
     f = np.array([demand.pdf(v) for v in z])
     assert np.trapezoid(f, z) == pytest.approx(1.0, abs=1e-6)
+    for v in _probe_points(demand):
+        want = float(dist_pdf(demand.kind, demand.lo, demand.hi, v))
+        assert demand.pdf(float(v)) == pytest.approx(want, rel=1e-14, abs=1e-15)
+        if demand.lo <= v <= demand.hi:
+            assert demand.pdf_slope(float(v)) == pytest.approx(
+                dist_pdf_slope(demand.kind, demand.lo, demand.hi), rel=1e-14, abs=0.0
+            )
+        else:
+            assert demand.pdf_slope(float(v)) == 0.0
 
 
-@pytest.mark.parametrize("demand", [UniformDemand(0.0, 25.0), LinearDemand(0.0, 25.0)])
+@pytest.mark.parametrize("demand", LAWS)
 def test_quantile_cdf_roundtrip(demand):
     rng = np.random.Generator(np.random.PCG64(5))
-    for q in rng.uniform(0.0, 1.0, size=1000):
+    for q in np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size=1000)]):
         z = demand.quantile(float(q))
         assert demand.lo <= z <= demand.hi
+        want = float(dist_quantile(demand.kind, demand.lo, demand.hi, q))
+        assert z == pytest.approx(want, rel=1e-14, abs=1e-14)
         assert demand.cdf(z) == pytest.approx(float(q), abs=1e-9)
+    assert demand.quantile(0.0) == demand.lo and demand.quantile(1.0) == demand.hi
+    for q in (-1e-12, 1.0 + 1e-12):
+        with pytest.raises(ValueError):
+            demand.quantile(q)
 
 
-@pytest.mark.parametrize("demand", [UniformDemand(0.0, 25.0), LinearDemand(0.0, 25.0)])
+@pytest.mark.parametrize("demand", LAWS)
 def test_cdf_monotone_and_bounded(demand):
     z = np.linspace(demand.lo - 1.0, demand.hi + 1.0, 501)
     c = np.array([demand.cdf(v) for v in z])
     assert np.all(np.diff(c) >= -1e-15)
     assert c[0] == 0.0 and c[-1] == 1.0
+    for v in _probe_points(demand):
+        want = float(dist_cdf(demand.kind, demand.lo, demand.hi, v))
+        assert demand.cdf(float(v)) == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize("law", [UniformDemand, LinearDemand])
+def test_quantile_stays_in_a_support_far_from_zero(law):
+    # hi - (hi - lo) rounds to 0 here, below lo, where the density is 0
+    d = law(1e-20, 1.0)
+    assert d.quantile(0.0) == 1e-20
+    assert d.pdf(d.quantile(0.0)) == d.tail_power
 
 
 def test_uniform_pdf_values():
@@ -133,27 +184,11 @@ def test_linear_demand_shape():
     assert d.quantile(0.75) == pytest.approx(25.0 - 25.0 * 0.5)
 
 
-@pytest.mark.parametrize("demand", [UniformDemand(0.0, 25.0), LinearDemand(0.0, 25.0)])
-def test_sampler_matches_cdf(demand):
-    rng = np.random.Generator(np.random.PCG64(17))
-    draws = demand.sample(rng, size=200000)
-    assert np.all((draws >= demand.lo) & (draws <= demand.hi))
-    for q in (0.25, 0.5, 0.9):
-        z = demand.quantile(q)
-        # binomial standard error at 2e5 samples is about 0.001
-        assert np.mean(draws <= z) == pytest.approx(q, abs=0.005)
-
-
 def test_demand_rejects_bad_support():
     with pytest.raises(ValueError):
         UniformDemand(5.0, 5.0)
     with pytest.raises(ValueError):
         UniformDemand(-1.0, 25.0)
-
-
-def test_demand_admissibility_flags():
-    assert UniformDemand(0.0, 25.0).admissible()
-    assert LinearDemand(0.0, 25.0).admissible()
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +210,9 @@ def test_own_profit_half_capacity(example_mu):
 
 def test_own_profit_monte_carlo(example_mu):
     rng = np.random.Generator(np.random.PCG64(23))
-    draws = example_mu.demand.sample(rng, size=1_000_000)
+    d = example_mu.demand
+    # inverse transform through the oracle's own quantile
+    draws = dist_quantile(d.kind, d.lo, d.hi, rng.uniform(0.0, 1.0, size=1_000_000))
     served = np.minimum(draws, 20.0)
     se = np.std(served) / math.sqrt(draws.size)
     assert abs(np.mean(served) - mu_own_profit(example_mu, 20.0)) < max(3.0 * se, 1e-2)
@@ -197,15 +234,19 @@ def test_own_profit_quad_agrees_with_oracle():
 
 
 def test_linear_expected_min_pinned_by_mpmath():
+    # both laws: the density is 1 / w (uniform) or 2 (hi - z) / w**2 (linear)
     mpmath = pytest.importorskip("mpmath")
-    for lo, hi in ((0.0, 25.0), (4.0, 18.0)):
-        d = LinearDemand(lo, hi)
+    for d in LAWS:
+        lo, hi = d.lo, d.hi
         for r in (0.0, lo, 0.5 * (lo + hi), 12.5, hi, 27.5):
             # split at the kink of min(z, r) when it lies inside the support
             nodes = [lo, r, hi] if lo < r < hi else [lo, hi]
             with mpmath.workdps(40):
                 w = mpmath.mpf(hi) - lo
-                want = mpmath.quad(lambda z: min(z, r) * 2 * (hi - z) / w**2, nodes)
+                if d.kind == "uniform":
+                    want = mpmath.quad(lambda z: min(z, r) / w, nodes)
+                else:
+                    want = mpmath.quad(lambda z: min(z, r) * 2 * (hi - z) / w**2, nodes)
             assert abs(d.expected_min(r) - float(want)) <= 1e-13
 
 
