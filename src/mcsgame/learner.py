@@ -473,8 +473,10 @@ class TrainConfig:
             raise ValueError("clip_epsilon must lie in (0, 1)")
         if min(self.steps_per_batch, self.update_epochs, self.episodes) < 1:
             raise ValueError("steps_per_batch, update_epochs and episodes must be >= 1")
-        if not (self.actor_lr > 0.0 and self.critic_lr > 0.0):
-            raise ValueError("learning rates must be positive")
+        if not (0.0 < self.actor_lr < math.inf and 0.0 < self.critic_lr < math.inf):
+            raise ValueError("learning rates must be positive and finite")
+        if not math.isfinite(self.log_std_init):
+            raise ValueError("log_std_init must be finite")
         if not self.hidden or min(self.hidden) < 1:
             raise ValueError("hidden sizes must be positive")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))

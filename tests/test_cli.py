@@ -226,6 +226,7 @@ _BAD_SCENARIO = [
     "scenario.capacity=true",
     "scenario.own_value_range=[0,true]",
     "scenario.capacity=1" + "0" * 309,  # an int too large for a float
+    "solver.tol=1e400",
 ]
 _BAD_TRAIN = [
     "train.steps_per_batch=2.5",
@@ -234,6 +235,9 @@ _BAD_TRAIN = [
     "env.history_rounds=2.5",
     "train.seed=2.5",
     "train.hidden=[2.5]",
+    "train.actor_lr=1e400",
+    "train.critic_lr=1e400",
+    "train.log_std_init=NaN",  # json.loads accepts NaN
 ]
 _BAD_SWEEP = [
     "sweep.values=[true,2]",
