@@ -23,7 +23,6 @@ from dataclasses import asdict, fields
 
 from . import __version__
 from .dynamics import EnvConfig, step_trace_columns, step_trace_row
-from .follower import best_response
 from .experiments import (
     SWEEP_FIELDS,
     BaselineResult,
@@ -221,6 +220,21 @@ def _draw(out_dir: str, x_label: str, charts) -> list[str]:
     return [chart[0] for chart in charts]
 
 
+def _face(row: UserRow) -> str:
+    """Which face of its allocation box a user's equilibrium sale lies on.
+
+    The box is [max(capacity - demand_hi, 0), max(capacity - demand_lo,
+    0)].  The solver prices a user at the bottom of the box at its
+    threshold and one at the top at its own value, so the box's faces
+    are the follower's below-threshold and at-capacity regions.
+    """
+    if row.x_star == max(row.capacity - row.demand_hi, 0.0):
+        return "below_threshold"
+    if row.x_star == max(row.capacity - row.demand_lo, 0.0):
+        return "at_capacity"
+    return "interior"
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -228,10 +242,7 @@ def _draw(out_dir: str, x_label: str, charts) -> list[str]:
 def cmd_static(setup: RunSetup, out_dir: str) -> int:
     scenario = generate_scenario(setup.spec, setup.seed)
     res = compute_se(scenario, setup.solver)
-    users = [
-        dict(vars(row), region=best_response(mu, row.p_star).region.name.lower())
-        for mu, row in zip(scenario.mus, user_rows(scenario, res))
-    ]
+    users = [dict(vars(row), region=_face(row)) for row in user_rows(scenario, res)]
     summary = dict(vars(market_summary("static", scenario, res)), seed=setup.seed)
 
     os.makedirs(out_dir, exist_ok=True)

@@ -9,17 +9,26 @@ history and whatever the acting policy injects.
 The platform-side learner is only ever handed states and rewards, never
 user profiles, so everything private to the users stays behind
 env_step.
+
+env_step runs once per training step, so it checks its inputs once, at
+its entry (the action's shape and finiteness, the state's shape), and
+builds no per-step objects beyond the next GameState and a Transition
+record whose fields are plain arrays and floats.  The users' constants
+(margin, price threshold, own-use profit of the whole capacity) are
+cached on each MuProfile, and the responses and payoffs come from the
+same formulas the static solver uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .follower import best_response
-from .model import PriceProfile, Scenario, mu_payoff, sp_payoff
+from .follower import sale
+from .model import Scenario, _sp_payoff, mu_payoff
 
 __all__ = [
     "EnvConfig",
@@ -102,12 +111,15 @@ class GameState:
         return self.prices.shape[1]
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One environment step.  action holds the executed (clamped) prices."""
+class Transition(NamedTuple):
+    """One environment step.
+
+    action holds the executed (clamped) prices as a read-only array;
+    the allocations the users sold are next_state.allocations[-1].
+    """
 
     state: GameState
-    action: PriceProfile
+    action: np.ndarray
     reward: float
     next_state: GameState
     sp_payoff: float
@@ -116,10 +128,12 @@ class Transition:
 
 
 def respond(scenario: Scenario, prices: np.ndarray) -> np.ndarray:
-    """Myopic best-response allocations of every user to posted prices."""
-    return np.array([
-        best_response(mu, float(prices[i])).allocation for i, mu in enumerate(scenario.mus)
-    ])
+    """Myopic best-response allocations of every user to posted prices.
+
+    prices must be finite and non-negative; env_reset and env_step check
+    them once, so no price is checked again here.
+    """
+    return np.array([sale(mu, p)[0] for mu, p in zip(scenario.mus, prices.tolist())])
 
 
 def env_reset(
@@ -141,40 +155,59 @@ def env_reset(
         prices = np.array(initial_prices, dtype=float)
         if prices.shape != shape:
             raise ValueError(f"initial_prices must have shape {shape}, got {prices.shape}")
+        if not np.isfinite(prices).all():
+            raise ValueError("initial_prices must be finite")
         if np.any(prices < 0.0) or np.any(prices > config.p_max):
             raise ValueError("initial_prices must lie in [0, p_max]")
     allocations = np.array([respond(scenario, prices[t]) for t in range(shape[0])])
     return GameState(prices=prices, allocations=allocations)
 
 
+def _next_state(prices: np.ndarray, allocations: np.ndarray) -> GameState:
+    """A GameState around two fresh read-only windows, which need no copy or check."""
+    state = object.__new__(GameState)
+    object.__setattr__(state, "prices", prices)
+    object.__setattr__(state, "allocations", allocations)
+    return state
+
+
 def env_step(scenario: Scenario, config: EnvConfig, state: GameState, action) -> Transition:
-    """Post prices, collect responses, and slide the history window."""
+    """Post prices, collect responses, and slide the history window.
+
+    The step's inputs are checked here, once: the action's shape and
+    finiteness and the state's shape.  The executed prices are then
+    non-negative, finite and of the users' count, and the responses,
+    payoffs and next window are computed from them without further
+    checks.
+    """
     raw = np.asarray(getattr(action, "values", action), dtype=float)
     if raw.shape != (scenario.n,):
         raise ValueError(f"action must have {scenario.n} entries, got shape {raw.shape}")
-    if not np.isfinite(raw).all():
+    requested = raw.tolist()
+    if not all(map(math.isfinite, requested)):
         raise ValueError("action prices must be finite")
-    if state.window != config.history_rounds or state.n_mus != scenario.n:
+    if state.prices.shape != (config.history_rounds, scenario.n):
         raise ValueError("state shape does not match scenario and config")
-    executed = raw.clip(0.0, config.p_max)
-    clamped = bool((executed != raw).any())
+    # np.clip(raw, 0, p_max) bit for bit (a -0.0 stays -0.0), without
+    # its per-call cost
+    p_max = config.p_max
+    prices = [0.0 if v < 0.0 else (p_max if v > p_max else v) for v in requested]
+    executed = np.array(prices)
+    executed.flags.writeable = False
     alloc = respond(scenario, executed)
-    payoff = sp_payoff(alloc, executed, scenario.utility_scale)
+    payoff = _sp_payoff(alloc, executed, scenario.utility_scale)
     payoffs = np.array([
-        mu_payoff(mu, float(alloc[i]), float(executed[i])) for i, mu in enumerate(scenario.mus)
+        mu_payoff(mu, x, p) for mu, x, p in zip(scenario.mus, alloc.tolist(), prices)
     ])
-    next_state = GameState(
-        prices=_slide(state.prices, executed),
-        allocations=_slide(state.allocations, alloc),
-    )
+    next_state = _next_state(_slide(state.prices, executed), _slide(state.allocations, alloc))
     return Transition(
         state=state,
-        action=PriceProfile(executed),
+        action=executed,
         reward=config.reward_scale * payoff,
         next_state=next_state,
         sp_payoff=payoff,
         mu_payoffs=payoffs,
-        clamped=clamped,
+        clamped=prices != requested,
     )
 
 
@@ -205,9 +238,9 @@ def step_trace_row(episode: int, step: int, tr: Transition) -> list:
     """One row of the per-step trace CSV, in step_trace_columns order."""
     return (
         [episode, step]
-        + [float(v) for v in tr.action.values]
-        + [float(v) for v in tr.next_state.allocations[-1]]
+        + tr.action.tolist()
+        + tr.next_state.allocations[-1].tolist()
         + [tr.sp_payoff, tr.reward]
-        + [float(v) for v in tr.mu_payoffs]
+        + tr.mu_payoffs.tolist()
         + [tr.clamped]
     )

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import MuProfile
 
-__all__ = ["Region", "BestResponse", "price_threshold", "best_response", "foc_residual"]
+__all__ = ["Region", "BestResponse", "price_threshold", "sale", "best_response", "foc_residual"]
 
 
 class Region(enum.Enum):
@@ -26,8 +26,7 @@ class Region(enum.Enum):
     AT_CAPACITY = "at_capacity"
 
 
-@dataclass(frozen=True)
-class BestResponse:
+class BestResponse(NamedTuple):
     """Optimal sale with its first two price sensitivities.
 
     slope is d(allocation)/d(price) and curvature the second derivative;
@@ -44,45 +43,64 @@ class BestResponse:
     curvature: float
 
 
+# module constants: reading a member off the Enum class costs about as
+# much as the rest of a response's branch test
+_AT_CAPACITY = Region.AT_CAPACITY
+_BELOW_THRESHOLD = Region.BELOW_THRESHOLD
+_INTERIOR = Region.INTERIOR
+
+
 def price_threshold(mu: MuProfile) -> float:
     """Lowest price at which selling anything can beat keeping all.
 
-    Equals unit_cost + (own_value - unit_cost) * P(demand > capacity).
-    When demand never reaches capacity this collapses to unit_cost, and
-    when demand always exceeds capacity it collapses to own_value.
+    Equals unit_cost + (own_value - unit_cost) * P(demand > capacity),
+    computed once per user by MuProfile.  When demand never reaches
+    capacity this collapses to unit_cost, and when demand always exceeds
+    capacity it collapses to own_value.
     """
-    tail = 1.0 - mu.demand.cdf(mu.capacity)
-    return mu.unit_cost + (mu.own_value - mu.unit_cost) * tail
+    return mu._threshold
+
+
+def sale(mu: MuProfile, price: float) -> tuple[float, Region, float]:
+    """(allocation, region, kept demand quantile) of the optimal sale.
+
+    The one formula for the allocation; price must be finite and
+    non-negative, which this does not check.  Closed boundary prices
+    belong to the interior branch, and prices strictly above own_value
+    sell the whole capacity.  Outside the interior the kept quantile is
+    what the user keeps, capacity - allocation.
+    """
+    if price > mu.own_value:
+        return mu.capacity, _AT_CAPACITY, 0.0
+    if price < mu._threshold:
+        return 0.0, _BELOW_THRESHOLD, mu.capacity
+    ratio = (mu.own_value - price) / mu._margin
+    kept = mu.demand.quantile(min(max(ratio, 0.0), 1.0))
+    return min(max(mu.capacity - kept, 0.0), mu.capacity), _INTERIOR, kept
 
 
 def best_response(mu: MuProfile, price: float) -> BestResponse:
     """Maximize the user's payoff over allocations in [0, capacity].
 
-    Closed boundary prices belong to the interior branch.  Prices
-    strictly above own_value sell the whole capacity.
+    The sale with its slope and curvature in price on the interior
+    branch.
     """
     if not (math.isfinite(price) and price >= 0.0):
         raise ValueError(f"price must be finite and non-negative, got {price}")
-    if price > mu.own_value:
-        return BestResponse(mu.capacity, Region.AT_CAPACITY, 0.0, 0.0)
-    if price < price_threshold(mu):
-        return BestResponse(0.0, Region.BELOW_THRESHOLD, 0.0, 0.0)
-
-    margin = mu.own_value - mu.unit_cost
-    ratio = (mu.own_value - price) / margin
-    ratio = min(max(ratio, 0.0), 1.0)
-    kept = mu.demand.quantile(ratio)
-    alloc = min(max(mu.capacity - kept, 0.0), mu.capacity)
+    alloc, region, kept = sale(mu, price)
+    if region is not _INTERIOR:
+        return BestResponse(alloc, region, 0.0, 0.0)
     dens = mu.demand.pdf(kept)
     if dens <= 0.0:
         # only reachable at price == unit_cost with capacity past the
         # demand support and a density vanishing at its upper end: the
         # right-hand limit, where the response leaves the lower face
         # with unbounded slope
-        return BestResponse(alloc, Region.INTERIOR, math.inf, -math.inf)
+        return BestResponse(alloc, region, math.inf, -math.inf)
+    margin = mu._margin
     slope = 1.0 / (dens * margin)
     curvature = mu.demand.pdf_slope(kept) / (dens**3 * margin**2)
-    return BestResponse(alloc, Region.INTERIOR, slope, curvature)
+    return BestResponse(alloc, region, slope, curvature)
 
 
 def foc_residual(mu: MuProfile, x: float, price: float) -> float:
@@ -93,5 +111,4 @@ def foc_residual(mu: MuProfile, x: float, price: float) -> float:
     """
     if not 0.0 <= x <= mu.capacity:
         raise ValueError(f"x must lie in [0, {mu.capacity}], got {x}")
-    margin = mu.own_value - mu.unit_cost
-    return margin * (mu.demand.cdf(mu.capacity - x) - 1.0) + price - mu.unit_cost
+    return mu._margin * (mu.demand.cdf(mu.capacity - x) - 1.0) + price - mu.unit_cost

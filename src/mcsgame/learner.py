@@ -574,7 +574,7 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
             feats = observe(state, policy.obs_price_scale)
             sum_reward += tr.reward
             sum_payoff += tr.sp_payoff
-            sum_prices += tr.action.values
+            sum_prices += tr.action
             sum_allocs += tr.next_state.allocations[-1]
             sum_mu_payoffs += tr.mu_payoffs
         if buffer.size != cfg.steps_per_batch:

@@ -177,6 +177,13 @@ class MuProfile:
     own_value is the revenue per unit of own demand served; unit_cost is
     paid per unit of resource spent on either use.  Selling is only ever
     interesting when own_value exceeds unit_cost, so that is enforced.
+
+    Three constants of the user are computed once per instance, the way
+    DemandDistribution keeps its own: the margin own_value - unit_cost,
+    the price threshold below which nothing is sold (see
+    follower.price_threshold) and the own-use profit of keeping the
+    whole capacity, mu_own_profit(mu, capacity).  Every payoff and
+    response reads them instead of deriving them on each call.
     """
 
     capacity: float
@@ -193,6 +200,12 @@ class MuProfile:
             )
         if not math.isfinite(self.own_value):
             raise ValueError("own_value must be finite")
+        margin = self.own_value - self.unit_cost
+        tail = 1.0 - self.demand.cdf(self.capacity)
+        put = object.__setattr__  # the instance is frozen
+        put(self, "_margin", margin)
+        put(self, "_threshold", self.unit_cost + margin * tail)
+        put(self, "_full_profit", mu_own_profit(self, self.capacity))
 
 
 @dataclass(frozen=True)
@@ -257,23 +270,32 @@ class AllocationProfile:
 # platform side
 
 
+def _allocations(x) -> np.ndarray:
+    arr = _as_vector(x)
+    if (arr < 0.0).any() or not np.isfinite(arr).all():
+        raise ValueError("allocations must be finite and non-negative")
+    return arr
+
+
+def _scale(utility_scale: float) -> float:
+    if not utility_scale > 0.0:
+        raise ValueError("utility_scale must be positive")
+    return utility_scale
+
+
 def aggregate_contribution(x) -> float:
     """Diminishing-returns index of an allocation profile.
 
     Returns 1 + sum_n ln(1 + x_n).  The empty contribution maps to 1 so
     the platform utility below is 0 when nothing is bought.
     """
-    arr = _as_vector(x)
-    if (arr < 0.0).any() or not np.isfinite(arr).all():
-        raise ValueError("allocations must be finite and non-negative")
-    return 1.0 + float(np.log1p(arr).sum())
+    return _aggregate(_allocations(x))
 
 
 def sp_utility(x, utility_scale: float) -> float:
     """Platform gross utility, utility_scale * ln(aggregate contribution)."""
-    if not utility_scale > 0.0:
-        raise ValueError("utility_scale must be positive")
-    return utility_scale * math.log(aggregate_contribution(x))
+    scale = _scale(utility_scale)
+    return _utility(_allocations(x), scale)
 
 
 def sp_payoff(x, p, utility_scale: float) -> float:
@@ -282,7 +304,25 @@ def sp_payoff(x, p, utility_scale: float) -> float:
     pa = _as_vector(p)
     if xa.shape != pa.shape:
         raise ValueError(f"length mismatch: x has {xa.size} entries, p has {pa.size}")
-    return sp_utility(xa, utility_scale) - float(pa @ xa)
+    scale = _scale(utility_scale)
+    return _sp_payoff(_allocations(xa), pa, scale)
+
+
+# The formula cores below take float64 vectors that the public functions
+# above (or dynamics.env_step, at its entry) have checked: x finite and
+# non-negative, p of the same length, utility_scale positive.
+
+
+def _aggregate(x: np.ndarray) -> float:
+    return 1.0 + float(np.log1p(x).sum())
+
+
+def _utility(x: np.ndarray, utility_scale: float) -> float:
+    return utility_scale * math.log(_aggregate(x))
+
+
+def _sp_payoff(x: np.ndarray, p: np.ndarray, utility_scale: float) -> float:
+    return _utility(x, utility_scale) - float(p.dot(x))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +339,7 @@ def mu_own_profit(mu: MuProfile, remaining: float) -> float:
         raise ValueError(
             f"remaining must lie in [0, {mu.capacity}], got {remaining}"
         )
-    return (mu.own_value - mu.unit_cost) * mu.demand.expected_min(remaining)
+    return mu._margin * mu.demand.expected_min(remaining)
 
 
 def mu_payoff(mu: MuProfile, x: float, price: float) -> float:
@@ -312,5 +352,4 @@ def mu_payoff(mu: MuProfile, x: float, price: float) -> float:
     if price < 0.0:
         raise ValueError(f"price must be non-negative, got {price}")
     kept = mu_own_profit(mu, mu.capacity - x)
-    full = mu_own_profit(mu, mu.capacity)
-    return kept - full - mu.unit_cost * x + price * x
+    return kept - mu._full_profit - mu.unit_cost * x + price * x

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from mcsgame.cli import main
+from mcsgame.cli import _face, main
+from mcsgame.experiments import user_rows
 from mcsgame.gradcheck import CHECK_NAMES, run_all
 from mcsgame.leader import compute_se
 from mcsgame.learner import load_policy
+from mcsgame.model import LinearDemand, MuProfile, Scenario, UniformDemand
 from oracles import leader_grid_best_uniform_n1
 
 
@@ -63,6 +65,45 @@ def test_static_writes_equilibrium_files(tmp_path):
     header, rows = _read_csv(out / "equilibrium.csv")
     assert len(rows) == 5
     assert [r[header.index("mu_index")] for r in rows] == ["1", "2", "3", "4", "5"]
+
+
+def test_region_is_the_face_of_the_allocation_box():
+    # utility scale 4, demand on [4, 25]: the allocation box is
+    # [max(cap - 25, 0), cap - 4]; the third user's thin margin keeps it
+    # at its threshold, the fourth (capacity past the support) at x = 5,
+    # and the last one's low own value puts it at capacity
+    mus = (
+        MuProfile(20.0, 0.6, 0.1, LinearDemand(4.0, 25.0)),
+        MuProfile(20.0, 0.6, 0.1, UniformDemand(4.0, 25.0)),
+        MuProfile(20.0, 1.0, 0.95, UniformDemand(4.0, 25.0)),
+        MuProfile(30.0, 1.0, 0.97, LinearDemand(4.0, 25.0)),
+        MuProfile(20.0, 0.01, 0.0, UniformDemand(4.0, 25.0)),
+    )
+    scenario = Scenario(4.0, mus)
+    rows = user_rows(scenario, compute_se(scenario))
+    assert [_face(row) for row in rows] == [
+        "interior", "interior", "below_threshold", "below_threshold", "at_capacity",
+    ]
+    assert [row.x_star for row in rows][2:] == [0.0, 5.0, 16.0]
+
+
+@pytest.mark.parametrize("capacity, seed, regions", [
+    (30, 3, {"interior", "below_threshold"}),
+    (5, 1, {"interior", "at_capacity"}),
+])
+def test_static_region_column_reads_the_face(tmp_path, capacity, seed, regions):
+    out = tmp_path / "run"
+    assert main(["static", "--seed", str(seed), "--set", f"scenario.capacity={capacity}",
+                 "--out", str(out)]) == 0
+    header, rows = _read_csv(out / "equilibrium.csv")
+    col = {name: header.index(name) for name in header}
+    for r in rows:
+        x, cap = float(r[col["x_star"]]), float(r[col["capacity"]])
+        lo, hi = float(r[col["demand_lo"]]), float(r[col["demand_hi"]])
+        face = ("below_threshold" if x == max(cap - hi, 0.0)
+                else "at_capacity" if x == max(cap - lo, 0.0) else "interior")
+        assert r[col["region"]] == face
+    assert {r[col["region"]] for r in rows} == regions
 
 
 def test_static_reruns_byte_identical(tmp_path):

@@ -12,8 +12,9 @@ from mcsgame.dynamics import (
     step_trace_columns,
     step_trace_row,
 )
+from mcsgame.follower import best_response, price_threshold
 from mcsgame.leader import compute_se
-from mcsgame.model import LinearDemand, MuProfile, Scenario, UniformDemand
+from mcsgame.model import LinearDemand, MuProfile, Scenario, UniformDemand, mu_payoff, sp_payoff
 from conftest import make_scenario
 
 
@@ -72,8 +73,75 @@ def test_reset_rejects_bad_initial_prices(five_mu_scenario):
         env_reset(five_mu_scenario, cfg, _rng(0), initial_prices=np.full((2, 5), 2.0))
 
 
+def test_reset_rejects_non_finite_initial_prices(five_mu_scenario):
+    cfg = EnvConfig(history_rounds=2)
+    for bad in (np.nan, np.inf, -np.inf):
+        prices = np.full((2, 5), 0.5)
+        prices[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            env_reset(five_mu_scenario, cfg, _rng(0), initial_prices=prices)
+
+
 # ---------------------------------------------------------------------------
 # step
+
+# Price kinds each user is stepped at: below its threshold, at it,
+# interior, at own_value, above own_value, and clamped from either side
+# of [0, p_max = 1].
+_PRICE_KINDS = (
+    lambda mu: 0.5 * price_threshold(mu),
+    price_threshold,
+    lambda mu: 0.5 * (price_threshold(mu) + mu.own_value),
+    lambda mu: mu.own_value,
+    lambda mu: 0.5 * (mu.own_value + 1.0),
+    lambda mu: 1.7,
+    lambda mu: -0.2,
+)
+
+
+@pytest.mark.parametrize("law", [UniformDemand, LinearDemand])
+@pytest.mark.parametrize("demand_lo", [0.0, 4.0])
+def test_step_matches_the_public_formulas_bit_for_bit(law, demand_lo):
+    mus = tuple(
+        MuProfile(cap, value, cost, law(demand_lo, 25.0))
+        for cap, value, cost in (
+            (20.0, 0.9, 0.2), (30.0, 0.8, 0.1), (20.0, 0.7, 0.3), (5.0, 0.95, 0.05),
+            (20.0, 0.6, 0.0), (25.0, 0.85, 0.4), (20.0, 0.5, 0.45),
+        )
+    )
+    scenario = Scenario(50.0, mus)
+    cfg = EnvConfig(history_rounds=2)
+    state = env_reset(scenario, cfg, _rng(0))
+    for shift in range(len(_PRICE_KINDS)):
+        # every user meets every kind once over the shifts
+        action = np.array([
+            _PRICE_KINDS[(i + shift) % len(_PRICE_KINDS)](mu) for i, mu in enumerate(mus)
+        ])
+        tr = env_step(scenario, cfg, state, action)
+        executed = np.clip(action, 0.0, cfg.p_max)
+        alloc = np.array([best_response(mu, p).allocation for mu, p in zip(mus, executed)])
+        payoff = sp_payoff(alloc, executed, scenario.utility_scale)
+        assert tr.state is state
+        assert np.array_equal(tr.action, executed) and not tr.action.flags.writeable
+        assert np.array_equal(tr.next_state.allocations[-1], alloc)
+        assert np.array_equal(tr.next_state.allocations[:-1], state.allocations[1:])
+        assert np.array_equal(tr.next_state.prices, np.vstack([state.prices[1:], executed]))
+        assert tr.sp_payoff == payoff
+        assert tr.reward == cfg.reward_scale * payoff
+        assert np.array_equal(
+            tr.mu_payoffs, [mu_payoff(mu, x, p) for mu, x, p in zip(mus, alloc, executed)]
+        )
+        assert tr.clamped is True
+        state = tr.next_state
+
+
+def test_step_keeps_the_sign_of_a_zero_price_as_clip_does(five_mu_scenario):
+    cfg = EnvConfig()
+    state = env_reset(five_mu_scenario, cfg, _rng(1))
+    action = np.array([-0.0, 0.0, 0.3, 0.6, 0.9])
+    tr = env_step(five_mu_scenario, cfg, state, action)
+    assert np.array_equal(np.signbit(tr.action), np.signbit(np.clip(action, 0.0, cfg.p_max)))
+    assert not tr.clamped
 
 
 def test_step_at_static_optimum_reproduces_payoff():
@@ -121,8 +189,8 @@ def test_step_clamps_and_flags(five_mu_scenario):
     state = env_reset(five_mu_scenario, cfg, _rng(5))
     tr = env_step(five_mu_scenario, cfg, state, np.array([2.0, -0.5, 0.5, 0.5, 0.5]))
     assert tr.clamped
-    assert tr.action.values[0] == 1.0
-    assert tr.action.values[1] == 0.0
+    assert tr.action[0] == 1.0
+    assert tr.action[1] == 0.0
     in_range = env_step(five_mu_scenario, cfg, state, np.full(5, 0.7))
     assert not in_range.clamped
 

@@ -1,0 +1,39 @@
+"""Smoke test of tools/layer_bench.py, the per-layer timing of a PPO step."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_layer_bench_writes_one_record_per_layer(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "layer_bench.py"), "--label", "smoke",
+         "--out", str(tmp_path), "--repeats", "2", "--passes", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert record["label"] == "smoke"
+    assert record["repeats"] == 2 and record["passes"] == 1
+    assert record["cpu_count"] >= 1
+    assert record["python"].count(".") == 2 and record["numpy"]
+    assert record["config"]["users"] == 5
+    layers = record["layers"]
+    assert sorted(layers) == ["critic_forward", "env_step", "policy_sample", "ppo_update"]
+    steps = record["config"]["steps_per_batch"]
+    for name, row in layers.items():
+        assert row["calls_per_repeat"] == (1 if name == "ppo_update" else steps)
+        assert 0.0 < row["min_us"] <= row["q1_us"] <= row["median_us"] <= row["q3_us"]
+
+
+def test_layer_bench_rejects_a_single_repeat(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "layer_bench.py"), "--out", str(tmp_path),
+         "--repeats", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert not list(tmp_path.iterdir())

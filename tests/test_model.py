@@ -17,6 +17,7 @@ from mcsgame.model import (
     sp_payoff,
     sp_utility,
 )
+from mcsgame.follower import price_threshold
 from oracles import (
     dist_cdf,
     dist_pdf,
@@ -312,6 +313,20 @@ def test_mu_profile_validation():
         MuProfile(20.0, 0.3, 0.3, d)
     with pytest.raises(ValueError):
         MuProfile(20.0, 0.2, 0.5, d)
+
+
+@pytest.mark.parametrize("demand", LAWS)
+@pytest.mark.parametrize("capacity", [3.0, 10.0, 20.0, 30.0])
+def test_mu_profile_caches_its_constants(demand, capacity):
+    mu = MuProfile(capacity, 0.9, 0.2, demand)
+    margin = mu.own_value - mu.unit_cost
+    full = margin * demand.expected_min(capacity)
+    assert mu._margin == margin
+    assert price_threshold(mu) == mu.unit_cost + margin * (1.0 - demand.cdf(capacity))
+    assert mu_own_profit(mu, capacity) == full
+    for x in (0.0, 0.4 * capacity, capacity):
+        kept = margin * demand.expected_min(capacity - x)
+        assert mu_payoff(mu, x, 0.55) == kept - full - mu.unit_cost * x + 0.55 * x
 
 
 def test_scenario_validation(example_mu):

@@ -1,0 +1,187 @@
+"""Time the layers of one PPO training step at the default configuration.
+
+    python tools/layer_bench.py [--label NAME] [--src DIR] [--out DIR]
+                                [--repeats R] [--passes K]
+
+The default configuration is the `train` command's: 5 users drawn from
+seed 7, EnvConfig() and TrainConfig(seed=7).  One training episode
+gives a policy; one more rollout of steps_per_batch steps under that
+policy records the states, features and raw (unclamped) actions the
+layers below are timed on:
+
+- env_step: one environment step on a recorded (state, action) pair;
+- policy_sample: one action draw on recorded features;
+- critic_forward: the critic network on recorded features;
+- ppo_update: the episode batch built once and update_epochs actor and
+  critic gradient evaluations on it, as in `train`; the parameters are
+  held fixed, so every repeat times the same work (the parameter steps
+  themselves, a few array additions per epoch, are not timed).
+
+A repeat makes K passes over the recorded steps for the per-step layers
+and one update for ppo_update, with the garbage collector off, as
+timeit does.  The result holds the median, quartiles and minimum over R
+repeats in microseconds per call, with the Python and numpy versions
+and the CPU count, and is written to BENCH_<label>.json.  Standard
+library and numpy only; the package is imported from --src (default:
+src/ next to this directory), so a checkout of another commit can be
+timed with the same script.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread; must be set before numpy loads
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import gc  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 7
+
+
+def _timed(fn, repeats: int, calls: int) -> dict:
+    """Median, quartiles and minimum over repeats of fn(), in us per call."""
+    per_call = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fn()
+            per_call.append((time.perf_counter() - start) / calls * 1e6)
+    finally:
+        if enabled:
+            gc.enable()
+    q1, median, q3 = statistics.quantiles(per_call, n=4, method="inclusive")
+    return {"median_us": median, "q1_us": q1, "q3_us": q3, "min_us": min(per_call),
+            "calls_per_repeat": calls}
+
+
+def measure(repeats: int, passes: int) -> dict:
+    import numpy as np
+
+    from mcsgame.dynamics import EnvConfig, env_reset, env_step
+    from mcsgame.experiments import ScenarioSpec, generate_scenario
+    from mcsgame.learner import (
+        TrainConfig,
+        TrajectoryBuffer,
+        critic_loss_and_gradient,
+        mlp_forward,
+        observe,
+        policy_sample,
+        ppo_actor_gradient,
+        train,
+    )
+
+    scenario = generate_scenario(ScenarioSpec(), SEED)
+    env = EnvConfig()
+    cfg = TrainConfig(seed=SEED)
+    policy, _ = train(scenario, env, TrainConfig(seed=SEED, episodes=1))
+
+    rng = np.random.Generator(np.random.PCG64(SEED))
+    state = env_reset(scenario, env, rng)
+    buffer = TrajectoryBuffer(cfg.steps_per_batch)
+    steps = []  # (state, features, raw action)
+    for _ in range(cfg.steps_per_batch):
+        feats = observe(state, policy.obs_price_scale)
+        action, log_prob = policy_sample(policy, feats, rng)
+        value = float(mlp_forward(policy.critic, feats)[0])
+        tr = env_step(scenario, env, state, action)
+        buffer.add(feats, action, log_prob, tr.reward, value)
+        steps.append((state, feats, action))
+        state = tr.next_state
+    bootstrap = float(mlp_forward(policy.critic, observe(state, policy.obs_price_scale))[0])
+    calls = passes * len(steps)
+
+    def steps_pass():
+        for _ in range(passes):
+            for st, _, action in steps:
+                env_step(scenario, env, st, action)
+
+    def samples_pass():
+        for _ in range(passes):
+            for _, feats, _ in steps:
+                policy_sample(policy, feats, rng)
+
+    def critic_pass():
+        for _ in range(passes):
+            for _, feats, _ in steps:
+                mlp_forward(policy.critic, feats)
+
+    def update():
+        buffer.bootstrap_value = bootstrap  # drops the cached batch
+        for _ in range(cfg.update_epochs):
+            ppo_actor_gradient(policy, buffer, cfg.clip_epsilon, cfg.gamma)
+            critic_loss_and_gradient(policy, buffer, cfg.gamma)
+
+    layers = {}
+    for name, fn, n in (
+        ("env_step", steps_pass, calls),
+        ("policy_sample", samples_pass, calls),
+        ("critic_forward", critic_pass, calls),
+        ("ppo_update", update, 1),
+    ):
+        fn()  # warm-up
+        layers[name] = _timed(fn, repeats, n)
+    return {
+        "config": {
+            "users": scenario.n,
+            "seed": SEED,
+            "steps_per_batch": cfg.steps_per_batch,
+            "update_epochs": cfg.update_epochs,
+            "hidden": list(cfg.hidden),
+        },
+        "numpy": np.__version__,
+        "layers": layers,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", default="local", help="names the output BENCH_<label>.json")
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding mcsgame")
+    parser.add_argument("--out", default=str(ROOT), help="directory to write the JSON file to")
+    parser.add_argument("--repeats", type=int, default=21, help="timed repeats per layer")
+    parser.add_argument("--passes", type=int, default=10,
+                        help="passes over the recorded steps per repeat")
+    args = parser.parse_args(argv)
+    if args.repeats < 2 or args.passes < 1:
+        parser.error("--repeats must be at least 2 and --passes at least 1")
+    if not args.label or any(c in args.label for c in "/\\"):
+        parser.error("--label must be a non-empty file name part")
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    result = measure(args.repeats, args.passes)
+    record = {
+        "label": args.label,
+        "python": platform.python_version(),
+        "numpy": result.pop("numpy"),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "repeats": args.repeats,
+        "passes": args.passes,
+        **result,
+    }
+    path = out_dir / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    width = max(len(name) for name in record["layers"])
+    for name, row in record["layers"].items():
+        print(f"{name.ljust(width)}  median {row['median_us']:10.2f} us  "
+              f"[{row['q1_us']:.2f}, {row['q3_us']:.2f}]")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
