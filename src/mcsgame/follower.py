@@ -99,7 +99,8 @@ def best_response(mu: MuProfile, price: float) -> BestResponse:
         return BestResponse(alloc, region, math.inf, -math.inf)
     margin = mu._margin
     slope = 1.0 / (dens * margin)
-    curvature = mu.demand.pdf_slope(kept) / (dens**3 * margin**2)
+    # dens**3 underflows to 0 once the support is wider than about 1e108
+    curvature = (mu.demand.pdf_slope(kept) / dens) * slope * slope
     return BestResponse(alloc, region, slope, curvature)
 
 

@@ -99,7 +99,8 @@ def _toy_policy(rng: np.random.Generator):
     return learner.PolicyParams(actor, log_std, critic, 1.0)
 
 
-def _toy_buffer(policy, rng: np.random.Generator, steps: int = 5):
+def _toy_batch(policy, rng: np.random.Generator, gamma: float, steps: int = 5):
+    """A random episode batch and the bootstrap value it was built with."""
     buf = learner.TrajectoryBuffer(steps)
     for _ in range(steps):
         feats = rng.uniform(-1.0, 1.0, size=6)
@@ -108,8 +109,8 @@ def _toy_buffer(policy, rng: np.random.Generator, steps: int = 5):
         # jitter the stored density so the ratios differ from 1
         logp = learner.gaussian_log_prob(mean, policy.log_std, action) + rng.uniform(-0.05, 0.05)
         buf.add(feats, action, logp, rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
-    buf.bootstrap_value = float(rng.uniform(0.0, 1.0))
-    return buf
+    bootstrap = float(rng.uniform(0.0, 1.0))
+    return buf.batch(bootstrap, gamma), bootstrap
 
 
 def _flat(arrays) -> np.ndarray:
@@ -161,8 +162,8 @@ def check_actor_gradient(seed: int, probes: int = 5, perturb: float = 0.0) -> Ch
     eps, gamma = 0.2, 0.9
     for _ in range(probes):
         policy = _toy_policy(rng)
-        buf = _toy_buffer(policy, rng)
-        g = learner.ppo_actor_gradient(policy, buf, eps, gamma)
+        batch, _ = _toy_batch(policy, rng, gamma)
+        g = learner.ppo_actor_gradient(policy, batch, eps)
         analytic = _flat([*g.mlp.weights, *g.mlp.biases, g.log_std]) * (1.0 + perturb)
         params = [*policy.actor.weights, *policy.actor.biases, policy.log_std]
         base = _flat(params)
@@ -170,10 +171,10 @@ def check_actor_gradient(seed: int, probes: int = 5, perturb: float = 0.0) -> Ch
             v = base.copy()
             v[i] += 1e-6
             _assign_flat(params, v)
-            up = learner.ppo_surrogate(policy, buf, eps, gamma)
+            up = learner.ppo_surrogate(policy, batch, eps)
             v[i] -= 2e-6
             _assign_flat(params, v)
-            dn = learner.ppo_surrogate(policy, buf, eps, gamma)
+            dn = learner.ppo_surrogate(policy, batch, eps)
             worst = max(worst, _rel_err(float(analytic[i]), (up - dn) / 2e-6))
         _assign_flat(params, base)
     return CheckResult("ppo_actor_gradient", probes, worst, 1e-4)
@@ -185,8 +186,8 @@ def check_critic_gradient(seed: int, probes: int = 5, perturb: float = 0.0) -> C
     gamma = 0.9
     for _ in range(probes):
         policy = _toy_policy(rng)
-        buf = _toy_buffer(policy, rng)
-        _, grads = learner.critic_loss_and_gradient(policy, buf, gamma)
+        batch, _ = _toy_batch(policy, rng, gamma)
+        _, grads = learner.critic_loss_and_gradient(policy, batch)
         analytic = _flat([*grads.weights, *grads.biases]) * (1.0 + perturb)
         params = [*policy.critic.weights, *policy.critic.biases]
         base = _flat(params)
@@ -194,10 +195,10 @@ def check_critic_gradient(seed: int, probes: int = 5, perturb: float = 0.0) -> C
             v = base.copy()
             v[i] += 1e-6
             _assign_flat(params, v)
-            up = learner.critic_loss_and_gradient(policy, buf, gamma)[0]
+            up = learner.critic_loss_and_gradient(policy, batch)[0]
             v[i] -= 2e-6
             _assign_flat(params, v)
-            dn = learner.critic_loss_and_gradient(policy, buf, gamma)[0]
+            dn = learner.critic_loss_and_gradient(policy, batch)[0]
             worst = max(worst, _rel_err(float(analytic[i]), (up - dn) / 2e-6))
         _assign_flat(params, base)
     return CheckResult("critic_gradient", probes, worst, 1e-4)

@@ -9,11 +9,13 @@ steps computed by hand; there is no autograd, optimizer state, GAE,
 entropy bonus or mini-batching.
 
 Each episode's work is done once.  The rollout observes every state
-once and fills a preallocated TrajectoryBuffer in place.  After the
-bootstrap value is set, the buffer builds one EpisodeBatch (the stacked
-records, the return targets and the advantages), and every inner update
-epoch reads that batch.  The actor and critic gradients backpropagate
-through the forward pass they have just computed on it.
+once and fills a preallocated TrajectoryBuffer in place.  The buffer
+then builds one read-only EpisodeBatch (the stacked records, the return
+targets and the advantages) from the bootstrap value V(s(D+1)) and
+gamma, and train hands that batch to every inner update epoch and to
+the episode's final surrogate.  The PPO functions read only the batch
+they are given.  The actor and critic gradients backpropagate through
+the forward pass they have just computed on it.
 
 This module sees the game only through dynamics.env_reset/env_step and
 the (state, reward) stream they produce.  It never imports the market
@@ -252,7 +254,6 @@ class EpisodeBatch:
     epochs.
     """
 
-    gamma: float
     features: np.ndarray
     actions: np.ndarray
     log_probs: np.ndarray
@@ -262,16 +263,17 @@ class EpisodeBatch:
     advantages: np.ndarray
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 class TrajectoryBuffer:
     """On-policy records of the current episode, cleared every episode.
 
-    Steps are written in place into arrays sized for ``capacity`` steps.
-    The episode's batch (stacked records, return targets, advantages) is
-    built once by batch() after the bootstrap value is set, and every
-    update epoch reuses it; add, clear and a new bootstrap value drop it.
-    features, actions, log_probs, rewards and values are writable views
-    of the filled rows: after writing into them, set bootstrap_value
-    again so the batch is rebuilt.
+    Steps are written in place into arrays sized for ``capacity`` steps;
+    batch() turns the filled rows into the episode's EpisodeBatch.
     """
 
     def __init__(self, capacity: int):
@@ -283,8 +285,6 @@ class TrajectoryBuffer:
         self._log_probs = np.empty(self.capacity)
         self._rewards = np.empty(self.capacity)
         self._values = np.empty(self.capacity)
-        self._bootstrap = None
-        self._batch = None
 
     def add(self, feats, action, log_prob, reward, value):
         if self.size >= self.capacity:
@@ -303,68 +303,26 @@ class TrajectoryBuffer:
         self._rewards[k] = float(reward)
         self._values[k] = float(value)
         self.size = k + 1
-        self._batch = None
 
     def clear(self):
         self.size = 0
-        self.bootstrap_value = None
-
-    @property
-    def bootstrap_value(self) -> float | None:
-        """Critic value of the state after the last step, V(s(D+1))."""
-        return self._bootstrap
-
-    @bootstrap_value.setter
-    def bootstrap_value(self, value):
-        self._bootstrap = value
-        self._batch = None
-
-    @property
-    def features(self) -> np.ndarray:
-        return self._features[: self.size]
-
-    @property
-    def actions(self) -> np.ndarray:
-        return self._actions[: self.size]
-
-    @property
-    def log_probs(self) -> np.ndarray:
-        return self._log_probs[: self.size]
-
-    @property
-    def rewards(self) -> np.ndarray:
-        return self._rewards[: self.size]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values[: self.size]
 
     def stacked(self):
-        """Fresh copies of (features, actions, log_probs, rewards, values)."""
+        """Read-only copies of (features, actions, log_probs, rewards, values)."""
         if self.size == 0:
             raise ValueError("buffer is empty")
-        if self.bootstrap_value is None:
-            raise ValueError("bootstrap value has not been set")
-        return (
-            self.features.copy(),
-            self.actions.copy(),
-            self.log_probs.copy(),
-            self.rewards.copy(),
-            self.values.copy(),
-        )
+        records = (self._features, self._actions, self._log_probs, self._rewards, self._values)
+        return _read_only(*(arr[: self.size].copy() for arr in records))
 
-    def batch(self, gamma: float) -> EpisodeBatch:
-        """The episode's batch for discount gamma, built on first use."""
+    def batch(self, bootstrap: float, gamma: float) -> EpisodeBatch:
+        """The episode's batch for the bootstrap V(s(D+1)) and discount gamma."""
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if self._batch is None or self._batch.gamma != gamma:
-            feats, actions, log_probs, rewards, values = self.stacked()
-            targets = _targets(rewards, self.bootstrap_value, gamma)
-            arrays = (feats, actions, log_probs, rewards, values, targets, targets - values)
-            for arr in arrays:
-                arr.flags.writeable = False
-            self._batch = EpisodeBatch(gamma, *arrays)
-        return self._batch
+        feats, actions, log_probs, rewards, values = self.stacked()
+        targets = _targets(rewards, bootstrap, gamma)
+        return EpisodeBatch(
+            feats, actions, log_probs, rewards, values, *_read_only(targets, targets - values)
+        )
 
 
 def _targets(rewards: np.ndarray, bootstrap: float, gamma: float) -> np.ndarray:
@@ -391,9 +349,8 @@ def _ratio_pieces(policy: PolicyParams, batch: EpisodeBatch):
     return mean, acts, std, z, f
 
 
-def ppo_surrogate(policy: PolicyParams, buffer: TrajectoryBuffer, epsilon: float, gamma: float) -> float:
-    """Clipped surrogate objective, summed over the buffer."""
-    batch = buffer.batch(gamma)
+def ppo_surrogate(policy: PolicyParams, batch: EpisodeBatch, epsilon: float) -> float:
+    """Clipped surrogate objective, summed over the batch."""
     f = _ratio_pieces(policy, batch)[-1]
     adv = batch.advantages
     return float(np.sum(np.minimum(f * adv, clip_ratio(f, epsilon) * adv)))
@@ -407,9 +364,7 @@ class ActorGrads:
     log_std: np.ndarray
 
 
-def ppo_actor_gradient(
-    policy: PolicyParams, buffer: TrajectoryBuffer, epsilon: float, gamma: float
-) -> ActorGrads:
+def ppo_actor_gradient(policy: PolicyParams, batch: EpisodeBatch, epsilon: float) -> ActorGrads:
     """Gradient of the clipped surrogate w.r.t. actor weights and log_std.
 
     Each step contributes advantage * ratio * grad(log pi) while its
@@ -417,7 +372,6 @@ def ppo_actor_gradient(
     once the min saturates at a clipped constant the contribution is
     exactly zero.
     """
-    batch = buffer.batch(gamma)
     mean, acts, std, z, f = _ratio_pieces(policy, batch)
     adv = batch.advantages
     unclipped = f * adv
@@ -430,11 +384,8 @@ def ppo_actor_gradient(
     return ActorGrads(mlp_grads, log_std_grad)
 
 
-def critic_loss_and_gradient(
-    policy: PolicyParams, buffer: TrajectoryBuffer, gamma: float
-) -> tuple[float, MlpGrads]:
+def critic_loss_and_gradient(policy: PolicyParams, batch: EpisodeBatch) -> tuple[float, MlpGrads]:
     """Summed squared error of the critic against fixed return targets."""
-    batch = buffer.batch(gamma)
     out, acts = _forward_cached(policy.critic, batch.features)
     resid = out[:, 0] - batch.targets
     loss = float(np.sum(resid * resid))
@@ -577,14 +528,12 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
             sum_prices += tr.action
             sum_allocs += tr.next_state.allocations[-1]
             sum_mu_payoffs += tr.mu_payoffs
-        if buffer.size != cfg.steps_per_batch:
-            raise AssertionError("buffer must hold exactly one batch at update time")
-        buffer.bootstrap_value = float(mlp_forward(policy.critic, feats)[0])
+        batch = buffer.batch(float(mlp_forward(policy.critic, feats)[0]), cfg.gamma)
 
         critic_loss = math.nan
         for epoch in range(1, cfg.update_epochs + 1):
-            actor_grads = ppo_actor_gradient(policy, buffer, cfg.clip_epsilon, cfg.gamma)
-            critic_loss, critic_grads = critic_loss_and_gradient(policy, buffer, cfg.gamma)
+            actor_grads = ppo_actor_gradient(policy, batch, cfg.clip_epsilon)
+            critic_loss, critic_grads = critic_loss_and_gradient(policy, batch)
             for i in range(len(policy.actor.weights)):
                 policy.actor.weights[i] += cfg.actor_lr * actor_grads.mlp.weights[i]
                 policy.actor.biases[i] += cfg.actor_lr * actor_grads.mlp.biases[i]
@@ -607,7 +556,7 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
                 episode=ep,
                 mean_reward=sum_reward / d,
                 mean_sp_payoff=sum_payoff / d,
-                actor_objective=ppo_surrogate(policy, buffer, cfg.clip_epsilon, cfg.gamma),
+                actor_objective=ppo_surrogate(policy, batch, cfg.clip_epsilon),
                 critic_loss=critic_loss,
                 mean_prices=sum_prices / d,
                 mean_allocations=sum_allocs / d,

@@ -30,7 +30,9 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
     raw = (hi - lo) / target
-    mag = 10.0 ** math.floor(math.log10(raw))
+    # spans of a few subnormal ulps would give log10(0) or a zero step
+    tiny = math.ulp(0.0)
+    mag = max(10.0 ** math.floor(math.log10(max(raw, tiny))), tiny)
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
         if raw <= step:
@@ -40,6 +42,8 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # a step below half an ulp of t never advances it
+            break
         t += step
     return ticks
 
@@ -53,7 +57,8 @@ class _Frame:
 
     def __init__(self, x_lo, x_hi, y_lo, y_hi):
         if x_hi <= x_lo:
-            x_hi = x_lo + 1.0
+            # one ulp where adding 1 is lost to rounding
+            x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
         if y_hi <= y_lo:
             pad = 1.0 if y_lo == 0 else abs(y_lo) * 0.1
             y_lo, y_hi = y_lo - pad, y_hi + pad

@@ -221,9 +221,9 @@ def random_mu_params(rng, kinds=("uniform", "linear")):
 #
 # The learner builds one batch per episode and backpropagates through the
 # forward pass it has already computed.  The reference below keeps the
-# earlier form: every call restacks the buffer's rows, reruns the
+# earlier form: every call restacks the batch's rows, reruns the
 # return-target loop, and every backward pass recomputes its forward pass.
-# It reads the policy's weight arrays and the buffer's rows as plain data
+# It reads the policy's weight arrays and the batch's rows as plain data
 # and calls nothing in mcsgame, so equality of the two is a check on the
 # refactor, bit for bit.
 
@@ -269,13 +269,13 @@ def _ref_backward(net, x, upstream):
     return gw, gb
 
 
-def _ref_stack(buffer):
+def _ref_stack(batch):
     return (
-        np.stack([np.asarray(row, dtype=float) for row in buffer.features]),
-        np.stack([np.asarray(row, dtype=float) for row in buffer.actions]),
-        np.array([float(v) for v in buffer.log_probs]),
-        np.array([float(v) for v in buffer.rewards]),
-        np.array([float(v) for v in buffer.values]),
+        np.stack([np.asarray(row, dtype=float) for row in batch.features]),
+        np.stack([np.asarray(row, dtype=float) for row in batch.actions]),
+        np.array([float(v) for v in batch.log_probs]),
+        np.array([float(v) for v in batch.rewards]),
+        np.array([float(v) for v in batch.values]),
     )
 
 
@@ -288,9 +288,9 @@ def _ref_targets(rewards, bootstrap, gamma):
     return out
 
 
-def _ref_ratio_pieces(policy, buffer, gamma):
-    feats, actions, logp_old, rewards, values = _ref_stack(buffer)
-    adv = _ref_targets(rewards, buffer.bootstrap_value, gamma) - values
+def _ref_ratio_pieces(policy, batch, bootstrap, gamma):
+    feats, actions, logp_old, rewards, values = _ref_stack(batch)
+    adv = _ref_targets(rewards, bootstrap, gamma) - values
     mean, _ = _ref_forward(policy.actor, feats)
     std = np.exp(policy.log_std)
     z = (actions - mean) / std
@@ -298,17 +298,20 @@ def _ref_ratio_pieces(policy, buffer, gamma):
     return feats, adv, std, z, np.exp(logp_now - logp_old)
 
 
-def ppo_reference(policy, buffer, epsilon, gamma):
+def ppo_reference(policy, batch, bootstrap, epsilon, gamma):
     """Clipped surrogate, actor gradient and critic loss/gradient, each computed afresh.
+
+    Only the batch's recorded steps are read; the return targets and
+    advantages are rebuilt here from its rewards, bootstrap and gamma.
 
     Returns a dict with keys surrogate, actor_weights, actor_biases,
     log_std, critic_loss, critic_weights and critic_biases.
     """
-    _, adv, _, _, f = _ref_ratio_pieces(policy, buffer, gamma)
+    _, adv, _, _, f = _ref_ratio_pieces(policy, batch, bootstrap, gamma)
     clip = np.clip(f, 1.0 - epsilon, 1.0 + epsilon)
     surrogate = float(np.sum(np.minimum(f * adv, clip * adv)))
 
-    feats, adv, std, z, f = _ref_ratio_pieces(policy, buffer, gamma)
+    feats, adv, std, z, f = _ref_ratio_pieces(policy, batch, bootstrap, gamma)
     unclipped = f * adv
     clipped = np.clip(f, 1.0 - epsilon, 1.0 + epsilon) * adv
     active = (unclipped <= clipped) | ((f >= 1.0 - epsilon) & (f <= 1.0 + epsilon))
@@ -316,8 +319,8 @@ def ppo_reference(policy, buffer, epsilon, gamma):
     actor_w, actor_b = _ref_backward(policy.actor, feats, coef[:, None] * z / std)
     log_std = np.sum(coef[:, None] * (z * z - 1.0), axis=0)
 
-    feats, _, _, rewards, _ = _ref_stack(buffer)
-    targets = _ref_targets(rewards, buffer.bootstrap_value, gamma)
+    feats, _, _, rewards, _ = _ref_stack(batch)
+    targets = _ref_targets(rewards, bootstrap, gamma)
     resid = _ref_forward(policy.critic, feats)[0][:, 0] - targets
     critic_w, critic_b = _ref_backward(policy.critic, feats, (2.0 * resid)[:, None])
     return {

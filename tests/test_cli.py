@@ -515,6 +515,37 @@ def test_sweep_rejects_single_value(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
 
 
+@pytest.mark.parametrize("values", ["[1e17, 1.0000000000000002e17]", "[1e17, 1e17]"])
+def test_sweep_svgs_on_an_axis_one_ulp_wide(tmp_path, values):
+    # a tick step of 5 is below half an ulp at 1e17; run apart so that a
+    # tick loop that never ends fails the test instead of stalling it
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcsgame", "sweep", "--set", 'sweep.axis="lambda"',
+         "--set", f"sweep.values={values}", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "sweep_price.svg").is_file()
+
+
+@pytest.mark.parametrize("law", ["uniform", "linear"])
+@pytest.mark.parametrize("demand_hi", [1e108, 1e150, 1e200, 1e300])
+def test_wide_demand_support_solves(tmp_path, capsys, law, demand_hi):
+    # the cube of a density near 1/demand_hi underflows to 0
+    scenario = ["--set", f'scenario.demand_kind="{law}"', "--seed", "0"]
+    runs = {
+        "static": ["static", "--set", f"scenario.demand_hi={demand_hi!r}"],
+        "train": ["train", "--set", f"scenario.demand_hi={demand_hi!r}", *TINY_TRAIN],
+        "sweep": ["sweep", "--set", 'sweep.axis="demand_upper"',
+                  "--set", f"sweep.values=[{demand_hi!r}, {2 * demand_hi!r}]"],
+    }
+    for name, args in runs.items():
+        rc = main([*args, *scenario, "--out", str(tmp_path / name)])
+        assert rc == 0, (name, capsys.readouterr().err)
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 

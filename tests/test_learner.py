@@ -11,7 +11,7 @@ import pytest
 import mcsgame.learner as learner_mod
 from conftest import make_scenario
 from mcsgame.dynamics import EnvConfig, env_reset, env_step
-from mcsgame.gradcheck import _toy_buffer, _toy_policy
+from mcsgame.gradcheck import _toy_batch, _toy_policy
 from mcsgame.learner import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -249,58 +249,60 @@ def test_observe_layout_and_scaling():
 # buffer, targets, advantages
 
 
-def _filled_buffer(rewards, values, bootstrap, feat_dim=4):
+def _filled_buffer(rewards, values, feat_dim=4):
     buf = TrajectoryBuffer(len(rewards))
     for r, v in zip(rewards, values):
         buf.add(np.zeros(feat_dim), np.zeros(2), 0.0, r, v)
-    buf.bootstrap_value = bootstrap
     return buf
 
 
 def test_buffer_rejects_overfill():
-    buf = _filled_buffer([1.0], [0.0], 0.0)
+    buf = _filled_buffer([1.0], [0.0])
     with pytest.raises(ValueError):
         buf.add(np.zeros(4), np.zeros(2), 0.0, 0.0, 0.0)
 
 
-def test_buffer_requires_bootstrap_before_stacking():
-    buf = TrajectoryBuffer(2)
-    buf.add(np.zeros(4), np.zeros(2), 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        buf.stacked()
+def test_stacked_returns_read_only_copies():
+    buf = _filled_buffer([1.0, 2.0], [0.5, 0.25])
+    first = buf.stacked()
+    assert np.array_equal(first[3], [1.0, 2.0]) and np.array_equal(first[4], [0.5, 0.25])
+    for arr in first:
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    buf.clear()
+    buf.add(np.ones(4), np.ones(2), 1.0, 3.0, 1.0)  # reuses the rows of the first step
+    assert np.array_equal(first[0][0], np.zeros(4)) and first[3][0] == 1.0
 
 
 def test_buffer_clear_empties_everything():
-    buf = _filled_buffer([1.0, 2.0], [0.0, 0.0], 0.5)
+    buf = _filled_buffer([1.0, 2.0], [0.0, 0.0])
     buf.clear()
     assert buf.size == 0
-    assert buf.bootstrap_value is None
     with pytest.raises(ValueError):
         buf.stacked()
+    with pytest.raises(ValueError):
+        buf.batch(0.5, 0.9)
 
 
 def test_advantage_two_step_example():
     # gamma=1: targets (1.5, 0.5), sampled values (0.2, 0.1)
-    buf = _filled_buffer([1.0, 0.5], [0.2, 0.1], 0.0)
-    adv = buf.batch(1.0).advantages
+    adv = _filled_buffer([1.0, 0.5], [0.2, 0.1]).batch(0.0, 1.0).advantages
     assert np.allclose(adv, [1.3, 0.4], rtol=0, atol=1e-15)
 
 
 def test_advantage_zero_rewards_zero_values():
-    buf = _filled_buffer([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.0)
-    assert np.array_equal(buf.batch(0.9).advantages, np.zeros(3))
+    buf = _filled_buffer([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    assert np.array_equal(buf.batch(0.0, 0.9).advantages, np.zeros(3))
 
 
 def test_advantage_gamma_zero_is_td_residual():
-    buf = _filled_buffer([1.0, 0.5], [0.2, 0.1], 7.0)
-    adv = buf.batch(0.0).advantages
+    adv = _filled_buffer([1.0, 0.5], [0.2, 0.1]).batch(7.0, 0.0).advantages
     assert np.allclose(adv, [0.8, 0.4], rtol=0, atol=1e-15)
 
 
 def test_advantage_bootstrap_discounting():
     # t2 = 0.5 + 0.5*2 = 1.5, t1 = 1 + 0.5*1.5 = 1.75
-    buf = _filled_buffer([1.0, 0.5], [0.0, 0.0], 2.0)
-    adv = buf.batch(0.5).advantages
+    adv = _filled_buffer([1.0, 0.5], [0.0, 0.0]).batch(2.0, 0.5).advantages
     assert np.allclose(adv, [1.75, 1.5], rtol=0, atol=1e-15)
 
 
@@ -308,15 +310,14 @@ def test_targets_match_double_loop_oracle():
     rng = _rng(21)
     rewards = rng.uniform(-1, 1, 7)
     bootstrap = float(rng.uniform(-1, 1))
-    buf = _filled_buffer(rewards, np.zeros(7), bootstrap)
-    adv = buf.batch(0.9).advantages
+    adv = _filled_buffer(rewards, np.zeros(7)).batch(bootstrap, 0.9).advantages
     assert np.allclose(adv, discounted_targets_oracle(rewards, bootstrap, 0.9), rtol=1e-12)
 
 
 def test_advantage_rejects_bad_gamma():
-    buf = _filled_buffer([1.0], [0.0], 0.0)
+    buf = _filled_buffer([1.0], [0.0])
     with pytest.raises(ValueError):
-        buf.batch(1.5)
+        buf.batch(0.0, 1.5)
 
 
 def test_clip_ratio_examples():
@@ -330,11 +331,15 @@ def test_clip_ratio_examples():
 # PPO surrogate and gradients
 
 
-def _toy_policy_and_buffer(seed=0, d_steps=6, ratio_offsets=None):
-    """Policy plus a buffer whose stored log-probs came from that policy.
+def _toy_policy_and_batch(
+    seed=0, d_steps=6, ratio_offsets=None, rewards=None, values=None, bootstrap=None, gamma=0.9
+):
+    """Policy plus a batch whose stored log-probs came from that policy.
 
     ratio_offsets shifts the stored old log-probs so the current ratios
-    move off 1 in a controlled way: ratio(k) = exp(-offset(k)).
+    move off 1 in a controlled way: ratio(k) = exp(-offset(k)).  rewards,
+    values and bootstrap replace the random draws when given.  Returns
+    (policy, batch, bootstrap).
     """
     rng = _rng(seed)
     in_dim, n_act = 6, 2
@@ -349,36 +354,43 @@ def _toy_policy_and_buffer(seed=0, d_steps=6, ratio_offsets=None):
         lp = gaussian_log_prob(mean, policy.log_std, action)
         if ratio_offsets is not None:
             lp += ratio_offsets[k]
-        buf.add(feats, action, lp, rng.uniform(-1, 1), rng.uniform(-1, 1))
-    buf.bootstrap_value = float(rng.uniform(-1, 1))
-    return policy, buf
+        r, v = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        buf.add(feats, action, lp, r if rewards is None else rewards[k],
+                v if values is None else values[k])
+    drawn = float(rng.uniform(-1, 1))
+    bootstrap = drawn if bootstrap is None else bootstrap
+    return policy, buf.batch(bootstrap, gamma), bootstrap
 
 
 def test_fresh_buffer_ratios_are_one():
-    policy, buf = _toy_policy_and_buffer(seed=4)
-    adv = buf.batch(0.9).advantages
-    surr = ppo_surrogate(policy, buf, 0.2, 0.9)
+    policy, batch, _ = _toy_policy_and_batch(seed=4)
+    surr = ppo_surrogate(policy, batch, 0.2)
     # ratio == 1 everywhere, so the surrogate is just the advantage sum
-    assert surr == pytest.approx(float(np.sum(adv)), rel=1e-12)
+    assert surr == pytest.approx(float(np.sum(batch.advantages)), rel=1e-12)
 
 
 def test_surrogate_clipping_is_pessimistic():
     # offset -0.5 => ratio e^0.5 ~ 1.65, outside the band
-    policy, buf = _toy_policy_and_buffer(seed=4, ratio_offsets=[-0.5] * 6)
-    adv = buf.batch(0.9).advantages
+    policy, batch, _ = _toy_policy_and_batch(seed=4, ratio_offsets=[-0.5] * 6)
+    adv = batch.advantages
     f = np.exp(0.5)
     expect = float(np.sum(np.minimum(f * adv, np.clip(f, 0.8, 1.2) * adv)))
-    assert ppo_surrogate(policy, buf, 0.2, 0.9) == pytest.approx(expect, rel=1e-10)
+    assert ppo_surrogate(policy, batch, 0.2) == pytest.approx(expect, rel=1e-10)
+
+
+def _one_step_at_ratio_two(reward):
+    """One step at ratio 2 whose advantage is reward (value 0, gamma 1)."""
+    return _toy_policy_and_batch(
+        seed=9, d_steps=1, ratio_offsets=[-np.log(2.0)], rewards=[reward], values=[0.0],
+        bootstrap=0.0, gamma=1.0,
+    )[:2]
 
 
 def test_clipped_positive_advantage_contributes_zero_gradient():
     # Single step, ratio 2 with positive advantage: min saturates at the
     # clipped constant, so the policy gradient vanishes exactly.
-    policy, buf = _toy_policy_and_buffer(seed=9, d_steps=1, ratio_offsets=[-np.log(2.0)])
-    buf.rewards[0] = 1.0
-    buf.values[0] = 0.0
-    buf.bootstrap_value = 0.0
-    grads = ppo_actor_gradient(policy, buf, 0.2, 1.0)
+    policy, batch = _one_step_at_ratio_two(1.0)
+    grads = ppo_actor_gradient(policy, batch, 0.2)
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.mlp.weights)
     assert np.array_equal(grads.log_std, np.zeros(2))
 
@@ -386,11 +398,8 @@ def test_clipped_positive_advantage_contributes_zero_gradient():
 def test_unclipped_negative_advantage_keeps_gradient():
     # Same ratio but advantage -1: the unclipped branch is the minimum,
     # so the step still pushes the policy.
-    policy, buf = _toy_policy_and_buffer(seed=9, d_steps=1, ratio_offsets=[-np.log(2.0)])
-    buf.rewards[0] = -1.0
-    buf.values[0] = 0.0
-    buf.bootstrap_value = 0.0
-    grads = ppo_actor_gradient(policy, buf, 0.2, 1.0)
+    policy, batch = _one_step_at_ratio_two(-1.0)
+    grads = ppo_actor_gradient(policy, batch, 0.2)
     total = sum(float(np.sum(np.abs(g))) for g in grads.mlp.weights)
     assert total > 0.0
 
@@ -407,9 +416,9 @@ def _fd_probe(fn, arr, idx, h=1e-6):
 
 @pytest.mark.parametrize("offsets", [None, [0.5, -0.5, 0.05, -0.05, 0.3, -0.3]])
 def test_actor_gradient_matches_finite_differences(offsets):
-    policy, buf = _toy_policy_and_buffer(seed=13, ratio_offsets=offsets)
-    grads = ppo_actor_gradient(policy, buf, 0.2, 0.9)
-    surr = lambda: ppo_surrogate(policy, buf, 0.2, 0.9)
+    policy, batch, _ = _toy_policy_and_batch(seed=13, ratio_offsets=offsets)
+    grads = ppo_actor_gradient(policy, batch, 0.2)
+    surr = lambda: ppo_surrogate(policy, batch, 0.2)
     rng = _rng(1)
     for li in range(len(policy.actor.weights)):
         w = policy.actor.weights[li]
@@ -430,41 +439,41 @@ def test_actor_gradient_matches_finite_differences(offsets):
 
 
 def test_actor_ascent_step_raises_surrogate():
-    policy, buf = _toy_policy_and_buffer(seed=17)
-    before = ppo_surrogate(policy, buf, 0.2, 0.9)
-    grads = ppo_actor_gradient(policy, buf, 0.2, 0.9)
+    policy, batch, _ = _toy_policy_and_batch(seed=17)
+    before = ppo_surrogate(policy, batch, 0.2)
+    grads = ppo_actor_gradient(policy, batch, 0.2)
     lr = 1e-4
     for i in range(len(policy.actor.weights)):
         policy.actor.weights[i] += lr * grads.mlp.weights[i]
         policy.actor.biases[i] += lr * grads.mlp.biases[i]
     policy.log_std = policy.log_std + lr * grads.log_std
-    assert ppo_surrogate(policy, buf, 0.2, 0.9) > before
+    assert ppo_surrogate(policy, batch, 0.2) > before
 
 
 def test_critic_loss_zero_when_predictions_match():
-    policy, buf = _toy_policy_and_buffer(seed=3, d_steps=2)
-    buf.rewards[0], buf.rewards[1] = 0.0, 0.0
-    buf.bootstrap_value = 0.0
+    policy, batch, _ = _toy_policy_and_batch(
+        seed=3, d_steps=2, rewards=[0.0, 0.0], bootstrap=0.0, gamma=1.0
+    )
     policy.critic = _zero_mlp((6, 8, 1))
-    loss, grads = critic_loss_and_gradient(policy, buf, 1.0)
+    loss, grads = critic_loss_and_gradient(policy, batch)
     assert loss == 0.0
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.weights)
 
 
 def test_critic_loss_single_step_example():
     # zero critic, target 1 => summed squared error 1
-    policy, buf = _toy_policy_and_buffer(seed=3, d_steps=1)
-    buf.rewards[0] = 1.0
-    buf.bootstrap_value = 0.0
+    policy, batch, _ = _toy_policy_and_batch(
+        seed=3, d_steps=1, rewards=[1.0], bootstrap=0.0, gamma=1.0
+    )
     policy.critic = _zero_mlp((6, 8, 1))
-    loss, _ = critic_loss_and_gradient(policy, buf, 1.0)
+    loss, _ = critic_loss_and_gradient(policy, batch)
     assert loss == pytest.approx(1.0, abs=1e-15)
 
 
 def test_critic_gradient_matches_finite_differences():
-    policy, buf = _toy_policy_and_buffer(seed=19)
-    _, grads = critic_loss_and_gradient(policy, buf, 0.9)
-    loss = lambda: critic_loss_and_gradient(policy, buf, 0.9)[0]
+    policy, batch, _ = _toy_policy_and_batch(seed=19)
+    _, grads = critic_loss_and_gradient(policy, batch)
+    loss = lambda: critic_loss_and_gradient(policy, batch)[0]
     rng = _rng(2)
     for li in range(len(policy.critic.weights)):
         w = policy.critic.weights[li]
@@ -481,10 +490,10 @@ def test_critic_gradient_matches_finite_differences():
 
 
 def test_critic_descent_monotone_on_frozen_buffer():
-    policy, buf = _toy_policy_and_buffer(seed=23)
+    policy, batch, _ = _toy_policy_and_batch(seed=23)
     losses = []
     for _ in range(25):
-        loss, grads = critic_loss_and_gradient(policy, buf, 0.9)
+        loss, grads = critic_loss_and_gradient(policy, batch)
         losses.append(loss)
         for i in range(len(policy.critic.weights)):
             policy.critic.weights[i] -= 2e-6 * grads.weights[i]
@@ -498,8 +507,8 @@ def test_critic_descent_monotone_on_frozen_buffer():
 # one batch per episode: the same bits as the re-stacking form
 
 
-def _rollout_policy_and_buffer(seed, steps=24):
-    """A buffer filled by the environment, the way train fills it."""
+def _rollout_policy_and_batch(seed, steps=24):
+    """A batch of steps taken in the environment, the way train takes them."""
     scenario, cfg, state = _fresh_state(seed)
     rng = _rng(seed + 100)
     policy = learner_mod._init_policy(state, cfg, TrainConfig(hidden=(16, 16)), rng)
@@ -511,32 +520,32 @@ def _rollout_policy_and_buffer(seed, steps=24):
         buf.add(feats, action, lp, tr.reward, float(mlp_forward(policy.critic, feats)[0]))
         state = tr.next_state
     feats = observe(state, policy.obs_price_scale)
-    buf.bootstrap_value = float(mlp_forward(policy.critic, feats)[0])
-    return policy, buf
+    bootstrap = float(mlp_forward(policy.critic, feats)[0])
+    return policy, buf.batch(bootstrap, 0.9), bootstrap
 
 
-def _gradcheck_policy_and_buffer(seed):
+def _gradcheck_policy_and_batch(seed):
     rng = _rng(seed)
     policy = _toy_policy(rng)
-    return policy, _toy_buffer(policy, rng)
+    return (policy, *_toy_batch(policy, rng, 0.9))
 
 
-_UPDATE_CASES = {
-    "toy": lambda: _toy_policy_and_buffer(seed=13),
-    "toy-clipped": lambda: _toy_policy_and_buffer(
+_UPDATE_CASES = {  # each gives (policy, batch at gamma 0.9, bootstrap)
+    "toy": lambda: _toy_policy_and_batch(seed=13),
+    "toy-clipped": lambda: _toy_policy_and_batch(
         seed=13, ratio_offsets=[0.5, -0.5, 0.05, -0.05, 0.3, -0.3]
     ),
-    "gradcheck-toy": lambda: _gradcheck_policy_and_buffer(3),
-    "rollout": lambda: _rollout_policy_and_buffer(5),
+    "gradcheck-toy": lambda: _gradcheck_policy_and_batch(3),
+    "rollout": lambda: _rollout_policy_and_batch(5),
 }
 
 
-def _assert_update_matches_reference(policy, buf, eps, gamma):
-    ref = ppo_reference(policy, buf, eps, gamma)
-    for _ in range(2):  # the second round reads the cached batch
-        actor = ppo_actor_gradient(policy, buf, eps, gamma)
-        loss, critic = critic_loss_and_gradient(policy, buf, gamma)
-        assert ppo_surrogate(policy, buf, eps, gamma) == ref["surrogate"]
+def _assert_update_matches_reference(policy, batch, bootstrap, eps, gamma):
+    ref = ppo_reference(policy, batch, bootstrap, eps, gamma)
+    for _ in range(2):  # the second round reads the batch again, as every epoch does
+        actor = ppo_actor_gradient(policy, batch, eps)
+        loss, critic = critic_loss_and_gradient(policy, batch)
+        assert ppo_surrogate(policy, batch, eps) == ref["surrogate"]
         assert loss == ref["critic_loss"]
         assert np.array_equal(actor.log_std, ref["log_std"])
         pairs = [
@@ -552,16 +561,16 @@ def _assert_update_matches_reference(policy, buf, eps, gamma):
 
 @pytest.mark.parametrize("case", sorted(_UPDATE_CASES))
 def test_update_equals_restacking_reference_bitwise(case):
-    policy, buf = _UPDATE_CASES[case]()
-    _assert_update_matches_reference(policy, buf, 0.2, 0.9)
+    policy, batch, bootstrap = _UPDATE_CASES[case]()
+    _assert_update_matches_reference(policy, batch, bootstrap, 0.2, 0.9)
     # move the policy off the sampling one so the ratios leave 1, as in
-    # the later inner epochs, and compare again on the same cached batch
-    grads = ppo_actor_gradient(policy, buf, 0.2, 0.9)
+    # the later inner epochs, and compare again on the same batch
+    grads = ppo_actor_gradient(policy, batch, 0.2)
     for i in range(len(policy.actor.weights)):
         policy.actor.weights[i] += 0.05 * grads.mlp.weights[i]
         policy.actor.biases[i] += 0.05 * grads.mlp.biases[i]
     policy.log_std = policy.log_std + 0.05 * grads.log_std
-    _assert_update_matches_reference(policy, buf, 0.2, 0.9)
+    _assert_update_matches_reference(policy, batch, bootstrap, 0.2, 0.9)
 
 
 def test_sigmoid_bitwise_equals_masked_form():
@@ -579,48 +588,35 @@ def _step(buf, reward, value):
     buf.add(np.ones(4), np.zeros(2), 0.0, reward, value)
 
 
-def test_batch_is_built_once_and_read_only():
+def test_batch_is_read_only():
     buf = TrajectoryBuffer(3)
     _step(buf, 1.0, 0.25)
     _step(buf, 0.5, 0.5)
-    buf.bootstrap_value = 2.0
-    batch = buf.batch(1.0)
-    assert buf.batch(1.0) is batch
+    batch = buf.batch(2.0, 1.0)
     assert np.array_equal(batch.targets, [3.5, 2.5])
     assert np.array_equal(batch.advantages, [3.25, 2.0])
-    with pytest.raises(ValueError):
-        batch.advantages[0] = 0.0
-    with pytest.raises(ValueError):
-        batch.features[0, 0] = 0.0
+    for arr in (getattr(batch, f.name) for f in dataclasses.fields(batch)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
-def test_batch_is_rebuilt_after_add_clear_and_new_bootstrap():
+def test_batch_reflects_add_clear_bootstrap_and_gamma():
     buf = TrajectoryBuffer(3)
     _step(buf, 1.0, 0.0)
     _step(buf, 0.5, 0.0)
-    buf.bootstrap_value = 2.0
-    first = buf.batch(1.0)
+    first = buf.batch(2.0, 1.0)
 
-    _step(buf, 0.25, 0.0)  # the bootstrap value stays 2
-    after_add = buf.batch(1.0)
-    assert after_add is not first
-    assert np.array_equal(after_add.targets, [3.75, 2.75, 2.25])
+    _step(buf, 0.25, 0.0)
+    assert np.array_equal(buf.batch(2.0, 1.0).targets, [3.75, 2.75, 2.25])
     assert np.array_equal(first.targets, [3.5, 2.5])  # an old batch is not overwritten
-
-    buf.bootstrap_value = 0.0
-    after_bootstrap = buf.batch(1.0)
-    assert after_bootstrap is not after_add
-    assert np.array_equal(after_bootstrap.targets, [1.75, 0.75, 0.25])
-
-    assert buf.batch(0.5) is not after_bootstrap
-    assert np.array_equal(buf.batch(0.5).targets, [1.3125, 0.625, 0.25])
+    assert np.array_equal(buf.batch(0.0, 1.0).targets, [1.75, 0.75, 0.25])
+    assert np.array_equal(buf.batch(0.0, 0.5).targets, [1.3125, 0.625, 0.25])
 
     buf.clear()
     with pytest.raises(ValueError):
-        buf.batch(1.0)
+        buf.batch(0.0, 1.0)
     _step(buf, 4.0, 1.0)
-    buf.bootstrap_value = 0.0
-    after_clear = buf.batch(1.0)
+    after_clear = buf.batch(0.0, 1.0)
     assert np.array_equal(after_clear.rewards, [4.0])
     assert np.array_equal(after_clear.advantages, [3.0])
 
@@ -634,7 +630,8 @@ def test_buffer_rejects_a_step_of_another_shape():
         buf.add(np.ones(4), np.zeros(3), 0.0, 1.0, 0.0)
     buf.clear()  # an emptied buffer takes any shape again
     buf.add(np.ones(5), np.zeros(3), 0.0, 1.0, 0.0)
-    assert buf.features.shape == (1, 5) and buf.actions.shape == (1, 3)
+    feats, actions = buf.stacked()[:2]
+    assert feats.shape == (1, 5) and actions.shape == (1, 3)
 
 
 def test_train_does_each_episode_step_once(monkeypatch):
@@ -798,7 +795,7 @@ def test_checkpoint_roundtrip_exact(tmp_path):
 
 
 def test_load_reads_version_1_and_rejects_unknown_versions(tmp_path):
-    policy, _ = _toy_policy_and_buffer(seed=2)
+    policy = _toy_policy_and_batch(seed=2)[0]
     path = tmp_path / "ckpt.json"
     save_policy(path, policy, EnvConfig(), TrainConfig())
     record = json.loads(path.read_text())

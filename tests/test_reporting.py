@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mcsgame.reporting import MANIFEST_NAME, format_value, sha256_file, write_csv, write_manifest
-from mcsgame.svgplot import line_chart
+from mcsgame.svgplot import _ticks, line_chart
 
 
 # ---------------------------------------------------------------------------
@@ -118,3 +121,36 @@ def test_line_chart_rejects_mismatched_lengths(tmp_path):
     with pytest.raises(ValueError):
         line_chart(str(tmp_path / "bad.svg"), "t", "x", "y", {"s": ([0, 1], [1.0])})
 
+
+@st.composite
+def _tick_ranges(draw):
+    """lo < hi up to 1e300 in magnitude: a span of a few ulps, or any span."""
+    lo = draw(st.floats(-1e300, 1e300))
+    if draw(st.booleans()):
+        hi = lo
+        for _ in range(draw(st.integers(1, 8))):
+            hi = math.nextafter(hi, math.inf)
+    else:
+        assume(lo < 1e300)
+        hi = draw(st.floats(lo, 1e300, exclude_min=True))
+    return lo, hi
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_tick_ranges())
+def test_ticks_are_few_increasing_and_finite(bounds):
+    lo, hi = bounds
+    ticks = _ticks(lo, hi)
+    assert len(ticks) <= 10
+    assert all(math.isfinite(t) for t in ticks)
+    assert all(a < b for a, b in zip(ticks, ticks[1:]))
+
+
+@pytest.mark.parametrize("lo, hi, want", [
+    (1e17, 1.0000000000000002e17, [1e17]),  # a step of 5 is lost to rounding at 1e17
+    (0.0, 1.0, [0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0]),
+    (20.0, 50.0, [20.0, 30.0, 40.0, 50.0]),
+    (0.0, 5e-324, [0.0, 5e-324]),  # a fifth of the span rounds to 0
+])
+def test_ticks_examples(lo, hi, want):
+    assert _ticks(lo, hi) == want

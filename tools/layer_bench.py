@@ -118,10 +118,10 @@ def measure(repeats: int, passes: int) -> dict:
                 mlp_forward(policy.critic, feats)
 
     def update():
-        buffer.bootstrap_value = bootstrap  # drops the cached batch
+        batch = buffer.batch(bootstrap, cfg.gamma)
         for _ in range(cfg.update_epochs):
-            ppo_actor_gradient(policy, buffer, cfg.clip_epsilon, cfg.gamma)
-            critic_loss_and_gradient(policy, buffer, cfg.gamma)
+            ppo_actor_gradient(policy, batch, cfg.clip_epsilon)
+            critic_loss_and_gradient(policy, batch)
 
     layers = {}
     for name, fn, n in (
