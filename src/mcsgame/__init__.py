@@ -7,18 +7,14 @@ repeated-game environment (dynamics), a from-scratch PPO pricing agent
 """
 
 from .model import (
-    AllocationProfile,
     DemandDistribution,
     LinearDemand,
     MuProfile,
-    PriceProfile,
     Scenario,
     UniformDemand,
-    aggregate_contribution,
     mu_own_profit,
     mu_payoff,
     sp_payoff,
-    sp_utility,
 )
 from .follower import BestResponse, Region, best_response, foc_residual, price_threshold
 from .leader import (

@@ -9,7 +9,8 @@ reproduced from the manifest alone.
 
 Commands compute everything before writing anything, so a failed run
 leaves no partial files.  Exit codes: 0 success, 2 configuration
-error, 3 solver non-convergence, 4 numeric failure.
+error, 3 solver non-convergence, 4 numeric failure (training diverged,
+a gradient check failed, or a solve left the floating-point range).
 """
 
 from __future__ import annotations
@@ -467,6 +468,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except FloatingPointError as e:
+        print(f"numeric failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def entry() -> None:

@@ -180,7 +180,7 @@ def env_step(scenario: Scenario, config: EnvConfig, state: GameState, action) ->
     payoffs and next window are computed from them without further
     checks.
     """
-    raw = np.asarray(getattr(action, "values", action), dtype=float)
+    raw = np.asarray(action, dtype=float)
     if raw.shape != (scenario.n,):
         raise ValueError(f"action must have {scenario.n} entries, got shape {raw.shape}")
     requested = raw.tolist()

@@ -223,8 +223,8 @@ def user_rows(scenario: Scenario, res: EquilibriumResult) -> list[UserRow]:
             demand_hi=mu.demand.hi,
             utility_scale=scenario.utility_scale,
             price_threshold=price_threshold(mu),
-            p_star=float(res.prices.values[i]),
-            x_star=float(res.allocations.values[i]),
+            p_star=float(res.prices[i]),
+            x_star=float(res.allocations[i]),
             mu_payoff=float(res.mu_payoffs[i]),
         )
         for i, mu in enumerate(scenario.mus)
@@ -238,7 +238,7 @@ def market_summary(label: str, scenario: Scenario, res: EquilibriumResult) -> Ma
         n_mus=scenario.n,
         utility_scale=scenario.utility_scale,
         sp_payoff=res.sp_payoff,
-        total_allocation=float(np.sum(res.allocations.values)),
+        total_allocation=float(np.sum(res.allocations)),
         iterations=res.iterations,
         grad_residual=res.grad_residual,
         converged=res.converged,

@@ -31,7 +31,8 @@ class BestResponse(NamedTuple):
 
     slope is d(allocation)/d(price) and curvature the second derivative;
     both are 0 outside the interior branch, and +inf and -inf where the
-    kept quantile sits on a vanishing density.  On the interior branch the
+    kept quantile sits on a vanishing density or where the density times
+    the margin underflows to 0.  On the interior branch the
     slope is 1 / (f(q) (own_value - unit_cost)) with q the kept demand
     quantile, and the curvature is f'(q) / (f(q)^3 (own_value -
     unit_cost)^2), which is non-positive for non-increasing densities.
@@ -91,14 +92,15 @@ def best_response(mu: MuProfile, price: float) -> BestResponse:
     if region is not _INTERIOR:
         return BestResponse(alloc, region, 0.0, 0.0)
     dens = mu.demand.pdf(kept)
-    if dens <= 0.0:
-        # only reachable at price == unit_cost with capacity past the
-        # demand support and a density vanishing at its upper end: the
-        # right-hand limit, where the response leaves the lower face
-        # with unbounded slope
+    denom = dens * mu._margin
+    if denom <= 0.0:
+        # the density vanishes only at price == unit_cost with capacity
+        # past the demand support and a density vanishing at its upper
+        # end: the right-hand limit, where the response leaves the lower
+        # face with unbounded slope.  The product also underflows to 0
+        # for margins of about 1e-300 and below.
         return BestResponse(alloc, region, math.inf, -math.inf)
-    margin = mu._margin
-    slope = 1.0 / (dens * margin)
+    slope = 1.0 / denom
     # dens**3 underflows to 0 once the support is wider than about 1e108
     curvature = (mu.demand.pdf_slope(kept) / dens) * slope * slope
     return BestResponse(alloc, region, slope, curvature)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .follower import best_response, price_threshold
-from .model import AllocationProfile, PriceProfile, Scenario, mu_payoff, sp_payoff
+from .model import Scenario, _aggregate, _sp_payoff, mu_payoff
 
 __all__ = [
     "SolverConfig",
@@ -55,10 +55,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Solved leader prices with the induced follower responses."""
+    """Solved leader prices with the induced follower responses.
 
-    prices: PriceProfile
-    allocations: AllocationProfile
+    prices, allocations and mu_payoffs are read-only float64 arrays, one
+    entry per user.
+    """
+
+    prices: np.ndarray
+    allocations: np.ndarray
     sp_payoff: float
     mu_payoffs: np.ndarray
     iterations: int
@@ -101,7 +105,7 @@ def _require_in_box(scenario: Scenario, p: np.ndarray) -> np.ndarray:
 
 
 def _gradient_from(scenario, p, alloc, slope):
-    gp = scenario.utility_scale / (1.0 + float(np.sum(np.log1p(alloc))))
+    gp = scenario.utility_scale / _aggregate(alloc)
     # one product per user: an infinite slope at a vanishing density
     # gives a signed infinity here rather than inf - inf
     return slope * (gp / (1.0 + alloc) - p) - alloc
@@ -109,8 +113,7 @@ def _gradient_from(scenario, p, alloc, slope):
 
 def sp_payoff_gradient(scenario: Scenario, p) -> np.ndarray:
     """Analytic gradient of the platform payoff on the price box."""
-    pa = np.asarray(getattr(p, "values", p), dtype=float)
-    pa = _require_in_box(scenario, pa)
+    pa = _require_in_box(scenario, np.asarray(p, dtype=float))
     alloc, slope, _ = _responses(scenario, pa)
     return _gradient_from(scenario, pa, alloc, slope)
 
@@ -123,14 +126,14 @@ def sp_payoff_hessian(scenario: Scenario, p) -> np.ndarray:
     own-price curvature.  Symmetric and negative definite for both
     demand laws.
     """
-    pa = np.asarray(getattr(p, "values", p), dtype=float)
+    pa = np.asarray(p, dtype=float)
     lo, hi = price_box(scenario)
     if pa.shape != lo.shape:
         raise ValueError(f"price vector must have {lo.size} entries, got {pa.size}")
     if np.any(pa < lo + _HESSIAN_FACE_MARGIN) or np.any(pa > hi - _HESSIAN_FACE_MARGIN):
         raise ValueError("hessian is only evaluated strictly inside the price box")
     alloc, slope, curv = _responses(scenario, pa)
-    b = 1.0 + float(np.sum(np.log1p(alloc)))
+    b = _aggregate(alloc)
     gp = scenario.utility_scale / b
     gpp = -scenario.utility_scale / (b * b)
     opx = 1.0 + alloc
@@ -204,15 +207,18 @@ def _solve(market: _Market, utility_scale: float) -> tuple[np.ndarray, int]:
     kept inside that shrinking bracket (bisecting when one leaves it)
     find the root.
     """
-    g_lo = utility_scale / (1.0 + float(np.sum(np.log1p(market.x_hi))))
+    g_lo = utility_scale / _aggregate(market.x_hi)
     # one float above utility_scale, so that a Newton step may land on
     # utility_scale itself: the root when nothing is bought
     g_hi = float(np.nextafter(utility_scale, np.inf))
     g = g_lo
     for step in range(1, _OUTER_BUDGET + 1):
         x, dx_dg = market.allocations(g)
-        b = 1.0 + float(np.sum(np.log1p(x)))
+        b = _aggregate(x)
         excess = g * b - utility_scale
+        if math.isnan(excess):
+            # the market's formulas overflowed: no root to find
+            break
         if excess <= 0.0:
             g_lo = g
         if excess >= 0.0:
@@ -234,6 +240,10 @@ def compute_se(scenario: Scenario, config: SolverConfig | None = None) -> Equili
     counts the outer root steps.  grad_residual is the projected
     residual max |p - clip(p + grad U(p), box)| of the sp_payoff_gradient
     formula, and converged says it is within config.tol.
+
+    Raises FloatingPointError when a price or a payoff of the solution
+    is not finite, because the market's numbers left the floating-point
+    range.
     """
     cfg = config or SolverConfig()
     market = _Market(scenario)
@@ -241,16 +251,23 @@ def compute_se(scenario: Scenario, config: SolverConfig | None = None) -> Equili
     lo, hi = price_box(scenario)
     p = np.clip(market.price(x), lo, hi)
     p = np.where(x <= market.x_lo, lo, np.where(x >= market.x_hi, hi, p))
+    if not np.isfinite(p).all():
+        raise FloatingPointError("the equilibrium prices are not finite")
     alloc, slope, _ = _responses(scenario, p)
     grad = _gradient_from(scenario, p, alloc, slope)
     residual = float(np.max(np.abs(p - np.clip(p + grad, lo, hi))))
     payoffs = np.array([
         mu_payoff(mu, float(alloc[i]), float(p[i])) for i, mu in enumerate(scenario.mus)
     ])
+    payoff = _sp_payoff(alloc, p, scenario.utility_scale)
+    if not (math.isfinite(payoff) and np.isfinite(payoffs).all()):
+        raise FloatingPointError("the equilibrium payoffs are not finite")
+    for arr in (p, alloc, payoffs):
+        arr.flags.writeable = False
     return EquilibriumResult(
-        prices=PriceProfile(p),
-        allocations=AllocationProfile(alloc),
-        sp_payoff=sp_payoff(alloc, p, scenario.utility_scale),
+        prices=p,
+        allocations=alloc,
+        sp_payoff=payoff,
         mu_payoffs=payoffs,
         iterations=iterations,
         grad_residual=residual,

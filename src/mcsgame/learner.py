@@ -426,8 +426,8 @@ class TrainConfig:
             raise ValueError("steps_per_batch, update_epochs and episodes must be >= 1")
         if not (0.0 < self.actor_lr < math.inf and 0.0 < self.critic_lr < math.inf):
             raise ValueError("learning rates must be positive and finite")
-        if not math.isfinite(self.log_std_init):
-            raise ValueError("log_std_init must be finite")
+        if not LOG_STD_MIN <= self.log_std_init <= LOG_STD_MAX:
+            raise ValueError(f"log_std_init must lie in [{LOG_STD_MIN}, {LOG_STD_MAX}]")
         if not self.hidden or min(self.hidden) < 1:
             raise ValueError("hidden sizes must be positive")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))

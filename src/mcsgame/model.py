@@ -13,6 +13,7 @@ All arithmetic is 64-bit floating point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -24,10 +25,6 @@ __all__ = [
     "LinearDemand",
     "MuProfile",
     "Scenario",
-    "PriceProfile",
-    "AllocationProfile",
-    "aggregate_contribution",
-    "sp_utility",
     "sp_payoff",
     "mu_own_profit",
     "mu_payoff",
@@ -35,18 +32,10 @@ __all__ = [
 
 
 def _as_vector(v) -> np.ndarray:
-    """Coerce a profile wrapper or array-like to a 1-D float64 array."""
-    arr = np.asarray(getattr(v, "values", v), dtype=float)
+    """Coerce an array-like to a 1-D float64 array."""
+    arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    return arr
-
-
-def _frozen_vector(v) -> np.ndarray:
-    arr = np.array(getattr(v, "values", v), dtype=float, copy=True)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    arr.flags.writeable = False
     return arr
 
 
@@ -86,6 +75,9 @@ class DemandDistribution:
             raise ValueError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
         k = self.tail_power
         w = self.hi - self.lo
+        if w * w < sys.float_info.min:
+            # the density slope divides by the squared width
+            raise ValueError(f"support width {w} is below about 1.5e-154")
         put = object.__setattr__  # the instance is frozen
         put(self, "_width", w)
         put(self, "_k", k)
@@ -236,93 +228,41 @@ class Scenario:
         return np.array([mu.unit_cost for mu in self.mus])
 
 
-@dataclass(frozen=True)
-class PriceProfile:
-    """Posted prices, one per user.  Non-negative and finite."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_vector(self.values)
-        if arr.size == 0:
-            raise ValueError("price profile must not be empty")
-        if not np.isfinite(arr).all() or (arr < 0.0).any():
-            raise ValueError("prices must be finite and non-negative")
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
-class AllocationProfile:
-    """Resource units sold to the platform, one entry per user."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_vector(self.values)
-        if arr.size == 0:
-            raise ValueError("allocation profile must not be empty")
-        if not np.isfinite(arr).all() or (arr < 0.0).any():
-            raise ValueError("allocations must be finite and non-negative")
-        object.__setattr__(self, "values", arr)
-
-
 # ---------------------------------------------------------------------------
 # platform side
 
 
-def _allocations(x) -> np.ndarray:
-    arr = _as_vector(x)
-    if (arr < 0.0).any() or not np.isfinite(arr).all():
-        raise ValueError("allocations must be finite and non-negative")
-    return arr
-
-
-def _scale(utility_scale: float) -> float:
-    if not utility_scale > 0.0:
-        raise ValueError("utility_scale must be positive")
-    return utility_scale
-
-
-def aggregate_contribution(x) -> float:
-    """Diminishing-returns index of an allocation profile.
-
-    Returns 1 + sum_n ln(1 + x_n).  The empty contribution maps to 1 so
-    the platform utility below is 0 when nothing is bought.
-    """
-    return _aggregate(_allocations(x))
-
-
-def sp_utility(x, utility_scale: float) -> float:
-    """Platform gross utility, utility_scale * ln(aggregate contribution)."""
-    scale = _scale(utility_scale)
-    return _utility(_allocations(x), scale)
-
-
 def sp_payoff(x, p, utility_scale: float) -> float:
-    """Platform net payoff: gross utility minus the total payment p.x."""
+    """Platform net payoff: gross utility minus the total payment p.x.
+
+    The gross utility is utility_scale * ln(b), where the aggregate
+    contribution b = 1 + sum_n ln(1 + x_n) is a diminishing-returns index
+    of the allocations; it is 1, and the utility 0, when nothing is
+    bought.
+    """
     xa = _as_vector(x)
     pa = _as_vector(p)
     if xa.shape != pa.shape:
         raise ValueError(f"length mismatch: x has {xa.size} entries, p has {pa.size}")
-    scale = _scale(utility_scale)
-    return _sp_payoff(_allocations(xa), pa, scale)
+    if (xa < 0.0).any() or not np.isfinite(xa).all():
+        raise ValueError("allocations must be finite and non-negative")
+    if not utility_scale > 0.0:
+        raise ValueError("utility_scale must be positive")
+    return _sp_payoff(xa, pa, utility_scale)
 
 
-# The formula cores below take float64 vectors that the public functions
-# above (or dynamics.env_step, at its entry) have checked: x finite and
-# non-negative, p of the same length, utility_scale positive.
+# The formula cores below take float64 vectors that sp_payoff (or the
+# solver and dynamics.env_step, which build them) have checked: x finite
+# and non-negative, p of the same length, utility_scale positive.
 
 
 def _aggregate(x: np.ndarray) -> float:
+    """The aggregate contribution b = 1 + sum_n ln(1 + x_n)."""
     return 1.0 + float(np.log1p(x).sum())
 
 
-def _utility(x: np.ndarray, utility_scale: float) -> float:
-    return utility_scale * math.log(_aggregate(x))
-
-
 def _sp_payoff(x: np.ndarray, p: np.ndarray, utility_scale: float) -> float:
-    return _utility(x, utility_scale) - float(p.dot(x))
+    return utility_scale * math.log(_aggregate(x)) - float(p.dot(x))
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_criterion_03_single_user_solver_vs_grid():
     res = compute_se(scen)
     p_ref, payoff_ref, _ = leader_grid_best_uniform_n1(1.0, 0.0, 0.0, 25.0, 20.0, 50.0, step=1e-4)
     assert res.converged
-    assert abs(float(res.prices.values[0]) - p_ref) <= 1e-3
+    assert abs(float(res.prices[0]) - p_ref) <= 1e-3
     assert abs(res.sp_payoff - payoff_ref) <= 1e-4
     elapsed = time.perf_counter() - t0
     assert elapsed <= 5.0
@@ -119,7 +119,7 @@ def test_criterion_04_multistart_uniqueness():
     t0 = time.perf_counter()
     for seed, (scen, res) in _solved_scenarios().items():
         assert res.converged
-        p = res.prices.values
+        p = res.prices
         lo, hi = price_box(scen)
         assert np.max(np.abs(p - np.clip(p + sp_payoff_gradient(scen, p), lo, hi))) <= 1e-8
         # ScenarioSpec() users share one demand law and capacity
@@ -143,8 +143,8 @@ def test_criterion_04_multistart_uniqueness():
 
 def test_criterion_05_price_bound():
     for scen, res in _solved_scenarios().values():
-        x = res.allocations.values
-        p = res.prices.values
+        x = res.allocations
+        p = res.prices
         marginal = scen.utility_scale / (1.0 + float(np.sum(np.log1p(x))))
         assert np.all(p <= marginal / (1.0 + x) + 1e-8)
     _announce(5, "equilibrium prices respect the marginal-utility bound")

@@ -279,6 +279,7 @@ _BAD_TRAIN = [
     "train.actor_lr=1e400",
     "train.critic_lr=1e400",
     "train.log_std_init=NaN",  # json.loads accepts NaN
+    "train.log_std_init=709",  # exp overflows; train clips to [-3, 1]
 ]
 _BAD_SWEEP = [
     "sweep.values=[true,2]",

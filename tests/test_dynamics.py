@@ -149,7 +149,7 @@ def test_step_at_static_optimum_reproduces_payoff():
     se = compute_se(scenario)
     cfg = EnvConfig()
     state = env_reset(scenario, cfg, _rng(1))
-    tr = env_step(scenario, cfg, state, se.prices.values)
+    tr = env_step(scenario, cfg, state, se.prices)
     assert tr.sp_payoff == pytest.approx(se.sp_payoff, abs=1e-9)
     assert np.allclose(tr.mu_payoffs, se.mu_payoffs, atol=1e-9)
 

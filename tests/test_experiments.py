@@ -99,7 +99,7 @@ def test_constant_policy_at_equilibrium_reproduces_payoff():
     scen = make_scenario(7)
     se = compute_se(scen)
     env = EnvConfig()
-    res = play_constant(scen, env, se.prices.values, steps=25, seed=0, name="se")
+    res = play_constant(scen, env, se.prices, steps=25, seed=0, name="se")
     assert res.name == "se"
     assert res.steps == 25
     assert res.mean_sp_payoff == pytest.approx(se.sp_payoff, abs=1e-9)

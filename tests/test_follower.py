@@ -87,6 +87,17 @@ def test_best_response_vanishing_density_corner():
     assert br.allocation > 0.0
 
 
+@pytest.mark.parametrize("law", [UniformDemand, LinearDemand])
+def test_best_response_slope_is_infinite_when_density_times_margin_underflows(law):
+    # a margin of 5e-324 times a density of 2/25 or less rounds to 0; at
+    # price == own_value the user keeps the bottom of the support
+    mu = MuProfile(20.0, 5e-324, 0.0, law(0.0, 25.0))
+    br = best_response(mu, mu.own_value)
+    assert br.region is Region.INTERIOR
+    assert br.allocation == 20.0
+    assert br.slope == math.inf and br.curvature == -math.inf
+
+
 # ---------------------------------------------------------------------------
 # agreement with the brute-force oracle
 

@@ -115,8 +115,17 @@ def test_gradient_is_signed_infinity_at_vanishing_density():
         assert g[0] == want
     res = compute_se(Scenario(1.0, (mu,)))
     assert res.converged and res.grad_residual == 0.0
-    assert res.prices.values[0] == 0.5
-    assert res.allocations.values[0] == 5.0
+    assert res.prices[0] == 0.5
+    assert res.allocations[0] == 5.0
+
+
+def test_equilibrium_arrays_are_read_only(five_mu_scenario):
+    res = compute_se(five_mu_scenario)
+    for arr in (res.prices, res.allocations, res.mu_payoffs):
+        assert type(arr) is np.ndarray and arr.dtype == np.float64
+        assert arr.shape == (five_mu_scenario.n,)
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_gradient_rejects_out_of_box(five_mu_scenario):
@@ -133,7 +142,7 @@ def test_single_user_matches_grid_search(single_mu_scenario):
     res = compute_se(single_mu_scenario)
     assert res.converged
     p_grid, sp_grid, _ = leader_grid_best_uniform_n1(1.0, 0.0, 0.0, 25.0, 20.0, 50.0, step=1e-4)
-    assert abs(float(res.prices.values[0]) - p_grid) <= 1e-3
+    assert abs(float(res.prices[0]) - p_grid) <= 1e-3
     assert abs(res.sp_payoff - sp_grid) <= 1e-4
 
 
@@ -145,7 +154,7 @@ def test_thousand_user_market_converges(kind):
     scenario = generate_scenario(spec, seed=0)
     res = compute_se(scenario)
     assert res.converged
-    p = res.prices.values
+    p = res.prices
     lo, hi = price_box(scenario)
     assert np.max(np.abs(p - np.clip(p + sp_payoff_gradient(scenario, p), lo, hi))) <= 1e-8
 
@@ -158,7 +167,7 @@ def test_payoff_nondecreasing_in_utility_scale():
         res = compute_se(Scenario(lam, base.mus))
         assert res.converged
         payoffs.append(res.sp_payoff)
-        prices.append(res.prices.values)
+        prices.append(res.prices)
     assert payoffs[0] < payoffs[1] < payoffs[2]
     # a more valuable aggregate makes every price weakly rise
     assert np.all(prices[1] >= prices[0] - 1e-7)
@@ -170,9 +179,9 @@ def test_optimal_price_marginal_utility_bound():
     for seed in (6, 18):
         scenario = make_scenario(seed)
         res = compute_se(scenario)
-        b = 1.0 + np.sum(np.log1p(res.allocations.values))
-        bound = (scenario.utility_scale / b) / (1.0 + res.allocations.values)
-        assert np.all(res.prices.values <= bound + 1e-8)
+        b = 1.0 + np.sum(np.log1p(res.allocations))
+        bound = (scenario.utility_scale / b) / (1.0 + res.allocations)
+        assert np.all(res.prices <= bound + 1e-8)
 
 
 @pytest.mark.parametrize("demand", [UniformDemand(0.0, 25.0), LinearDemand(0.0, 25.0)])
@@ -192,8 +201,8 @@ def test_tiny_utility_scale_degenerates():
     res = compute_se(scenario)
     assert res.iterations <= 3
     thresholds = np.array([price_threshold(mu) for mu in scenario.mus])
-    assert np.allclose(res.prices.values, thresholds, atol=1e-9)
-    assert np.allclose(res.allocations.values, 0.0, atol=1e-9)
+    assert np.allclose(res.prices, thresholds, atol=1e-9)
+    assert np.allclose(res.allocations, 0.0, atol=1e-9)
 
 
 def test_mu_payoffs_nonnegative_at_se():
@@ -217,7 +226,7 @@ def test_leader_deviations_do_not_gain():
     res = compute_se(scenario)
     lo, hi = price_box(scenario)
     base = res.sp_payoff
-    p = res.prices.values.copy()
+    p = res.prices.copy()
     for i in range(scenario.n):
         for delta in (-1e-2, 1e-2):
             q = p.copy()
@@ -229,8 +238,8 @@ def test_follower_deviations_do_not_gain():
     scenario = make_scenario(42)
     res = compute_se(scenario)
     for i, mu in enumerate(scenario.mus):
-        price = float(res.prices.values[i])
-        x_star = float(res.allocations.values[i])
+        price = float(res.prices[i])
+        x_star = float(res.allocations[i])
         u_star = mu_payoff(mu, x_star, price)
         for delta in (-1e-2, 1e-2):
             x = float(np.clip(x_star + delta, 0.0, mu.capacity))
@@ -241,14 +250,14 @@ def test_se_allocations_are_best_responses():
     scenario = make_scenario(42)
     res = compute_se(scenario)
     for i, mu in enumerate(scenario.mus):
-        br = best_response(mu, float(res.prices.values[i]))
-        assert br.allocation == pytest.approx(float(res.allocations.values[i]), abs=1e-9)
+        br = best_response(mu, float(res.prices[i]))
+        assert br.allocation == pytest.approx(float(res.allocations[i]), abs=1e-9)
 
 
 def test_se_beats_follower_grid(single_mu_scenario):
     res = compute_se(single_mu_scenario)
-    price = float(res.prices.values[0])
-    x_star = float(res.allocations.values[0])
+    price = float(res.prices[0])
+    x_star = float(res.allocations[0])
     grid = np.linspace(0.0, 20.0, 2001)
     u_grid = mu_payoff_oracle("uniform", 0.0, 25.0, 20.0, 1.0, 0.0, grid, price)
     u_star = float(mu_payoff_oracle("uniform", 0.0, 25.0, 20.0, 1.0, 0.0, x_star, price))
@@ -271,8 +280,8 @@ def test_se_prices_stay_in_box():
         scenario = make_scenario(seed)
         res = compute_se(scenario)
         lo, hi = price_box(scenario)
-        assert np.all(res.prices.values >= lo - 1e-12)
-        assert np.all(res.prices.values <= hi + 1e-12)
+        assert np.all(res.prices >= lo - 1e-12)
+        assert np.all(res.prices <= hi + 1e-12)
 
 
 def test_solver_config_validation():

@@ -5,17 +5,13 @@ import numpy as np
 import pytest
 
 from mcsgame.model import (
-    AllocationProfile,
     LinearDemand,
     MuProfile,
-    PriceProfile,
     Scenario,
     UniformDemand,
-    aggregate_contribution,
     mu_own_profit,
     mu_payoff,
     sp_payoff,
-    sp_utility,
 )
 from mcsgame.follower import price_threshold
 from oracles import (
@@ -29,32 +25,39 @@ from oracles import (
 
 
 # ---------------------------------------------------------------------------
-# aggregate contribution and SP utility
+# aggregate contribution and SP utility, read through the payoff at zero
+# prices: utility_scale * ln(1 + sum_n ln(1 + x_n))
+
+
+def _sp_utility(x, utility_scale):
+    return sp_payoff(x, [0.0] * len(x), utility_scale)
 
 
 def test_aggregate_contribution_zero_allocations():
-    assert aggregate_contribution([0.0, 0.0, 0.0]) == 1.0
+    # an index of 1 is a utility of exactly 0
+    assert _sp_utility([0.0, 0.0, 0.0], 1.0) == 0.0
 
 
 def test_aggregate_contribution_single_user():
-    assert aggregate_contribution([math.e - 1.0]) == pytest.approx(2.0, abs=1e-12)
+    assert math.exp(_sp_utility([math.e - 1.0], 1.0)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_aggregate_contribution_two_users():
-    assert aggregate_contribution([1.0, 1.0]) == pytest.approx(1.0 + 2.0 * math.log(2.0), abs=1e-12)
+    want = 1.0 + 2.0 * math.log(2.0)
+    assert math.exp(_sp_utility([1.0, 1.0], 1.0)) == pytest.approx(want, abs=1e-12)
 
 
 def test_aggregate_contribution_rejects_negative():
     with pytest.raises(ValueError):
-        aggregate_contribution([1.0, -0.5])
+        _sp_utility([1.0, -0.5], 50.0)
 
 
 def test_sp_utility_zero():
-    assert sp_utility([0.0] * 5, 50.0) == 0.0
+    assert _sp_utility([0.0] * 5, 50.0) == 0.0
 
 
 def test_sp_utility_single_user():
-    assert sp_utility([math.e - 1.0], 50.0) == pytest.approx(50.0 * math.log(2.0), abs=1e-10)
+    assert _sp_utility([math.e - 1.0], 50.0) == pytest.approx(50.0 * math.log(2.0), abs=1e-10)
 
 
 def test_sp_utility_full_allocation_high_precision():
@@ -62,12 +65,12 @@ def test_sp_utility_full_allocation_high_precision():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
     want = float(50 * mpmath.log(1 + 5 * mpmath.log(21)))
-    assert sp_utility([20.0] * 5, 50.0) == pytest.approx(want, abs=1e-12)
+    assert _sp_utility([20.0] * 5, 50.0) == pytest.approx(want, abs=1e-12)
 
 
 def test_sp_utility_rejects_bad_scale():
     with pytest.raises(ValueError):
-        sp_utility([1.0], 0.0)
+        _sp_utility([1.0], 0.0)
 
 
 def test_sp_payoff_zero_allocation():
@@ -88,12 +91,6 @@ def test_sp_payoff_two_users():
 def test_sp_payoff_length_mismatch():
     with pytest.raises(ValueError):
         sp_payoff([1.0, 2.0], [0.5], 50.0)
-
-
-def test_sp_payoff_accepts_profile_wrappers():
-    x = AllocationProfile([1.0, 2.0])
-    p = PriceProfile([0.1, 0.2])
-    assert sp_payoff(x, p, 50.0) == pytest.approx(sp_payoff([1.0, 2.0], [0.1, 0.2], 50.0))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +185,16 @@ def test_demand_rejects_bad_support():
         UniformDemand(5.0, 5.0)
     with pytest.raises(ValueError):
         UniformDemand(-1.0, 25.0)
+
+
+@pytest.mark.parametrize("law", [UniformDemand, LinearDemand])
+def test_demand_rejects_a_support_whose_squared_width_underflows(law):
+    # the density slope divides by (hi - lo)**2, which is 0 below ~1.5e-154
+    for lo, hi in ((0.0, 1e-300), (0.0, 1e-160), (1e-200, 2e-200)):
+        with pytest.raises(ValueError, match="width"):
+            law(lo, hi)
+    narrowest = law(0.0, 1.5e-154)
+    assert math.isfinite(narrowest.pdf_slope(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +351,5 @@ def test_scenario_vector_accessors(five_mu_scenario):
 
 
 def test_profiles_are_immutable(example_mu):
-    p = PriceProfile([0.5, 0.6])
-    with pytest.raises(ValueError):
-        p.values[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         example_mu.capacity = 5.0
-
-
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        PriceProfile([])
-    with pytest.raises(ValueError):
-        PriceProfile([0.1, -0.2])
-    with pytest.raises(ValueError):
-        AllocationProfile([np.nan])
