@@ -10,7 +10,8 @@ reproduced from the manifest alone.
 Commands compute everything before writing anything, so a failed run
 leaves no partial files.  Exit codes: 0 success, 2 configuration
 error, 3 solver non-convergence, 4 numeric failure (training diverged,
-a gradient check failed, or a solve left the floating-point range).
+a gradient check failed, a solve left the floating-point range, or a
+table holds a non-finite cell).
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ import os
 import sys
 from dataclasses import asdict, fields
 
+import numpy as np
+
 from . import __version__
-from .dynamics import EnvConfig, step_trace_columns, step_trace_row
+from .dynamics import EnvConfig
 from .experiments import (
     SWEEP_FIELDS,
     BaselineResult,
@@ -39,7 +42,7 @@ from .experiments import (
 from .gradcheck import run_all
 from .leader import SolverConfig, compute_se
 from .learner import TrainConfig, TrainingDiverged, save_policy, train
-from .reporting import write_csv, write_manifest
+from .reporting import write_csv, write_json, write_manifest
 from .svgplot import line_chart
 
 __all__ = ["main", "entry"]
@@ -97,16 +100,20 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# what a JSON value must be to fill a config field, by the field's annotation
+# what a JSON value must be to fill a config field, by the field's
+# annotation, and how it is stored; a float field stores every number as
+# a float, so the manifest echoes one config one way
 _FIELD_VALUES = {
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "int": ("an integer", _is_int),
-    "float": ("a number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "int": ("an integer", _is_int, int),
+    "float": ("a number", _is_number, float),
     "tuple[int, ...]": (
-        "a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))
+        "a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)), tuple
     ),
     "tuple[float, float]": (
-        "a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))
+        "a list of numbers",
+        lambda v: isinstance(v, list) and all(map(_is_number, v)),
+        lambda v: tuple(map(float, v)),
     ),
 }
 
@@ -119,12 +126,12 @@ def _build_section(cls, data, where: str):
     if unknown:
         raise ConfigError(f"{where}: unknown field(s) {', '.join(unknown)}")
     kwargs = {}
-    for name, v in data.items():
-        what, fits = _FIELD_VALUES[types[name]]
-        if not fits(v):
-            raise ConfigError(f"{where}: {name} must be {what}, got {v!r}")
-        kwargs[name] = tuple(v) if isinstance(v, list) else v
     try:
+        for name, v in data.items():
+            what, fits, store = _FIELD_VALUES[types[name]]
+            if not fits(v):
+                raise ConfigError(f"{where}: {name} must be {what}, got {v!r}")
+            kwargs[name] = store(v)
         return cls(**kwargs)
     except (TypeError, ValueError, OverflowError) as e:
         # OverflowError: an integer too large for a float field
@@ -186,10 +193,6 @@ class RunSetup:
         return cfg
 
 
-def _mu_columns(prefix: str, n: int) -> list[str]:
-    return [f"{prefix}_{i+1}" for i in range(n)]
-
-
 # Every column is read by name from the experiments records, plus the
 # region, seed and axis the commands add.
 _EQUILIBRIUM_COLUMNS = (
@@ -202,10 +205,35 @@ _SUMMARY_COLUMNS = ("n_mus", "utility_scale", "seed", *_SOLVE_COLUMNS)
 _SWEEP_SUMMARY_COLUMNS = ("label", *_SOLVE_COLUMNS)
 
 
-def _write_table(out_dir: str, name: str, columns, rows) -> str:
-    """Write one CSV, reading each row's cells by column name; return its name."""
-    write_csv(os.path.join(out_dir, name), columns, [[row[c] for c in columns] for row in rows])
-    return name
+def _cells(record: dict) -> dict:
+    """A record's cells by column name; an array field f becomes the columns f_1 ... f_n."""
+    cells = {}
+    for name, v in record.items():
+        if isinstance(v, np.ndarray):
+            # interned, so the records of a long table share their column names
+            cells.update((sys.intern(f"{name}_{i}"), x) for i, x in enumerate(v.tolist(), 1))
+        else:
+            cells[name] = v
+    return cells
+
+
+def _write_tables(out_dir: str, tables: dict) -> list[str]:
+    """Write each {file name: (columns, records)} table as a CSV; return the names.
+
+    Cells are read from the records by column name.  Every float cell of
+    every table is checked before out_dir is made, so a non-finite cell
+    raises FloatingPointError and no file is written.
+    """
+    for name, (columns, rows) in tables.items():
+        for row in rows:
+            for column in columns:
+                v = row[column]
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise FloatingPointError(f"{name}: a {column} cell is not finite")
+    os.makedirs(out_dir, exist_ok=True)
+    for name, (columns, rows) in tables.items():
+        write_csv(os.path.join(out_dir, name), columns, ([row[c] for c in columns] for row in rows))
+    return list(tables)
 
 
 def _per_mu(xs: list, ys: list) -> dict:
@@ -246,11 +274,10 @@ def cmd_static(setup: RunSetup, out_dir: str) -> int:
     users = [dict(vars(row), region=_face(row)) for row in user_rows(scenario, res)]
     summary = dict(vars(market_summary("static", scenario, res)), seed=setup.seed)
 
-    os.makedirs(out_dir, exist_ok=True)
-    artifacts = [
-        _write_table(out_dir, "equilibrium.csv", _EQUILIBRIUM_COLUMNS, users),
-        _write_table(out_dir, "summary.csv", _SUMMARY_COLUMNS, [summary]),
-    ]
+    artifacts = _write_tables(out_dir, {
+        "equilibrium.csv": (_EQUILIBRIUM_COLUMNS, users),
+        "summary.csv": (_SUMMARY_COLUMNS, [summary]),
+    })
     write_manifest(out_dir, "static", setup.echo("static"), artifacts)
     if not res.converged:
         print(f"solver did not converge (residual {res.grad_residual:.3e})", file=sys.stderr)
@@ -262,12 +289,15 @@ def cmd_static(setup: RunSetup, out_dir: str) -> int:
 def cmd_train(setup: RunSetup, out_dir: str, svg: bool, steps_trace: bool) -> int:
     scenario = generate_scenario(setup.spec, setup.seed)
     se = compute_se(scenario, setup.solver)
-    n = scenario.n
 
-    step_rows: list[list] = []
+    steps: list[dict] = []
 
     def record(ep: int, k: int, tr) -> None:
-        step_rows.append(step_trace_row(ep, k, tr))
+        steps.append(_cells({
+            "episode": ep, "step": k, "p": tr.action, "x": tr.next_state.allocations[-1],
+            "sp_payoff": tr.sp_payoff, "reward": tr.reward, "mu_payoff": tr.mu_payoffs,
+            "clamped_flag": tr.clamped,
+        }))
 
     try:
         policy, trace = train(
@@ -275,18 +305,14 @@ def cmd_train(setup: RunSetup, out_dir: str, svg: bool, steps_trace: bool) -> in
         )
     except TrainingDiverged as e:
         os.makedirs(out_dir, exist_ok=True)
-        snap_path = os.path.join(out_dir, "divergence_snapshot.json")
-        snap = {
+        snap_path = write_json(os.path.join(out_dir, "divergence_snapshot.json"), {
             "format": "mcsgame-divergence",
             "version": 1,
             "episode": e.episode,
             "inner_epoch": e.inner_epoch,
             "config": setup.echo("train"),
             "parameters": e.snapshot,
-        }
-        with open(snap_path, "w", encoding="utf-8") as fh:
-            json.dump(snap, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        })
         print(
             f"training diverged at episode {e.episode}, inner epoch {e.inner_epoch}; "
             f"snapshot written to {snap_path}",
@@ -296,40 +322,19 @@ def cmd_train(setup: RunSetup, out_dir: str, svg: bool, steps_trace: bool) -> in
 
     greedy = play_greedy(scenario, setup.env, setup.baseline_steps, setup.seed)
     rand = play_random(scenario, setup.env, setup.baseline_steps, setup.seed)
-
-    episode_header = (
-        ["episode", "mean_reward", "mean_sp_payoff", "actor_objective", "critic_loss"]
-        + _mu_columns("mean_price", n)
-        + _mu_columns("mean_allocation", n)
-        + _mu_columns("mean_mu_payoff", n)
-    )
-    episode_rows = [
-        [ep.episode, ep.mean_reward, ep.mean_sp_payoff, ep.actor_objective, ep.critic_loss]
-        + [float(v) for v in ep.mean_prices]
-        + [float(v) for v in ep.mean_allocations]
-        + [float(v) for v in ep.mean_mu_payoffs]
-        for ep in trace
-    ]
-
     static_se = BaselineResult(
         "static_se", 0, se.sp_payoff, setup.env.reward_scale * se.sp_payoff, se.mu_payoffs
     )
-    baseline_header = ["name", "steps", "mean_sp_payoff", "mean_reward"] + _mu_columns(
-        "mean_mu_payoff", n
-    )
-    baseline_rows = [
-        [b.name, b.steps, b.mean_sp_payoff, b.mean_reward] + [float(v) for v in b.mean_mu_payoffs]
-        for b in (greedy, rand, static_se)
-    ]
-
-    os.makedirs(out_dir, exist_ok=True)
-    artifacts = ["episodes.csv", "baselines.csv", "checkpoint.json"]
-    write_csv(os.path.join(out_dir, "episodes.csv"), episode_header, episode_rows)
-    write_csv(os.path.join(out_dir, "baselines.csv"), baseline_header, baseline_rows)
-    save_policy(os.path.join(out_dir, "checkpoint.json"), policy, setup.env, setup.train_config)
+    tables = {
+        "episodes.csv": [_cells(vars(ep)) for ep in trace],
+        "baselines.csv": [_cells(vars(b)) for b in (greedy, rand, static_se)],
+    }
     if steps_trace:
-        write_csv(os.path.join(out_dir, "steps.csv"), step_trace_columns(n), step_rows)
-        artifacts.append("steps.csv")
+        tables["steps.csv"] = steps
+    # every record of a table has the same fields, in column order
+    artifacts = _write_tables(out_dir, {name: ([*rows[0]], rows) for name, rows in tables.items()})
+    save_policy(os.path.join(out_dir, "checkpoint.json"), policy, setup.env, setup.train_config)
+    artifacts.append("checkpoint.json")
     if svg:
         episodes = [ep.episode for ep in trace]
 
@@ -343,11 +348,11 @@ def cmd_train(setup: RunSetup, out_dir: str, svg: bool, steps_trace: bool) -> in
             "random": (episodes, [rand.mean_sp_payoff] * len(episodes)),
         }
         artifacts += _draw(out_dir, "episode", [
-            ("prices.svg", "Mean price per episode", "price", per_mu("mean_prices")),
+            ("prices.svg", "Mean price per episode", "price", per_mu("mean_price")),
             ("allocations.svg", "Mean allocation per episode", "allocation",
-             per_mu("mean_allocations")),
+             per_mu("mean_allocation")),
             ("sp_payoff.svg", "SP payoff per episode", "payoff", sp_payoffs),
-            ("mu_payoffs.svg", "Mean MU payoff per episode", "payoff", per_mu("mean_mu_payoffs")),
+            ("mu_payoffs.svg", "Mean MU payoff per episode", "payoff", per_mu("mean_mu_payoff")),
         ])
     write_manifest(out_dir, "train", setup.echo("train"), artifacts)
 
@@ -371,12 +376,10 @@ def cmd_sweep(setup: RunSetup, out_dir: str, svg: bool) -> int:
     swept = SWEEP_FIELDS[axis]
     mu_rows = [dict(vars(u), axis=axis, sweep_value=getattr(u, swept)) for u in result.points]
 
-    os.makedirs(out_dir, exist_ok=True)
-    artifacts = [
-        _write_table(out_dir, "sweep_mus.csv", _SWEEP_MU_COLUMNS, mu_rows),
-        _write_table(out_dir, "sweep_summary.csv", _SWEEP_SUMMARY_COLUMNS,
-                     [vars(s) for s in result.summaries]),
-    ]
+    artifacts = _write_tables(out_dir, {
+        "sweep_mus.csv": (_SWEEP_MU_COLUMNS, mu_rows),
+        "sweep_summary.csv": (_SWEEP_SUMMARY_COLUMNS, [vars(s) for s in result.summaries]),
+    })
     if svg:
         prices = [u.p_star for u in result.points]
         allocations = [u.x_star for u in result.points]
@@ -421,7 +424,7 @@ def cmd_gradcheck(seed: int) -> int:
 # argument parsing
 
 
-def _add_common(sp: argparse.ArgumentParser, with_out: bool) -> None:
+def _add_common(sp: argparse.ArgumentParser, with_out: bool, svg: bool = False) -> None:
     sp.add_argument("--config", metavar="PATH", help="JSON configuration file")
     sp.add_argument("--seed", type=int, help="override the top-level seed")
     sp.add_argument(
@@ -433,6 +436,7 @@ def _add_common(sp: argparse.ArgumentParser, with_out: bool) -> None:
     )
     if with_out:
         sp.add_argument("--out", metavar="DIR", required=True, help="output directory")
+    if svg:
         sp.add_argument("--svg", choices=("on", "off"), default="on", help="emit SVG charts")
 
 
@@ -445,11 +449,12 @@ def main(argv=None) -> int:
 
     _add_common(sub.add_parser("static", help="solve one scenario's equilibrium"), True)
     tp = sub.add_parser("train", help="train the pricing policy")
-    _add_common(tp, True)
+    _add_common(tp, True, svg=True)
     tp.add_argument(
         "--steps-trace", choices=("on", "off"), default="off", help="emit per-step trace CSV"
     )
-    _add_common(sub.add_parser("sweep", help="solve equilibria along a parameter axis"), True)
+    _add_common(sub.add_parser("sweep", help="solve equilibria along a parameter axis"), True,
+                svg=True)
     _add_common(sub.add_parser("gradcheck", help="run the finite-difference suite"), False)
 
     args = parser.parse_args(argv)

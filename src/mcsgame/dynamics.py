@@ -39,8 +39,6 @@ __all__ = [
     "env_step",
     "greedy_policy",
     "random_policy",
-    "step_trace_columns",
-    "step_trace_row",
 ]
 
 
@@ -222,25 +220,3 @@ def random_policy(n_mus: int, config: EnvConfig, rng: np.random.Generator) -> np
         raise ValueError("n_mus must be at least 1")
     return rng.uniform(0.0, config.p_max, size=n_mus)
 
-
-def step_trace_columns(n_mus: int) -> list[str]:
-    """Column names of the per-step trace CSV."""
-    cols = ["episode", "step"]
-    cols += [f"p_{i+1}" for i in range(n_mus)]
-    cols += [f"x_{i+1}" for i in range(n_mus)]
-    cols += ["sp_payoff", "reward"]
-    cols += [f"mu_payoff_{i+1}" for i in range(n_mus)]
-    cols += ["clamped_flag"]
-    return cols
-
-
-def step_trace_row(episode: int, step: int, tr: Transition) -> list:
-    """One row of the per-step trace CSV, in step_trace_columns order."""
-    return (
-        [episode, step]
-        + tr.action.tolist()
-        + tr.next_state.allocations[-1].tolist()
-        + [tr.sp_payoff, tr.reward]
-        + tr.mu_payoffs.tolist()
-        + [tr.clamped]
-    )

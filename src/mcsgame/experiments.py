@@ -113,7 +113,7 @@ class BaselineResult:
     steps: int
     mean_sp_payoff: float
     mean_reward: float
-    mean_mu_payoffs: np.ndarray
+    mean_mu_payoff: np.ndarray
 
 
 def _rollout(

@@ -106,9 +106,11 @@ def _require_in_box(scenario: Scenario, p: np.ndarray) -> np.ndarray:
 
 def _gradient_from(scenario, p, alloc, slope):
     gp = scenario.utility_scale / _aggregate(alloc)
+    gap = gp / (1.0 + alloc) - p
     # one product per user: an infinite slope at a vanishing density
-    # gives a signed infinity here rather than inf - inf
-    return slope * (gp / (1.0 + alloc) - p) - alloc
+    # gives a signed infinity here rather than inf - inf, and a zero gap
+    # meets the first-order condition whatever the slope, so it adds 0
+    return np.multiply(slope, gap, out=np.zeros_like(gap), where=gap != 0.0) - alloc
 
 
 def sp_payoff_gradient(scenario: Scenario, p) -> np.ndarray:

@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import EnvConfig, GameState, env_reset, env_step
+from .reporting import write_json
 
 __all__ = [
     "MlpParams",
@@ -444,9 +445,9 @@ class EpisodeStats:
     mean_sp_payoff: float
     actor_objective: float
     critic_loss: float
-    mean_prices: np.ndarray
-    mean_allocations: np.ndarray
-    mean_mu_payoffs: np.ndarray
+    mean_price: np.ndarray
+    mean_allocation: np.ndarray
+    mean_mu_payoff: np.ndarray
 
 
 class TrainingDiverged(RuntimeError):
@@ -558,9 +559,9 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
                 mean_sp_payoff=sum_payoff / d,
                 actor_objective=ppo_surrogate(policy, batch, cfg.clip_epsilon),
                 critic_loss=critic_loss,
-                mean_prices=sum_prices / d,
-                mean_allocations=sum_allocs / d,
-                mean_mu_payoffs=sum_mu_payoffs / d,
+                mean_price=sum_prices / d,
+                mean_allocation=sum_allocs / d,
+                mean_mu_payoff=sum_mu_payoffs / d,
             )
         )
     return policy, trace
@@ -601,7 +602,7 @@ def save_policy(path, policy: PolicyParams, env_config: EnvConfig, train_config:
         "actor": _mlp_record(policy.actor),
         "critic": _mlp_record(policy.critic),
     }
-    Path(path).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    write_json(path, record)
 
 
 def load_policy(path) -> tuple[PolicyParams, dict]:

@@ -1,4 +1,4 @@
-"""Deterministic CSV and manifest emission.
+"""Deterministic CSV, JSON and manifest emission.
 
 Every artifact a command writes must be byte-identical across reruns
 with the same config and seed, so floats are printed with %.17g (exact
@@ -20,6 +20,7 @@ __all__ = [
     "write_csv",
     "sha256_file",
     "write_manifest",
+    "write_json",
 ]
 
 MANIFEST_NAME = "manifest.json"
@@ -78,8 +79,12 @@ def write_manifest(out_dir: str, command: str, config: dict, artifacts: Sequence
         "config": config,
         "artifacts": entries,
     }
-    path = os.path.join(out_dir, MANIFEST_NAME)
+    return write_json(os.path.join(out_dir, MANIFEST_NAME), manifest)
+
+
+def write_json(path: str, document) -> str:
+    """Write a JSON document with sorted keys and a final newline; return the path."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+        json.dump(document, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return path

@@ -118,6 +118,14 @@ def test_static_reruns_byte_identical(tmp_path):
     assert ma == mb
 
 
+def test_integers_in_float_fields_echo_the_default_manifest(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["static", "--out", str(a)]) == 0
+    assert main(["static", "--set", "scenario.capacity=20", "--set", "scenario.utility_scale=50",
+                 "--set", "scenario.unit_cost_range=[0,1]", "--out", str(b)]) == 0
+    assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+
+
 def test_manifest_hashes_are_real(tmp_path):
     out = tmp_path / "run"
     assert main(["static", "--seed", "1", "--out", str(out)]) == 0
@@ -308,6 +316,13 @@ def test_invalid_value_exits_2_without_traceback(tmp_path, capsys, command, assi
 def test_missing_out_flag_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["static", "--seed", "0"])
+
+
+def test_static_takes_no_svg_flag(tmp_path):
+    # static draws no chart
+    with pytest.raises(SystemExit):
+        main(["static", "--svg", "on", "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from mcsgame.cli import main
 from mcsgame.dynamics import (
     EnvConfig,
     GameState,
@@ -9,9 +12,8 @@ from mcsgame.dynamics import (
     greedy_policy,
     random_policy,
     respond,
-    step_trace_columns,
-    step_trace_row,
 )
+from mcsgame.experiments import ScenarioSpec, generate_scenario
 from mcsgame.follower import best_response, price_threshold
 from mcsgame.leader import compute_se
 from mcsgame.model import LinearDemand, MuProfile, Scenario, UniformDemand, mu_payoff, sp_payoff
@@ -304,9 +306,25 @@ def test_env_config_validation():
         EnvConfig(episode_length=16)
 
 
-def test_step_trace_columns_layout():
-    cols = step_trace_columns(2)
-    assert cols == [
+@pytest.fixture(scope="module")
+def steps_csv(tmp_path_factory):
+    """steps.csv of a short two-user run, as its header and its rows."""
+    out = tmp_path_factory.mktemp("trace") / "run"
+    sets = ["scenario.n_mus=2", "train.episodes=2", "train.steps_per_batch=8",
+            "train.update_epochs=1", "train.hidden=[4]", "train.log_std_init=1",
+            "baseline_steps=10"]
+    args = [arg for a in sets for arg in ("--set", a)]
+    rc = main(["train", "--seed", "4", *args, "--steps-trace", "on", "--svg", "off",
+               "--out", str(out)])
+    assert rc == 0
+    with open(out / "steps.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def test_step_trace_columns_layout(steps_csv):
+    header, rows = steps_csv
+    assert header == [
         "episode",
         "step",
         "p_1",
@@ -319,18 +337,30 @@ def test_step_trace_columns_layout():
         "mu_payoff_2",
         "clamped_flag",
     ]
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
-def test_step_trace_row_follows_columns():
-    scenario = _costly_scenario()
-    cfg = EnvConfig(p_max=1.0)
-    state = env_reset(scenario, cfg, _rng(3))
-    tr = env_step(scenario, cfg, state, np.array([0.2, 0.5, 1.5]))
-    row = dict(zip(step_trace_columns(3), step_trace_row(4, 9, tr)))
-    assert len(row) == len(step_trace_row(4, 9, tr))
-    assert (row["episode"], row["step"]) == (4, 9)
-    assert [row[f"p_{i}"] for i in (1, 2, 3)] == [0.2, 0.5, 1.0]
-    assert [row[f"x_{i}"] for i in (1, 2, 3)] == list(tr.next_state.allocations[-1])
-    assert (row["sp_payoff"], row["reward"]) == (tr.sp_payoff, tr.reward)
-    assert [row[f"mu_payoff_{i}"] for i in (1, 2, 3)] == list(tr.mu_payoffs)
-    assert row["clamped_flag"] is True
+def test_step_trace_row_follows_columns(steps_csv):
+    header, rows = steps_csv
+    scenario = generate_scenario(ScenarioSpec(n_mus=2), 4)
+    cfg = EnvConfig()
+    records = [dict(zip(header, row)) for row in rows]
+    assert [(r["episode"], r["step"]) for r in records] == [
+        (str(ep), str(k)) for ep in (1, 2) for k in range(1, 9)
+    ]
+    clamped_to_cap = 0
+    for r in records:
+        p = np.array([float(r["p_1"]), float(r["p_2"])])
+        assert np.all((p >= 0.0) & (p <= cfg.p_max))
+        x = respond(scenario, p)
+        assert [float(r["x_1"]), float(r["x_2"])] == x.tolist()
+        payoff = sp_payoff(x, p, scenario.utility_scale)
+        assert (float(r["sp_payoff"]), float(r["reward"])) == (payoff, cfg.reward_scale * payoff)
+        assert [float(r["mu_payoff_1"]), float(r["mu_payoff_2"])] == [
+            mu_payoff(mu, xi, pi) for mu, xi, pi in zip(scenario.mus, x, p)
+        ]
+        # a sampled price lands on 0 or p_max only by being clamped there
+        on_edge = bool(np.any((p == 0.0) | (p == cfg.p_max)))
+        assert r["clamped_flag"] == ("1" if on_edge else "0")
+        clamped_to_cap += bool(np.any(p == cfg.p_max))
+    assert clamped_to_cap > 0

@@ -104,7 +104,7 @@ def test_constant_policy_at_equilibrium_reproduces_payoff():
     assert res.steps == 25
     assert res.mean_sp_payoff == pytest.approx(se.sp_payoff, abs=1e-9)
     assert res.mean_reward == pytest.approx(env.reward_scale * se.sp_payoff, abs=1e-9)
-    assert np.allclose(res.mean_mu_payoffs, se.mu_payoffs, atol=1e-9)
+    assert np.allclose(res.mean_mu_payoff, se.mu_payoffs, atol=1e-9)
 
 
 def test_greedy_is_constant_cap():
@@ -114,7 +114,7 @@ def test_greedy_is_constant_cap():
     manual = play_constant(scen, env, np.full(scen.n, env.p_max), 10, 0, "greedy")
     assert greedy.name == "greedy"
     assert greedy.mean_sp_payoff == manual.mean_sp_payoff
-    assert np.array_equal(greedy.mean_mu_payoffs, manual.mean_mu_payoffs)
+    assert np.array_equal(greedy.mean_mu_payoff, manual.mean_mu_payoff)
 
 
 def test_random_baseline_deterministic_and_seed_sensitive():

@@ -690,9 +690,9 @@ def test_train_is_deterministic():
         assert a.mean_sp_payoff == b.mean_sp_payoff
         assert a.actor_objective == b.actor_objective
         assert a.critic_loss == b.critic_loss
-        assert np.array_equal(a.mean_prices, b.mean_prices)
-        assert np.array_equal(a.mean_allocations, b.mean_allocations)
-        assert np.array_equal(a.mean_mu_payoffs, b.mean_mu_payoffs)
+        assert np.array_equal(a.mean_price, b.mean_price)
+        assert np.array_equal(a.mean_allocation, b.mean_allocation)
+        assert np.array_equal(a.mean_mu_payoff, b.mean_mu_payoff)
     for w1, w2 in zip(p1.actor.weights, p2.actor.weights):
         assert np.array_equal(w1, w2)
     assert np.array_equal(p1.log_std, p2.log_std)
