@@ -42,6 +42,7 @@ from .experiments import (
 from .gradcheck import run_all
 from .leader import SolverConfig, compute_se
 from .learner import TrainConfig, TrainingDiverged, save_policy, train
+from .model import Scenario
 from .reporting import write_csv, write_json, write_manifest
 from .svgplot import line_chart
 
@@ -68,6 +69,10 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}")
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply")
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return data
@@ -81,6 +86,8 @@ def _apply_override(cfg: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError:
+        raise ConfigError(f"--set {key}: JSON value nested too deeply")
     node = cfg
     parts = key.split(".")
     for part in parts[:-1]:
@@ -268,8 +275,17 @@ def _face(row: UserRow) -> str:
 # commands
 
 
+def _scenario(setup: RunSetup) -> Scenario:
+    # the ranges can pass their checks and still all but never draw
+    # own_value > unit_cost
+    try:
+        return generate_scenario(setup.spec, setup.seed)
+    except ValueError as e:
+        raise ConfigError(f"scenario: {e}")
+
+
 def cmd_static(setup: RunSetup, out_dir: str) -> int:
-    scenario = generate_scenario(setup.spec, setup.seed)
+    scenario = _scenario(setup)
     res = compute_se(scenario, setup.solver)
     users = [dict(vars(row), region=_face(row)) for row in user_rows(scenario, res)]
     summary = dict(vars(market_summary("static", scenario, res)), seed=setup.seed)
@@ -287,7 +303,7 @@ def cmd_static(setup: RunSetup, out_dir: str) -> int:
 
 
 def cmd_train(setup: RunSetup, out_dir: str, svg: bool, steps_trace: bool) -> int:
-    scenario = generate_scenario(setup.spec, setup.seed)
+    scenario = _scenario(setup)
     se = compute_se(scenario, setup.solver)
 
     steps: list[dict] = []

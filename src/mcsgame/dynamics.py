@@ -60,14 +60,7 @@ class EnvConfig:
 
 
 def _frozen(arr) -> np.ndarray:
-    """A read-only float64 array owning its data; such an array is kept as is."""
-    if (
-        isinstance(arr, np.ndarray)
-        and arr.dtype == np.float64
-        and arr.base is None
-        and not arr.flags.writeable
-    ):
-        return arr
+    """A read-only float64 copy of arr."""
     out = np.array(arr, dtype=float, copy=True)
     out.flags.writeable = False
     return out
@@ -134,30 +127,14 @@ def respond(scenario: Scenario, prices: np.ndarray) -> np.ndarray:
     return np.array([sale(mu, p)[0] for mu, p in zip(scenario.mus, prices.tolist())])
 
 
-def env_reset(
-    scenario: Scenario,
-    config: EnvConfig,
-    rng: np.random.Generator,
-    initial_prices: np.ndarray | None = None,
-) -> GameState:
+def env_reset(scenario: Scenario, config: EnvConfig, rng: np.random.Generator) -> GameState:
     """Build the starting history window.
 
     Prices for each of the L seed rounds are drawn uniformly from
-    [0, p_max] unless ``initial_prices`` (shape (L, N)) pins them, and
-    allocations are the users' responses to those prices.
+    [0, p_max], and allocations are the users' responses to those prices.
     """
-    shape = (config.history_rounds, scenario.n)
-    if initial_prices is None:
-        prices = rng.uniform(0.0, config.p_max, size=shape)
-    else:
-        prices = np.array(initial_prices, dtype=float)
-        if prices.shape != shape:
-            raise ValueError(f"initial_prices must have shape {shape}, got {prices.shape}")
-        if not np.isfinite(prices).all():
-            raise ValueError("initial_prices must be finite")
-        if np.any(prices < 0.0) or np.any(prices > config.p_max):
-            raise ValueError("initial_prices must lie in [0, p_max]")
-    allocations = np.array([respond(scenario, prices[t]) for t in range(shape[0])])
+    prices = rng.uniform(0.0, config.p_max, size=(config.history_rounds, scenario.n))
+    allocations = np.array([respond(scenario, row) for row in prices])
     return GameState(prices=prices, allocations=allocations)
 
 

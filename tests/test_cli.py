@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
+from mcsgame import gradcheck, learner
 from mcsgame.cli import _face, main
 from mcsgame.experiments import user_rows
 from mcsgame.gradcheck import CHECK_NAMES, run_all
 from mcsgame.leader import compute_se
-from mcsgame.learner import load_policy
+from mcsgame.learner import ActorGrads, MlpGrads, load_policy
 from mcsgame.model import LinearDemand, MuProfile, Scenario, UniformDemand
 from oracles import leader_grid_best_uniform_n1
 
@@ -259,6 +260,46 @@ def test_removed_env_episode_length_exits_2(tmp_path):
 def test_set_without_equals_exits_2(tmp_path):
     rc = main(["static", "--set", "scenario.n_mus", "--out", str(tmp_path / "run")])
     assert rc == 2
+
+
+def _exits_2_without_files(capsys, argv, out):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["static", "gradcheck"])
+def test_config_file_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "run"
+    argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "static" else [])
+    _exits_2_without_files(capsys, argv, out)
+
+
+def test_config_file_nested_too_deep_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[" * 100_000)
+    out = tmp_path / "run"
+    _exits_2_without_files(capsys, ["static", "--config", str(path), "--out", str(out)], out)
+
+
+def test_set_value_nested_too_deep_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    deep = "[" * 50_000 + "]" * 50_000
+    _exits_2_without_files(capsys, ["static", "--set", f"scenario.capacity={deep}", "--out", str(out)], out)
+
+
+@pytest.mark.parametrize("command", ["static", "train"])
+def test_unsatisfiable_draw_exits_2(tmp_path, capsys, command):
+    # both ranges pass their checks, but own_value > unit_cost has
+    # probability 5e-7 per draw
+    out = tmp_path / "run"
+    argv = [command, "--set", "scenario.unit_cost_range=[0,1]",
+            "--set", "scenario.own_value_range=[0,1e-6]", "--out", str(out)]
+    _exits_2_without_files(capsys, argv, out)
 
 
 _BAD_SCENARIO = [
@@ -575,8 +616,29 @@ def test_gradcheck_prints_one_row_per_check(capsys):
         assert line.endswith("PASS")
 
 
-def test_gradcheck_catches_corrupted_gradient():
-    results = run_all(seed=0, corrupt="leader_gradient")
-    by_name = {r.name: r for r in results}
-    assert not by_name["leader_gradient"].passed
-    assert all(r.passed for name, r in by_name.items() if name != "leader_gradient")
+def _scaled_mlp(grads):
+    return MlpGrads([1.01 * w for w in grads.weights], [1.01 * b for b in grads.biases])
+
+
+# each check: where it looks its analytic derivative up, and that
+# derivative's result with every gradient entry scaled by 1.01
+_CORRUPTIONS = {
+    "leader_gradient": (gradcheck, "sp_payoff_gradient", lambda g: 1.01 * g),
+    "leader_hessian_diag": (gradcheck, "sp_payoff_hessian", lambda h: 1.01 * h),
+    "mlp_backward": (learner, "mlp_backward", _scaled_mlp),
+    "ppo_actor_gradient": (
+        learner, "ppo_actor_gradient", lambda g: ActorGrads(_scaled_mlp(g.mlp), 1.01 * g.log_std)
+    ),
+    "critic_gradient": (
+        learner, "critic_loss_and_gradient", lambda out: (out[0], _scaled_mlp(out[1]))
+    ),
+}
+
+
+@pytest.mark.parametrize("corrupted", CHECK_NAMES)
+def test_gradcheck_catches_corrupted_gradient(monkeypatch, corrupted):
+    module, name, scale = _CORRUPTIONS[corrupted]
+    analytic = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: scale(analytic(*args)))
+    failed = [r.name for r in run_all(seed=0) if not r.passed]
+    assert failed == [corrupted]

@@ -21,11 +21,17 @@ def test_layer_bench_writes_one_record_per_layer(tmp_path):
     assert record["cpu_count"] >= 1
     assert record["python"].count(".") == 2 and record["numpy"]
     assert record["config"]["users"] == 5
-    layers = record["layers"]
-    assert sorted(layers) == ["critic_forward", "env_step", "policy_sample", "ppo_update"]
     steps = record["config"]["steps_per_batch"]
+    calls = {
+        "env_step": steps, "policy_sample": steps, "critic_forward": steps, "ppo_update": 1,
+        "best_response": 5, "sp_payoff_gradient_n200": 1, "static_n25": 1,
+        **{f"{layer}_n{n}": 1 for layer in ("generate_scenario", "compute_se")
+           for n in (5, 200, 10_000)},
+    }
+    layers = record["layers"]
+    assert sorted(layers) == sorted(calls)
     for name, row in layers.items():
-        assert row["calls_per_repeat"] == (1 if name == "ppo_update" else steps)
+        assert row["calls_per_repeat"] == calls[name], name
         assert 0.0 < row["min_us"] <= row["q1_us"] <= row["median_us"] <= row["q3_us"]
 
 

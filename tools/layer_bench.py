@@ -1,13 +1,13 @@
-"""Time the layers of one PPO training step at the default configuration.
+"""Time the layers of one PPO training step and of the static solve.
 
     python tools/layer_bench.py [--label NAME] [--src DIR] [--out DIR]
                                 [--repeats R] [--passes K]
 
-The default configuration is the `train` command's: 5 users drawn from
-seed 7, EnvConfig() and TrainConfig(seed=7).  One training episode
-gives a policy; one more rollout of steps_per_batch steps under that
-policy records the states, features and raw (unclamped) actions the
-layers below are timed on:
+The training layers run at the `train` command's default configuration:
+5 users drawn from seed 7, EnvConfig() and TrainConfig(seed=7).  One
+training episode gives a policy; one more rollout of steps_per_batch
+steps under that policy records the states, features and raw
+(unclamped) actions the layers below are timed on:
 
 - env_step: one environment step on a recorded (state, action) pair;
 - policy_sample: one action draw on recorded features;
@@ -17,14 +17,27 @@ layers below are timed on:
   held fixed, so every repeat times the same work (the parameter steps
   themselves, a few array additions per epoch, are not timed).
 
-A repeat makes K passes over the recorded steps for the per-step layers
-and one update for ppo_update, with the garbage collector off, as
-timeit does.  The result holds the median, quartiles and minimum over R
-repeats in microseconds per call, with the Python and numpy versions
-and the CPU count, and is written to BENCH_<label>.json.  Standard
-library and numpy only; the package is imported from --src (default:
-src/ next to this directory), so a checkout of another commit can be
-timed with the same script.
+The solver layers run on default scenarios (uniform demand) drawn from
+seed 7:
+
+- generate_scenario_n<N> and compute_se_n<N>: drawing and solving the
+  N-user scenario, for N in 5, 200 and 10^4;
+- best_response: one user's response to its equilibrium price, over
+  the 5 users of the N = 5 equilibrium;
+- sp_payoff_gradient_n200: the leader gradient at the N = 200
+  equilibrium;
+- static_n25: the whole `static` command at 25 users, into a fresh
+  output directory each call.
+
+A repeat makes K passes over the recorded steps for the per-step
+layers, K calls of best_response on each user and of
+sp_payoff_gradient, and one call of each other layer, with the garbage
+collector off, as timeit does.  The result holds the median, quartiles
+and minimum over R repeats in microseconds per call, with the Python
+and numpy versions and the CPU count, and is written to
+BENCH_<label>.json.  Standard library and numpy only; the package is
+imported from --src (default: src/ next to this directory), so a
+checkout of another commit can be timed with the same script.
 """
 
 from __future__ import annotations
@@ -36,16 +49,22 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import gc  # noqa: E402
+import io  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
+SOLVER_USERS = (5, 200, 10_000)
+STATIC_USERS = 25
 
 
 def _timed(fn, repeats: int, calls: int) -> dict:
@@ -64,6 +83,52 @@ def _timed(fn, repeats: int, calls: int) -> dict:
     q1, median, q3 = statistics.quantiles(per_call, n=4, method="inclusive")
     return {"median_us": median, "q1_us": q1, "q3_us": q3, "min_us": min(per_call),
             "calls_per_repeat": calls}
+
+
+def _solver_layers(passes: int, tmp: str) -> list:
+    """(name, fn, calls per repeat) of each solver layer; static writes under tmp."""
+    from mcsgame.cli import main as cli_main
+    from mcsgame.experiments import ScenarioSpec, generate_scenario
+    from mcsgame.follower import best_response
+    from mcsgame.leader import compute_se, sp_payoff_gradient
+
+    layers = []
+    solved = {}
+    for n in SOLVER_USERS:
+        spec = ScenarioSpec(n_mus=n)
+        scenario = generate_scenario(spec, SEED)
+        solved[n] = (scenario, compute_se(scenario))
+        layers.append((f"generate_scenario_n{n}", lambda spec=spec: generate_scenario(spec, SEED), 1))
+        layers.append((f"compute_se_n{n}", lambda sc=scenario: compute_se(sc), 1))
+
+    small, small_se = solved[5]
+    pairs = list(zip(small.mus, small_se.prices.tolist()))
+
+    def responses():
+        for _ in range(passes):
+            for mu, price in pairs:
+                best_response(mu, price)
+
+    mid, mid_se = solved[200]
+
+    def gradients():
+        for _ in range(passes):
+            sp_payoff_gradient(mid, mid_se.prices)
+
+    runs = itertools.count()
+
+    def static():
+        # a fresh directory each call: rewriting an existing one costs more
+        out = os.path.join(tmp, f"static{next(runs)}")
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(["static", "--seed", str(SEED), "--set", f"scenario.n_mus={STATIC_USERS}",
+                      "--out", out])
+
+    return layers + [
+        ("best_response", responses, passes * len(pairs)),
+        ("sp_payoff_gradient_n200", gradients, passes),
+        (f"static_n{STATIC_USERS}", static, 1),
+    ]
 
 
 def measure(repeats: int, passes: int) -> dict:
@@ -124,14 +189,16 @@ def measure(repeats: int, passes: int) -> dict:
             critic_loss_and_gradient(policy, batch)
 
     layers = {}
-    for name, fn, n in (
-        ("env_step", steps_pass, calls),
-        ("policy_sample", samples_pass, calls),
-        ("critic_forward", critic_pass, calls),
-        ("ppo_update", update, 1),
-    ):
-        fn()  # warm-up
-        layers[name] = _timed(fn, repeats, n)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, fn, n in (
+            ("env_step", steps_pass, calls),
+            ("policy_sample", samples_pass, calls),
+            ("critic_forward", critic_pass, calls),
+            ("ppo_update", update, 1),
+            *_solver_layers(passes, tmp),
+        ):
+            fn()  # warm-up
+            layers[name] = _timed(fn, repeats, n)
     return {
         "config": {
             "users": scenario.n,
@@ -139,6 +206,8 @@ def measure(repeats: int, passes: int) -> dict:
             "steps_per_batch": cfg.steps_per_batch,
             "update_epochs": cfg.update_epochs,
             "hidden": list(cfg.hidden),
+            "solver_users": list(SOLVER_USERS),
+            "static_users": STATIC_USERS,
         },
         "numpy": np.__version__,
         "layers": layers,
