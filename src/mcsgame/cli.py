@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class ConfigError(Exception):
     pass
 
 
-_TOP_KEYS = {"scenario", "env", "solver", "train", "seed", "baseline_steps", "sweep"}
-
-
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -89,13 +86,12 @@ def _apply_override(cfg: dict, assignment: str) -> None:
     except RecursionError:
         raise ConfigError(f"--set {key}: JSON value nested too deeply")
     node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        nxt = node.setdefault(part, {})
-        if not isinstance(nxt, dict):
+    *sections, last = key.split(".")
+    for part in sections:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
             raise ConfigError(f"--set {key}: {part} is not a section")
-        node = nxt
-    node[parts[-1]] = value
+    node[last] = value
 
 
 def _is_int(v) -> bool:
@@ -118,11 +114,43 @@ _FIELD_VALUES = {
         "a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)), tuple
     ),
     "tuple[float, float]": (
+        "a list of two numbers",
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+        lambda v: tuple(map(float, v)),
+    ),
+    "tuple[float, ...]": (
         "a list of numbers",
         lambda v: isinstance(v, list) and all(map(_is_number, v)),
         lambda v: tuple(map(float, v)),
     ),
 }
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """The sweep command's axis and values; run_sweep checks both."""
+
+    axis: str = ""
+    values: tuple[float, ...] = ()
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every value a run reads: seed and baseline_steps, checked before the sections are built."""
+
+    seed: int = 0
+    baseline_steps: int = 1000
+    scenario: ScenarioSpec = ScenarioSpec()
+    env: EnvConfig = EnvConfig()
+    solver: SolverConfig = SolverConfig()
+    train: TrainConfig = TrainConfig()
+    sweep: SweepConfig = SweepConfig()
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.baseline_steps < 1:
+            raise ValueError("baseline_steps must be at least 1")
 
 
 def _build_section(cls, data, where: str):
@@ -135,69 +163,24 @@ def _build_section(cls, data, where: str):
     kwargs = {}
     try:
         for name, v in data.items():
-            what, fits, store = _FIELD_VALUES[types[name]]
-            if not fits(v):
-                raise ConfigError(f"{where}: {name} must be {what}, got {v!r}")
-            kwargs[name] = store(v)
-        return cls(**kwargs)
+            if types[name] in _FIELD_VALUES:
+                what, fits, store = _FIELD_VALUES[types[name]]
+                if not fits(v):
+                    raise ConfigError(f"{where}: {name} must be {what}, got {v!r}")
+                kwargs[name] = store(v)
+        built = cls(**kwargs)
     except (TypeError, ValueError, OverflowError) as e:
         # OverflowError: an integer too large for a float field
         raise ConfigError(f"{where}: {e}")
+    # the rest are sections, typed by their defaults and built after cls has checked its values
+    parts = {n: _build_section(type(getattr(cls, n)), v, n)
+             for n, v in data.items() if n not in kwargs}
+    return replace(built, **parts) if parts else built
 
 
-class RunSetup:
-    """Fully resolved configuration for one command invocation."""
-
-    def __init__(self, raw: dict, seed_flag: int | None):
-        unknown = sorted(set(raw) - _TOP_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
-        self.seed = seed_flag if seed_flag is not None else raw.get("seed", 0)
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        self.baseline_steps = raw.get("baseline_steps", 1000)
-        if not _is_int(self.baseline_steps) or self.baseline_steps < 1:
-            raise ConfigError("baseline_steps must be a positive integer")
-        self.spec = _build_section(ScenarioSpec, raw.get("scenario", {}), "scenario")
-        self.env = _build_section(EnvConfig, raw.get("env", {}), "env")
-        self.solver = _build_section(SolverConfig, raw.get("solver", {}), "solver")
-        tr = dict(raw.get("train", {}))
-        tr.setdefault("seed", self.seed)
-        self.train_config = _build_section(TrainConfig, tr, "train")
-        self.sweep = raw.get("sweep", None)
-
-    def sweep_axis_values(self) -> tuple[str, list[float]]:
-        if not isinstance(self.sweep, dict):
-            raise ConfigError("sweep command needs a 'sweep' config section")
-        unknown = sorted(set(self.sweep) - {"axis", "values"})
-        if unknown:
-            raise ConfigError(f"sweep: unknown field(s) {', '.join(unknown)}")
-        # run_sweep rejects an unknown axis and fewer than two values
-        axis = self.sweep.get("axis")
-        values = self.sweep.get("values")
-        if not isinstance(values, list):
-            raise ConfigError("sweep.values must be a list of numbers")
-        try:
-            floats = [float(v) for v in values if not isinstance(v, bool)]
-        except (TypeError, ValueError, OverflowError):
-            floats = []
-        if len(floats) != len(values) or not all(map(math.isfinite, floats)):
-            raise ConfigError("sweep.values must be finite numbers")
-        return axis, floats
-
-    def echo(self, command: str) -> dict:
-        cfg = {
-            "seed": self.seed,
-            "baseline_steps": self.baseline_steps,
-            "scenario": asdict(self.spec),
-            "env": asdict(self.env),
-            "solver": asdict(self.solver),
-            "train": asdict(self.train_config),
-        }
-        if command == "sweep":
-            axis, values = self.sweep_axis_values()
-            cfg["sweep"] = {"axis": axis, "values": values}
-        return cfg
+def _echo(config: RunConfig, command: str) -> dict:
+    """The manifest's config: the whole tree, its sweep section only for `sweep`."""
+    return {k: v for k, v in asdict(config).items() if k != "sweep" or command == "sweep"}
 
 
 # Every column is read by name from the experiments records, plus the
@@ -275,26 +258,25 @@ def _face(row: UserRow) -> str:
 # commands
 
 
-def _scenario(setup: RunSetup) -> Scenario:
-    # the ranges can pass their checks and still all but never draw
-    # own_value > unit_cost
+def _scenario(config: RunConfig) -> Scenario:
+    # the ranges can pass their checks and still all but never draw own_value > unit_cost
     try:
-        return generate_scenario(setup.spec, setup.seed)
+        return generate_scenario(config.scenario, config.seed)
     except ValueError as e:
         raise ConfigError(f"scenario: {e}")
 
 
-def cmd_static(setup: RunSetup, out_dir: str) -> int:
-    scenario = _scenario(setup)
-    res = compute_se(scenario, setup.solver)
+def cmd_static(config: RunConfig, out_dir: str) -> int:
+    scenario = _scenario(config)
+    res = compute_se(scenario, config.solver)
     users = [dict(vars(row), region=_face(row)) for row in user_rows(scenario, res)]
-    summary = dict(vars(market_summary("static", scenario, res)), seed=setup.seed)
+    summary = dict(vars(market_summary("static", scenario, res)), seed=config.seed)
 
     artifacts = _write_tables(out_dir, {
         "equilibrium.csv": (_EQUILIBRIUM_COLUMNS, users),
         "summary.csv": (_SUMMARY_COLUMNS, [summary]),
     })
-    write_manifest(out_dir, "static", setup.echo("static"), artifacts)
+    write_manifest(out_dir, "static", _echo(config, "static"), artifacts)
     if not res.converged:
         print(f"solver did not converge (residual {res.grad_residual:.3e})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -302,9 +284,9 @@ def cmd_static(setup: RunSetup, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_train(setup: RunSetup, out_dir: str, svg: bool, steps_trace: bool) -> int:
-    scenario = _scenario(setup)
-    se = compute_se(scenario, setup.solver)
+def cmd_train(config: RunConfig, out_dir: str, svg: bool, steps_trace: bool) -> int:
+    scenario = _scenario(config)
+    se = compute_se(scenario, config.solver)
 
     steps: list[dict] = []
 
@@ -317,17 +299,13 @@ def cmd_train(setup: RunSetup, out_dir: str, svg: bool, steps_trace: bool) -> in
 
     try:
         policy, trace = train(
-            scenario, setup.env, setup.train_config, on_step=record if steps_trace else None
+            scenario, config.env, config.train, on_step=record if steps_trace else None
         )
     except TrainingDiverged as e:
         os.makedirs(out_dir, exist_ok=True)
         snap_path = write_json(os.path.join(out_dir, "divergence_snapshot.json"), {
-            "format": "mcsgame-divergence",
-            "version": 1,
-            "episode": e.episode,
-            "inner_epoch": e.inner_epoch,
-            "config": setup.echo("train"),
-            "parameters": e.snapshot,
+            "format": "mcsgame-divergence", "version": 1, "config": _echo(config, "train"),
+            "episode": e.episode, "inner_epoch": e.inner_epoch, "parameters": e.snapshot,
         })
         print(
             f"training diverged at episode {e.episode}, inner epoch {e.inner_epoch}; "
@@ -336,10 +314,10 @@ def cmd_train(setup: RunSetup, out_dir: str, svg: bool, steps_trace: bool) -> in
         )
         return EXIT_NUMERIC
 
-    greedy = play_greedy(scenario, setup.env, setup.baseline_steps, setup.seed)
-    rand = play_random(scenario, setup.env, setup.baseline_steps, setup.seed)
+    greedy = play_greedy(scenario, config.env, config.baseline_steps, config.seed)
+    rand = play_random(scenario, config.env, config.baseline_steps, config.seed)
     static_se = BaselineResult(
-        "static_se", 0, se.sp_payoff, setup.env.reward_scale * se.sp_payoff, se.mu_payoffs
+        "static_se", 0, se.sp_payoff, config.env.reward_scale * se.sp_payoff, se.mu_payoffs
     )
     tables = {
         "episodes.csv": [_cells(vars(ep)) for ep in trace],
@@ -349,7 +327,7 @@ def cmd_train(setup: RunSetup, out_dir: str, svg: bool, steps_trace: bool) -> in
         tables["steps.csv"] = steps
     # every record of a table has the same fields, in column order
     artifacts = _write_tables(out_dir, {name: ([*rows[0]], rows) for name, rows in tables.items()})
-    save_policy(os.path.join(out_dir, "checkpoint.json"), policy, setup.env, setup.train_config)
+    save_policy(os.path.join(out_dir, "checkpoint.json"), policy, config.env, config.train)
     artifacts.append("checkpoint.json")
     if svg:
         episodes = [ep.episode for ep in trace]
@@ -370,7 +348,7 @@ def cmd_train(setup: RunSetup, out_dir: str, svg: bool, steps_trace: bool) -> in
             ("sp_payoff.svg", "SP payoff per episode", "payoff", sp_payoffs),
             ("mu_payoffs.svg", "Mean MU payoff per episode", "payoff", per_mu("mean_mu_payoff")),
         ])
-    write_manifest(out_dir, "train", setup.echo("train"), artifacts)
+    write_manifest(out_dir, "train", _echo(config, "train"), artifacts)
 
     last = trace[-min(50, len(trace)):]
     late_mean = sum(ep.mean_sp_payoff for ep in last) / len(last)
@@ -382,12 +360,12 @@ def cmd_train(setup: RunSetup, out_dir: str, svg: bool, steps_trace: bool) -> in
     return EXIT_OK
 
 
-def cmd_sweep(setup: RunSetup, out_dir: str, svg: bool) -> int:
-    axis, values = setup.sweep_axis_values()
+def cmd_sweep(config: RunConfig, out_dir: str, svg: bool) -> int:
+    axis, values = config.sweep.axis, config.sweep.values
     try:
-        result = run_sweep(setup.spec, axis, values, setup.seed, setup.solver)
+        result = run_sweep(config.scenario, axis, values, config.seed, config.solver)
     except ValueError as e:
-        raise ConfigError(str(e))
+        raise ConfigError(f"sweep: {e}")
 
     swept = SWEEP_FIELDS[axis]
     mu_rows = [dict(vars(u), axis=axis, sweep_value=getattr(u, swept)) for u in result.points]
@@ -411,7 +389,7 @@ def cmd_sweep(setup: RunSetup, out_dir: str, svg: bool) -> int:
             ("sweep_allocation.svg", f"Equilibrium allocation vs {axis}", "allocation", allocation),
             *extra,
         ])
-    write_manifest(out_dir, "sweep", setup.echo("sweep"), artifacts)
+    write_manifest(out_dir, "sweep", _echo(config, "sweep"), artifacts)
 
     if not result.converged:
         print("one or more sweep points did not converge", file=sys.stderr)
@@ -424,12 +402,10 @@ def cmd_gradcheck(seed: int) -> int:
     results = run_all(seed)
     width = max(len(r.name) for r in results)
     print(f"{'check'.ljust(width)}  probes  max_rel_err   tol       status")
-    failures = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name.ljust(width)}  {r.probes:6d}  {r.max_rel_err:.3e}  {r.tol:.1e}  {status}")
-        if not r.passed:
-            failures.append(r.name)
+    failures = [r.name for r in results if not r.passed]
     if failures:
         print(f"failing checks: {', '.join(failures)}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -475,19 +451,36 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.command != "gradcheck":
+            # an --out that cannot be made a directory fails before any work
+            nearest = os.path.abspath(args.out)
+            while not os.path.exists(nearest):
+                nearest = os.path.dirname(nearest)
+            if not os.path.isdir(nearest):
+                raise ConfigError(f"--out {args.out}: {nearest} is not a directory")
         raw = _load_config_file(args.config) if args.config else {}
         for assignment in args.set:
             _apply_override(raw, assignment)
-        setup = RunSetup(raw, args.seed)
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        if isinstance(raw.setdefault("train", {}), dict):  # training seed defaults to the run's
+            raw["train"].setdefault("seed", raw.get("seed", 0))
+        config = _build_section(RunConfig, raw, "top level")
         if args.command == "static":
-            return cmd_static(setup, args.out)
+            return cmd_static(config, args.out)
         if args.command == "train":
-            return cmd_train(setup, args.out, args.svg == "on", args.steps_trace == "on")
+            return cmd_train(config, args.out, args.svg == "on", args.steps_trace == "on")
         if args.command == "sweep":
-            return cmd_sweep(setup, args.out, args.svg == "on")
-        return cmd_gradcheck(setup.seed)
+            return cmd_sweep(config, args.out, args.svg == "on")
+        return cmd_gradcheck(config.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("config error: the run needs more memory than it can get", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as e:
+        print(f"config error: cannot write the output: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except FloatingPointError as e:
         print(f"numeric failure: {e}", file=sys.stderr)

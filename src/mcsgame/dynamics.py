@@ -41,6 +41,10 @@ __all__ = [
     "random_policy",
 ]
 
+# The largest user count, history window, batch length or layer width: the episode
+# buffer (steps x 2 * rounds * users floats) then stays below 2**63 bytes, numpy's limit.
+MAX_COUNT = 2**19
+
 
 @dataclass(frozen=True)
 class EnvConfig:
@@ -51,8 +55,8 @@ class EnvConfig:
     p_max: float = 1.0
 
     def __post_init__(self):
-        if self.history_rounds < 1:
-            raise ValueError("history_rounds must be at least 1")
+        if not 1 <= self.history_rounds <= MAX_COUNT:
+            raise ValueError(f"history_rounds must lie in [1, {MAX_COUNT}]")
         if not (math.isfinite(self.reward_scale) and self.reward_scale > 0.0):
             raise ValueError("reward_scale must be positive")
         if not (math.isfinite(self.p_max) and self.p_max > 0.0):

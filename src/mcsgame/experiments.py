@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import EnvConfig, env_reset, env_step, greedy_policy, random_policy
+from .dynamics import MAX_COUNT, EnvConfig, env_reset, env_step, greedy_policy, random_policy
 from .follower import price_threshold
 from .leader import EquilibriumResult, SolverConfig, compute_se
 from .model import DemandDistribution, LinearDemand, MuProfile, Scenario, UniformDemand
@@ -60,8 +60,8 @@ class ScenarioSpec:
     utility_scale: float = 50.0
 
     def __post_init__(self):
-        if self.n_mus < 1:
-            raise ValueError("n_mus must be at least 1")
+        if not 1 <= self.n_mus <= MAX_COUNT:
+            raise ValueError(f"n_mus must lie in [1, {MAX_COUNT}]")
         if not (math.isfinite(self.capacity) and self.capacity > 0.0):
             raise ValueError(f"capacity must be positive, got {self.capacity}")
         if not (math.isfinite(self.utility_scale) and self.utility_scale > 0.0):
@@ -273,9 +273,9 @@ def run_sweep(
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    if len(values) < 2:
-        raise ValueError("a sweep needs at least two values")
     vals = [float(v) for v in values]
+    if len(vals) < 2 or not all(map(math.isfinite, vals)):
+        raise ValueError("a sweep needs at least two values, all finite")
 
     if axis in ("delta", "cost"):
         if axis == "delta":

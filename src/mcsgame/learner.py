@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import EnvConfig, GameState, env_reset, env_step
+from .dynamics import MAX_COUNT, EnvConfig, GameState, env_reset, env_step
 from .reporting import write_json
 
 __all__ = [
@@ -423,14 +423,16 @@ class TrainConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ValueError("clip_epsilon must lie in (0, 1)")
-        if min(self.steps_per_batch, self.update_epochs, self.episodes) < 1:
-            raise ValueError("steps_per_batch, update_epochs and episodes must be >= 1")
+        if min(self.update_epochs, self.episodes) < 1 or not 1 <= self.steps_per_batch <= MAX_COUNT:
+            raise ValueError(
+                f"update_epochs and episodes must be >= 1, steps_per_batch in [1, {MAX_COUNT}]"
+            )
         if not (0.0 < self.actor_lr < math.inf and 0.0 < self.critic_lr < math.inf):
             raise ValueError("learning rates must be positive and finite")
         if not LOG_STD_MIN <= self.log_std_init <= LOG_STD_MAX:
             raise ValueError(f"log_std_init must lie in [{LOG_STD_MIN}, {LOG_STD_MAX}]")
-        if not self.hidden or min(self.hidden) < 1:
-            raise ValueError("hidden sizes must be positive")
+        if not self.hidden or not 1 <= min(self.hidden) <= max(self.hidden) <= MAX_COUNT:
+            raise ValueError(f"hidden sizes must lie in [1, {MAX_COUNT}]")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -12,12 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from mcsgame import gradcheck, learner
+from mcsgame import cli, gradcheck, learner
 from mcsgame.cli import _face, main
-from mcsgame.experiments import user_rows
+from mcsgame.dynamics import EnvConfig
+from mcsgame.experiments import ScenarioSpec, user_rows
 from mcsgame.gradcheck import CHECK_NAMES, run_all
 from mcsgame.leader import compute_se
-from mcsgame.learner import ActorGrads, MlpGrads, load_policy
+from mcsgame.learner import ActorGrads, MlpGrads, TrainConfig, load_policy
 from mcsgame.model import LinearDemand, MuProfile, Scenario, UniformDemand
 from oracles import leader_grid_best_uniform_n1
 
@@ -329,6 +331,13 @@ _BAD_TRAIN = [
     "train.critic_lr=1e400",
     "train.log_std_init=NaN",  # json.loads accepts NaN
     "train.log_std_init=709",  # exp overflows; train clips to [-3, 1]
+    # counts too large to allocate: each request is beyond any address
+    # space or numpy's 2**63-byte limit, so even without the caps on
+    # counts nothing is allocated
+    "env.history_rounds=100000000000000000",  # 3.47 EiB of history windows
+    "env.history_rounds=1000000000000000000",
+    "train.steps_per_batch=100000000000000000",  # 711 PiB of episode buffer
+    "train.hidden=[100000000000000000]",
 ]
 _BAD_SWEEP = [
     "sweep.values=[true,2]",
@@ -352,6 +361,102 @@ def test_invalid_value_exits_2_without_traceback(tmp_path, capsys, command, assi
     assert rc == 2
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()
+
+
+_NOT_OBJECTS = ["5", '"ab"', '[["seed",3]]']
+_SWEEP_SET = ["--set", 'sweep.axis="lambda"', "--set", "sweep.values=[20,30]"]
+
+
+@pytest.mark.parametrize("command", ["static", "train", "sweep", "gradcheck"])
+@pytest.mark.parametrize("value", _NOT_OBJECTS)
+@pytest.mark.parametrize("source", ["set", "file"])
+def test_train_section_not_an_object_exits_2(tmp_path, capsys, command, value, source):
+    out = tmp_path / "run"
+    if source == "set":
+        argv = [command, "--set", f"train={value}"]
+    else:
+        argv = [command, "--config", _write_config(tmp_path, {"train": json.loads(value)})]
+    if command == "sweep":
+        argv += _SWEEP_SET
+    if command != "gradcheck":
+        argv += ["--out", str(out)]
+    _exits_2_without_files(capsys, argv, out)
+
+
+@pytest.mark.parametrize("command", ["static", "train", "gradcheck"])
+def test_sweep_section_is_checked_on_every_command(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    argv = [command, "--set", "sweep=5", *TINY_TRAIN]
+    if command != "gradcheck":
+        argv += ["--out", str(out)]
+    _exits_2_without_files(capsys, argv, out)
+
+
+def test_range_of_three_numbers_names_what_it_needs(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["static", "--set", "scenario.unit_cost_range=[0,1,2]", "--out", str(out)])
+    assert rc == 2
+    assert "unit_cost_range must be a list of two numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (ScenarioSpec, "n_mus", 2**19),
+    (EnvConfig, "history_rounds", 2**19),
+    (TrainConfig, "steps_per_batch", 2**19),
+    (TrainConfig, "hidden", (2**19,)),
+])
+def test_array_sizing_counts_are_capped(cls, field, value):
+    # building the configs allocates nothing
+    cls(**{field: value})
+    over = tuple(v + 1 for v in value) if isinstance(value, tuple) else value + 1
+    with pytest.raises(ValueError, match=str(2**19)):
+        cls(**{field: over})
+
+
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "train", no_memory)
+    out = tmp_path / "run"
+    rc = main(["train", *TINY_TRAIN, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "more memory" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["static", "train", "sweep"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_that_is_not_a_directory_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, below
+):
+    def never(*args, **kwargs):
+        raise AssertionError("ran with an --out it cannot write")
+
+    for name in ("compute_se", "run_sweep", "train"):
+        monkeypatch.setattr(cli, name, never)
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    out = blocker / below if below else blocker
+    rc = main([command, *TINY_TRAIN, *_SWEEP_SET, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "is not a directory" in err and "Traceback" not in err
+    assert blocker.read_text() == "keep"
+
+
+def test_output_write_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def disk_full(out_dir, *args):
+        raise OSError(errno.ENOSPC, "No space left on device", f"{out_dir}/manifest.json")
+
+    monkeypatch.setattr(cli, "write_manifest", disk_full)
+    out = tmp_path / "run"
+    rc = main(["static", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "No space left on device" in err and str(out) in err and "Traceback" not in err
 
 
 def test_missing_out_flag_is_a_usage_error():

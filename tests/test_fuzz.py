@@ -1,10 +1,12 @@
 """Fuzz every command's --set space through cli.main, in process.
 
-Whatever the overrides, a run exits 0, 2, 3 or 4 and no exception
-escapes.  A config error (2) writes nothing; a numeric failure (4)
-writes nothing or only the divergence snapshot; a successful run's CSV
-cells are finite wherever they are numbers.  Every count is drawn small,
-so no example trains or solves for long.
+The fuzzed fields are read from the config tree, cli.RunConfig, so a
+new config field is fuzzed without editing this file.  Whatever the
+overrides, a run exits 0, 2, 3 or 4 and no exception escapes.  A config
+error (2) writes nothing; a numeric failure (4) writes nothing or only
+the divergence snapshot; a successful run's CSV cells are finite
+wherever they are numbers.  Every count is drawn small, so no example
+trains or solves for long.
 """
 
 import contextlib
@@ -14,45 +16,54 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import fields, is_dataclass
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcsgame.cli import main
+from mcsgame.cli import RunConfig, main
 
 _FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, -1e308, 1e-300, 1e308, math.inf, -math.inf, math.nan]),
     st.floats(0.0, 2.0),
     st.floats(-50.0, 100.0),
 )
-_RANGES = st.lists(_FLOATS, min_size=0, max_size=3)
-
-
-# every field a --set can reach, with the values it is drawn from
-_FIELDS = {
-    "seed": st.integers(-1, 2**64),
-    "scenario.capacity": _FLOATS,
-    "scenario.demand_kind": st.sampled_from(["uniform", "linear", "normal"]),
-    "scenario.demand_lo": _FLOATS,
-    "scenario.demand_hi": _FLOATS,
-    "scenario.unit_cost_range": _RANGES,
-    "scenario.own_value_range": _RANGES,
-    "scenario.utility_scale": _FLOATS,
-    "env.reward_scale": _FLOATS,
-    "env.p_max": _FLOATS,
-    "solver.tol": _FLOATS,
-    "train.gamma": _FLOATS,
-    "train.clip_epsilon": _FLOATS,
-    "train.actor_lr": _FLOATS,
-    "train.critic_lr": _FLOATS,
-    "train.log_std_init": _FLOATS,
-    "train.seed": st.integers(-1, 2**64),
-    # later flags win, so these override a drawn count with an invalid one
-    "scenario.n_mus": st.sampled_from([0, -1, 2.5, True]),
-    "train.episodes": st.sampled_from([0, -1, 2.5, True]),
-    "train.hidden": st.sampled_from([[], [0], [2.5], 4]),
-    "sweep.values": st.lists(_FLOATS, max_size=5),
+_INTS = st.sampled_from([0, -1, 2.5, True])
+_SEEDS = st.sampled_from([0, -1, 2.5, True, 2**64])
+_BY_ANNOTATION = {
+    "int": _INTS,
+    "float": _FLOATS,
+    "str": st.sampled_from(["uniform", "linear", "normal", "lambda", "width", ""]),
 }
+_NUMBER_LISTS = st.lists(st.one_of(_FLOATS, st.integers(-1, 3)), max_size=3)
+_NOT_OBJECTS = st.sampled_from([5, "ab", [["seed", 3]], None])
+
+
+def _fuzzed(cls, prefix: str = "") -> dict:
+    """Every field of the config tree under cls by dotted path, with its values.
+
+    Values are drawn by the field's annotation, and a section is also set
+    whole to a value that is not an object.  No count is drawn large: the
+    caps on counts have their own tests.
+    """
+    table = {}
+    for f in fields(cls):
+        key = prefix + f.name
+        if is_dataclass(f.default):
+            table[key] = _NOT_OBJECTS
+            table.update(_fuzzed(type(f.default), f"{key}."))
+        elif f.name == "seed":
+            table[key] = _SEEDS
+        elif f.type.startswith("tuple"):
+            table[key] = _NUMBER_LISTS
+        else:
+            table[key] = _BY_ANNOTATION[f.type]
+    return table
+
+
+# every field a --set can reach; these flags come after _BASE's and later
+# flags win, so a drawn count replaces a base count with an invalid one
+_FUZZED = _fuzzed(RunConfig)
 
 # set on every example: the counts, so that none is left at its
 # (large) default, and a sweep
@@ -75,7 +86,7 @@ def _assignment(key: str, strategy):
 
 _OVERRIDES = st.tuples(
     *(_assignment(k, s) for k, s in _BASE.items()),
-    st.lists(st.sampled_from(sorted(_FIELDS)).flatmap(lambda k: _assignment(k, _FIELDS[k])),
+    st.lists(st.sampled_from(sorted(_FUZZED)).flatmap(lambda k: _assignment(k, _FUZZED[k])),
              max_size=4),
 ).map(lambda t: [*t[:-1], *t[-1]])
 
@@ -97,11 +108,16 @@ def _numeric_cells_finite(out: str) -> None:
                     assert math.isfinite(v), (name, row)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(command=st.sampled_from(["static", "train", "sweep", "gradcheck"]), overrides=_OVERRIDES)
 @example(command="static", overrides=_UNSATISFIABLE)
 @example(command="train", overrides=[*_UNSATISFIABLE, *_SMALL_TRAIN])
 @example(command="static", overrides=["scenario.capacity=" + "[" * 50_000 + "]" * 50_000])
+@example(command="static", overrides=["train=5"])
+@example(command="static", overrides=['train="ab"'])
+@example(command="static", overrides=['train=[["seed",3]]'])
+@example(command="static", overrides=["scenario.unit_cost_range=[0,1,2]"])
+@example(command="train", overrides=["env.history_rounds=100000000000000000"])
 def test_every_set_space_exits_with_a_documented_code(command, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "run")
