@@ -284,22 +284,38 @@ def cmd_static(config: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
+class _StepTrace:
+    """`train`'s step records, one array row per step, built into records each time it is read."""
+
+    def __init__(self, episodes: int, steps: int, n: int):
+        rows, self.steps = episodes * steps, steps
+        self.fields = {
+            "p": np.empty((rows, n)), "x": np.empty((rows, n)), "sp_payoff": np.empty(rows),
+            "reward": np.empty(rows), "mu_payoff": np.empty((rows, n)),
+            "clamped_flag": np.empty(rows, dtype=bool),
+        }
+
+    def record(self, ep: int, k: int, tr) -> None:
+        values = (tr.action, tr.next_state.allocations[-1], tr.sp_payoff, tr.reward,
+                  tr.mu_payoffs, tr.clamped)
+        for column, v in zip(self.fields.values(), values):
+            column[(ep - 1) * self.steps + k - 1] = v
+
+    def __iter__(self):
+        for i in range(len(self.fields["reward"])):
+            cells = {name: c[i] if c.ndim > 1 else c[i].item() for name, c in self.fields.items()}
+            yield _cells({"episode": i // self.steps + 1, "step": i % self.steps + 1, **cells})
+
+
 def cmd_train(config: RunConfig, out_dir: str, svg: bool, steps_trace: bool) -> int:
     scenario = _scenario(config)
     se = compute_se(scenario, config.solver)
-
-    steps: list[dict] = []
-
-    def record(ep: int, k: int, tr) -> None:
-        steps.append(_cells({
-            "episode": ep, "step": k, "p": tr.action, "x": tr.next_state.allocations[-1],
-            "sp_payoff": tr.sp_payoff, "reward": tr.reward, "mu_payoff": tr.mu_payoffs,
-            "clamped_flag": tr.clamped,
-        }))
+    if steps_trace:
+        steps = _StepTrace(config.train.episodes, config.train.steps_per_batch, scenario.n)
 
     try:
         policy, trace = train(
-            scenario, config.env, config.train, on_step=record if steps_trace else None
+            scenario, config.env, config.train, on_step=steps.record if steps_trace else None
         )
     except TrainingDiverged as e:
         os.makedirs(out_dir, exist_ok=True)
@@ -326,7 +342,7 @@ def cmd_train(config: RunConfig, out_dir: str, svg: bool, steps_trace: bool) -> 
     if steps_trace:
         tables["steps.csv"] = steps
     # every record of a table has the same fields, in column order
-    artifacts = _write_tables(out_dir, {name: ([*rows[0]], rows) for name, rows in tables.items()})
+    artifacts = _write_tables(out_dir, {name: ([*next(iter(t))], t) for name, t in tables.items()})
     save_policy(os.path.join(out_dir, "checkpoint.json"), policy, config.env, config.train)
     artifacts.append("checkpoint.json")
     if svg:

@@ -13,7 +13,9 @@ env_step.
 env_step runs once per training step, so it checks its inputs once, at
 its entry (the action's shape and finiteness, the state's shape), and
 builds no per-step objects beyond the next GameState and a Transition
-record whose fields are plain arrays and floats.  The users' constants
+record whose fields are plain arrays and floats.  It then makes one
+pass over the users, each giving its sale (follower.sale) and its
+payoff (the unchecked core of model.mu_payoff).  The users' constants
 (margin, price threshold, own-use profit of the whole capacity) are
 cached on each MuProfile, and the responses and payoffs come from the
 same formulas the static solver uses.
@@ -28,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .follower import sale
-from .model import Scenario, _sp_payoff, mu_payoff
+from .model import Scenario, _mu_payoff, _sp_payoff
 
 __all__ = [
     "EnvConfig",
@@ -173,11 +175,14 @@ def env_step(scenario: Scenario, config: EnvConfig, state: GameState, action) ->
     prices = [0.0 if v < 0.0 else (p_max if v > p_max else v) for v in requested]
     executed = np.array(prices)
     executed.flags.writeable = False
-    alloc = respond(scenario, executed)
+    sold, earned = [], []
+    for mu, p in zip(scenario.mus, prices):
+        x = sale(mu, p)[0]
+        sold.append(x)
+        earned.append(_mu_payoff(mu, x, p))
+    alloc = np.array(sold)
     payoff = _sp_payoff(alloc, executed, scenario.utility_scale)
-    payoffs = np.array([
-        mu_payoff(mu, x, p) for mu, x, p in zip(scenario.mus, alloc.tolist(), prices)
-    ])
+    payoffs = np.array(earned)
     next_state = _next_state(_slide(state.prices, executed), _slide(state.allocations, alloc))
     return Transition(
         state=state,

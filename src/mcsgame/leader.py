@@ -185,20 +185,22 @@ class _Market:
         """
         k, m, w = self.power, self.margin, self.width
         x = self.x_hi.copy()
-        for _ in range(_INNER_BUDGET):
-            s = self._share(x)
-            s_k1 = s ** (k - 1.0)
-            marginal = self.cost + m * s_k1 * (s + k * x / w)
-            # C''(x); the (k - 1) term is exact for k in {1, 2}
-            curvature = (m * k / w) * (2.0 * s_k1 + (k - 1.0) * x / w)
-            dphi = marginal + (1.0 + x) * curvature
-            nxt = np.clip(x - ((1.0 + x) * marginal - g) / dphi, self.x_lo, self.x_hi)
-            done = bool(np.all(np.abs(nxt - x) <= 1e-14 * (1.0 + x)))
-            x = nxt
-            if done:
-                break
-        inside = (x > self.x_lo) & (x < self.x_hi)
-        return x, np.where(inside, 1.0 / dphi, 0.0)
+        # a subnormal dphi overflows the quotients; the clip and the mask discard the infinities
+        with np.errstate(over="ignore"):
+            for _ in range(_INNER_BUDGET):
+                s = self._share(x)
+                s_k1 = s ** (k - 1.0)
+                marginal = self.cost + m * s_k1 * (s + k * x / w)
+                # C''(x); the (k - 1) term is exact for k in {1, 2}
+                curvature = (m * k / w) * (2.0 * s_k1 + (k - 1.0) * x / w)
+                dphi = marginal + (1.0 + x) * curvature
+                nxt = np.clip(x - ((1.0 + x) * marginal - g) / dphi, self.x_lo, self.x_hi)
+                done = bool(np.all(np.abs(nxt - x) <= 1e-14 * (1.0 + x)))
+                x = nxt
+                if done:
+                    break
+            inside = (x > self.x_lo) & (x < self.x_hi)
+            return x, np.where(inside, 1.0 / dphi, 0.0)
 
 
 def _solve(market: _Market, utility_scale: float) -> tuple[np.ndarray, int]:

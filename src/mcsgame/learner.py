@@ -17,6 +17,11 @@ the episode's final surrogate.  The PPO functions read only the batch
 they are given.  The actor and critic gradients backpropagate through
 the forward pass they have just computed on it.
 
+A network's weights and biases are views into one float64 vector, and
+train writes each network's gradients into one such vector allocated
+per call, so a parameter step is one array operation.  The rollout
+evaluates single states as W @ h per layer, with no batch axis.
+
 This module sees the game only through dynamics.env_reset/env_step and
 the (state, reward) stream they produce.  It never imports the market
 model and never reads user profile fields, so the agent cannot peek at
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -73,19 +78,31 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # plain multilayer perceptron
 
 
+def _pack(layers: MlpParams | MlpGrads) -> MlpParams | MlpGrads:
+    """Copy the weights, then the biases, into one new vector; leave views of it in their place."""
+    arrays = [*layers.weights, *layers.biases]
+    layers.vector = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+    parts = np.split(layers.vector, np.cumsum([a.size for a in arrays[:-1]]))
+    views = [part.reshape(a.shape) for part, a in zip(parts, arrays)]
+    layers.weights, layers.biases = views[: len(layers.weights)], views[len(layers.weights):]
+    return layers
+
+
 @dataclass
 class MlpParams:
     """Dense layers with tanh hidden activations.
 
     weights[i] has shape (fan_out, fan_in).  With bounded_output the
     last layer goes through a sigmoid scaled by output_scale, otherwise
-    it is linear.
+    it is linear.  The constructor copies the weights and biases into
+    ``vector`` and keeps views of it (see _pack).
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     bounded_output: bool = False
     output_scale: float = 1.0
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -93,14 +110,21 @@ class MlpParams:
         for W, b in zip(self.weights, self.biases):
             if W.ndim != 2 or b.shape != (W.shape[0],):
                 raise ValueError("layer shapes are inconsistent")
+        _pack(self)
 
 
 @dataclass
 class MlpGrads:
-    """Parameter gradients, same shapes as the owning MlpParams."""
+    """Parameter gradients, same shapes as the owning MlpParams; _grads_for packs them."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    vector: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+
+def _grads_for(params: MlpParams) -> MlpGrads:
+    """A gradient packed like params, for _backprop to overwrite."""
+    return _pack(MlpGrads(params.weights, params.biases))
 
 
 def mlp_init(
@@ -149,14 +173,25 @@ def _forward_cached(params: MlpParams, x: np.ndarray):
 
 
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
-    """Evaluate the network on one input (in,) or a batch (B, in)."""
-    single = np.ndim(x) == 1
-    out, _ = _forward_cached(params, x)
-    return out[0] if single else out
+    """Evaluate the network on one input (in,) or a batch (B, in).
+
+    One input takes W @ h per layer; on OpenBLAS, which runs a one-row
+    matrix product as a matrix-vector one, the bits equal the batch row.
+    """
+    if np.ndim(x) != 1:
+        return _forward_cached(params, x)[0]
+    h = np.asarray(x, dtype=float)
+    for W, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = np.tanh(W @ h + b)
+    z = params.weights[-1] @ h + params.biases[-1]
+    return params.output_scale * _sigmoid(z) if params.bounded_output else z
 
 
-def _backprop(params: MlpParams, out: np.ndarray, acts: list, upstream) -> MlpGrads:
-    """Parameter gradients from a forward pass already computed by _forward_cached."""
+def _backprop(params: MlpParams, out: np.ndarray, acts: list, upstream, into=None) -> MlpGrads:
+    """Parameter gradients from a forward pass already computed by _forward_cached.
+
+    They are written into the arrays of ``into`` if given, else new ones.
+    """
     up = np.atleast_2d(np.asarray(upstream, dtype=float))
     if up.shape != out.shape:
         raise ValueError(f"upstream shape {up.shape} does not match output {out.shape}")
@@ -165,15 +200,16 @@ def _backprop(params: MlpParams, out: np.ndarray, acts: list, upstream) -> MlpGr
         dz = up * params.output_scale * s * (1.0 - s)
     else:
         dz = up
-    gw = [None] * len(params.weights)
-    gb = [None] * len(params.biases)
-    for i in range(len(params.weights) - 1, -1, -1):
-        gw[i] = dz.T @ acts[i]
-        gb[i] = dz.sum(axis=0)
+    layers = len(params.weights)
+    grads = MlpGrads([None] * layers, [None] * layers) if into is None else into
+    gw, gb = grads.weights, grads.biases
+    for i in range(layers - 1, -1, -1):
+        gw[i] = np.matmul(dz.T, acts[i], out=gw[i])  # out=None allocates
+        gb[i] = dz.sum(axis=0, out=gb[i])
         if i > 0:
             da = dz @ params.weights[i]
             dz = da * (1.0 - acts[i] ** 2)  # tanh'
-    return MlpGrads(gw, gb)
+    return grads
 
 
 def mlp_backward(params: MlpParams, x, upstream) -> MlpGrads:
@@ -200,9 +236,7 @@ class PolicyParams:
     obs_price_scale: float
 
     def all_finite(self) -> bool:
-        arrays = self.actor.weights + self.actor.biases
-        arrays += self.critic.weights + self.critic.biases
-        arrays += [self.log_std]
+        arrays = (self.actor.vector, self.critic.vector, self.log_std)
         return all(np.isfinite(a).all() for a in arrays)
 
 
@@ -235,8 +269,11 @@ def policy_sample(policy: PolicyParams, feats: np.ndarray, rng: np.random.Genera
     clamped price would bias the PPO ratios.
     """
     mean = mlp_forward(policy.actor, feats)
-    action = mean + np.exp(policy.log_std) * rng.standard_normal(mean.size)
-    return action, gaussian_log_prob(mean, policy.log_std, action)
+    std = np.exp(policy.log_std)
+    action = mean + std * rng.standard_normal(mean.size)
+    # gaussian_log_prob(mean, policy.log_std, action), expression for expression
+    z = (action - mean) / std
+    return action, float((-0.5 * _LOG_2PI - policy.log_std - 0.5 * z * z).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +325,19 @@ class TrajectoryBuffer:
         self._values = np.empty(self.capacity)
 
     def add(self, feats, action, log_prob, reward, value):
-        if self.size >= self.capacity:
-            raise ValueError("buffer is full")
-        feats = np.asarray(feats, dtype=float)
-        action = np.asarray(action, dtype=float)
+        """Write one step; the first add after a clear sets the feature and action shapes."""
         k = self.size
-        if (feats.shape, action.shape) != (self._features.shape[1:], self._actions.shape[1:]):
-            if k > 0:
-                raise ValueError("every step must have the same feature and action shapes")
-            self._features = np.empty((self.capacity, *feats.shape))
-            self._actions = np.empty((self.capacity, *action.shape))
+        if k >= self.capacity:
+            raise ValueError("buffer is full")
+        if k == 0:
+            self._features = np.empty((self.capacity, *np.shape(feats)))
+            self._actions = np.empty((self.capacity, *np.shape(action)))
+        # a row of another shape then fails to broadcast (ValueError)
         self._features[k] = feats
         self._actions[k] = action
-        self._log_probs[k] = float(log_prob)
-        self._rewards[k] = float(reward)
-        self._values[k] = float(value)
+        self._log_probs[k] = log_prob
+        self._rewards[k] = reward
+        self._values[k] = value
         self.size = k + 1
 
     def clear(self):
@@ -365,8 +400,11 @@ class ActorGrads:
     log_std: np.ndarray
 
 
-def ppo_actor_gradient(policy: PolicyParams, batch: EpisodeBatch, epsilon: float) -> ActorGrads:
+def ppo_actor_gradient(policy: PolicyParams, batch: EpisodeBatch, epsilon: float,
+                       into: MlpGrads | None = None) -> ActorGrads:
     """Gradient of the clipped surrogate w.r.t. actor weights and log_std.
+
+    The actor network's gradient is written into ``into`` if given.
 
     Each step contributes advantage * ratio * grad(log pi) while its
     unclipped branch is active or the ratio sits inside the clip band;
@@ -380,17 +418,21 @@ def ppo_actor_gradient(policy: PolicyParams, batch: EpisodeBatch, epsilon: float
     active = (unclipped <= clipped) | ((f >= 1.0 - epsilon) & (f <= 1.0 + epsilon))
     coef = np.where(active, unclipped, 0.0)
     upstream_mean = coef[:, None] * z / std
-    mlp_grads = _backprop(policy.actor, mean, acts, upstream_mean)
+    mlp_grads = _backprop(policy.actor, mean, acts, upstream_mean, into)
     log_std_grad = np.sum(coef[:, None] * (z * z - 1.0), axis=0)
     return ActorGrads(mlp_grads, log_std_grad)
 
 
-def critic_loss_and_gradient(policy: PolicyParams, batch: EpisodeBatch) -> tuple[float, MlpGrads]:
-    """Summed squared error of the critic against fixed return targets."""
+def critic_loss_and_gradient(policy: PolicyParams, batch: EpisodeBatch,
+                             into: MlpGrads | None = None) -> tuple[float, MlpGrads]:
+    """Summed squared error of the critic against fixed return targets, and its gradient.
+
+    The gradient is written into ``into`` if given.
+    """
     out, acts = _forward_cached(policy.critic, batch.features)
     resid = out[:, 0] - batch.targets
     loss = float(np.sum(resid * resid))
-    grads = _backprop(policy.critic, out, acts, (2.0 * resid)[:, None])
+    grads = _backprop(policy.critic, out, acts, (2.0 * resid)[:, None], into)
     return loss, grads
 
 
@@ -504,6 +546,7 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
     state = env_reset(scenario, env_config, rng)
     policy = _init_policy(state, env_config, cfg, rng)
     buffer = TrajectoryBuffer(cfg.steps_per_batch)
+    actor_grads, critic_grads = _grads_for(policy.actor), _grads_for(policy.critic)
     trace: list[EpisodeStats] = []
     n = state.n_mus
     # observed once per state: by the step that acts on it, and by the
@@ -535,17 +578,13 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
 
         critic_loss = math.nan
         for epoch in range(1, cfg.update_epochs + 1):
-            actor_grads = ppo_actor_gradient(policy, batch, cfg.clip_epsilon)
-            critic_loss, critic_grads = critic_loss_and_gradient(policy, batch)
-            for i in range(len(policy.actor.weights)):
-                policy.actor.weights[i] += cfg.actor_lr * actor_grads.mlp.weights[i]
-                policy.actor.biases[i] += cfg.actor_lr * actor_grads.mlp.biases[i]
+            log_std_grad = ppo_actor_gradient(policy, batch, cfg.clip_epsilon, actor_grads).log_std
+            critic_loss = critic_loss_and_gradient(policy, batch, critic_grads)[0]
+            policy.actor.vector += cfg.actor_lr * actor_grads.vector
             policy.log_std = np.clip(
-                policy.log_std + cfg.actor_lr * actor_grads.log_std, LOG_STD_MIN, LOG_STD_MAX
+                policy.log_std + cfg.actor_lr * log_std_grad, LOG_STD_MIN, LOG_STD_MAX
             )
-            for i in range(len(policy.critic.weights)):
-                policy.critic.weights[i] -= cfg.critic_lr * critic_grads.weights[i]
-                policy.critic.biases[i] -= cfg.critic_lr * critic_grads.biases[i]
+            policy.critic.vector -= cfg.critic_lr * critic_grads.vector
             if not policy.all_finite():
                 raise TrainingDiverged(
                     f"non-finite parameter after episode {ep}, inner epoch {epoch}",

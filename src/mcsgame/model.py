@@ -251,9 +251,10 @@ def sp_payoff(x, p, utility_scale: float) -> float:
     return _sp_payoff(xa, pa, utility_scale)
 
 
-# The formula cores below take float64 vectors that sp_payoff (or the
-# solver and dynamics.env_step, which build them) have checked: x finite
-# and non-negative, p of the same length, utility_scale positive.
+# The formula cores below take values that sp_payoff and mu_payoff (or
+# the solver and dynamics.env_step, which build them) have checked: x
+# finite and non-negative (at most the capacity for a user), p of the
+# same length or non-negative, utility_scale positive.
 
 
 def _aggregate(x: np.ndarray) -> float:
@@ -263,6 +264,11 @@ def _aggregate(x: np.ndarray) -> float:
 
 def _sp_payoff(x: np.ndarray, p: np.ndarray, utility_scale: float) -> float:
     return utility_scale * math.log(_aggregate(x)) - float(p.dot(x))
+
+
+def _mu_payoff(mu: MuProfile, x: float, price: float) -> float:
+    kept = mu._margin * mu.demand.expected_min(mu.capacity - x)
+    return kept - mu._full_profit - mu.unit_cost * x + price * x
 
 
 # ---------------------------------------------------------------------------
@@ -291,5 +297,4 @@ def mu_payoff(mu: MuProfile, x: float, price: float) -> float:
         raise ValueError(f"x must lie in [0, {mu.capacity}], got {x}")
     if price < 0.0:
         raise ValueError(f"price must be non-negative, got {price}")
-    kept = mu_own_profit(mu, mu.capacity - x)
-    return kept - mu._full_profit - mu.unit_cost * x + price * x
+    return _mu_payoff(mu, x, price)

@@ -40,15 +40,14 @@ def format_value(v) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Write rows under a header, return the path."""
-    lines = [",".join(header)]
+    """Write rows under a header, one line at a time; return the path."""
     width = len(header)
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"row width {len(row)} != header width {width}")
-        lines.append(",".join(format_value(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"row width {len(row)} != header width {width}")
+            fh.write(",".join(format_value(v) for v in row) + "\n")
     return path
 
 

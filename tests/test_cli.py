@@ -510,6 +510,16 @@ def test_train_emits_full_artifact_set(tmp_path):
     }
 
 
+def test_a_step_trace_too_large_to_hold_exits_2_before_training(tmp_path, capsys):
+    # 1.28e13 steps: the trace's arrays would exceed any address space
+    out = tmp_path / "run"
+    rc = main(["train", "--steps-trace", "on", "--set", "train.episodes=100000000000",
+               "--out", str(out)])
+    assert rc == 2
+    assert "memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_svg_off_and_no_steps_trace(tmp_path):
     out = tmp_path / "run"
     rc = main(["train", "--seed", "0", "--out", str(out), "--svg", "off", *TINY_TRAIN])
@@ -690,6 +700,18 @@ def test_sweep_svgs_on_an_axis_one_ulp_wide(tmp_path, values):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "sweep_price.svg").is_file()
+
+
+def test_sweep_to_a_subnormal_own_value_prints_no_warning(tmp_path):
+    # the margin 5e-324 makes the solver's Newton denominator subnormal
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcsgame", "sweep", "--set", 'sweep.axis="delta"',
+         "--set", "sweep.values=[1.0, 5e-324]", "--out", str(tmp_path / "run")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("law", ["uniform", "linear"])

@@ -111,9 +111,8 @@ def test_step_matches_the_public_formulas_bit_for_bit(law, demand_lo):
         assert np.array_equal(tr.next_state.prices, np.vstack([state.prices[1:], executed]))
         assert tr.sp_payoff == payoff
         assert tr.reward == cfg.reward_scale * payoff
-        assert np.array_equal(
-            tr.mu_payoffs, [mu_payoff(mu, x, p) for mu, x, p in zip(mus, alloc, executed)]
-        )
+        payoffs = np.array([mu_payoff(mu, x, p) for mu, x, p in zip(mus, alloc, executed)])
+        assert np.array_equal(tr.mu_payoffs.view(np.uint64), payoffs.view(np.uint64))
         assert tr.clamped is True
         state = tr.next_state
 

@@ -6,7 +6,9 @@ overrides, a run exits 0, 2, 3 or 4 and no exception escapes.  A config
 error (2) writes nothing; a numeric failure (4) writes nothing or only
 the divergence snapshot; a successful run's CSV cells are finite
 wherever they are numbers.  Every count is drawn small, so no example
-trains or solves for long.
+trains or solves for long.  A run that exits 0 emits no RuntimeWarning:
+numpy's overflow and invalid-value warnings there would be noise around
+a correct result.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import fields, is_dataclass
 
 from hypothesis import example, given, settings
@@ -118,13 +121,16 @@ def _numeric_cells_finite(out: str) -> None:
 @example(command="static", overrides=['train=[["seed",3]]'])
 @example(command="static", overrides=["scenario.unit_cost_range=[0,1,2]"])
 @example(command="train", overrides=["env.history_rounds=100000000000000000"])
+@example(command="sweep", overrides=['sweep.axis="delta"', "sweep.values=[1.0, 5e-324]"])
 def test_every_set_space_exits_with_a_documented_code(command, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "run")
         argv = [command, *(a for o in overrides for a in ("--set", o))]
         if command != "gradcheck":
             argv += ["--out", out]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(argv)
         assert rc in (0, 2, 3, 4), argv
         written = sorted(os.listdir(out)) if os.path.exists(out) else None
@@ -132,5 +138,7 @@ def test_every_set_space_exits_with_a_documented_code(command, overrides):
             assert written is None, argv
         elif rc == 4:
             assert written in (None, ["divergence_snapshot.json"]), argv
-        elif rc == 0 and written is not None:
-            _numeric_cells_finite(out)
+        elif rc == 0:
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+            if written is not None:
+                _numeric_cells_finite(out)

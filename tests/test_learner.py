@@ -100,6 +100,57 @@ def test_batch_forward_matches_single():
         assert np.allclose(batch[i], mlp_forward(params, xs[i]), rtol=1e-14)
 
 
+@pytest.mark.parametrize("sizes", [(3, 2), (6, 5, 4, 2), (30, 64, 64, 5), (30, 64, 64, 1)])
+@pytest.mark.parametrize("bounded", [False, True])
+def test_single_state_forward_matches_the_batch_path(sizes, bounded):
+    # bit equality holds on OpenBLAS; another BLAS may round a
+    # matrix-vector product differently from a one-row matrix product.
+    # atol is a floor for outputs that cancel to near 0.
+    rng = _rng(len(sizes) + bounded)
+    params = mlp_init(sizes, rng, bounded_output=bounded, output_scale=1.5)
+    for x in rng.uniform(-2.0, 2.0, size=(50, sizes[0])):
+        single = mlp_forward(params, x)
+        assert single.shape == (sizes[-1],)
+        batch_row = learner_mod._forward_cached(params, x[None, :])[0][0]
+        np.testing.assert_allclose(single, batch_row, rtol=1e-13, atol=1e-15)
+
+
+def _assert_packed(params):
+    """Every weight and bias of params is a view into its one float64 vector."""
+    arrays = [*params.weights, *params.biases]
+    assert params.vector.dtype == np.float64 and params.vector.flags.c_contiguous
+    assert params.vector.size == sum(a.size for a in arrays)
+    assert all(np.shares_memory(a, params.vector) for a in arrays)
+    assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), params.vector)
+
+
+def test_parameters_are_views_of_one_vector(tmp_path):
+    net = mlp_init((5, 7, 3, 2), _rng(3), bounded_output=True)
+    _assert_packed(net)
+    net.vector += 1.0  # a step on the vector moves every layer
+    assert all(np.all(b == 1.0) for b in net.biases)
+
+    scenario = make_scenario(3, n=3)
+    cfg = TrainConfig(**_SMALL)
+    policy, _ = train(scenario, EnvConfig(), cfg)
+    save_policy(tmp_path / "a.json", policy, EnvConfig(), cfg)
+    loaded, _ = load_policy(tmp_path / "a.json")
+    for trained, read in ((policy.actor, loaded.actor), (policy.critic, loaded.critic)):
+        _assert_packed(trained)
+        _assert_packed(read)
+        assert np.array_equal(trained.vector, read.vector)
+    save_policy(tmp_path / "b.json", loaded, EnvConfig(), cfg)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_params_copy_the_arrays_they_are_built_from():
+    W, b = np.ones((2, 3)), np.zeros(2)
+    params = MlpParams([W], [b])
+    params.vector[:] = 5.0
+    assert np.all(W == 1.0) and np.all(b == 0.0)
+    _assert_packed(params)
+
+
 def _fd_sum_loss(params, x, upstream, arrays, idx_pairs, h=1e-6):
     """Central differences of sum(upstream * forward(x)) per coordinate."""
     grads = []
@@ -637,10 +688,11 @@ def test_buffer_rejects_a_step_of_another_shape():
 def test_train_does_each_episode_step_once(monkeypatch):
     """Per episode: one batch, one target loop, one observation per state.
 
-    Every inner epoch runs one actor and one critic forward pass on the
-    batch, and its gradients backpropagate through those passes.
+    Every state is evaluated on the single-state path, and every inner
+    epoch runs one actor and one critic forward pass on the batch, whose
+    gradients backpropagate through those passes.
     """
-    counts = dict.fromkeys(("stacked", "targets", "observe", "forward"), 0)
+    counts = dict.fromkeys(("stacked", "targets", "observe", "single", "batch"), 0)
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -652,8 +704,9 @@ def test_train_does_each_episode_step_once(monkeypatch):
     monkeypatch.setattr(TrajectoryBuffer, "stacked", counting("stacked", TrajectoryBuffer.stacked))
     monkeypatch.setattr(learner_mod, "_targets", counting("targets", learner_mod._targets))
     monkeypatch.setattr(learner_mod, "observe", counting("observe", learner_mod.observe))
+    monkeypatch.setattr(learner_mod, "mlp_forward", counting("single", learner_mod.mlp_forward))
     monkeypatch.setattr(
-        learner_mod, "_forward_cached", counting("forward", learner_mod._forward_cached)
+        learner_mod, "_forward_cached", counting("batch", learner_mod._forward_cached)
     )
 
     def no_recomputed_forward(*args):
@@ -666,9 +719,10 @@ def test_train_does_each_episode_step_once(monkeypatch):
     assert counts["stacked"] == eps and counts["targets"] == eps
     # _init_policy observes the initial state for its input width
     assert counts["observe"] == 2 + eps * steps
-    # per step an actor and a critic pass, then the bootstrap value, two
-    # passes per inner epoch and the final surrogate
-    assert counts["forward"] == eps * (2 * steps + 1 + 2 * epochs + 1)
+    # per step an actor and a critic pass, then the bootstrap value
+    assert counts["single"] == eps * (2 * steps + 1)
+    # two batch passes per inner epoch and the final surrogate
+    assert counts["batch"] == eps * (2 * epochs + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
     python tools/layer_bench.py [--label NAME] [--src DIR] [--out DIR]
                                 [--repeats R] [--passes K]
+                                [--paired PARENT_SRC [--pairs P]]
 
 The training layers run at the `train` command's default configuration:
 5 users drawn from seed 7, EnvConfig() and TrainConfig(seed=7).  One
@@ -13,9 +14,12 @@ steps under that policy records the states, features and raw
 - policy_sample: one action draw on recorded features;
 - critic_forward: the critic network on recorded features;
 - ppo_update: the episode batch built once and update_epochs actor and
-  critic gradient evaluations on it, as in `train`; the parameters are
+  critic gradient evaluations on it, as in `train` but into new gradient
+  arrays on each call (`train` reuses one per network); the parameters are
   held fixed, so every repeat times the same work (the parameter steps
-  themselves, a few array additions per epoch, are not timed).
+  themselves, a few array additions per epoch, are not timed);
+- train_step: a whole `train` call of K episodes from a fresh policy,
+  divided by its steps, the parameter steps included.
 
 The solver layers run on default scenarios (uniform demand) drawn from
 seed 7:
@@ -38,6 +42,14 @@ and numpy versions and the CPU count, and is written to
 BENCH_<label>.json.  Standard library and numpy only; the package is
 imported from --src (default: src/ next to this directory), so a
 checkout of another commit can be timed with the same script.
+
+--paired PARENT_SRC compares two trees on this host: it runs the
+measurement above P times for each, alternating the parent tree and
+--src (the first of each pair swaps from one pair to the next), each
+run in a fresh process.  BENCH_<label>.json then holds, per layer, each
+side's median over its runs, the per-pair ratios of the --src median
+to the parent's with their median and quartiles, and the number of
+pairs in which --src was faster.
 """
 
 from __future__ import annotations
@@ -56,6 +68,7 @@ import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -188,6 +201,9 @@ def measure(repeats: int, passes: int) -> dict:
             ppo_actor_gradient(policy, batch, cfg.clip_epsilon)
             critic_loss_and_gradient(policy, batch)
 
+    def train_steps():
+        train(scenario, env, TrainConfig(seed=SEED, episodes=passes))
+
     layers = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, fn, n in (
@@ -195,6 +211,7 @@ def measure(repeats: int, passes: int) -> dict:
             ("policy_sample", samples_pass, calls),
             ("critic_forward", critic_pass, calls),
             ("ppo_update", update, 1),
+            ("train_step", train_steps, passes * cfg.steps_per_batch),
             *_solver_layers(passes, tmp),
         ):
             fn()  # warm-up
@@ -214,6 +231,36 @@ def measure(repeats: int, passes: int) -> dict:
     }
 
 
+def paired(parent_src: str, src: str, pairs: int, repeats: int, passes: int) -> dict:
+    """Alternate fresh measurement processes over the two trees; compare them per layer."""
+    runs = {"parent": [], "change": []}
+    sides = [("parent", parent_src), ("change", src)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(pairs):
+            for side, tree in sides if i % 2 == 0 else sides[::-1]:
+                subprocess.run(
+                    [sys.executable, __file__, "--label", side, "--src", tree, "--out", tmp,
+                     "--repeats", str(repeats), "--passes", str(passes)],
+                    check=True, stdout=subprocess.DEVNULL,
+                )
+                runs[side].append(json.loads(Path(tmp, f"BENCH_{side}.json").read_text()))
+    layers = {}
+    for name in runs["change"][0]["layers"]:
+        parent, change = ([run["layers"][name]["median_us"] for run in runs[side]]
+                          for side in ("parent", "change"))
+        ratios = [c / p for p, c in zip(parent, change)]
+        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        layers[name] = {
+            "parent_median_us": statistics.median(parent),
+            "change_median_us": statistics.median(change),
+            "ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
+            "wins": sum(r < 1.0 for r in ratios),
+        }
+    first = runs["change"][0]
+    return {"config": first["config"], "numpy": first["numpy"], "pairs": pairs,
+            "parent_src": str(Path(parent_src).resolve()), "layers": layers}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="local", help="names the output BENCH_<label>.json")
@@ -222,16 +269,22 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=21, help="timed repeats per layer")
     parser.add_argument("--passes", type=int, default=10,
                         help="passes over the recorded steps per repeat")
+    parser.add_argument("--paired", metavar="PARENT_SRC",
+                        help="compare the mcsgame under PARENT_SRC with --src's, run by run")
+    parser.add_argument("--pairs", type=int, default=10, help="alternations in --paired mode")
     args = parser.parse_args(argv)
-    if args.repeats < 2 or args.passes < 1:
-        parser.error("--repeats must be at least 2 and --passes at least 1")
+    if args.repeats < 2 or args.passes < 1 or args.pairs < 2:
+        parser.error("--repeats and --pairs must be at least 2 and --passes at least 1")
     if not args.label or any(c in args.label for c in "/\\"):
         parser.error("--label must be a non-empty file name part")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    result = measure(args.repeats, args.passes)
+    if args.paired:
+        result = paired(args.paired, args.src, args.pairs, args.repeats, args.passes)
+    else:
+        sys.path.insert(0, str(Path(args.src).resolve()))
+        result = measure(args.repeats, args.passes)
     record = {
         "label": args.label,
         "python": platform.python_version(),
@@ -246,8 +299,13 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     width = max(len(name) for name in record["layers"])
     for name, row in record["layers"].items():
-        print(f"{name.ljust(width)}  median {row['median_us']:10.2f} us  "
-              f"[{row['q1_us']:.2f}, {row['q3_us']:.2f}]")
+        if args.paired:
+            print(f"{name.ljust(width)}  {row['parent_median_us']:10.2f} -> "
+                  f"{row['change_median_us']:10.2f} us  ratio {row['ratio_median']:.3f} "
+                  f"[{row['ratio_q1']:.3f}, {row['ratio_q3']:.3f}]  wins {row['wins']}/{args.pairs}")
+        else:
+            print(f"{name.ljust(width)}  median {row['median_us']:10.2f} us  "
+                  f"[{row['q1_us']:.2f}, {row['q3_us']:.2f}]")
     print(f"wrote {path}")
     return 0
 
