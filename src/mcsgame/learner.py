@@ -8,14 +8,14 @@ network with a linear scalar head.  Both are updated by plain gradient
 steps computed by hand; there is no autograd, optimizer state, GAE,
 entropy bonus or mini-batching.
 
-Each episode's work is done once.  The rollout observes every state
-once and fills a preallocated TrajectoryBuffer in place.  The buffer
-then builds one read-only EpisodeBatch (the stacked records, the return
-targets and the advantages) from the bootstrap value V(s(D+1)) and
-gamma, and train hands that batch to every inner update epoch and to
-the episode's final surrogate.  The PPO functions read only the batch
-they are given.  The actor and critic gradients backpropagate through
-the forward pass they have just computed on it.
+Each episode's work is done once.  A rollout step observes its state
+once, runs only the actor, and writes the step in place into a
+TrajectoryBuffer and the episode's columns (one reduction each for the
+means).  The critic, which chooses no action and is fixed during the
+rollout, then makes one batch pass over the recorded states and the
+next one for the values and the bootstrap V(s(D+1)).  The buffer builds
+one read-only EpisodeBatch from them, which every inner update epoch
+and the final surrogate read and backpropagate through.
 
 A network's weights and biases are views into one float64 vector, and
 train writes each network's gradients into one such vector allocated
@@ -259,21 +259,26 @@ def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, action: np.ndarray)
     return float((-0.5 * _LOG_2PI - log_std - 0.5 * z * z).sum())
 
 
-def policy_sample(policy: PolicyParams, feats: np.ndarray, rng: np.random.Generator):
+def _noise(policy: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
+    """The policy's standard deviations and per-dimension log-density constants."""
+    return np.exp(policy.log_std), -0.5 * _LOG_2PI - policy.log_std
+
+
+def policy_sample(policy: PolicyParams, feats: np.ndarray, rng: np.random.Generator,
+                  noise: tuple[np.ndarray, np.ndarray] | None = None):
     """Draw an action for the observed features and report its log density.
 
-    feats is observe(state, policy.obs_price_scale); the caller observes
-    once and reuses the features for the critic and the buffer.  The
-    density belongs to the raw sample, before any clamping: the
-    environment clamps out-of-range prices itself, and a density of the
-    clamped price would bias the PPO ratios.
+    feats is observe(state, policy.obs_price_scale); noise is _noise(policy),
+    which train computes once per episode, as only the update moves log_std.
+    The density is of the raw sample: the environment clamps prices
+    itself, and a density of the clamped price would bias the PPO ratios.
     """
     mean = mlp_forward(policy.actor, feats)
-    std = np.exp(policy.log_std)
+    std, log_norm = noise or _noise(policy)
     action = mean + std * rng.standard_normal(mean.size)
     # gaussian_log_prob(mean, policy.log_std, action), expression for expression
     z = (action - mean) / std
-    return action, float((-0.5 * _LOG_2PI - policy.log_std - 0.5 * z * z).sum())
+    return action, float((log_norm - 0.5 * z * z).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +289,10 @@ def policy_sample(policy: PolicyParams, feats: np.ndarray, rng: np.random.Genera
 class EpisodeBatch:
     """One episode's stacked records with its return targets and advantages.
 
-    The advantages are the discounted reward-to-go plus bootstrap, minus
-    the sampled values.  Values are the critic outputs recorded when the
-    steps were taken, and the bootstrap V(s(D+1)) is treated as a
-    constant, so the estimates stay fixed across the inner update
-    epochs.  Every array is read-only; the batch is shared by all update
-    epochs.
+    The advantages are the discounted reward-to-go plus bootstrap minus
+    the values.  train computes the values and the bootstrap V(s(D+1)) in
+    one critic pass after the rollout, under the rollout's parameters, and
+    every inner update epoch shares them.  Every array is read-only.
     """
 
     features: np.ndarray
@@ -311,53 +314,59 @@ class TrajectoryBuffer:
     """On-policy records of the current episode, cleared every episode.
 
     Steps are written in place into arrays sized for ``capacity`` steps;
-    batch() turns the filled rows into the episode's EpisodeBatch.
+    batch() turns the filled rows and their values into an EpisodeBatch.
     """
 
     def __init__(self, capacity: int):
         self.capacity = int(capacity)
         self.size = 0
-        # feature and action widths are set by the first add
-        self._features = np.empty((self.capacity, 0))
+        # widths are set by the first add; values() puts s(D+1) in the spare feature row
+        self._features = np.empty((self.capacity + 1, 0))
         self._actions = np.empty((self.capacity, 0))
         self._log_probs = np.empty(self.capacity)
         self._rewards = np.empty(self.capacity)
-        self._values = np.empty(self.capacity)
 
-    def add(self, feats, action, log_prob, reward, value):
+    def add(self, feats, action, log_prob, reward):
         """Write one step; the first add after a clear sets the feature and action shapes."""
         k = self.size
         if k >= self.capacity:
             raise ValueError("buffer is full")
         if k == 0:
-            self._features = np.empty((self.capacity, *np.shape(feats)))
+            self._features = np.empty((self.capacity + 1, *np.shape(feats)))
             self._actions = np.empty((self.capacity, *np.shape(action)))
         # a row of another shape then fails to broadcast (ValueError)
         self._features[k] = feats
         self._actions[k] = action
         self._log_probs[k] = log_prob
         self._rewards[k] = reward
-        self._values[k] = value
         self.size = k + 1
 
     def clear(self):
         self.size = 0
 
+    def values(self, critic: MlpParams, next_feats) -> np.ndarray:
+        """V of every recorded state, then V(next_feats): one batch pass of the critic."""
+        self._features[self.size] = next_feats
+        return mlp_forward(critic, self._features[: self.size + 1])[:, 0]
+
     def stacked(self):
-        """Read-only copies of (features, actions, log_probs, rewards, values)."""
+        """Read-only copies of (features, actions, log_probs, rewards)."""
         if self.size == 0:
             raise ValueError("buffer is empty")
-        records = (self._features, self._actions, self._log_probs, self._rewards, self._values)
+        records = (self._features, self._actions, self._log_probs, self._rewards)
         return _read_only(*(arr[: self.size].copy() for arr in records))
 
-    def batch(self, bootstrap: float, gamma: float) -> EpisodeBatch:
-        """The episode's batch for the bootstrap V(s(D+1)) and discount gamma."""
+    def batch(self, values, gamma: float) -> EpisodeBatch:
+        """The episode's batch for V of each recorded state, then V(s(D+1)), and discount gamma."""
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        feats, actions, log_probs, rewards, values = self.stacked()
-        targets = _targets(rewards, bootstrap, gamma)
+        feats, actions, log_probs, rewards = self.stacked()
+        values = np.array(values, dtype=float)
+        if values.shape != (self.size + 1,):
+            raise ValueError(f"need {self.size + 1} values, got shape {values.shape}")
+        values, targets = values[:-1], _targets(rewards, float(values[-1]), gamma)
         return EpisodeBatch(
-            feats, actions, log_probs, rewards, values, *_read_only(targets, targets - values)
+            feats, actions, log_probs, rewards, *_read_only(values, targets, targets - values)
         )
 
 
@@ -378,9 +387,9 @@ def clip_ratio(f, epsilon: float):
 
 def _ratio_pieces(policy: PolicyParams, batch: EpisodeBatch):
     mean, acts = _forward_cached(policy.actor, batch.features)
-    std = np.exp(policy.log_std)
+    std, log_norm = _noise(policy)
     z = (batch.actions - mean) / std
-    logp_now = np.sum(-0.5 * _LOG_2PI - policy.log_std - 0.5 * z * z, axis=1)
+    logp_now = np.sum(log_norm - 0.5 * z * z, axis=1)
     f = np.exp(logp_now - batch.log_probs)
     return mean, acts, std, z, f
 
@@ -529,6 +538,11 @@ def _snapshot(policy: PolicyParams) -> dict:
     }
 
 
+def _mean(column: np.ndarray) -> np.ndarray:
+    """Mean over the steps (axis 0), each scaled before the sum so finite steps give a finite mean."""
+    return np.sum(column / len(column), axis=0)
+
+
 def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=None):
     """Run the PPO loop and return (policy, per-episode trace).
 
@@ -548,35 +562,30 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
     buffer = TrajectoryBuffer(cfg.steps_per_batch)
     actor_grads, critic_grads = _grads_for(policy.actor), _grads_for(policy.critic)
     trace: list[EpisodeStats] = []
-    n = state.n_mus
-    # observed once per state: by the step that acts on it, and by the
-    # bootstrap value when it ends an episode
+    d, n = cfg.steps_per_batch, state.n_mus
+    # the episode's columns, one row per step, overwritten every episode
+    sp_payoffs = np.empty(d)
+    prices, allocations, mu_payoffs = (np.empty((d, n)) for _ in range(3))
+    # observed once per state: by the step that acts on it, or by the values pass after the last
     feats = observe(state, policy.obs_price_scale)
 
     for ep in range(1, cfg.episodes + 1):
         buffer.clear()
-        sum_reward = 0.0
-        sum_payoff = 0.0
-        sum_prices = np.zeros(n)
-        sum_allocs = np.zeros(n)
-        sum_mu_payoffs = np.zeros(n)
-        for k in range(1, cfg.steps_per_batch + 1):
-            action, log_prob = policy_sample(policy, feats, rng)
-            value = float(mlp_forward(policy.critic, feats)[0])
+        noise = _noise(policy)
+        for k in range(d):
+            action, log_prob = policy_sample(policy, feats, rng, noise)
             tr = env_step(scenario, env_config, state, action)
             if on_step is not None:
-                on_step(ep, k, tr)
-            buffer.add(feats, action, log_prob, tr.reward, value)
+                on_step(ep, k + 1, tr)
+            buffer.add(feats, action, log_prob, tr.reward)
             state = tr.next_state
             feats = observe(state, policy.obs_price_scale)
-            sum_reward += tr.reward
-            sum_payoff += tr.sp_payoff
-            sum_prices += tr.action
-            sum_allocs += tr.next_state.allocations[-1]
-            sum_mu_payoffs += tr.mu_payoffs
-        batch = buffer.batch(float(mlp_forward(policy.critic, feats)[0]), cfg.gamma)
+            sp_payoffs[k] = tr.sp_payoff
+            prices[k] = tr.action
+            allocations[k] = state.allocations[-1]
+            mu_payoffs[k] = tr.mu_payoffs
+        batch = buffer.batch(buffer.values(policy.critic, feats), cfg.gamma)
 
-        critic_loss = math.nan
         for epoch in range(1, cfg.update_epochs + 1):
             log_std_grad = ppo_actor_gradient(policy, batch, cfg.clip_epsilon, actor_grads).log_std
             critic_loss = critic_loss_and_gradient(policy, batch, critic_grads)[0]
@@ -586,25 +595,13 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
             )
             policy.critic.vector -= cfg.critic_lr * critic_grads.vector
             if not policy.all_finite():
-                raise TrainingDiverged(
-                    f"non-finite parameter after episode {ep}, inner epoch {epoch}",
-                    episode=ep,
-                    inner_epoch=epoch,
-                    snapshot=_snapshot(policy),
-                )
-        d = float(cfg.steps_per_batch)
-        trace.append(
-            EpisodeStats(
-                episode=ep,
-                mean_reward=sum_reward / d,
-                mean_sp_payoff=sum_payoff / d,
-                actor_objective=ppo_surrogate(policy, batch, cfg.clip_epsilon),
-                critic_loss=critic_loss,
-                mean_price=sum_prices / d,
-                mean_allocation=sum_allocs / d,
-                mean_mu_payoff=sum_mu_payoffs / d,
-            )
-        )
+                raise TrainingDiverged(f"non-finite parameter after episode {ep}, inner epoch "
+                                       f"{epoch}", ep, epoch, _snapshot(policy))
+        trace.append(EpisodeStats(
+            ep, float(_mean(batch.rewards)), float(_mean(sp_payoffs)),
+            ppo_surrogate(policy, batch, cfg.clip_epsilon), critic_loss,
+            _mean(prices), _mean(allocations), _mean(mu_payoffs),
+        ))
     return policy, trace
 
 

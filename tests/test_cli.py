@@ -564,6 +564,21 @@ def test_train_divergence_exits_4_with_snapshot(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+def test_prices_near_the_float_limit_diverge_without_an_overflow_in_the_means(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcsgame", "train", "--out", str(tmp_path / "run"),
+         "--set", "env.p_max=1e308", "--set", "scenario.capacity=1e-300",
+         "--set", 'scenario.demand_kind="linear"', "--set", "train.gamma=1"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "training diverged at episode 1, inner epoch 1" in proc.stderr
+    # the diverging update's own warnings remain; the rollout adds none
+    warnings = [line for line in proc.stderr.splitlines() if "Warning:" in line]
+    assert warnings and all(line.endswith("encountered in multiply") for line in warnings)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

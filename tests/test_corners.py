@@ -7,6 +7,7 @@ exit 2, exit 4, and exit 0 or 3.  No exception escapes.  A `train`
 run whose tables would hold a non-finite cell exits 4 the same way.
 """
 
+import csv
 import itertools
 import warnings
 from collections import Counter
@@ -94,10 +95,10 @@ _TINY_TRAIN = ["train.episodes=2", "train.steps_per_batch=8", "train.update_epoc
                "train.hidden=[4]", "baseline_steps=10"]
 _PRICES_OVERFLOW = ["env.p_max=1e308", "scenario.capacity=1e-300",
                     'scenario.demand_kind="linear"', "train.gamma=1"]
+_REWARD_OVERFLOWS = ["env.reward_scale=1e308", "env.p_max=1e-300"]
 _TRAIN_NON_FINITE = {
-    "reward-overflows": (["env.reward_scale=1e308", "env.p_max=1e-300"], "on"),
-    "mean-price-overflows": (_PRICES_OVERFLOW, "off"),
-    "mean-price-overflows-charted": (_PRICES_OVERFLOW, "on"),
+    "reward-overflows": (_REWARD_OVERFLOWS, "on"),
+    "reward-overflows-uncharted": (_REWARD_OVERFLOWS, "off"),
 }
 
 
@@ -114,3 +115,19 @@ def test_train_non_finite_table_exits_4_without_files(tmp_path, capsys, assignme
     assert "Traceback" not in err
     assert "numeric failure" in err and "not finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("svg", ["off", "on"])
+def test_train_prices_near_the_float_limit_give_finite_means(tmp_path, capsys, svg):
+    # each step's prices are finite, so their mean is too: it is taken over
+    # the steps scaled by 1/D, where a running sum overflowed to inf
+    out = tmp_path / "run"
+    sets = [arg for a in _TINY_TRAIN + _PRICES_OVERFLOW for arg in ("--set", a)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["train", "--seed", "0", *sets, "--svg", svg, "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    with open(out / "episodes.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    prices = [float(v) for row in rows for k, v in row.items() if k.startswith("mean_price_")]
+    assert len(prices) == 2 * 5 and all(1e307 < p <= 1e308 for p in prices)

@@ -23,7 +23,7 @@ def test_layer_bench_writes_one_record_per_layer(tmp_path):
     assert record["config"]["users"] == 5
     steps = record["config"]["steps_per_batch"]
     calls = {
-        "env_step": steps, "policy_sample": steps, "critic_forward": steps, "ppo_update": 1,
+        "env_step": steps, "policy_sample": steps, "episode_values": 1, "ppo_update": 1,
         "train_step": steps,
         "best_response": 5, "sp_payoff_gradient_n200": 1, "static_n25": 1,
         **{f"{layer}_n{n}": 1 for layer in ("generate_scenario", "compute_se")

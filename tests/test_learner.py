@@ -300,60 +300,70 @@ def test_observe_layout_and_scaling():
 # buffer, targets, advantages
 
 
-def _filled_buffer(rewards, values, feat_dim=4):
+def _filled_buffer(rewards, feat_dim=4):
     buf = TrajectoryBuffer(len(rewards))
-    for r, v in zip(rewards, values):
-        buf.add(np.zeros(feat_dim), np.zeros(2), 0.0, r, v)
+    for r in rewards:
+        buf.add(np.zeros(feat_dim), np.zeros(2), 0.0, r)
     return buf
 
 
+def _advantages(rewards, values, bootstrap, gamma):
+    return _filled_buffer(rewards).batch([*values, bootstrap], gamma).advantages
+
+
 def test_buffer_rejects_overfill():
-    buf = _filled_buffer([1.0], [0.0])
+    buf = _filled_buffer([1.0])
     with pytest.raises(ValueError):
-        buf.add(np.zeros(4), np.zeros(2), 0.0, 0.0, 0.0)
+        buf.add(np.zeros(4), np.zeros(2), 0.0, 0.0)
 
 
 def test_stacked_returns_read_only_copies():
-    buf = _filled_buffer([1.0, 2.0], [0.5, 0.25])
+    buf = _filled_buffer([1.0, 2.0])
     first = buf.stacked()
-    assert np.array_equal(first[3], [1.0, 2.0]) and np.array_equal(first[4], [0.5, 0.25])
+    assert len(first) == 4 and np.array_equal(first[3], [1.0, 2.0])
     for arr in first:
         with pytest.raises(ValueError):
             arr[0] = 7.0
     buf.clear()
-    buf.add(np.ones(4), np.ones(2), 1.0, 3.0, 1.0)  # reuses the rows of the first step
+    buf.add(np.ones(4), np.ones(2), 1.0, 3.0)  # reuses the rows of the first step
     assert np.array_equal(first[0][0], np.zeros(4)) and first[3][0] == 1.0
 
 
 def test_buffer_clear_empties_everything():
-    buf = _filled_buffer([1.0, 2.0], [0.0, 0.0])
+    buf = _filled_buffer([1.0, 2.0])
     buf.clear()
     assert buf.size == 0
     with pytest.raises(ValueError):
         buf.stacked()
     with pytest.raises(ValueError):
-        buf.batch(0.5, 0.9)
+        buf.batch([0.5], 0.9)
+
+
+def test_batch_takes_a_value_per_step_and_the_bootstrap():
+    buf = _filled_buffer([1.0, 0.5])
+    for values in ([0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            buf.batch(values, 0.9)
 
 
 def test_advantage_two_step_example():
-    # gamma=1: targets (1.5, 0.5), sampled values (0.2, 0.1)
-    adv = _filled_buffer([1.0, 0.5], [0.2, 0.1]).batch(0.0, 1.0).advantages
+    # gamma=1: targets (1.5, 0.5), values (0.2, 0.1)
+    adv = _advantages([1.0, 0.5], [0.2, 0.1], 0.0, 1.0)
     assert np.allclose(adv, [1.3, 0.4], rtol=0, atol=1e-15)
 
 
 def test_advantage_zero_rewards_zero_values():
-    buf = _filled_buffer([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    assert np.array_equal(buf.batch(0.0, 0.9).advantages, np.zeros(3))
+    assert np.array_equal(_advantages([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.0, 0.9), np.zeros(3))
 
 
 def test_advantage_gamma_zero_is_td_residual():
-    adv = _filled_buffer([1.0, 0.5], [0.2, 0.1]).batch(7.0, 0.0).advantages
+    adv = _advantages([1.0, 0.5], [0.2, 0.1], 7.0, 0.0)
     assert np.allclose(adv, [0.8, 0.4], rtol=0, atol=1e-15)
 
 
 def test_advantage_bootstrap_discounting():
     # t2 = 0.5 + 0.5*2 = 1.5, t1 = 1 + 0.5*1.5 = 1.75
-    adv = _filled_buffer([1.0, 0.5], [0.0, 0.0]).batch(2.0, 0.5).advantages
+    adv = _advantages([1.0, 0.5], [0.0, 0.0], 2.0, 0.5)
     assert np.allclose(adv, [1.75, 1.5], rtol=0, atol=1e-15)
 
 
@@ -361,14 +371,14 @@ def test_targets_match_double_loop_oracle():
     rng = _rng(21)
     rewards = rng.uniform(-1, 1, 7)
     bootstrap = float(rng.uniform(-1, 1))
-    adv = _filled_buffer(rewards, np.zeros(7)).batch(bootstrap, 0.9).advantages
+    adv = _advantages(rewards, np.zeros(7), bootstrap, 0.9)
     assert np.allclose(adv, discounted_targets_oracle(rewards, bootstrap, 0.9), rtol=1e-12)
 
 
 def test_advantage_rejects_bad_gamma():
-    buf = _filled_buffer([1.0], [0.0])
+    buf = _filled_buffer([1.0])
     with pytest.raises(ValueError):
-        buf.batch(0.0, 1.5)
+        buf.batch([0.0, 0.0], 1.5)
 
 
 def test_clip_ratio_examples():
@@ -398,6 +408,7 @@ def _toy_policy_and_batch(
     critic = mlp_init((in_dim, 8, 1), rng, out_weight_std=0.5)
     policy = PolicyParams(actor, np.array([-0.4, -0.1]), critic, obs_price_scale=1.0)
     buf = TrajectoryBuffer(d_steps)
+    drawn_values = []
     for k in range(d_steps):
         feats = rng.uniform(-1.0, 1.0, in_dim)
         mean = mlp_forward(actor, feats)
@@ -406,11 +417,12 @@ def _toy_policy_and_batch(
         if ratio_offsets is not None:
             lp += ratio_offsets[k]
         r, v = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        buf.add(feats, action, lp, r if rewards is None else rewards[k],
-                v if values is None else values[k])
+        buf.add(feats, action, lp, r if rewards is None else rewards[k])
+        drawn_values.append(v)
     drawn = float(rng.uniform(-1, 1))
     bootstrap = drawn if bootstrap is None else bootstrap
-    return policy, buf.batch(bootstrap, gamma), bootstrap
+    values = drawn_values if values is None else values
+    return policy, buf.batch([*values, bootstrap], gamma), bootstrap
 
 
 def test_fresh_buffer_ratios_are_one():
@@ -558,21 +570,27 @@ def test_critic_descent_monotone_on_frozen_buffer():
 # one batch per episode: the same bits as the re-stacking form
 
 
-def _rollout_policy_and_batch(seed, steps=24):
-    """A batch of steps taken in the environment, the way train takes them."""
+def _rollout(seed, steps=24):
+    """(policy, filled buffer, features of the next state): steps taken the way train takes them."""
     scenario, cfg, state = _fresh_state(seed)
     rng = _rng(seed + 100)
     policy = learner_mod._init_policy(state, cfg, TrainConfig(hidden=(16, 16)), rng)
+    noise = learner_mod._noise(policy)
     buf = TrajectoryBuffer(steps)
     for _ in range(steps):
         feats = observe(state, policy.obs_price_scale)
-        action, lp = policy_sample(policy, feats, rng)
+        action, lp = policy_sample(policy, feats, rng, noise)
         tr = env_step(scenario, cfg, state, action)
-        buf.add(feats, action, lp, tr.reward, float(mlp_forward(policy.critic, feats)[0]))
+        buf.add(feats, action, lp, tr.reward)
         state = tr.next_state
-    feats = observe(state, policy.obs_price_scale)
-    bootstrap = float(mlp_forward(policy.critic, feats)[0])
-    return policy, buf.batch(bootstrap, 0.9), bootstrap
+    return policy, buf, observe(state, policy.obs_price_scale)
+
+
+def _rollout_policy_and_batch(seed, steps=24):
+    """A batch of steps taken in the environment, the way train takes them."""
+    policy, buf, next_feats = _rollout(seed, steps)
+    values = buf.values(policy.critic, next_feats)
+    return policy, buf.batch(values, 0.9), float(values[-1])
 
 
 def _gradcheck_policy_and_batch(seed):
@@ -635,15 +653,16 @@ def test_sigmoid_bitwise_equals_masked_form():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def _step(buf, reward, value):
-    buf.add(np.ones(4), np.zeros(2), 0.0, reward, value)
+def _step(buf, reward):
+    buf.add(np.ones(4), np.zeros(2), 0.0, reward)
 
 
 def test_batch_is_read_only():
     buf = TrajectoryBuffer(3)
-    _step(buf, 1.0, 0.25)
-    _step(buf, 0.5, 0.5)
-    batch = buf.batch(2.0, 1.0)
+    _step(buf, 1.0)
+    _step(buf, 0.5)
+    batch = buf.batch([0.25, 0.5, 2.0], 1.0)
+    assert np.array_equal(batch.values, [0.25, 0.5])
     assert np.array_equal(batch.targets, [3.5, 2.5])
     assert np.array_equal(batch.advantages, [3.25, 2.0])
     for arr in (getattr(batch, f.name) for f in dataclasses.fields(batch)):
@@ -653,46 +672,78 @@ def test_batch_is_read_only():
 
 def test_batch_reflects_add_clear_bootstrap_and_gamma():
     buf = TrajectoryBuffer(3)
-    _step(buf, 1.0, 0.0)
-    _step(buf, 0.5, 0.0)
-    first = buf.batch(2.0, 1.0)
+    _step(buf, 1.0)
+    _step(buf, 0.5)
+    first = buf.batch([0.0, 0.0, 2.0], 1.0)
 
-    _step(buf, 0.25, 0.0)
-    assert np.array_equal(buf.batch(2.0, 1.0).targets, [3.75, 2.75, 2.25])
+    _step(buf, 0.25)
+    assert np.array_equal(buf.batch([0.0, 0.0, 0.0, 2.0], 1.0).targets, [3.75, 2.75, 2.25])
     assert np.array_equal(first.targets, [3.5, 2.5])  # an old batch is not overwritten
-    assert np.array_equal(buf.batch(0.0, 1.0).targets, [1.75, 0.75, 0.25])
-    assert np.array_equal(buf.batch(0.0, 0.5).targets, [1.3125, 0.625, 0.25])
+    assert np.array_equal(buf.batch(np.zeros(4), 1.0).targets, [1.75, 0.75, 0.25])
+    assert np.array_equal(buf.batch(np.zeros(4), 0.5).targets, [1.3125, 0.625, 0.25])
 
     buf.clear()
     with pytest.raises(ValueError):
-        buf.batch(0.0, 1.0)
-    _step(buf, 4.0, 1.0)
-    after_clear = buf.batch(0.0, 1.0)
+        buf.batch([0.0], 1.0)
+    _step(buf, 4.0)
+    after_clear = buf.batch([1.0, 0.0], 1.0)
     assert np.array_equal(after_clear.rewards, [4.0])
     assert np.array_equal(after_clear.advantages, [3.0])
 
 
 def test_buffer_rejects_a_step_of_another_shape():
     buf = TrajectoryBuffer(3)
-    _step(buf, 1.0, 0.0)
+    _step(buf, 1.0)
     with pytest.raises(ValueError):
-        buf.add(np.ones(5), np.zeros(2), 0.0, 1.0, 0.0)
+        buf.add(np.ones(5), np.zeros(2), 0.0, 1.0)
     with pytest.raises(ValueError):
-        buf.add(np.ones(4), np.zeros(3), 0.0, 1.0, 0.0)
+        buf.add(np.ones(4), np.zeros(3), 0.0, 1.0)
     buf.clear()  # an emptied buffer takes any shape again
-    buf.add(np.ones(5), np.zeros(3), 0.0, 1.0, 0.0)
+    buf.add(np.ones(5), np.zeros(3), 0.0, 1.0)
     feats, actions = buf.stacked()[:2]
     assert feats.shape == (1, 5) and actions.shape == (1, 3)
+    with pytest.raises(ValueError):
+        buf.values(_zero_mlp((5, 1)), np.ones(4))
+
+
+@pytest.mark.parametrize("steps", [1, 24])
+def test_values_and_bootstrap_are_one_batch_pass_bit_for_bit(steps):
+    policy, buf, next_feats = _rollout(7, steps)
+    batch = buf.batch(buf.values(policy.critic, next_feats), 0.9)
+    want = mlp_forward(policy.critic, np.vstack([batch.features, next_feats]))[:, 0]
+    assert want.shape == (steps + 1,)
+    assert np.array_equal(batch.values, want[:-1])
+    # the targets end in the bootstrap V(s(D+1)) of the same pass
+    assert np.array_equal(batch.targets, learner_mod._targets(batch.rewards, want[-1], 0.9))
+
+
+def test_recorded_log_probs_are_the_gaussian_density_of_the_raw_action():
+    policy, batch, _ = _rollout_policy_and_batch(11)
+    for feats, action, lp in zip(batch.features, batch.actions, batch.log_probs):
+        want = gaussian_log_prob(mlp_forward(policy.actor, feats), policy.log_std, action)
+        assert lp == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_episode_means_of_finite_steps_are_finite():
+    big = np.full((128, 3), np.finfo(float).max)
+    assert np.array_equal(learner_mod._mean(big), big[0])
+    assert learner_mod._mean(-big[:, 0]) == -np.finfo(float).max
+    steps = _rng(4).uniform(-1.0, 1.0, size=(7, 2))
+    assert np.allclose(learner_mod._mean(steps), steps.mean(axis=0), rtol=1e-15, atol=1e-16)
 
 
 def test_train_does_each_episode_step_once(monkeypatch):
     """Per episode: one batch, one target loop, one observation per state.
 
-    Every state is evaluated on the single-state path, and every inner
-    epoch runs one actor and one critic forward pass on the batch, whose
-    gradients backpropagate through those passes.
+    Each step runs the actor alone on its state, and no single-state
+    critic pass is made: one batch critic pass per episode gives the
+    values and the bootstrap.  Every inner epoch runs one actor and one
+    critic forward pass on the batch, whose gradients backpropagate
+    through those passes.
     """
-    counts = dict.fromkeys(("stacked", "targets", "observe", "single", "batch"), 0)
+    counts = dict.fromkeys(
+        ("stacked", "targets", "observe", "actor", "critic", "critic_batch", "batch"), 0
+    )
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -701,10 +752,17 @@ def test_train_does_each_episode_step_once(monkeypatch):
 
         return wrapped
 
+    forward = learner_mod.mlp_forward
+
+    def classified_forward(params, x):
+        net = "actor" if params.bounded_output else "critic"
+        counts[net if np.ndim(x) == 1 else f"{net}_batch"] += 1
+        return forward(params, x)
+
     monkeypatch.setattr(TrajectoryBuffer, "stacked", counting("stacked", TrajectoryBuffer.stacked))
     monkeypatch.setattr(learner_mod, "_targets", counting("targets", learner_mod._targets))
     monkeypatch.setattr(learner_mod, "observe", counting("observe", learner_mod.observe))
-    monkeypatch.setattr(learner_mod, "mlp_forward", counting("single", learner_mod.mlp_forward))
+    monkeypatch.setattr(learner_mod, "mlp_forward", classified_forward)
     monkeypatch.setattr(
         learner_mod, "_forward_cached", counting("batch", learner_mod._forward_cached)
     )
@@ -719,10 +777,12 @@ def test_train_does_each_episode_step_once(monkeypatch):
     assert counts["stacked"] == eps and counts["targets"] == eps
     # _init_policy observes the initial state for its input width
     assert counts["observe"] == 2 + eps * steps
-    # per step an actor and a critic pass, then the bootstrap value
-    assert counts["single"] == eps * (2 * steps + 1)
-    # two batch passes per inner epoch and the final surrogate
-    assert counts["batch"] == eps * (2 * epochs + 1)
+    # per step one single-state actor pass; no single-state critic pass
+    assert counts["actor"] == eps * steps and counts["critic"] == 0
+    # one batch critic pass per episode for the values and the bootstrap
+    assert counts["critic_batch"] == eps
+    # that pass, two batch passes per inner epoch and the final surrogate
+    assert counts["batch"] == eps * (1 + 2 * epochs + 1)
 
 
 # ---------------------------------------------------------------------------

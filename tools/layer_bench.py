@@ -11,8 +11,12 @@ steps under that policy records the states, features and raw
 (unclamped) actions the layers below are timed on:
 
 - env_step: one environment step on a recorded (state, action) pair;
-- policy_sample: one action draw on recorded features;
-- critic_forward: the critic network on recorded features;
+- policy_sample: one action draw on recorded features, given the
+  exploration constants train computes once per episode;
+- episode_values: the critic's values of an episode's recorded states
+  and of the state after them, as train computes them: one batch pass
+  (a tree whose buffer still takes a value per step, such as the parent
+  of that change, makes one single-state pass per state instead);
 - ppo_update: the episode batch built once and update_epochs actor and
   critic gradient evaluations on it, as in `train` but into new gradient
   arrays on each call (`train` reuses one per network); the parameters are
@@ -147,6 +151,7 @@ def _solver_layers(passes: int, tmp: str) -> list:
 def measure(repeats: int, passes: int) -> dict:
     import numpy as np
 
+    from mcsgame import learner
     from mcsgame.dynamics import EnvConfig, env_reset, env_step
     from mcsgame.experiments import ScenarioSpec, generate_scenario
     from mcsgame.learner import (
@@ -165,19 +170,31 @@ def measure(repeats: int, passes: int) -> dict:
     cfg = TrainConfig(seed=SEED)
     policy, _ = train(scenario, env, TrainConfig(seed=SEED, episodes=1))
 
+    # trees before the batch critic pass take each step's value in
+    # TrajectoryBuffer.add and the bootstrap in batch
+    batch_values = hasattr(TrajectoryBuffer, "values")
+    noise = (learner._noise(policy),) if hasattr(learner, "_noise") else ()
     rng = np.random.Generator(np.random.PCG64(SEED))
     state = env_reset(scenario, env, rng)
     buffer = TrajectoryBuffer(cfg.steps_per_batch)
     steps = []  # (state, features, raw action)
     for _ in range(cfg.steps_per_batch):
         feats = observe(state, policy.obs_price_scale)
-        action, log_prob = policy_sample(policy, feats, rng)
-        value = float(mlp_forward(policy.critic, feats)[0])
+        action, log_prob = policy_sample(policy, feats, rng, *noise)
         tr = env_step(scenario, env, state, action)
-        buffer.add(feats, action, log_prob, tr.reward, value)
+        value = () if batch_values else (float(mlp_forward(policy.critic, feats)[0]),)
+        buffer.add(feats, action, log_prob, tr.reward, *value)
         steps.append((state, feats, action))
         state = tr.next_state
-    bootstrap = float(mlp_forward(policy.critic, observe(state, policy.obs_price_scale))[0])
+    next_feats = observe(state, policy.obs_price_scale)
+    states = [feats for _, feats, _ in steps] + [next_feats]
+
+    def episode_values():
+        if batch_values:
+            return buffer.values(policy.critic, next_feats)
+        return [float(mlp_forward(policy.critic, feats)[0]) for feats in states]
+
+    values = episode_values()
     calls = passes * len(steps)
 
     def steps_pass():
@@ -188,15 +205,15 @@ def measure(repeats: int, passes: int) -> dict:
     def samples_pass():
         for _ in range(passes):
             for _, feats, _ in steps:
-                policy_sample(policy, feats, rng)
+                policy_sample(policy, feats, rng, *noise)
 
-    def critic_pass():
+    def values_pass():
         for _ in range(passes):
-            for _, feats, _ in steps:
-                mlp_forward(policy.critic, feats)
+            episode_values()
 
     def update():
-        batch = buffer.batch(bootstrap, cfg.gamma)
+        batch = buffer.batch(values, cfg.gamma) if batch_values else buffer.batch(
+            values[-1], cfg.gamma)
         for _ in range(cfg.update_epochs):
             ppo_actor_gradient(policy, batch, cfg.clip_epsilon)
             critic_loss_and_gradient(policy, batch)
@@ -209,7 +226,7 @@ def measure(repeats: int, passes: int) -> dict:
         for name, fn, n in (
             ("env_step", steps_pass, calls),
             ("policy_sample", samples_pass, calls),
-            ("critic_forward", critic_pass, calls),
+            ("episode_values", values_pass, passes),
             ("ppo_update", update, 1),
             ("train_step", train_steps, passes * cfg.steps_per_batch),
             *_solver_layers(passes, tmp),
