@@ -22,7 +22,7 @@ in tier-1.
 A change that moves outputs on purpose regenerates the references of
 the groups it moves, in the same change, and states the drift --check
 reported before.  Standard library only, apart from the package itself,
-which is imported from --src (default: src/ next to this directory).
+which is imported from src/ next to this directory.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ TOLERANCES = {
     "checkpoint.json": (1e-10, 1e-12),
 }
 
-_MARGINS = ("--set", "scenario.unit_cost_range=[0,0]")
-
-
 def _cases() -> dict:
     """{case name: (group, argv without --out, files kept)}."""
     cases = {}
@@ -78,7 +75,7 @@ def _cases() -> dict:
                     "static", "--seed", str(seed), "--set", f'scenario.demand_kind="{law}"',
                     "--set", f"scenario.n_mus={n}"], ("equilibrium.csv", "summary.csv"))
     sweeps = {
-        "delta": ("[0.1,0.4,0.7,1.0]", "uniform", _MARGINS),
+        "delta": ("[0.1,0.4,0.7,1.0]", "uniform", ("--set", "scenario.unit_cost_range=[0,0]")),
         "cost": ("[0,0.3,0.6,0.9]", "uniform", ("--set", "scenario.own_value_range=[1,1]")),
         "demand_upper": ("[20,25,30]", "linear", ("--set", "scenario.utility_scale=30")),
         "lambda": ("[20,30,40,50]", "uniform", ()),
@@ -103,7 +100,7 @@ def _cases() -> dict:
 
 
 CASES = _cases()
-GROUPS = ("static", "sweep", "gradcheck", "train")
+GROUPS = tuple(dict.fromkeys(group for group, _, _ in CASES.values()))
 
 
 def run_case(name: str, tmp: Path) -> dict[str, bytes]:
@@ -224,9 +221,8 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true", help="compare outputs with the references")
     mode.add_argument("--write", nargs="*", choices=GROUPS, metavar="GROUP",
                       help=f"rewrite the references of these groups (default: all of {GROUPS})")
-    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding mcsgame")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    sys.path.insert(0, str(ROOT / "src"))
 
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -15,8 +15,8 @@ steps under that policy records the states, features and raw
   exploration constants train computes once per episode;
 - episode_values: the critic's values of an episode's recorded states
   and of the state after them, as train computes them: one batch pass
-  (a tree whose buffer still takes a value per step, such as the parent
-  of that change, makes one single-state pass per state instead);
+  (in an older tree, whose buffer takes a value per step, one
+  single-state pass per state, so --paired can compare the two);
 - ppo_update: the episode batch built once and update_epochs actor and
   critic gradient evaluations on it, as in `train` but into new gradient
   arrays on each call (`train` reuses one per network); the parameters are
