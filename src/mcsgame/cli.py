@@ -8,7 +8,10 @@ configuration is echoed into manifest.json so every artifact can be
 reproduced from the manifest alone.
 
 Commands compute everything before writing anything, so a failed run
-leaves no partial files.  Exit codes: 0 success, 2 configuration
+leaves no partial files.  Every CSV is a table of columns, {name: array
+or list}, built from the records by `_columns` and written by
+`reporting.write_csv`; `_write_tables` checks each float column once
+before the first file is made.  Exit codes: 0 success, 2 configuration
 error, 3 solver non-convergence, 4 numeric failure (training diverged,
 a gradient check failed, a solve left the floating-point range, or a
 table holds a non-finite cell).
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -26,7 +28,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .dynamics import EnvConfig
+from .dynamics import MAX_COUNT, EnvConfig
 from .experiments import (
     SWEEP_FIELDS,
     BaselineResult,
@@ -41,9 +43,9 @@ from .experiments import (
 )
 from .gradcheck import run_all
 from .leader import SolverConfig, compute_se
-from .learner import TrainConfig, TrainingDiverged, save_policy, train
+from .learner import EpisodeStats, TrainConfig, TrainingDiverged, save_policy, train
 from .model import Scenario
-from .reporting import write_csv, write_json, write_manifest
+from .reporting import table_columns, write_csv, write_json, write_manifest
 from .svgplot import line_chart
 
 __all__ = ["main", "entry"]
@@ -149,8 +151,8 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.baseline_steps < 1:
-            raise ValueError("baseline_steps must be at least 1")
+        if not 1 <= self.baseline_steps <= MAX_COUNT:  # it sizes the baselines' step arrays
+            raise ValueError(f"baseline_steps must lie in [1, {MAX_COUNT}]")
 
 
 def _build_section(cls, data, where: str):
@@ -183,8 +185,8 @@ def _echo(config: RunConfig, command: str) -> dict:
     return {k: v for k, v in asdict(config).items() if k != "sweep" or command == "sweep"}
 
 
-# Every column is read by name from the experiments records, plus the
-# region, seed and axis the commands add.
+# Every column is read by name from the experiments and learner records,
+# plus the region, seed, axis and sweep value the commands add.
 _EQUILIBRIUM_COLUMNS = (
     "mu_index", "own_value", "unit_cost", "capacity", "demand_lo", "demand_hi",
     "price_threshold", "p_star", "x_star", "region", "mu_payoff",
@@ -193,43 +195,35 @@ _SWEEP_MU_COLUMNS = ("axis", "sweep_value", *(f.name for f in fields(UserRow)))
 _SOLVE_COLUMNS = ("sp_payoff", "total_allocation", "iterations", "grad_residual", "converged")
 _SUMMARY_COLUMNS = ("n_mus", "utility_scale", "seed", *_SOLVE_COLUMNS)
 _SWEEP_SUMMARY_COLUMNS = ("label", *_SOLVE_COLUMNS)
+_EPISODE_COLUMNS = tuple(f.name for f in fields(EpisodeStats))
+_BASELINE_COLUMNS = tuple(f.name for f in fields(BaselineResult))
 
 
-def _cells(record: dict) -> dict:
-    """A record's cells by column name; an array field f becomes the columns f_1 ... f_n."""
-    cells = {}
-    for name, v in record.items():
-        if isinstance(v, np.ndarray):
-            # interned, so the records of a long table share their column names
-            cells.update((sys.intern(f"{name}_{i}"), x) for i, x in enumerate(v.tolist(), 1))
-        else:
-            cells[name] = v
-    return cells
+def _columns(names, records, **given) -> dict:
+    """Columns in names' order: a given column as it is, any other read from the records."""
+    return {n: given[n] if n in given else [getattr(r, n) for r in records] for n in names}
 
 
 def _write_tables(out_dir: str, tables: dict) -> list[str]:
-    """Write each {file name: (columns, records)} table as a CSV; return the names.
+    """Write each {file name: columns} table as a CSV; return the names.
 
-    Cells are read from the records by column name.  Every float cell of
-    every table is checked before out_dir is made, so a non-finite cell
-    raises FloatingPointError and no file is written.
+    Every float column of every table is checked before out_dir is made,
+    so a non-finite cell raises FloatingPointError and no file is written.
     """
-    for name, (columns, rows) in tables.items():
-        for row in rows:
-            for column in columns:
-                v = row[column]
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise FloatingPointError(f"{name}: a {column} cell is not finite")
+    spread = {name: table_columns(columns) for name, columns in tables.items()}
+    for name, columns in spread.items():
+        for column, a in columns.items():
+            if a.dtype.kind == "f" and not np.isfinite(a).all():
+                raise FloatingPointError(f"{name}: a {column} cell is not finite")
     os.makedirs(out_dir, exist_ok=True)
-    for name, (columns, rows) in tables.items():
-        write_csv(os.path.join(out_dir, name), columns, ([row[c] for c in columns] for row in rows))
+    for name, columns in spread.items():
+        write_csv(os.path.join(out_dir, name), columns)
     return list(tables)
 
 
-def _per_mu(xs: list, ys: list) -> dict:
-    """One chart series per user; ys holds every user at xs[0], then at xs[1], ..."""
-    n = len(ys) // len(xs)
-    return {f"MU {i+1}": (xs, ys[i::n]) for i in range(n)}
+def _per_mu(xs, ys) -> dict:
+    """One chart series per user; ys holds a row per x and a column per user."""
+    return {f"MU {i}": (xs, y.tolist()) for i, y in enumerate(np.asarray(ys).T, 1)}
 
 
 def _draw(out_dir: str, x_label: str, charts) -> list[str]:
@@ -269,12 +263,12 @@ def _scenario(config: RunConfig) -> Scenario:
 def cmd_static(config: RunConfig, out_dir: str) -> int:
     scenario = _scenario(config)
     res = compute_se(scenario, config.solver)
-    users = [dict(vars(row), region=_face(row)) for row in user_rows(scenario, res)]
-    summary = dict(vars(market_summary("static", scenario, res)), seed=config.seed)
+    users = user_rows(scenario, res)
+    summary = [market_summary("static", scenario, res)]
 
     artifacts = _write_tables(out_dir, {
-        "equilibrium.csv": (_EQUILIBRIUM_COLUMNS, users),
-        "summary.csv": (_SUMMARY_COLUMNS, [summary]),
+        "equilibrium.csv": _columns(_EQUILIBRIUM_COLUMNS, users, region=list(map(_face, users))),
+        "summary.csv": _columns(_SUMMARY_COLUMNS, summary, seed=[config.seed]),
     })
     write_manifest(out_dir, "static", _echo(config, "static"), artifacts)
     if not res.converged:
@@ -285,26 +279,25 @@ def cmd_static(config: RunConfig, out_dir: str) -> int:
 
 
 class _StepTrace:
-    """`train`'s step records, one array row per step, built into records each time it is read."""
+    """`train`'s step records as the steps.csv columns, one preallocated array row per step."""
 
     def __init__(self, episodes: int, steps: int, n: int):
         rows, self.steps = episodes * steps, steps
-        self.fields = {
+        # int32 counts: a trace of 2**31 steps is past any memory that could hold its floats
+        self.columns = {
+            "episode": np.repeat(np.arange(1, episodes + 1, dtype=np.int32), steps),
+            "step": np.tile(np.arange(1, steps + 1, dtype=np.int32), episodes),
             "p": np.empty((rows, n)), "x": np.empty((rows, n)), "sp_payoff": np.empty(rows),
             "reward": np.empty(rows), "mu_payoff": np.empty((rows, n)),
             "clamped_flag": np.empty(rows, dtype=bool),
         }
+        self.recorded = list(self.columns.values())[2:]
 
     def record(self, ep: int, k: int, tr) -> None:
         values = (tr.action, tr.next_state.allocations[-1], tr.sp_payoff, tr.reward,
                   tr.mu_payoffs, tr.clamped)
-        for column, v in zip(self.fields.values(), values):
+        for column, v in zip(self.recorded, values):
             column[(ep - 1) * self.steps + k - 1] = v
-
-    def __iter__(self):
-        for i in range(len(self.fields["reward"])):
-            cells = {name: c[i] if c.ndim > 1 else c[i].item() for name, c in self.fields.items()}
-            yield _cells({"episode": i // self.steps + 1, "step": i % self.steps + 1, **cells})
 
 
 def cmd_train(config: RunConfig, out_dir: str, svg: bool, steps_trace: bool) -> int:
@@ -332,37 +325,28 @@ def cmd_train(config: RunConfig, out_dir: str, svg: bool, steps_trace: bool) -> 
 
     greedy = play_greedy(scenario, config.env, config.baseline_steps, config.seed)
     rand = play_random(scenario, config.env, config.baseline_steps, config.seed)
-    static_se = BaselineResult(
-        "static_se", 0, se.sp_payoff, config.env.reward_scale * se.sp_payoff, se.mu_payoffs
-    )
-    tables = {
-        "episodes.csv": [_cells(vars(ep)) for ep in trace],
-        "baselines.csv": [_cells(vars(b)) for b in (greedy, rand, static_se)],
-    }
+    static_se = BaselineResult("static_se", 0, se.sp_payoff,
+                               config.env.reward_scale * se.sp_payoff, se.mu_payoffs)
+    episodes = _columns(_EPISODE_COLUMNS, trace)
+    tables = {"episodes.csv": episodes,
+              "baselines.csv": _columns(_BASELINE_COLUMNS, (greedy, rand, static_se))}
     if steps_trace:
-        tables["steps.csv"] = steps
-    # every record of a table has the same fields, in column order
-    artifacts = _write_tables(out_dir, {name: ([*next(iter(t))], t) for name, t in tables.items()})
+        tables["steps.csv"] = steps.columns
+    artifacts = _write_tables(out_dir, tables)
     save_policy(os.path.join(out_dir, "checkpoint.json"), policy, config.env, config.train)
     artifacts.append("checkpoint.json")
     if svg:
-        episodes = [ep.episode for ep in trace]
-
-        def per_mu(attr: str) -> dict:
-            return _per_mu(episodes, [float(v) for ep in trace for v in getattr(ep, attr)])
-
-        sp_payoffs = {
-            "training": (episodes, [ep.mean_sp_payoff for ep in trace]),
-            "static SE": (episodes, [se.sp_payoff] * len(episodes)),
-            "greedy": (episodes, [greedy.mean_sp_payoff] * len(episodes)),
-            "random": (episodes, [rand.mean_sp_payoff] * len(episodes)),
-        }
+        xs = episodes["episode"]
+        sp_payoffs = {"training": (xs, episodes["mean_sp_payoff"])}
+        for label, baseline in (("static SE", static_se), ("greedy", greedy), ("random", rand)):
+            sp_payoffs[label] = (xs, [baseline.mean_sp_payoff] * len(xs))
         artifacts += _draw(out_dir, "episode", [
-            ("prices.svg", "Mean price per episode", "price", per_mu("mean_price")),
+            ("prices.svg", "Mean price per episode", "price", _per_mu(xs, episodes["mean_price"])),
             ("allocations.svg", "Mean allocation per episode", "allocation",
-             per_mu("mean_allocation")),
+             _per_mu(xs, episodes["mean_allocation"])),
             ("sp_payoff.svg", "SP payoff per episode", "payoff", sp_payoffs),
-            ("mu_payoffs.svg", "Mean MU payoff per episode", "payoff", per_mu("mean_mu_payoff")),
+            ("mu_payoffs.svg", "Mean MU payoff per episode", "payoff",
+             _per_mu(xs, episodes["mean_mu_payoff"])),
         ])
     write_manifest(out_dir, "train", _echo(config, "train"), artifacts)
 
@@ -383,22 +367,22 @@ def cmd_sweep(config: RunConfig, out_dir: str, svg: bool) -> int:
     except ValueError as e:
         raise ConfigError(f"sweep: {e}")
 
-    swept = SWEEP_FIELDS[axis]
-    mu_rows = [dict(vars(u), axis=axis, sweep_value=getattr(u, swept)) for u in result.points]
+    points = result.points
+    mus = _columns(_SWEEP_MU_COLUMNS, points, axis=[axis] * len(points),
+                   sweep_value=[getattr(u, SWEEP_FIELDS[axis]) for u in points])
+    summaries = _columns(_SWEEP_SUMMARY_COLUMNS, result.summaries)
 
-    artifacts = _write_tables(out_dir, {
-        "sweep_mus.csv": (_SWEEP_MU_COLUMNS, mu_rows),
-        "sweep_summary.csv": (_SWEEP_SUMMARY_COLUMNS, [vars(s) for s in result.summaries]),
-    })
+    artifacts = _write_tables(out_dir, {"sweep_mus.csv": mus, "sweep_summary.csv": summaries})
     if svg:
-        prices = [u.p_star for u in result.points]
-        allocations = [u.x_star for u in result.points]
+        prices, allocations = mus["p_star"], mus["x_star"]
         if axis in ("delta", "cost"):
             # one market with one user per value
             price, allocation, extra = {"p*": (values, prices)}, {"x*": (values, allocations)}, []
         else:
-            price, allocation = _per_mu(values, prices), _per_mu(values, allocations)
-            payoffs = {"SP payoff": (values, [s.sp_payoff for s in result.summaries])}
+            # a market per value, its users in a row
+            price, allocation = (_per_mu(values, np.reshape(ys, (len(values), -1)))
+                                 for ys in (prices, allocations))
+            payoffs = {"SP payoff": (values, summaries["sp_payoff"])}
             extra = [("sweep_payoff.svg", f"SP payoff vs {axis}", "payoff", payoffs)]
         artifacts += _draw(out_dir, axis, [
             ("sweep_price.svg", f"Equilibrium price vs {axis}", "price", price),

@@ -41,6 +41,7 @@ __all__ = [
     "env_step",
     "greedy_policy",
     "random_policy",
+    "step_mean",
 ]
 
 # The largest user count, history window, batch length or layer width: the episode
@@ -206,3 +207,7 @@ def random_policy(n_mus: int, config: EnvConfig, rng: np.random.Generator) -> np
         raise ValueError("n_mus must be at least 1")
     return rng.uniform(0.0, config.p_max, size=n_mus)
 
+
+def step_mean(column: np.ndarray) -> np.ndarray:
+    """Mean over the steps (axis 0), each scaled before the sum so finite steps give a finite mean."""
+    return np.sum(column / len(column), axis=0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import MAX_COUNT, EnvConfig, env_reset, env_step, greedy_policy, random_policy
+from .dynamics import MAX_COUNT, EnvConfig, env_reset, env_step, greedy_policy, random_policy, step_mean
 from .follower import price_threshold
 from .leader import EquilibriumResult, SolverConfig, compute_se
 from .model import DemandDistribution, LinearDemand, MuProfile, Scenario, UniformDemand
@@ -126,16 +126,13 @@ def _rollout(
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     state = env_reset(scenario, env_config, rng)
-    total_payoff = 0.0
-    total_reward = 0.0
-    total_mu = np.zeros(scenario.n)
-    for _ in range(steps):
+    payoffs, rewards, mu_payoffs = np.empty(steps), np.empty(steps), np.empty((steps, scenario.n))
+    for k in range(steps):
         tr = env_step(scenario, env_config, state, prices_for(rng))
         state = tr.next_state
-        total_payoff += tr.sp_payoff
-        total_reward += tr.reward
-        total_mu += tr.mu_payoffs
-    return BaselineResult(name, steps, total_payoff / steps, total_reward / steps, total_mu / steps)
+        payoffs[k], rewards[k], mu_payoffs[k] = tr.sp_payoff, tr.reward, tr.mu_payoffs
+    return BaselineResult(name, steps, float(step_mean(payoffs)), float(step_mean(rewards)),
+                          step_mean(mu_payoffs))
 
 
 def play_constant(

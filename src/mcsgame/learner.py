@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import MAX_COUNT, EnvConfig, GameState, env_reset, env_step
+from .dynamics import MAX_COUNT, EnvConfig, GameState, env_reset, env_step, step_mean
 from .reporting import write_json
 
 __all__ = [
@@ -538,11 +538,6 @@ def _snapshot(policy: PolicyParams) -> dict:
     }
 
 
-def _mean(column: np.ndarray) -> np.ndarray:
-    """Mean over the steps (axis 0), each scaled before the sum so finite steps give a finite mean."""
-    return np.sum(column / len(column), axis=0)
-
-
 def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=None):
     """Run the PPO loop and return (policy, per-episode trace).
 
@@ -598,9 +593,9 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
                 raise TrainingDiverged(f"non-finite parameter after episode {ep}, inner epoch "
                                        f"{epoch}", ep, epoch, _snapshot(policy))
         trace.append(EpisodeStats(
-            ep, float(_mean(batch.rewards)), float(_mean(sp_payoffs)),
+            ep, float(step_mean(batch.rewards)), float(step_mean(sp_payoffs)),
             ppo_surrogate(policy, batch, cfg.clip_epsilon), critic_loss,
-            _mean(prices), _mean(allocations), _mean(mu_payoffs),
+            step_mean(prices), step_mean(allocations), step_mean(mu_payoffs),
         ))
     return policy, trace
 

@@ -3,20 +3,25 @@
 Every artifact a command writes must be byte-identical across reruns
 with the same config and seed, so floats are printed with %.17g (exact
 round trip for IEEE doubles), newlines are always '\n', and nothing
-time- or host-dependent enters hashed content.  The manifest carries a
-sha256 per artifact plus the fully resolved config, which is what the
-determinism check compares.
+time- or host-dependent enters hashed content.  A CSV table is a dict
+of columns, {name: 1-D or 2-D array or list}: one row format is built
+from the column dtypes, and a 2-D column f spreads into the columns
+f_1 ... f_n.  The manifest carries a sha256 per artifact plus the fully
+resolved config, which is what the determinism check compares.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
-    "format_value",
+    "table_columns",
     "write_csv",
     "sha256_file",
     "write_manifest",
@@ -25,29 +30,42 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 
-
-def format_value(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return "%.17g" % v
-    if isinstance(v, int):
-        return str(v)
-    s = str(v)
-    if any(ch in s for ch in ",\"\n"):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
+# the cell format of a column, by numpy dtype kind: bool, int, unsigned int, float, string
+_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
+# rows formatted per block, so a long table is never held as Python objects all at once
+BLOCK_ROWS = 128
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Write rows under a header, one line at a time; return the path."""
-    width = len(header)
+def _quoted(s: str) -> str:
+    return '"' + s.replace('"', '""') + '"' if any(ch in s for ch in ',"\n') else s
+
+
+def table_columns(columns: dict) -> dict[str, np.ndarray]:
+    """A table's 1-D columns by CSV column name; a 2-D column f becomes f_1 ... f_n."""
+    spread = {}
+    for name, values in columns.items():
+        a = np.asarray(values)
+        if a.ndim == 2:
+            spread.update((f"{name}_{i}", c) for i, c in enumerate(a.T, 1))
+        else:
+            spread[name] = a
+    if len({a.shape for a in spread.values()}) > 1:
+        raise ValueError(f"columns of unequal length: { {n: a.shape for n, a in spread.items()} }")
+    return spread
+
+
+def write_csv(path: str, columns: dict) -> str:
+    """Write a table of columns as CSV, BLOCK_ROWS rows per write; return the path."""
+    spread = table_columns(columns)
+    arrays = [np.array([_quoted(s) for s in a.tolist()]) if a.dtype.kind == "U" else a
+              for a in spread.values()]
+    row = ",".join(_FORMATS[a.dtype.kind] for a in arrays) + "\n"
+    rows = len(arrays[0]) if arrays else 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            if len(row) != width:
-                raise ValueError(f"row width {len(row)} != header width {width}")
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+        fh.write(",".join(spread) + "\n")
+        for start in range(0, rows, BLOCK_ROWS):
+            block = list(zip(*(a[start:start + BLOCK_ROWS].tolist() for a in arrays)))
+            fh.write(row * len(block) % tuple(itertools.chain.from_iterable(block)))
     return path
 
 

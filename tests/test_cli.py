@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +406,7 @@ def test_range_of_three_numbers_names_what_it_needs(tmp_path, capsys):
     (EnvConfig, "history_rounds", 2**19),
     (TrainConfig, "steps_per_batch", 2**19),
     (TrainConfig, "hidden", (2**19,)),
+    (cli.RunConfig, "baseline_steps", 2**19),
 ])
 def test_array_sizing_counts_are_capped(cls, field, value):
     # building the configs allocates nothing
@@ -577,6 +579,32 @@ def test_prices_near_the_float_limit_diverge_without_an_overflow_in_the_means(tm
     # the diverging update's own warnings remain; the rollout adds none
     warnings = [line for line in proc.stderr.splitlines() if "Warning:" in line]
     assert warnings and all(line.endswith("encountered in multiply") for line in warnings)
+
+
+@pytest.mark.parametrize("row", [0, -1])
+@pytest.mark.parametrize("column, spread_name", [("f", "f"), ("m", "m_2")])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_a_non_finite_cell_raises_before_out_dir_exists(tmp_path, row, column, spread_name, bad):
+    second = {"k": np.arange(4), "f": np.linspace(0.0, 1.0, 4), "m": np.ones((4, 3))}
+    second[column][row, ...] = bad if column == "f" else [1.0, bad, 1.0]
+    out = tmp_path / "out"
+    with pytest.raises(FloatingPointError, match=rf"^t2\.csv: a {spread_name} cell is not finite$"):
+        cli._write_tables(str(out), {"t1.csv": {"a": [0.5]}, "t2.csv": second})
+    assert not out.exists()
+
+
+def test_baseline_means_near_the_float_limit_stay_finite(tmp_path):
+    argv = ["train", "--seed", "0", "--set", "env.p_max=1e306", "--set", "env.reward_scale=1e-306",
+            "--set", "train.episodes=2", "--set", "train.steps_per_batch=8",
+            "--set", "train.update_epochs=2", "--set", "train.hidden=[4]", "--svg", "off",
+            "--out", str(tmp_path / "run")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    header, rows = _read_csv(tmp_path / "run" / "baselines.csv")
+    assert [r[0] for r in rows] == ["greedy", "random", "static_se"]
+    assert all(np.isfinite(float(cell)) for r in rows for cell in r[2:])
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,11 @@ def test_layer_bench_writes_one_record_per_layer(tmp_path):
     assert record["repeats"] == 2 and record["passes"] == 1
     assert record["cpu_count"] >= 1
     assert record["python"].count(".") == 2 and record["numpy"]
-    assert record["config"]["users"] == 5
+    assert record["config"]["users"] == 5 and record["config"]["table_episodes"] == 50
     steps = record["config"]["steps_per_batch"]
     calls = {
         "env_step": steps, "policy_sample": steps, "episode_values": 1, "ppo_update": 1,
-        "train_step": steps,
+        "train_step": steps, "write_tables": 1,
         "best_response": 5, "sp_payoff_gradient_n200": 1, "static_n25": 1,
         **{f"{layer}_n{n}": 1 for layer in ("generate_scenario", "compute_se")
            for n in (5, 200, 10_000)},
@@ -49,7 +49,8 @@ def test_paired_mode_compares_two_trees_layer_by_layer(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_pair.json"]
     record = json.loads((tmp_path / "BENCH_pair.json").read_text())
     assert record["pairs"] == 2 and record["parent_src"] == str(Path(src).resolve())
-    assert {"train_step", "ppo_update", "env_step", "static_n25"} <= set(record["layers"])
+    assert {"train_step", "ppo_update", "env_step", "static_n25", "write_tables"} <= set(
+        record["layers"])
     for name, row in record["layers"].items():
         assert row["parent_median_us"] > 0.0 and row["change_median_us"] > 0.0, name
         assert 0.0 < row["ratio_q1"] <= row["ratio_median"] <= row["ratio_q3"], name

@@ -10,7 +10,7 @@ import pytest
 
 import mcsgame.learner as learner_mod
 from conftest import make_scenario
-from mcsgame.dynamics import EnvConfig, env_reset, env_step
+from mcsgame.dynamics import EnvConfig, env_reset, env_step, step_mean
 from mcsgame.gradcheck import _toy_batch, _toy_policy
 from mcsgame.learner import (
     LOG_STD_MAX,
@@ -726,10 +726,10 @@ def test_recorded_log_probs_are_the_gaussian_density_of_the_raw_action():
 
 def test_episode_means_of_finite_steps_are_finite():
     big = np.full((128, 3), np.finfo(float).max)
-    assert np.array_equal(learner_mod._mean(big), big[0])
-    assert learner_mod._mean(-big[:, 0]) == -np.finfo(float).max
+    assert np.array_equal(step_mean(big), big[0])
+    assert step_mean(-big[:, 0]) == -np.finfo(float).max
     steps = _rng(4).uniform(-1.0, 1.0, size=(7, 2))
-    assert np.allclose(learner_mod._mean(steps), steps.mean(axis=0), rtol=1e-15, atol=1e-16)
+    assert np.allclose(step_mean(steps), steps.mean(axis=0), rtol=1e-15, atol=1e-16)
 
 
 def test_train_does_each_episode_step_once(monkeypatch):

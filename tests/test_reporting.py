@@ -10,46 +10,91 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mcsgame.reporting import MANIFEST_NAME, format_value, sha256_file, write_csv, write_manifest
+from mcsgame.reporting import BLOCK_ROWS, MANIFEST_NAME, sha256_file, write_csv, write_manifest
 from mcsgame.svgplot import _ticks, line_chart
 
 
 # ---------------------------------------------------------------------------
-# values and CSV
+# column tables as CSV
 
 
-def test_format_value_bools_are_bits():
-    assert format_value(True) == "1"
-    assert format_value(False) == "0"
+def _csv(tmp_path, columns) -> str:
+    path = tmp_path / "t.csv"
+    assert write_csv(str(path), columns) == str(path)
+    return path.read_bytes().decode()
 
 
-def test_format_value_floats_roundtrip():
-    for v in (0.1, 1.0 / 3.0, 1e-17, -2.5e300, 104.11516926835274):
-        assert float(format_value(v)) == v
+def test_bool_columns_print_as_bits(tmp_path):
+    assert _csv(tmp_path, {"b": [True, False]}) == "b\n1\n0\n"
+    assert _csv(tmp_path, {"b": np.array([False, True])}) == "b\n0\n1\n"
 
 
-def test_format_value_ints_and_numpy_scalars():
-    assert format_value(42) == "42"
-    assert format_value(np.int64(7)) == "7"
-    assert float(format_value(np.float64(0.25))) == 0.25
+def test_float_columns_roundtrip(tmp_path):
+    values = [0.1, 1.0 / 3.0, 1e-17, -2.5e300, 104.11516926835274, -0.0, 5e-324,
+              1.7976931348623157e308]
+    lines = _csv(tmp_path, {"v": values}).splitlines()
+    assert lines[0] == "v" and lines[1:] == ["%.17g" % v for v in values]
+    assert lines[6:] == ["-0", "4.9406564584124654e-324", "1.7976931348623157e+308"]
+    got = [float(cell) for cell in lines[1:]]
+    assert got == values and math.copysign(1.0, got[5]) == -1.0
+    # an integral float keeps no decimal point, as %.17g prints it
+    assert _csv(tmp_path, {"v": [2.0]}) == "v\n2\n"
 
 
-def test_format_value_quotes_awkward_strings():
-    assert format_value("plain") == "plain"
-    assert format_value("a,b") == '"a,b"'
-    assert format_value('say "hi"') == '"say ""hi"""'
+def test_int_columns_print_as_integers(tmp_path):
+    assert _csv(tmp_path, {"i": [42, -3]}) == "i\n42\n-3\n"
+    assert _csv(tmp_path, {"i": [np.int64(7), np.int32(-8)]}) == "i\n7\n-8\n"
+    # the largest seed the config accepts makes a uint64 column
+    seed = 2**64 - 1
+    assert np.asarray([seed]).dtype == np.uint64
+    assert _csv(tmp_path, {"seed": [seed]}) == f"seed\n{seed}\n"
+
+
+def test_string_columns_quote_awkward_cells(tmp_path):
+    cells = ["plain", "a,b", 'say "hi"', "two\nlines", ""]
+    assert _csv(tmp_path, {"s": cells, "n": range(5)}) == (
+        's,n\nplain,0\n"a,b",1\n"say ""hi""",2\n"two\nlines",3\n,4\n')
 
 
 def test_write_csv_layout(tmp_path):
-    path = tmp_path / "t.csv"
-    write_csv(str(path), ["a", "b"], [[1, 0.5], [2, True]])
-    raw = path.read_bytes()
-    assert raw == b"a,b\n1,0.5\n2,1\n"
+    assert _csv(tmp_path, {"a": [1, 2], "b": [0.5, 0.25]}) == "a,b\n1,0.5\n2,0.25\n"
+
+
+def test_two_dimensional_column_spreads_into_numbered_columns(tmp_path):
+    table = {"e": [1, 2], "f": [np.array([0.5, 1.0, 1.5]), np.array([2.0, 2.5, 3.0])],
+             "g": np.array([[True], [False]])}
+    assert _csv(tmp_path, table) == "e,f_1,f_2,f_3,g_1\n1,0.5,1,1.5,1\n2,2,2.5,3,0\n"
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):
-    with pytest.raises(ValueError):
-        write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1]])
+    with pytest.raises(ValueError, match="unequal length"):
+        write_csv(str(tmp_path / "t.csv"), {"a": [1, 2], "b": [0.5]})
+    with pytest.raises(ValueError, match="unequal length"):
+        write_csv(str(tmp_path / "t.csv"), {"a": [1, 2], "f": np.zeros((3, 2))})
+
+
+def test_empty_table_writes_only_its_header(tmp_path):
+    table = {"a": [], "b": np.empty(0, dtype=bool), "f": np.empty((0, 2))}
+    assert _csv(tmp_path, table) == "a,b,f_1,f_2\n"
+
+
+def test_table_past_a_block_matches_row_by_row_formatting(tmp_path):
+    rows = BLOCK_ROWS + 1
+    rng = np.random.Generator(np.random.PCG64(3))
+    x = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    table = {"i": np.arange(rows), "x": x, "ok": x > 0, "name": [f"u{k}" for k in range(rows)],
+             "m": rng.standard_normal((rows, 2)), "big": np.full(rows, 2**64 - 1, dtype=np.uint64)}
+
+    def cell(v):
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        return "%.17g" % v if isinstance(v, float) else str(v)
+
+    want = ["i,x,ok,name,m_1,m_2,big"]
+    for k in range(rows):
+        want.append(",".join(cell(v) for v in (
+            k, float(x[k]), bool(x[k] > 0), f"u{k}", *table["m"][k].tolist(), 2**64 - 1)))
+    assert _csv(tmp_path, table) == "\n".join(want) + "\n"
 
 
 def test_sha256_file_matches_hashlib(tmp_path):
@@ -60,7 +105,7 @@ def test_sha256_file_matches_hashlib(tmp_path):
 
 
 def test_manifest_contents_and_determinism(tmp_path):
-    write_csv(str(tmp_path / "x.csv"), ["v"], [[1]])
+    write_csv(str(tmp_path / "x.csv"), {"v": [1]})
     cfg = {"seed": 3, "scenario": {"n_mus": 5}}
     write_manifest(str(tmp_path), "static", cfg, ["x.csv"])
     first = (tmp_path / MANIFEST_NAME).read_bytes()

@@ -23,7 +23,14 @@ steps under that policy records the states, features and raw
   held fixed, so every repeat times the same work (the parameter steps
   themselves, a few array additions per epoch, are not timed);
 - train_step: a whole `train` call of K episodes from a fresh policy,
-  divided by its steps, the parameter steps included.
+  divided by its steps, the parameter steps included;
+- write_tables: `cli._write_tables` writing the episodes.csv,
+  baselines.csv and steps.csv tables of one `train --seed 7
+  --steps-trace on` run of 50 K episodes (at the default K = 10, the
+  default config's 500 episodes: 64,000 steps) into a fresh directory.
+  The tables are captured from the command's own call, so each tree is
+  timed on the input form its `_write_tables` takes, and --paired can
+  compare two of them.
 
 The solver layers run on default scenarios (uniform demand) drawn from
 seed 7:
@@ -82,6 +89,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 SOLVER_USERS = (5, 200, 10_000)
 STATIC_USERS = 25
+TABLE_EPISODES_PER_PASS = 50
 
 
 def _timed(fn, repeats: int, calls: int) -> dict:
@@ -146,6 +154,29 @@ def _solver_layers(passes: int, tmp: str) -> list:
         ("sp_payoff_gradient_n200", gradients, passes),
         (f"static_n{STATIC_USERS}", static, 1),
     ]
+
+
+def _tables_layer(tmp: str, episodes: int) -> tuple:
+    """(name, fn, calls per repeat) of write_tables: the tables one `train` run writes."""
+    from mcsgame import cli
+
+    write, captured = cli._write_tables, []
+
+    def capture(out_dir, tables):
+        captured.append(tables)
+        return write(out_dir, tables)
+
+    argv = ["train", "--seed", str(SEED), "--svg", "off", "--steps-trace", "on",
+            "--set", f"train.episodes={episodes}", "--out", os.path.join(tmp, "train")]
+    cli._write_tables = capture
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise RuntimeError("the train run for write_tables failed")
+    finally:
+        cli._write_tables = write
+    runs = itertools.count()
+    return "write_tables", lambda: write(os.path.join(tmp, f"tables{next(runs)}"), captured[0]), 1
 
 
 def measure(repeats: int, passes: int) -> dict:
@@ -230,6 +261,7 @@ def measure(repeats: int, passes: int) -> dict:
             ("ppo_update", update, 1),
             ("train_step", train_steps, passes * cfg.steps_per_batch),
             *_solver_layers(passes, tmp),
+            _tables_layer(tmp, TABLE_EPISODES_PER_PASS * passes),
         ):
             fn()  # warm-up
             layers[name] = _timed(fn, repeats, n)
@@ -242,6 +274,7 @@ def measure(repeats: int, passes: int) -> dict:
             "hidden": list(cfg.hidden),
             "solver_users": list(SOLVER_USERS),
             "static_users": STATIC_USERS,
+            "table_episodes": TABLE_EPISODES_PER_PASS * passes,
         },
         "numpy": np.__version__,
         "layers": layers,
