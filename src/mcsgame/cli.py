@@ -9,12 +9,13 @@ reproduced from the manifest alone.
 
 Commands compute everything before writing anything, so a failed run
 leaves no partial files.  Every CSV is a table of columns, {name: array
-or list}, built from the records by `_columns` and written by
-`reporting.write_csv`; `_write_tables` checks each float column once
-before the first file is made.  Exit codes: 0 success, 2 configuration
-error, 3 solver non-convergence, 4 numeric failure (training diverged,
-a gradient check failed, a solve left the floating-point range, or a
-table holds a non-finite cell).
+or list}: `static` and `sweep` take theirs from the experiments tables,
+`train` builds its own from its records with `_columns`, and
+`reporting.write_csv` writes them.  `_write_tables` checks each float
+column once before the first file is made.  Exit codes: 0 success, 2
+configuration error, 3 solver non-convergence, 4 numeric failure
+(training diverged, a gradient check failed, a solve left the
+floating-point range, or a table holds a non-finite cell).
 """
 
 from __future__ import annotations
@@ -33,17 +34,16 @@ from .experiments import (
     SWEEP_FIELDS,
     BaselineResult,
     ScenarioSpec,
-    UserRow,
     generate_scenario,
-    market_summary,
     play_greedy,
     play_random,
     run_sweep,
-    user_rows,
+    summary_columns,
+    user_columns,
 )
 from .gradcheck import run_all
 from .leader import SolverConfig, compute_se
-from .learner import EpisodeStats, TrainConfig, TrainingDiverged, save_policy, train
+from .learner import TrainConfig, TrainingDiverged, save_policy, train
 from .model import Scenario
 from .reporting import table_columns, write_csv, write_json, write_manifest
 from .svgplot import line_chart
@@ -185,23 +185,9 @@ def _echo(config: RunConfig, command: str) -> dict:
     return {k: v for k, v in asdict(config).items() if k != "sweep" or command == "sweep"}
 
 
-# Every column is read by name from the experiments and learner records,
-# plus the region, seed, axis and sweep value the commands add.
-_EQUILIBRIUM_COLUMNS = (
-    "mu_index", "own_value", "unit_cost", "capacity", "demand_lo", "demand_hi",
-    "price_threshold", "p_star", "x_star", "region", "mu_payoff",
-)
-_SWEEP_MU_COLUMNS = ("axis", "sweep_value", *(f.name for f in fields(UserRow)))
-_SOLVE_COLUMNS = ("sp_payoff", "total_allocation", "iterations", "grad_residual", "converged")
-_SUMMARY_COLUMNS = ("n_mus", "utility_scale", "seed", *_SOLVE_COLUMNS)
-_SWEEP_SUMMARY_COLUMNS = ("label", *_SOLVE_COLUMNS)
-_EPISODE_COLUMNS = tuple(f.name for f in fields(EpisodeStats))
-_BASELINE_COLUMNS = tuple(f.name for f in fields(BaselineResult))
-
-
-def _columns(names, records, **given) -> dict:
-    """Columns in names' order: a given column as it is, any other read from the records."""
-    return {n: given[n] if n in given else [getattr(r, n) for r in records] for n in names}
+def _columns(records) -> dict:
+    """A table with a column per dataclass field of the records, in field order."""
+    return {f.name: [getattr(r, f.name) for r in records] for f in fields(records[0])}
 
 
 def _write_tables(out_dir: str, tables: dict) -> list[str]:
@@ -233,21 +219,6 @@ def _draw(out_dir: str, x_label: str, charts) -> list[str]:
     return [chart[0] for chart in charts]
 
 
-def _face(row: UserRow) -> str:
-    """Which face of its allocation box a user's equilibrium sale lies on.
-
-    The box is [max(capacity - demand_hi, 0), max(capacity - demand_lo,
-    0)].  The solver prices a user at the bottom of the box at its
-    threshold and one at the top at its own value, so the box's faces
-    are the follower's below-threshold and at-capacity regions.
-    """
-    if row.x_star == max(row.capacity - row.demand_hi, 0.0):
-        return "below_threshold"
-    if row.x_star == max(row.capacity - row.demand_lo, 0.0):
-        return "at_capacity"
-    return "interior"
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -263,13 +234,12 @@ def _scenario(config: RunConfig) -> Scenario:
 def cmd_static(config: RunConfig, out_dir: str) -> int:
     scenario = _scenario(config)
     res = compute_se(scenario, config.solver)
-    users = user_rows(scenario, res)
-    summary = [market_summary("static", scenario, res)]
+    users = user_columns(scenario, res)
+    del users["utility_scale"]  # summary.csv carries the market's one value
+    summary = {"n_mus": [scenario.n], "utility_scale": [scenario.utility_scale],
+               "seed": [config.seed], **summary_columns(res)}
 
-    artifacts = _write_tables(out_dir, {
-        "equilibrium.csv": _columns(_EQUILIBRIUM_COLUMNS, users, region=list(map(_face, users))),
-        "summary.csv": _columns(_SUMMARY_COLUMNS, summary, seed=[config.seed]),
-    })
+    artifacts = _write_tables(out_dir, {"equilibrium.csv": users, "summary.csv": summary})
     write_manifest(out_dir, "static", _echo(config, "static"), artifacts)
     if not res.converged:
         print(f"solver did not converge (residual {res.grad_residual:.3e})", file=sys.stderr)
@@ -327,9 +297,8 @@ def cmd_train(config: RunConfig, out_dir: str, svg: bool, steps_trace: bool) -> 
     rand = play_random(scenario, config.env, config.baseline_steps, config.seed)
     static_se = BaselineResult("static_se", 0, se.sp_payoff,
                                config.env.reward_scale * se.sp_payoff, se.mu_payoffs)
-    episodes = _columns(_EPISODE_COLUMNS, trace)
-    tables = {"episodes.csv": episodes,
-              "baselines.csv": _columns(_BASELINE_COLUMNS, (greedy, rand, static_se))}
+    episodes = _columns(trace)
+    tables = {"episodes.csv": episodes, "baselines.csv": _columns((greedy, rand, static_se))}
     if steps_trace:
         tables["steps.csv"] = steps.columns
     artifacts = _write_tables(out_dir, tables)
@@ -363,14 +332,13 @@ def cmd_train(config: RunConfig, out_dir: str, svg: bool, steps_trace: bool) -> 
 def cmd_sweep(config: RunConfig, out_dir: str, svg: bool) -> int:
     axis, values = config.sweep.axis, config.sweep.values
     try:
-        result = run_sweep(config.scenario, axis, values, config.seed, config.solver)
+        users, summaries = run_sweep(config.scenario, axis, values, config.seed, config.solver)
     except ValueError as e:
         raise ConfigError(f"sweep: {e}")
 
-    points = result.points
-    mus = _columns(_SWEEP_MU_COLUMNS, points, axis=[axis] * len(points),
-                   sweep_value=[getattr(u, SWEEP_FIELDS[axis]) for u in points])
-    summaries = _columns(_SWEEP_SUMMARY_COLUMNS, result.summaries)
+    del users["region"]
+    rows = len(users["mu_index"])
+    mus = {"axis": [axis] * rows, "sweep_value": users[SWEEP_FIELDS[axis]], **users}
 
     artifacts = _write_tables(out_dir, {"sweep_mus.csv": mus, "sweep_summary.csv": summaries})
     if svg:
@@ -391,10 +359,10 @@ def cmd_sweep(config: RunConfig, out_dir: str, svg: bool) -> int:
         ])
     write_manifest(out_dir, "sweep", _echo(config, "sweep"), artifacts)
 
-    if not result.converged:
+    if not summaries["converged"].all():
         print("one or more sweep points did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    print(f"sweep: {len(result.points)} rows over axis {axis}; wrote {out_dir}/sweep_mus.csv")
+    print(f"sweep: {rows} rows over axis {axis}; wrote {out_dir}/sweep_mus.csv")
     return EXIT_OK
 
 

@@ -11,13 +11,12 @@ value, all else held fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import MAX_COUNT, EnvConfig, env_reset, env_step, greedy_policy, random_policy, step_mean
-from .follower import price_threshold
-from .leader import EquilibriumResult, SolverConfig, compute_se
+from .leader import EquilibriumResult, SolverConfig, compute_se, price_box
 from .model import DemandDistribution, LinearDemand, MuProfile, Scenario, UniformDemand
 
 __all__ = [
@@ -27,11 +26,8 @@ __all__ = [
     "play_constant",
     "play_greedy",
     "play_random",
-    "UserRow",
-    "MarketSummary",
-    "user_rows",
-    "market_summary",
-    "SweepResult",
+    "user_columns",
+    "summary_columns",
     "SWEEP_AXES",
     "SWEEP_FIELDS",
     "run_sweep",
@@ -164,7 +160,7 @@ def play_greedy(
 # ---------------------------------------------------------------------------
 # comparative-statics sweeps
 
-# The UserRow field each axis sweeps: a row's sweep value is that field.
+# The user column each axis sweeps: a row's sweep value is that column.
 SWEEP_FIELDS = {
     "delta": "own_value",
     "cost": "unit_cost",
@@ -174,83 +170,48 @@ SWEEP_FIELDS = {
 SWEEP_AXES = tuple(SWEEP_FIELDS)
 
 
-@dataclass(frozen=True)
-class UserRow:
-    """One user of a solved market: its economics and its equilibrium.
+def user_columns(scenario: Scenario, res: EquilibriumResult) -> dict[str, np.ndarray]:
+    """A solved scenario's user table, {column: array}: economics and equilibrium.
 
-    mu_index counts from 1, as the CSVs print it.
+    One entry per user in user order; mu_index counts from 1, as the
+    CSVs print it.
     """
-
-    mu_index: int
-    own_value: float
-    unit_cost: float
-    capacity: float
-    demand_lo: float
-    demand_hi: float
-    utility_scale: float
-    price_threshold: float
-    p_star: float
-    x_star: float
-    mu_payoff: float
-
-
-@dataclass(frozen=True)
-class MarketSummary:
-    """Market-level outcome of one solve."""
-
-    label: str
-    n_mus: int
-    utility_scale: float
-    sp_payoff: float
-    total_allocation: float
-    iterations: int
-    grad_residual: float
-    converged: bool
+    n = scenario.n
+    return {
+        "mu_index": np.arange(1, n + 1),
+        "own_value": scenario.own_values(),
+        "unit_cost": scenario.unit_costs(),
+        "capacity": scenario.capacities(),
+        "demand_lo": np.array([mu.demand.lo for mu in scenario.mus]),
+        "demand_hi": np.array([mu.demand.hi for mu in scenario.mus]),
+        "utility_scale": np.full(n, scenario.utility_scale),
+        "price_threshold": price_box(scenario)[0],
+        "p_star": res.prices,
+        "x_star": res.allocations,
+        "region": res.regions,
+        "mu_payoff": res.mu_payoffs,
+    }
 
 
-def user_rows(scenario: Scenario, res: EquilibriumResult) -> list[UserRow]:
-    """One row per user of the solved scenario, in user order."""
-    return [
-        UserRow(
-            mu_index=i + 1,
-            own_value=mu.own_value,
-            unit_cost=mu.unit_cost,
-            capacity=mu.capacity,
-            demand_lo=mu.demand.lo,
-            demand_hi=mu.demand.hi,
-            utility_scale=scenario.utility_scale,
-            price_threshold=price_threshold(mu),
-            p_star=float(res.prices[i]),
-            x_star=float(res.allocations[i]),
-            mu_payoff=float(res.mu_payoffs[i]),
-        )
-        for i, mu in enumerate(scenario.mus)
-    ]
+def summary_columns(res: EquilibriumResult) -> dict[str, np.ndarray]:
+    """The market-level table of one solve, {column: array}: a single row."""
+    return {name: np.array([value]) for name, value in (
+        ("sp_payoff", res.sp_payoff),
+        ("total_allocation", np.sum(res.allocations)),
+        ("iterations", res.iterations),
+        ("grad_residual", res.grad_residual),
+        ("converged", res.converged),
+    )}
 
 
-def market_summary(label: str, scenario: Scenario, res: EquilibriumResult) -> MarketSummary:
-    """The market-level row of one solve; label names the market within a sweep."""
-    return MarketSummary(
-        label=label,
-        n_mus=scenario.n,
-        utility_scale=scenario.utility_scale,
-        sp_payoff=res.sp_payoff,
-        total_allocation=float(np.sum(res.allocations)),
-        iterations=res.iterations,
-        grad_residual=res.grad_residual,
-        converged=res.converged,
-    )
+def _label(v: float) -> str:
+    """A market's sweep label: v as %g when that reads back as v, else its repr."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(v)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    axis: str
-    points: list[UserRow] = field(default_factory=list)
-    summaries: list[MarketSummary] = field(default_factory=list)
-
-    @property
-    def converged(self) -> bool:
-        return all(s.converged for s in self.summaries)
+def _concatenated(tables: list[dict]) -> dict[str, np.ndarray]:
+    return {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
 
 
 def run_sweep(
@@ -259,8 +220,12 @@ def run_sweep(
     values: list[float],
     seed: int,
     solver: SolverConfig | None = None,
-) -> SweepResult:
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Solve equilibria along one axis, everything else held fixed.
+
+    Returns the user table and the market table of every solve, the
+    markets in order: user_columns, and summary_columns after a label
+    column naming each market ("joint", or the swept value).
 
     delta and cost sweeps build a single scenario with one user per
     value (identical users otherwise, cost pinned at the range low end
@@ -300,11 +265,11 @@ def run_sweep(
                 if v <= 0.0:
                     raise ValueError("utility scale values must be positive")
                 scenario = Scenario(v, base.mus)
-            markets.append((f"{v:g}", scenario))
+            markets.append((_label(v), scenario))
 
-    result = SweepResult(axis=axis)
+    users, summaries = [], []
     for label, scenario in markets:
         res = compute_se(scenario, solver)
-        result.points.extend(user_rows(scenario, res))
-        result.summaries.append(market_summary(label, scenario, res))
-    return result
+        users.append(user_columns(scenario, res))
+        summaries.append({"label": np.array([label]), **summary_columns(res)})
+    return _concatenated(users), _concatenated(summaries)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .follower import best_response, price_threshold
+from .follower import Region, best_response, price_threshold
 from .model import Scenario, _aggregate, _sp_payoff, mu_payoff
 
 __all__ = [
@@ -58,13 +58,15 @@ class EquilibriumResult:
     """Solved leader prices with the induced follower responses.
 
     prices, allocations and mu_payoffs are read-only float64 arrays, one
-    entry per user.
+    entry per user; regions is the read-only string array of each user's
+    follower region (a Region value).
     """
 
     prices: np.ndarray
     allocations: np.ndarray
     sp_payoff: float
     mu_payoffs: np.ndarray
+    regions: np.ndarray
     iterations: int
     grad_residual: float
     converged: bool
@@ -240,7 +242,10 @@ def compute_se(scenario: Scenario, config: SolverConfig | None = None) -> Equili
     """Stackelberg equilibrium: exact leader prices plus follower responses.
 
     Users held at the bottom of their allocation range are priced at
-    their threshold and those at the top at own_value.  iterations
+    their threshold and those at the top at own_value, so a user's
+    region is the face of that range its allocation lies on: exactly
+    the bottom is below_threshold, exactly the top at_capacity, and
+    anything between interior.  iterations
     counts the outer root steps.  grad_residual is the projected
     residual max |p - clip(p + grad U(p), box)| of the sp_payoff_gradient
     formula, and converged says it is within config.tol.
@@ -266,13 +271,17 @@ def compute_se(scenario: Scenario, config: SolverConfig | None = None) -> Equili
     payoff = _sp_payoff(alloc, p, scenario.utility_scale)
     if not (math.isfinite(payoff) and np.isfinite(payoffs).all()):
         raise FloatingPointError("the equilibrium payoffs are not finite")
-    for arr in (p, alloc, payoffs):
+    regions = np.where(alloc == market.x_lo, Region.BELOW_THRESHOLD.value,
+                       np.where(alloc == market.x_hi, Region.AT_CAPACITY.value,
+                                Region.INTERIOR.value))
+    for arr in (p, alloc, payoffs, regions):
         arr.flags.writeable = False
     return EquilibriumResult(
         prices=p,
         allocations=alloc,
         sp_payoff=payoff,
         mu_payoffs=payoffs,
+        regions=regions,
         iterations=iterations,
         grad_residual=residual,
         converged=residual <= cfg.tol,

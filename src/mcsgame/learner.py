@@ -581,17 +581,21 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
             mu_payoffs[k] = tr.mu_payoffs
         batch = buffer.batch(buffer.values(policy.critic, feats), cfg.gamma)
 
-        for epoch in range(1, cfg.update_epochs + 1):
-            log_std_grad = ppo_actor_gradient(policy, batch, cfg.clip_epsilon, actor_grads).log_std
-            critic_loss = critic_loss_and_gradient(policy, batch, critic_grads)[0]
-            policy.actor.vector += cfg.actor_lr * actor_grads.vector
-            policy.log_std = np.clip(
-                policy.log_std + cfg.actor_lr * log_std_grad, LOG_STD_MIN, LOG_STD_MAX
-            )
-            policy.critic.vector -= cfg.critic_lr * critic_grads.vector
-            if not policy.all_finite():
-                raise TrainingDiverged(f"non-finite parameter after episode {ep}, inner epoch "
-                                       f"{epoch}", ep, epoch, _snapshot(policy))
+        # an update that overflows leaves a non-finite parameter, which
+        # all_finite turns into TrainingDiverged; numpy need not warn first
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(1, cfg.update_epochs + 1):
+                log_std_grad = ppo_actor_gradient(policy, batch, cfg.clip_epsilon,
+                                                  actor_grads).log_std
+                critic_loss = critic_loss_and_gradient(policy, batch, critic_grads)[0]
+                policy.actor.vector += cfg.actor_lr * actor_grads.vector
+                policy.log_std = np.clip(
+                    policy.log_std + cfg.actor_lr * log_std_grad, LOG_STD_MIN, LOG_STD_MAX
+                )
+                policy.critic.vector -= cfg.critic_lr * critic_grads.vector
+                if not policy.all_finite():
+                    raise TrainingDiverged(f"non-finite parameter after episode {ep}, inner "
+                                           f"epoch {epoch}", ep, epoch, _snapshot(policy))
         trace.append(EpisodeStats(
             ep, float(step_mean(batch.rewards)), float(step_mean(sp_payoffs)),
             ppo_surrogate(policy, batch, cfg.clip_epsilon), critic_loss,

@@ -201,15 +201,15 @@ def test_criterion_08_comparative_statics():
     t0 = time.perf_counter()
 
     spec = dataclasses.replace(ScenarioSpec(), unit_cost_range=(0.0, 0.0))
-    res = run_sweep(spec, "delta", list(np.linspace(0.1, 1.0, 10)), seed=0)
-    assert res.converged
-    xs = [p.x_star for p in res.points]
+    users, summary = run_sweep(spec, "delta", list(np.linspace(0.1, 1.0, 10)), seed=0)
+    assert summary["converged"].all()
+    xs = users["x_star"]
     assert all(b <= a + 1e-9 for a, b in zip(xs, xs[1:]))
 
     spec = dataclasses.replace(ScenarioSpec(), own_value_range=(1.0, 1.0))
-    res = run_sweep(spec, "cost", list(np.linspace(0.0, 0.9, 10)), seed=0)
-    assert res.converged
-    ps = [p.p_star for p in res.points]
+    users, summary = run_sweep(spec, "cost", list(np.linspace(0.0, 0.9, 10)), seed=0)
+    assert summary["converged"].all()
+    ps = users["p_star"]
     assert all(b >= a - 1e-9 for a, b in zip(ps, ps[1:]))
 
     # Prices and platform payoff move monotonically in the demand cap
@@ -220,15 +220,14 @@ def test_criterion_08_comparative_statics():
     spec = dataclasses.replace(ScenarioSpec(), utility_scale=30.0)
     n = spec.n_mus
     for seed in (0, 1, 4):
-        res = run_sweep(spec, "demand_upper", [20.0, 25.0, 30.0], seed=seed)
-        assert res.converged
-        blocks = [res.points[i * n : (i + 1) * n] for i in range(3)]
-        for lo_block, hi_block in zip(blocks, blocks[1:]):
-            for a, b in zip(lo_block, hi_block):
-                assert b.p_star >= a.p_star - 1e-9
-                if seed == 4:
-                    assert b.x_star <= a.x_star + 1e-9
-        payoffs = [s.sp_payoff for s in res.summaries]
+        users, summary = run_sweep(spec, "demand_upper", [20.0, 25.0, 30.0], seed=seed)
+        assert summary["converged"].all()
+        # a row per market, a column per user
+        prices, allocations = (users[c].reshape(3, n) for c in ("p_star", "x_star"))
+        assert (prices[1:] >= prices[:-1] - 1e-9).all()
+        if seed == 4:
+            assert (allocations[1:] <= allocations[:-1] + 1e-9).all()
+        payoffs = summary["sp_payoff"]
         assert all(b <= a + 1e-9 for a, b in zip(payoffs, payoffs[1:]))
 
     elapsed = time.perf_counter() - t0

@@ -15,13 +15,12 @@ import pytest
 
 from conftest import make_scenario
 from mcsgame import cli, gradcheck, learner
-from mcsgame.cli import _face, main
+from mcsgame.cli import main
 from mcsgame.dynamics import EnvConfig
-from mcsgame.experiments import ScenarioSpec, user_rows
+from mcsgame.experiments import ScenarioSpec
 from mcsgame.gradcheck import CHECK_NAMES, run_all
 from mcsgame.leader import compute_se
 from mcsgame.learner import ActorGrads, MlpGrads, TrainConfig, load_policy
-from mcsgame.model import LinearDemand, MuProfile, Scenario, UniformDemand
 from oracles import leader_grid_best_uniform_n1
 
 
@@ -69,26 +68,6 @@ def test_static_writes_equilibrium_files(tmp_path):
     header, rows = _read_csv(out / "equilibrium.csv")
     assert len(rows) == 5
     assert [r[header.index("mu_index")] for r in rows] == ["1", "2", "3", "4", "5"]
-
-
-def test_region_is_the_face_of_the_allocation_box():
-    # utility scale 4, demand on [4, 25]: the allocation box is
-    # [max(cap - 25, 0), cap - 4]; the third user's thin margin keeps it
-    # at its threshold, the fourth (capacity past the support) at x = 5,
-    # and the last one's low own value puts it at capacity
-    mus = (
-        MuProfile(20.0, 0.6, 0.1, LinearDemand(4.0, 25.0)),
-        MuProfile(20.0, 0.6, 0.1, UniformDemand(4.0, 25.0)),
-        MuProfile(20.0, 1.0, 0.95, UniformDemand(4.0, 25.0)),
-        MuProfile(30.0, 1.0, 0.97, LinearDemand(4.0, 25.0)),
-        MuProfile(20.0, 0.01, 0.0, UniformDemand(4.0, 25.0)),
-    )
-    scenario = Scenario(4.0, mus)
-    rows = user_rows(scenario, compute_se(scenario))
-    assert [_face(row) for row in rows] == [
-        "interior", "interior", "below_threshold", "below_threshold", "at_capacity",
-    ]
-    assert [row.x_star for row in rows][2:] == [0.0, 5.0, 16.0]
 
 
 @pytest.mark.parametrize("capacity, seed, regions", [
@@ -576,9 +555,8 @@ def test_prices_near_the_float_limit_diverge_without_an_overflow_in_the_means(tm
     )
     assert proc.returncode == 4, proc.stderr
     assert "training diverged at episode 1, inner epoch 1" in proc.stderr
-    # the diverging update's own warnings remain; the rollout adds none
-    warnings = [line for line in proc.stderr.splitlines() if "Warning:" in line]
-    assert warnings and all(line.endswith("encountered in multiply") for line in warnings)
+    # neither the rollout nor the diverging update prints a numpy warning
+    assert "Warning" not in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("row", [0, -1])

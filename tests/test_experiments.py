@@ -143,16 +143,14 @@ def test_sweep_rejects_bad_axis_and_short_values():
 def test_delta_sweep_builds_one_joint_scenario():
     spec = dataclasses.replace(ScenarioSpec(), unit_cost_range=(0.0, 0.0))
     values = [0.2, 0.4, 0.6, 0.8, 1.0]
-    res = run_sweep(spec, "delta", values, seed=0)
-    assert res.axis == "delta"
-    assert res.converged
-    assert len(res.summaries) == 1 and res.summaries[0].label == "joint"
-    assert [p.own_value for p in res.points] == values
-    for p in res.points:
-        assert p.unit_cost == 0.0
-        assert p.capacity == spec.capacity
+    users, summary = run_sweep(spec, "delta", values, seed=0)
+    assert summary["converged"].all()
+    assert summary["label"].tolist() == ["joint"]
+    assert users["own_value"].tolist() == values
+    assert (users["unit_cost"] == 0.0).all()
+    assert (users["capacity"] == spec.capacity).all()
     # users who value their own data more sell less of it
-    xs = [p.x_star for p in res.points]
+    xs = users["x_star"]
     assert all(b <= a + 1e-9 for a, b in zip(xs, xs[1:]))
 
 
@@ -165,11 +163,11 @@ def test_delta_sweep_rejects_values_at_or_below_cost():
 def test_cost_sweep_pins_value_and_orders_prices():
     spec = dataclasses.replace(ScenarioSpec(), own_value_range=(1.0, 1.0))
     values = [0.0, 0.2, 0.4, 0.6]
-    res = run_sweep(spec, "cost", values, seed=0)
-    assert res.converged
-    assert [p.unit_cost for p in res.points] == values
-    assert all(p.own_value == 1.0 for p in res.points)
-    ps = [p.p_star for p in res.points]
+    users, summary = run_sweep(spec, "cost", values, seed=0)
+    assert summary["converged"].all()
+    assert users["unit_cost"].tolist() == values
+    assert (users["own_value"] == 1.0).all()
+    ps = users["p_star"]
     assert all(b >= a - 1e-9 for a, b in zip(ps, ps[1:]))
 
 
@@ -179,49 +177,64 @@ def test_cost_sweep_rejects_values_at_or_above_value():
         run_sweep(spec, "cost", [0.0, 0.5], seed=0)
 
 
+def _blocks(users, markets):
+    """The user table as one {column: array} block per market."""
+    return [{name: a.reshape(markets, -1)[i] for name, a in users.items()} for i in range(markets)]
+
+
 def test_demand_upper_sweep_resamples_nothing():
     spec = dataclasses.replace(ScenarioSpec(), utility_scale=30.0)
     values = [20.0, 25.0, 30.0]
-    res = run_sweep(spec, "demand_upper", values, seed=11)
-    assert res.converged
-    assert len(res.summaries) == 3
-    assert [s.label for s in res.summaries] == ["20", "25", "30"]
-    assert len(res.points) == 3 * spec.n_mus
-    blocks = [res.points[i * spec.n_mus : (i + 1) * spec.n_mus] for i in range(3)]
+    users, summary = run_sweep(spec, "demand_upper", values, seed=11)
+    assert summary["converged"].all()
+    assert len(summary["label"]) == 3
+    assert summary["label"].tolist() == ["20", "25", "30"]
+    assert len(users["mu_index"]) == 3 * spec.n_mus
+    blocks = _blocks(users, 3)
     for v, block in zip(values, blocks):
-        assert all(p.demand_hi == v for p in block)
+        assert (block["demand_hi"] == v).all()
     # the population itself is drawn once and shared across blocks
     for block in blocks[1:]:
-        for p0, p in zip(blocks[0], block):
-            assert p.own_value == p0.own_value
-            assert p.unit_cost == p0.unit_cost
+        assert (block["own_value"] == blocks[0]["own_value"]).all()
+        assert (block["unit_cost"] == blocks[0]["unit_cost"]).all()
 
 
 def test_lambda_sweep_rescales_utility_only():
     values = [20.0, 50.0]
-    res = run_sweep(ScenarioSpec(), "lambda", values, seed=11)
-    assert res.converged
-    assert [s.label for s in res.summaries] == ["20", "50"]
-    n = ScenarioSpec().n_mus
-    blocks = [res.points[:n], res.points[n:]]
+    users, summary = run_sweep(ScenarioSpec(), "lambda", values, seed=11)
+    assert summary["converged"].all()
+    assert summary["label"].tolist() == ["20", "50"]
+    blocks = _blocks(users, 2)
     for v, block in zip(values, blocks):
-        assert all(p.utility_scale == v for p in block)
-    for p0, p in zip(blocks[0], blocks[1]):
-        assert p.own_value == p0.own_value
-        assert p.demand_hi == p0.demand_hi
-        # a more utility-hungry platform never pays less
-        assert p.p_star >= p0.p_star - 1e-9
+        assert (block["utility_scale"] == v).all()
+    b0, b1 = blocks
+    assert (b1["own_value"] == b0["own_value"]).all()
+    assert (b1["demand_hi"] == b0["demand_hi"]).all()
+    # a more utility-hungry platform never pays less
+    assert (b1["p_star"] >= b0["p_star"] - 1e-9).all()
+
+
+def test_sweep_labels_are_distinct_and_read_back_as_the_values():
+    # %g prints both values as 20; the second keeps its repr
+    values = [20.0, 20.0000001, 25.0, 1e-7]
+    _, summary = run_sweep(ScenarioSpec(), "lambda", values, seed=0)
+    labels = summary["label"].tolist()
+    assert labels == ["20", "20.0000001", "25", "1e-07"]
+    assert [float(label) for label in labels] == values
 
 
 def test_sweep_points_carry_thresholds():
     from mcsgame.model import MuProfile
 
     spec = dataclasses.replace(ScenarioSpec(), unit_cost_range=(0.0, 0.0))
-    res = run_sweep(spec, "delta", [0.5, 1.0], seed=0)
+    users, _ = run_sweep(spec, "delta", [0.5, 1.0], seed=0)
     # rows must reproduce the threshold implied by their own economics
-    for p in res.points:
-        mu = MuProfile(p.capacity, p.own_value, p.unit_cost, UniformDemand(p.demand_lo, p.demand_hi))
-        assert p.price_threshold == pytest.approx(price_threshold(mu), abs=1e-12)
+    for cap, value, cost, lo, hi, threshold in zip(
+        *(users[c] for c in ("capacity", "own_value", "unit_cost", "demand_lo", "demand_hi",
+                             "price_threshold"))
+    ):
+        mu = MuProfile(cap, value, cost, UniformDemand(lo, hi))
+        assert threshold == pytest.approx(price_threshold(mu), abs=1e-12)
 
 
 def test_sweep_axes_constant():

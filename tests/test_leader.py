@@ -121,11 +121,31 @@ def test_gradient_is_signed_infinity_at_vanishing_density():
 
 def test_equilibrium_arrays_are_read_only(five_mu_scenario):
     res = compute_se(five_mu_scenario)
-    for arr in (res.prices, res.allocations, res.mu_payoffs):
-        assert type(arr) is np.ndarray and arr.dtype == np.float64
+    for arr in (res.prices, res.allocations, res.mu_payoffs, res.regions):
+        assert type(arr) is np.ndarray
+        assert arr.dtype == np.float64 or arr is res.regions and arr.dtype.kind == "U"
         assert arr.shape == (five_mu_scenario.n,)
         with pytest.raises(ValueError):
-            arr[0] = 1.0
+            arr[0] = arr[1]
+
+
+def test_region_is_the_face_of_the_allocation_box():
+    # utility scale 4, demand on [4, 25]: the allocation box is
+    # [max(cap - 25, 0), cap - 4]; the third user's thin margin keeps it
+    # at its threshold, the fourth (capacity past the support) at x = 5,
+    # and the last one's low own value puts it at capacity
+    mus = (
+        MuProfile(20.0, 0.6, 0.1, LinearDemand(4.0, 25.0)),
+        MuProfile(20.0, 0.6, 0.1, UniformDemand(4.0, 25.0)),
+        MuProfile(20.0, 1.0, 0.95, UniformDemand(4.0, 25.0)),
+        MuProfile(30.0, 1.0, 0.97, LinearDemand(4.0, 25.0)),
+        MuProfile(20.0, 0.01, 0.0, UniformDemand(4.0, 25.0)),
+    )
+    res = compute_se(Scenario(4.0, mus))
+    assert res.regions.tolist() == [
+        "interior", "interior", "below_threshold", "below_threshold", "at_capacity",
+    ]
+    assert res.allocations.tolist()[2:] == [0.0, 5.0, 16.0]
 
 
 def test_gradient_rejects_out_of_box(five_mu_scenario):
