@@ -264,8 +264,7 @@ class _StepTrace:
         self.recorded = list(self.columns.values())[2:]
 
     def record(self, ep: int, k: int, tr) -> None:
-        values = (tr.action, tr.next_state.allocations[-1], tr.sp_payoff, tr.reward,
-                  tr.mu_payoffs, tr.clamped)
+        values = (tr.action, tr.allocations, tr.sp_payoff, tr.reward, tr.mu_payoffs, tr.clamped)
         for column, v in zip(self.recorded, values):
             column[(ep - 1) * self.steps + k - 1] = v
 
@@ -293,7 +292,7 @@ def cmd_train(config: RunConfig, out_dir: str, svg: bool, steps_trace: bool) -> 
         )
         return EXIT_NUMERIC
 
-    greedy = play_greedy(scenario, config.env, config.baseline_steps, config.seed)
+    greedy = play_greedy(scenario, config.env, config.baseline_steps)
     rand = play_random(scenario, config.env, config.baseline_steps, config.seed)
     static_se = BaselineResult("static_se", 0, se.sp_payoff,
                                config.env.reward_scale * se.sp_payoff, se.mu_payoffs)

@@ -1,24 +1,25 @@
 """Repeated pricing game as a deterministic decision process.
 
-The platform observes the last L rounds of posted prices and bought
-allocations, posts a new price profile, and the users respond myopically
-with their static best responses.  Transitions are therefore
-deterministic given the action; the only randomness is the initial
-history and whatever the acting policy injects.
+The platform posts a price profile each round and the users respond
+myopically with their static best responses.  A round's outcome
+therefore depends only on the prices posted in it: env_step is
+stateless, and the history of (price, allocation) rounds is the
+learner's observation, which it keeps itself.  env_reset draws the
+random starting window of L rounds; after it, the only randomness is
+whatever the acting policy injects.
 
-The platform-side learner is only ever handed states and rewards, never
-user profiles, so everything private to the users stays behind
-env_step.
+The platform-side learner is only ever handed prices, allocations and
+rewards, never user profiles, so everything private to the users stays
+behind env_step.
 
-env_step runs once per training step, so it checks its inputs once, at
-its entry (the action's shape and finiteness, the state's shape), and
-builds no per-step objects beyond the next GameState and a Transition
-record whose fields are plain arrays and floats.  It then makes one
-pass over the users, each giving its sale (follower.sale) and its
-payoff (the unchecked core of model.mu_payoff).  The users' constants
-(margin, price threshold, own-use profit of the whole capacity) are
-cached on each MuProfile, and the responses and payoffs come from the
-same formulas the static solver uses.
+env_step runs once per training step, so it checks the action once, at
+its entry (its shape and finiteness), and builds no per-step objects
+beyond a Transition record whose fields are plain arrays and floats.
+It then makes one pass over the users, each giving its sale
+(follower.sale) and its payoff (the unchecked core of model.mu_payoff).
+The users' constants (margin, price threshold, own-use profit of the
+whole capacity) are cached on each MuProfile, and the responses and
+payoffs come from the same formulas the static solver uses.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ __all__ = [
     "step_mean",
 ]
 
-# The largest user count, history window, batch length or layer width: the episode
-# buffer (steps x 2 * rounds * users floats) then stays below 2**63 bytes, numpy's limit.
+# The largest user count, history window, batch length or layer width: an episode's
+# feature matrix (steps x 2 * rounds * users floats) then stays below 2**63 bytes, numpy's limit.
 MAX_COUNT = 2**19
 
 
@@ -69,15 +70,6 @@ class EnvConfig:
 def _frozen(arr) -> np.ndarray:
     """A read-only float64 copy of arr."""
     out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
-
-
-def _slide(window: np.ndarray, newest: np.ndarray) -> np.ndarray:
-    """A fresh read-only window: window without its oldest row, newest appended."""
-    out = np.empty_like(window)
-    out[:-1] = window[1:]
-    out[-1] = newest
     out.flags.writeable = False
     return out
 
@@ -112,14 +104,13 @@ class GameState:
 class Transition(NamedTuple):
     """One environment step.
 
-    action holds the executed (clamped) prices as a read-only array;
-    the allocations the users sold are next_state.allocations[-1].
+    action holds the executed (clamped) prices as a read-only array and
+    allocations what the users sold at them.
     """
 
-    state: GameState
     action: np.ndarray
+    allocations: np.ndarray
     reward: float
-    next_state: GameState
     sp_payoff: float
     mu_payoffs: np.ndarray
     clamped: bool
@@ -145,22 +136,13 @@ def env_reset(scenario: Scenario, config: EnvConfig, rng: np.random.Generator) -
     return GameState(prices=prices, allocations=allocations)
 
 
-def _next_state(prices: np.ndarray, allocations: np.ndarray) -> GameState:
-    """A GameState around two fresh read-only windows, which need no copy or check."""
-    state = object.__new__(GameState)
-    object.__setattr__(state, "prices", prices)
-    object.__setattr__(state, "allocations", allocations)
-    return state
+def env_step(scenario: Scenario, config: EnvConfig, action) -> Transition:
+    """Post prices and collect the users' responses and payoffs.
 
-
-def env_step(scenario: Scenario, config: EnvConfig, state: GameState, action) -> Transition:
-    """Post prices, collect responses, and slide the history window.
-
-    The step's inputs are checked here, once: the action's shape and
-    finiteness and the state's shape.  The executed prices are then
-    non-negative, finite and of the users' count, and the responses,
-    payoffs and next window are computed from them without further
-    checks.
+    The action is checked here, once: its shape and finiteness.  The
+    executed prices are then non-negative, finite and of the users'
+    count, and the responses and payoffs are computed from them without
+    further checks.
     """
     raw = np.asarray(action, dtype=float)
     if raw.shape != (scenario.n,):
@@ -168,8 +150,6 @@ def env_step(scenario: Scenario, config: EnvConfig, state: GameState, action) ->
     requested = raw.tolist()
     if not all(map(math.isfinite, requested)):
         raise ValueError("action prices must be finite")
-    if state.prices.shape != (config.history_rounds, scenario.n):
-        raise ValueError("state shape does not match scenario and config")
     # np.clip(raw, 0, p_max) bit for bit (a -0.0 stays -0.0), without
     # its per-call cost
     p_max = config.p_max
@@ -183,17 +163,8 @@ def env_step(scenario: Scenario, config: EnvConfig, state: GameState, action) ->
         earned.append(_mu_payoff(mu, x, p))
     alloc = np.array(sold)
     payoff = _sp_payoff(alloc, executed, scenario.utility_scale)
-    payoffs = np.array(earned)
-    next_state = _next_state(_slide(state.prices, executed), _slide(state.allocations, alloc))
-    return Transition(
-        state=state,
-        action=executed,
-        reward=config.reward_scale * payoff,
-        next_state=next_state,
-        sp_payoff=payoff,
-        mu_payoffs=payoffs,
-        clamped=prices != requested,
-    )
+    return Transition(executed, alloc, config.reward_scale * payoff, payoff, np.array(earned),
+                      prices != requested)
 
 
 def greedy_policy(scenario: Scenario, config: EnvConfig) -> np.ndarray:

@@ -112,49 +112,42 @@ class BaselineResult:
     mean_mu_payoff: np.ndarray
 
 
-def _rollout(
-    scenario: Scenario, env_config: EnvConfig, steps: int, seed: int, name: str, prices_for
-) -> BaselineResult:
-    """Average the environment's outcomes under prices_for(rng), one call per step.
-
-    One RNG stream, seeded by seed, draws the initial history first and
-    then whatever prices_for draws.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    state = env_reset(scenario, env_config, rng)
-    payoffs, rewards, mu_payoffs = np.empty(steps), np.empty(steps), np.empty((steps, scenario.n))
-    for k in range(steps):
-        tr = env_step(scenario, env_config, state, prices_for(rng))
-        state = tr.next_state
-        payoffs[k], rewards[k], mu_payoffs[k] = tr.sp_payoff, tr.reward, tr.mu_payoffs
-    return BaselineResult(name, steps, float(step_mean(payoffs)), float(step_mean(rewards)),
-                          step_mean(mu_payoffs))
-
-
 def play_constant(
-    scenario: Scenario, env_config: EnvConfig, prices: np.ndarray, steps: int, seed: int, name: str
+    scenario: Scenario, env_config: EnvConfig, prices: np.ndarray, steps: int, name: str
 ) -> BaselineResult:
-    """Roll the environment under one fixed price profile."""
-    return _rollout(scenario, env_config, steps, seed, name, lambda rng: prices)
+    """Roll the environment under one fixed price profile.
+
+    The users' responses depend only on the posted prices, so every step
+    has the outcome of the first: one env_step gives the steps' columns.
+    """
+    tr = env_step(scenario, env_config, prices)
+    # the mean of the repeated column, which rounds unlike the value itself
+    return BaselineResult(name, steps, float(step_mean(np.full(steps, tr.sp_payoff))),
+                          float(step_mean(np.full(steps, tr.reward))),
+                          step_mean(np.tile(tr.mu_payoffs, (steps, 1))))
 
 
 def play_random(
     scenario: Scenario, env_config: EnvConfig, steps: int, seed: int
 ) -> BaselineResult:
-    """Roll the environment under uniformly random prices."""
-    return _rollout(
-        scenario, env_config, steps, seed, "random",
-        lambda rng: random_policy(scenario.n, env_config, rng),
-    )
+    """Roll the environment under uniformly random prices.
+
+    One RNG stream, seeded by seed, draws the starting window first
+    (env_reset) and then each step's prices.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    env_reset(scenario, env_config, rng)
+    payoffs, rewards, mu_payoffs = np.empty(steps), np.empty(steps), np.empty((steps, scenario.n))
+    for k in range(steps):
+        tr = env_step(scenario, env_config, random_policy(scenario.n, env_config, rng))
+        payoffs[k], rewards[k], mu_payoffs[k] = tr.sp_payoff, tr.reward, tr.mu_payoffs
+    return BaselineResult("random", steps, float(step_mean(payoffs)), float(step_mean(rewards)),
+                          step_mean(mu_payoffs))
 
 
-def play_greedy(
-    scenario: Scenario, env_config: EnvConfig, steps: int, seed: int
-) -> BaselineResult:
+def play_greedy(scenario: Scenario, env_config: EnvConfig, steps: int) -> BaselineResult:
     """Roll the environment paying the price cap to everyone."""
-    return play_constant(
-        scenario, env_config, greedy_policy(scenario, env_config), steps, seed, "greedy"
-    )
+    return play_constant(scenario, env_config, greedy_policy(scenario, env_config), steps, "greedy")
 
 
 # ---------------------------------------------------------------------------

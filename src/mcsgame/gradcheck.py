@@ -110,18 +110,18 @@ def _toy_policy(rng: np.random.Generator):
 
 def _toy_batch(policy, rng: np.random.Generator, gamma: float, steps: int = 5):
     """A random episode batch and the bootstrap value it was built with."""
-    buf = learner.TrajectoryBuffer(steps)
-    values = []
+    rows = []  # (features, action, log density, reward, value) of each step
     for _ in range(steps):
         feats = rng.uniform(-1.0, 1.0, size=6)
         mean = learner.mlp_forward(policy.actor, feats)
         action = mean + np.exp(policy.log_std) * rng.standard_normal(2)
         # jitter the stored density so the ratios differ from 1
         logp = learner.gaussian_log_prob(mean, policy.log_std, action) + rng.uniform(-0.05, 0.05)
-        buf.add(feats, action, logp, rng.uniform(0.0, 1.0))
-        values.append(rng.uniform(0.0, 1.0))
+        rows.append((feats, action, logp, rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)))
+    feats, actions, logps, rewards, values = zip(*rows)
     bootstrap = float(rng.uniform(0.0, 1.0))
-    return buf.batch([*values, bootstrap], gamma), bootstrap
+    batch = learner.episode_batch(feats, actions, logps, rewards, [*values, bootstrap], gamma)
+    return batch, bootstrap
 
 
 def _mlp_backward(rng: np.random.Generator, k: int) -> float:

@@ -8,14 +8,19 @@ network with a linear scalar head.  Both are updated by plain gradient
 steps computed by hand; there is no autograd, optimizer state, GAE,
 entropy bonus or mini-batching.
 
-Each episode's work is done once.  A rollout step observes its state
-once, runs only the actor, and writes the step in place into a
-TrajectoryBuffer and the episode's columns (one reduction each for the
-means).  The critic, which chooses no action and is fixed during the
-rollout, then makes one batch pass over the recorded states and the
-next one for the values and the bootstrap V(s(D+1)).  The buffer builds
-one read-only EpisodeBatch from them, which every inner update epoch
-and the final surrogate read and backpropagate through.
+Each training step writes each fact once.  train keeps one array of
+round features, one row per (price, allocation) round: the prices over
+p_max, then log1p of the allocations.  A step writes the row of the
+round it plays, and its observation of the last L rounds is a view of
+L consecutive rows; the last L rows move to the front at the end of an
+episode.  The step runs only the actor and writes its action, log
+density and outcomes into arrays preallocated for the episode (one
+reduction each for the means).  The critic, which chooses no action and
+is fixed during the rollout, then makes one batch pass over one strided
+copy of the episode's observations, the next state's last, for the
+values and the bootstrap V(s(D+1)).  episode_batch builds one read-only
+EpisodeBatch from them, which every inner update epoch and the final
+surrogate read and backpropagate through.
 
 A network's weights and biases are views into one float64 vector, and
 train writes each network's gradients into one such vector allocated
@@ -23,9 +28,9 @@ per call, so a parameter step is one array operation.  The rollout
 evaluates single states as W @ h per layer, with no batch axis.
 
 This module sees the game only through dynamics.env_reset/env_step and
-the (state, reward) stream they produce.  It never imports the market
-model and never reads user profile fields, so the agent cannot peek at
-capacities, valuations, costs or demand laws.
+the (price, allocation, reward) stream they produce.  It never imports
+the market model and never reads user profile fields, so the agent
+cannot peek at capacities, valuations, costs or demand laws.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .dynamics import MAX_COUNT, EnvConfig, GameState, env_reset, env_step, step_mean
 from .reporting import write_json
@@ -46,7 +52,6 @@ __all__ = [
     "ActorGrads",
     "PolicyParams",
     "TrainConfig",
-    "TrajectoryBuffer",
     "EpisodeBatch",
     "EpisodeStats",
     "TrainingDiverged",
@@ -56,6 +61,7 @@ __all__ = [
     "observe",
     "gaussian_log_prob",
     "policy_sample",
+    "episode_batch",
     "clip_ratio",
     "ppo_surrogate",
     "ppo_actor_gradient",
@@ -151,10 +157,12 @@ def mlp_init(
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # With e = exp(-|z|), which cannot overflow, this is 1/(1+e) for
     # z >= 0 and e/(1+e) otherwise: the textbook form on each half-line.
-    # minimum(z, -z) rather than -abs(z) keeps the sign of a NaN, so a
-    # NaN input gives the same bits as exp(z)/(1+exp(z)) would.
+    # The numerator exp(min(z, 0)) is exactly 1 for z >= 0 and e
+    # otherwise, cheaper than selecting between them.  minimum(z, -z)
+    # rather than -abs(z) keeps the sign of a NaN, so a NaN input gives
+    # the same bits as exp(z)/(1+exp(z)) would.
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + e)
 
 
 def _forward_cached(params: MlpParams, x: np.ndarray):
@@ -175,15 +183,19 @@ def _forward_cached(params: MlpParams, x: np.ndarray):
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
     """Evaluate the network on one input (in,) or a batch (B, in).
 
-    One input takes W @ h per layer; on OpenBLAS, which runs a one-row
-    matrix product as a matrix-vector one, the bits equal the batch row.
+    One input takes W @ h per layer, each layer's bias and tanh applied
+    in place; on OpenBLAS, which runs a one-row matrix product as a
+    matrix-vector one, the bits equal the batch row.
     """
-    if np.ndim(x) != 1:
-        return _forward_cached(params, x)[0]
     h = np.asarray(x, dtype=float)
+    if h.ndim != 1:
+        return _forward_cached(params, h)[0]
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.tanh(W @ h + b)
-    z = params.weights[-1] @ h + params.biases[-1]
+        h = W @ h
+        h += b
+        np.tanh(h, out=h)
+    z = params.weights[-1] @ h
+    z += params.biases[-1]
     return params.output_scale * _sigmoid(z) if params.bounded_output else z
 
 
@@ -240,17 +252,23 @@ class PolicyParams:
         return all(np.isfinite(a).all() for a in arrays)
 
 
+def _round_features(prices, allocations, price_scale: float, out: np.ndarray) -> np.ndarray:
+    """Write the features of one round (N,) or of rounds (R, N) into out's rows of 2N."""
+    n = prices.shape[-1]
+    np.divide(prices, price_scale, out=out[..., :n])
+    np.log1p(allocations, out=out[..., n:])
+    return out
+
+
 def observe(state: GameState, price_scale: float) -> np.ndarray:
-    """Condition the raw window for the networks.
+    """Condition the raw window for the networks: its rounds' features, oldest first.
 
     Prices are divided by the public cap and allocations squashed by
     log1p so every feature lands in a tanh-friendly range.  Uses only
     publicly observed quantities.
     """
-    rounds = np.concatenate(
-        [state.prices / price_scale, np.log1p(state.allocations)], axis=1
-    )
-    return rounds.reshape(-1)
+    rounds = np.empty((state.window, 2 * state.n_mus))
+    return _round_features(state.prices, state.allocations, price_scale, rounds).reshape(-1)
 
 
 def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, action: np.ndarray) -> float:
@@ -282,7 +300,7 @@ def policy_sample(policy: PolicyParams, feats: np.ndarray, rng: np.random.Genera
 
 
 # ---------------------------------------------------------------------------
-# trajectory buffer and PPO pieces
+# episode batch and PPO pieces
 
 
 @dataclass(frozen=True)
@@ -310,64 +328,22 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-class TrajectoryBuffer:
-    """On-policy records of the current episode, cleared every episode.
+def episode_batch(features, actions, log_probs, rewards, values, gamma: float) -> EpisodeBatch:
+    """One episode's batch: read-only copies of its steps, with targets and advantages.
 
-    Steps are written in place into arrays sized for ``capacity`` steps;
-    batch() turns the filled rows and their values into an EpisodeBatch.
+    Row k of features, actions, log_probs and rewards is step k; values
+    holds V of each step's state, then the bootstrap V(s(D+1)).
     """
-
-    def __init__(self, capacity: int):
-        self.capacity = int(capacity)
-        self.size = 0
-        # widths are set by the first add; values() puts s(D+1) in the spare feature row
-        self._features = np.empty((self.capacity + 1, 0))
-        self._actions = np.empty((self.capacity, 0))
-        self._log_probs = np.empty(self.capacity)
-        self._rewards = np.empty(self.capacity)
-
-    def add(self, feats, action, log_prob, reward):
-        """Write one step; the first add after a clear sets the feature and action shapes."""
-        k = self.size
-        if k >= self.capacity:
-            raise ValueError("buffer is full")
-        if k == 0:
-            self._features = np.empty((self.capacity + 1, *np.shape(feats)))
-            self._actions = np.empty((self.capacity, *np.shape(action)))
-        # a row of another shape then fails to broadcast (ValueError)
-        self._features[k] = feats
-        self._actions[k] = action
-        self._log_probs[k] = log_prob
-        self._rewards[k] = reward
-        self.size = k + 1
-
-    def clear(self):
-        self.size = 0
-
-    def values(self, critic: MlpParams, next_feats) -> np.ndarray:
-        """V of every recorded state, then V(next_feats): one batch pass of the critic."""
-        self._features[self.size] = next_feats
-        return mlp_forward(critic, self._features[: self.size + 1])[:, 0]
-
-    def stacked(self):
-        """Read-only copies of (features, actions, log_probs, rewards)."""
-        if self.size == 0:
-            raise ValueError("buffer is empty")
-        records = (self._features, self._actions, self._log_probs, self._rewards)
-        return _read_only(*(arr[: self.size].copy() for arr in records))
-
-    def batch(self, values, gamma: float) -> EpisodeBatch:
-        """The episode's batch for V of each recorded state, then V(s(D+1)), and discount gamma."""
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-        feats, actions, log_probs, rewards = self.stacked()
-        values = np.array(values, dtype=float)
-        if values.shape != (self.size + 1,):
-            raise ValueError(f"need {self.size + 1} values, got shape {values.shape}")
-        values, targets = values[:-1], _targets(rewards, float(values[-1]), gamma)
-        return EpisodeBatch(
-            feats, actions, log_probs, rewards, *_read_only(values, targets, targets - values)
-        )
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma must lie in [0, 1]")
+    features, actions, log_probs, rewards, values = (
+        np.array(a, dtype=float) for a in (features, actions, log_probs, rewards, values)
+    )
+    if values.shape != (rewards.size + 1,):
+        raise ValueError(f"need {rewards.size + 1} values, got shape {values.shape}")
+    values, targets = values[:-1], _targets(rewards, float(values[-1]), gamma)
+    return EpisodeBatch(*_read_only(features, actions, log_probs, rewards, values, targets,
+                                    targets - values))
 
 
 def _targets(rewards: np.ndarray, bootstrap: float, gamma: float) -> np.ndarray:
@@ -382,7 +358,8 @@ def _targets(rewards: np.ndarray, bootstrap: float, gamma: float) -> np.ndarray:
 
 def clip_ratio(f, epsilon: float):
     """Clamp probability ratios into [1 - epsilon, 1 + epsilon]."""
-    return np.clip(f, 1.0 - epsilon, 1.0 + epsilon)
+    # np.clip's values, without its per-call cost
+    return np.minimum(np.maximum(f, 1.0 - epsilon), 1.0 + epsilon)
 
 
 def _ratio_pieces(policy: PolicyParams, batch: EpisodeBatch):
@@ -422,9 +399,11 @@ def ppo_actor_gradient(policy: PolicyParams, batch: EpisodeBatch, epsilon: float
     """
     mean, acts, std, z, f = _ratio_pieces(policy, batch)
     adv = batch.advantages
+    cf = clip_ratio(f, epsilon)
     unclipped = f * adv
-    clipped = clip_ratio(f, epsilon) * adv
-    active = (unclipped <= clipped) | ((f >= 1.0 - epsilon) & (f <= 1.0 + epsilon))
+    clipped = cf * adv
+    # a ratio inside the clip band is its own clip
+    active = (unclipped <= clipped) | (cf == f)
     coef = np.where(active, unclipped, 0.0)
     upstream_mean = coef[:, None] * z / std
     mlp_grads = _backprop(policy.actor, mean, acts, upstream_mean, into)
@@ -515,7 +494,7 @@ class TrainingDiverged(RuntimeError):
 
 def _init_policy(state: GameState, env_config: EnvConfig, cfg: TrainConfig, rng) -> PolicyParams:
     n = state.n_mus
-    in_dim = observe(state, env_config.p_max).size
+    in_dim = 2 * state.prices.size  # observe's width: two features per user and round
     actor = mlp_init(
         (in_dim, *cfg.hidden, n),
         rng,
@@ -543,8 +522,8 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
 
     One RNG stream, seeded by train_config.seed, drives the initial
     history, the weight init and every action draw, so the trace is a
-    pure function of (scenario, env_config, train_config).  The state
-    carries over between episodes; only the buffer is cleared.
+    pure function of (scenario, env_config, train_config).  The round
+    history carries over between episodes.
 
     on_step, if given, is called as on_step(episode, step, transition)
     after every environment step.  It observes only; it must not touch
@@ -554,53 +533,56 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     state = env_reset(scenario, env_config, rng)
     policy = _init_policy(state, env_config, cfg, rng)
-    buffer = TrajectoryBuffer(cfg.steps_per_batch)
     actor_grads, critic_grads = _grads_for(policy.actor), _grads_for(policy.critic)
     trace: list[EpisodeStats] = []
-    d, n = cfg.steps_per_batch, state.n_mus
-    # the episode's columns, one row per step, overwritten every episode
-    sp_payoffs = np.empty(d)
-    prices, allocations, mu_payoffs = (np.empty((d, n)) for _ in range(3))
-    # observed once per state: by the step that acts on it, or by the values pass after the last
-    feats = observe(state, policy.obs_price_scale)
+    d, (history, n) = cfg.steps_per_batch, state.prices.shape
+    scale = policy.obs_price_scale
+    # one feature row per round, oldest first; step k observes rows k .. k + L - 1
+    rounds = np.empty((history + d, 2 * n))
+    _round_features(state.prices, state.allocations, scale, rounds[:history])
+    # row k is step k's observation, row d that of the state after the episode
+    observations = as_strided(rounds, (d + 1, history * 2 * n),
+                              (rounds.strides[0], rounds.itemsize), writeable=False)
+    # the episode's arrays, one row per step, overwritten every episode
+    actions, prices, allocations, mu_payoffs = (np.empty((d, n)) for _ in range(4))
+    log_probs, rewards, sp_payoffs = (np.empty(d) for _ in range(3))
 
-    for ep in range(1, cfg.episodes + 1):
-        buffer.clear()
-        noise = _noise(policy)
-        for k in range(d):
-            action, log_prob = policy_sample(policy, feats, rng, noise)
-            tr = env_step(scenario, env_config, state, action)
-            if on_step is not None:
-                on_step(ep, k + 1, tr)
-            buffer.add(feats, action, log_prob, tr.reward)
-            state = tr.next_state
-            feats = observe(state, policy.obs_price_scale)
-            sp_payoffs[k] = tr.sp_payoff
-            prices[k] = tr.action
-            allocations[k] = state.allocations[-1]
-            mu_payoffs[k] = tr.mu_payoffs
-        batch = buffer.batch(buffer.values(policy.critic, feats), cfg.gamma)
+    # an overflow in a rollout or an update leaves a non-finite value or
+    # parameter, which the table check or all_finite turns into exit 4;
+    # numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ep in range(1, cfg.episodes + 1):
+            noise = _noise(policy)
+            for k in range(d):
+                actions[k], log_probs[k] = policy_sample(policy, observations[k], rng, noise)
+                tr = env_step(scenario, env_config, actions[k])
+                if on_step is not None:
+                    on_step(ep, k + 1, tr)
+                _round_features(tr.action, tr.allocations, scale, rounds[history + k])
+                prices[k], allocations[k], mu_payoffs[k] = tr.action, tr.allocations, tr.mu_payoffs
+                rewards[k], sp_payoffs[k] = tr.reward, tr.sp_payoff
+            features = observations.copy()
+            rounds[:history] = rounds[d:]
+            batch = episode_batch(features[:d], actions, log_probs, rewards,
+                                  mlp_forward(policy.critic, features)[:, 0], cfg.gamma)
 
-        # an update that overflows leaves a non-finite parameter, which
-        # all_finite turns into TrainingDiverged; numpy need not warn first
-        with np.errstate(over="ignore", invalid="ignore"):
             for epoch in range(1, cfg.update_epochs + 1):
                 log_std_grad = ppo_actor_gradient(policy, batch, cfg.clip_epsilon,
                                                   actor_grads).log_std
                 critic_loss = critic_loss_and_gradient(policy, batch, critic_grads)[0]
                 policy.actor.vector += cfg.actor_lr * actor_grads.vector
-                policy.log_std = np.clip(
-                    policy.log_std + cfg.actor_lr * log_std_grad, LOG_STD_MIN, LOG_STD_MAX
-                )
+                # np.clip's values, without its per-call cost
+                policy.log_std = np.minimum(np.maximum(
+                    policy.log_std + cfg.actor_lr * log_std_grad, LOG_STD_MIN), LOG_STD_MAX)
                 policy.critic.vector -= cfg.critic_lr * critic_grads.vector
                 if not policy.all_finite():
                     raise TrainingDiverged(f"non-finite parameter after episode {ep}, inner "
                                            f"epoch {epoch}", ep, epoch, _snapshot(policy))
-        trace.append(EpisodeStats(
-            ep, float(step_mean(batch.rewards)), float(step_mean(sp_payoffs)),
-            ppo_surrogate(policy, batch, cfg.clip_epsilon), critic_loss,
-            step_mean(prices), step_mean(allocations), step_mean(mu_payoffs),
-        ))
+            trace.append(EpisodeStats(
+                ep, float(step_mean(rewards)), float(step_mean(sp_payoffs)),
+                ppo_surrogate(policy, batch, cfg.clip_epsilon), critic_loss,
+                step_mean(prices), step_mean(allocations), step_mean(mu_payoffs),
+            ))
     return policy, trace
 
 

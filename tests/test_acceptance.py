@@ -240,7 +240,7 @@ def test_criterion_09_learning_recovers_equilibrium():
     scenario = generate_scenario(ScenarioSpec(), seed=7)
     env = EnvConfig()
     se = compute_se(scenario)
-    greedy = play_greedy(scenario, env, steps=1000, seed=0)
+    greedy = play_greedy(scenario, env, steps=1000)
     rand = play_random(scenario, env, steps=1000, seed=0)
 
     passes = 0

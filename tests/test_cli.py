@@ -559,6 +559,19 @@ def test_prices_near_the_float_limit_diverge_without_an_overflow_in_the_means(tm
     assert "Warning" not in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize("seed", [0, 4])
+def test_an_overflowing_rollout_exits_4_without_a_numpy_warning(tmp_path, seed):
+    # at p_max = 1e308 the SP payoff's p . x overflows in the first episode's rollout
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcsgame", "train", "--seed", str(seed), "--svg", "off",
+         "--out", str(tmp_path / "run"), "--set", "env.p_max=1e308", "--set", "train.episodes=2"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "Warning" not in proc.stderr, proc.stderr
+
+
 @pytest.mark.parametrize("row", [0, -1])
 @pytest.mark.parametrize("column, spread_name", [("f", "f"), ("m", "m_2")])
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])

@@ -93,35 +93,29 @@ def test_step_matches_the_public_formulas_bit_for_bit(law, demand_lo):
         )
     )
     scenario = Scenario(50.0, mus)
-    cfg = EnvConfig(history_rounds=2)
-    state = env_reset(scenario, cfg, _rng(0))
+    cfg = EnvConfig()
     for shift in range(len(_PRICE_KINDS)):
         # every user meets every kind once over the shifts
         action = np.array([
             _PRICE_KINDS[(i + shift) % len(_PRICE_KINDS)](mu) for i, mu in enumerate(mus)
         ])
-        tr = env_step(scenario, cfg, state, action)
+        tr = env_step(scenario, cfg, action)
         executed = np.clip(action, 0.0, cfg.p_max)
         alloc = np.array([best_response(mu, p).allocation for mu, p in zip(mus, executed)])
         payoff = sp_payoff(alloc, executed, scenario.utility_scale)
-        assert tr.state is state
         assert np.array_equal(tr.action, executed) and not tr.action.flags.writeable
-        assert np.array_equal(tr.next_state.allocations[-1], alloc)
-        assert np.array_equal(tr.next_state.allocations[:-1], state.allocations[1:])
-        assert np.array_equal(tr.next_state.prices, np.vstack([state.prices[1:], executed]))
+        assert np.array_equal(tr.allocations, alloc)
         assert tr.sp_payoff == payoff
         assert tr.reward == cfg.reward_scale * payoff
         payoffs = np.array([mu_payoff(mu, x, p) for mu, x, p in zip(mus, alloc, executed)])
         assert np.array_equal(tr.mu_payoffs.view(np.uint64), payoffs.view(np.uint64))
         assert tr.clamped is True
-        state = tr.next_state
 
 
 def test_step_keeps_the_sign_of_a_zero_price_as_clip_does(five_mu_scenario):
     cfg = EnvConfig()
-    state = env_reset(five_mu_scenario, cfg, _rng(1))
     action = np.array([-0.0, 0.0, 0.3, 0.6, 0.9])
-    tr = env_step(five_mu_scenario, cfg, state, action)
+    tr = env_step(five_mu_scenario, cfg, action)
     assert np.array_equal(np.signbit(tr.action), np.signbit(np.clip(action, 0.0, cfg.p_max)))
     assert not tr.clamped
 
@@ -129,19 +123,15 @@ def test_step_keeps_the_sign_of_a_zero_price_as_clip_does(five_mu_scenario):
 def test_step_at_static_optimum_reproduces_payoff():
     scenario = make_scenario(7)
     se = compute_se(scenario)
-    cfg = EnvConfig()
-    state = env_reset(scenario, cfg, _rng(1))
-    tr = env_step(scenario, cfg, state, se.prices)
+    tr = env_step(scenario, EnvConfig(), se.prices)
     assert tr.sp_payoff == pytest.approx(se.sp_payoff, abs=1e-9)
     assert np.allclose(tr.mu_payoffs, se.mu_payoffs, atol=1e-9)
 
 
 def test_step_zero_prices_zero_reward():
     scenario = _costly_scenario()
-    cfg = EnvConfig()
-    state = env_reset(scenario, cfg, _rng(2))
-    tr = env_step(scenario, cfg, state, np.zeros(3))
-    assert np.array_equal(tr.next_state.allocations[-1], np.zeros(3))
+    tr = env_step(scenario, EnvConfig(), np.zeros(3))
+    assert np.array_equal(tr.allocations, np.zeros(3))
     assert tr.reward == 0.0
     assert not tr.clamped
 
@@ -151,72 +141,54 @@ def test_step_zero_price_at_zero_cost_past_the_support():
     # cost 0, where the kept quantile sits on the vanishing density
     mus = tuple(MuProfile(cap, 0.8, 0.0, LinearDemand(0.0, 25.0)) for cap in (25.0, 30.0))
     scenario = Scenario(50.0, mus)
-    cfg = EnvConfig(history_rounds=1)
-    state = env_reset(scenario, cfg, _rng(4))
-    tr = env_step(scenario, cfg, state, np.zeros(2))
-    assert np.array_equal(tr.next_state.allocations[-1], [0.0, 5.0])
+    tr = env_step(scenario, EnvConfig(), np.zeros(2))
+    assert np.array_equal(tr.allocations, [0.0, 5.0])
     assert tr.sp_payoff == pytest.approx(50.0 * np.log(1.0 + np.log(6.0)), rel=1e-12)
     assert np.array_equal(tr.mu_payoffs, [0.0, 0.0])
 
 
 def test_step_reward_scaling(five_mu_scenario):
     cfg = EnvConfig(reward_scale=0.01)
-    state = env_reset(five_mu_scenario, cfg, _rng(3))
-    tr = env_step(five_mu_scenario, cfg, state, np.full(5, 0.8))
+    tr = env_step(five_mu_scenario, cfg, np.full(5, 0.8))
     assert tr.reward == pytest.approx(0.01 * tr.sp_payoff, abs=1e-15)
 
 
 def test_step_clamps_and_flags(five_mu_scenario):
     cfg = EnvConfig(p_max=1.0)
-    state = env_reset(five_mu_scenario, cfg, _rng(5))
-    tr = env_step(five_mu_scenario, cfg, state, np.array([2.0, -0.5, 0.5, 0.5, 0.5]))
+    tr = env_step(five_mu_scenario, cfg, np.array([2.0, -0.5, 0.5, 0.5, 0.5]))
     assert tr.clamped
     assert tr.action[0] == 1.0
     assert tr.action[1] == 0.0
-    in_range = env_step(five_mu_scenario, cfg, state, np.full(5, 0.7))
+    in_range = env_step(five_mu_scenario, cfg, np.full(5, 0.7))
     assert not in_range.clamped
 
 
-def test_step_slides_window(five_mu_scenario):
-    cfg = EnvConfig(history_rounds=3)
-    state = env_reset(five_mu_scenario, cfg, _rng(6))
+def test_step_returns_fresh_arrays(five_mu_scenario):
+    # train passes a row of its episode array of actions and overwrites it later
     action = np.full(5, 0.6)
-    tr = env_step(five_mu_scenario, cfg, state, action)
-    nxt = tr.next_state
-    assert nxt.window == 3
-    assert np.array_equal(nxt.prices[:-1], state.prices[1:])
-    assert np.array_equal(nxt.prices[-1], action)
-    assert np.allclose(nxt.allocations[-1], respond(five_mu_scenario, action))
-
-
-def test_step_window_is_fresh_and_read_only(five_mu_scenario):
-    cfg = EnvConfig(history_rounds=3)
-    state = env_reset(five_mu_scenario, cfg, _rng(6))
-    prices, allocs = state.prices.copy(), state.allocations.copy()
-    nxt = env_step(five_mu_scenario, cfg, state, np.full(5, 0.6)).next_state
-    for new, old in ((nxt.prices, state.prices), (nxt.allocations, state.allocations)):
-        assert new.dtype == np.float64 and not new.flags.writeable
-        assert not np.shares_memory(new, old)
-    assert np.array_equal(state.prices, prices)
-    assert np.array_equal(state.allocations, allocs)
+    tr = env_step(five_mu_scenario, EnvConfig(), action)
+    for arr in (tr.action, tr.allocations, tr.mu_payoffs):
+        assert arr.dtype == np.float64 and not np.shares_memory(arr, action)
+    action[:] = 0.9
+    assert np.array_equal(tr.action, np.full(5, 0.6))
+    assert np.array_equal(tr.allocations, respond(five_mu_scenario, np.full(5, 0.6)))
 
 
 def test_step_deterministic(five_mu_scenario):
     cfg = EnvConfig()
-    state = env_reset(five_mu_scenario, cfg, _rng(7))
-    a = env_step(five_mu_scenario, cfg, state, np.full(5, 0.4))
-    b = env_step(five_mu_scenario, cfg, state, np.full(5, 0.4))
+    a = env_step(five_mu_scenario, cfg, np.full(5, 0.4))
+    b = env_step(five_mu_scenario, cfg, np.full(5, 0.4))
     assert a.sp_payoff == b.sp_payoff
-    assert np.array_equal(a.next_state.prices, b.next_state.prices)
+    assert np.array_equal(a.allocations, b.allocations)
+    assert np.array_equal(a.mu_payoffs, b.mu_payoffs)
 
 
 def test_step_validates_action(five_mu_scenario):
     cfg = EnvConfig()
-    state = env_reset(five_mu_scenario, cfg, _rng(8))
     with pytest.raises(ValueError):
-        env_step(five_mu_scenario, cfg, state, np.zeros(4))
+        env_step(five_mu_scenario, cfg, np.zeros(4))
     with pytest.raises(ValueError):
-        env_step(five_mu_scenario, cfg, state, np.array([np.nan] * 5))
+        env_step(five_mu_scenario, cfg, np.array([np.nan] * 5))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +204,7 @@ def test_greedy_never_beats_static_optimum():
         scenario = make_scenario(seed)
         se = compute_se(scenario)
         cfg = EnvConfig()
-        state = env_reset(scenario, cfg, _rng(0))
-        tr = env_step(scenario, cfg, state, greedy_policy(scenario, cfg))
+        tr = env_step(scenario, cfg, greedy_policy(scenario, cfg))
         assert tr.sp_payoff <= se.sp_payoff + 1e-9
         # users do better under greedy pricing
         assert np.all(tr.mu_payoffs >= se.mu_payoffs - 1e-9)

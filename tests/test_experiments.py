@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from mcsgame.dynamics import EnvConfig
+from mcsgame.dynamics import (
+    EnvConfig,
+    env_reset,
+    env_step,
+    greedy_policy,
+    random_policy,
+    step_mean,
+)
 from mcsgame.experiments import (
     SWEEP_AXES,
     ScenarioSpec,
@@ -99,7 +106,7 @@ def test_constant_policy_at_equilibrium_reproduces_payoff():
     scen = make_scenario(7)
     se = compute_se(scen)
     env = EnvConfig()
-    res = play_constant(scen, env, se.prices, steps=25, seed=0, name="se")
+    res = play_constant(scen, env, se.prices, steps=25, name="se")
     assert res.name == "se"
     assert res.steps == 25
     assert res.mean_sp_payoff == pytest.approx(se.sp_payoff, abs=1e-9)
@@ -110,8 +117,8 @@ def test_constant_policy_at_equilibrium_reproduces_payoff():
 def test_greedy_is_constant_cap():
     scen = make_scenario(7)
     env = EnvConfig()
-    greedy = play_greedy(scen, env, steps=10, seed=0)
-    manual = play_constant(scen, env, np.full(scen.n, env.p_max), 10, 0, "greedy")
+    greedy = play_greedy(scen, env, steps=10)
+    manual = play_constant(scen, env, np.full(scen.n, env.p_max), 10, "greedy")
     assert greedy.name == "greedy"
     assert greedy.mean_sp_payoff == manual.mean_sp_payoff
     assert np.array_equal(greedy.mean_mu_payoff, manual.mean_mu_payoff)
@@ -127,6 +134,24 @@ def test_random_baseline_deterministic_and_seed_sensitive():
     assert a.mean_sp_payoff == b.mean_sp_payoff
     assert a.mean_sp_payoff != c.mean_sp_payoff
     assert np.isfinite(a.mean_sp_payoff)
+
+
+@pytest.mark.parametrize("steps", [1, 7, 1000])
+def test_baselines_equal_their_step_by_step_rollouts(steps):
+    # one env_step per step; the random prices are drawn after env_reset's window
+    scen, env = make_scenario(7), EnvConfig(history_rounds=2)
+    rng = np.random.Generator(np.random.PCG64(3))
+    env_reset(scen, env, rng)
+    for res, prices_for in (
+        (play_greedy(scen, env, steps), lambda: greedy_policy(scen, env)),
+        (play_random(scen, env, steps, 3), lambda: random_policy(scen.n, env, rng)),
+    ):
+        rows = [env_step(scen, env, prices_for()) for _ in range(steps)]
+        assert res.steps == steps
+        assert res.mean_sp_payoff == float(step_mean(np.array([tr.sp_payoff for tr in rows])))
+        assert res.mean_reward == float(step_mean(np.array([tr.reward for tr in rows])))
+        want = step_mean(np.array([tr.mu_payoffs for tr in rows]))
+        assert np.array_equal(res.mean_mu_payoff, want)
 
 
 # ---------------------------------------------------------------------------

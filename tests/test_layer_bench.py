@@ -49,8 +49,8 @@ def test_paired_mode_compares_two_trees_layer_by_layer(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_pair.json"]
     record = json.loads((tmp_path / "BENCH_pair.json").read_text())
     assert record["pairs"] == 2 and record["parent_src"] == str(Path(src).resolve())
-    assert {"train_step", "ppo_update", "env_step", "static_n25", "write_tables"} <= set(
-        record["layers"])
+    assert {"train_step", "ppo_update", "episode_values", "env_step", "static_n25",
+            "write_tables"} <= set(record["layers"])
     for name, row in record["layers"].items():
         assert row["parent_median_us"] > 0.0 and row["change_median_us"] > 0.0, name
         assert 0.0 < row["ratio_q1"] <= row["ratio_median"] <= row["ratio_q3"], name

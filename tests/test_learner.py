@@ -10,7 +10,7 @@ import pytest
 
 import mcsgame.learner as learner_mod
 from conftest import make_scenario
-from mcsgame.dynamics import EnvConfig, env_reset, env_step, step_mean
+from mcsgame.dynamics import EnvConfig, GameState, env_reset, env_step, step_mean
 from mcsgame.gradcheck import _toy_batch, _toy_policy
 from mcsgame.learner import (
     LOG_STD_MAX,
@@ -19,9 +19,9 @@ from mcsgame.learner import (
     PolicyParams,
     TrainConfig,
     TrainingDiverged,
-    TrajectoryBuffer,
     clip_ratio,
     critic_loss_and_gradient,
+    episode_batch,
     gaussian_log_prob,
     load_policy,
     mlp_backward,
@@ -297,53 +297,36 @@ def test_observe_layout_and_scaling():
 
 
 # ---------------------------------------------------------------------------
-# buffer, targets, advantages
+# episode batch, targets, advantages
 
 
-def _filled_buffer(rewards, feat_dim=4):
-    buf = TrajectoryBuffer(len(rewards))
-    for r in rewards:
-        buf.add(np.zeros(feat_dim), np.zeros(2), 0.0, r)
-    return buf
+def _batch(rewards, values, gamma, feat_dim=4):
+    """The batch of steps with these rewards, zero features, actions and densities."""
+    d = len(rewards)
+    return episode_batch(np.zeros((d, feat_dim)), np.zeros((d, 2)), np.zeros(d), rewards, values,
+                         gamma)
 
 
 def _advantages(rewards, values, bootstrap, gamma):
-    return _filled_buffer(rewards).batch([*values, bootstrap], gamma).advantages
+    return _batch(rewards, [*values, bootstrap], gamma).advantages
 
 
-def test_buffer_rejects_overfill():
-    buf = _filled_buffer([1.0])
-    with pytest.raises(ValueError):
-        buf.add(np.zeros(4), np.zeros(2), 0.0, 0.0)
-
-
-def test_stacked_returns_read_only_copies():
-    buf = _filled_buffer([1.0, 2.0])
-    first = buf.stacked()
-    assert len(first) == 4 and np.array_equal(first[3], [1.0, 2.0])
-    for arr in first:
-        with pytest.raises(ValueError):
-            arr[0] = 7.0
-    buf.clear()
-    buf.add(np.ones(4), np.ones(2), 1.0, 3.0)  # reuses the rows of the first step
-    assert np.array_equal(first[0][0], np.zeros(4)) and first[3][0] == 1.0
-
-
-def test_buffer_clear_empties_everything():
-    buf = _filled_buffer([1.0, 2.0])
-    buf.clear()
-    assert buf.size == 0
-    with pytest.raises(ValueError):
-        buf.stacked()
-    with pytest.raises(ValueError):
-        buf.batch([0.5], 0.9)
+def test_episode_batch_copies_the_episode_arrays():
+    # train overwrites its episode arrays every episode; a batch keeps its steps
+    steps = [np.zeros((2, 4)), np.zeros((2, 2)), np.zeros(2), np.array([1.0, 2.0])]
+    batch = episode_batch(*steps, np.zeros(3), 0.9)
+    for arr in steps:
+        arr[0] = 7.0
+    assert np.array_equal(batch.features, np.zeros((2, 4)))
+    assert np.array_equal(batch.actions, np.zeros((2, 2)))
+    assert np.array_equal(batch.log_probs, np.zeros(2))
+    assert np.array_equal(batch.rewards, [1.0, 2.0])
 
 
 def test_batch_takes_a_value_per_step_and_the_bootstrap():
-    buf = _filled_buffer([1.0, 0.5])
     for values in ([0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]]):
         with pytest.raises(ValueError):
-            buf.batch(values, 0.9)
+            _batch([1.0, 0.5], values, 0.9)
 
 
 def test_advantage_two_step_example():
@@ -376,9 +359,8 @@ def test_targets_match_double_loop_oracle():
 
 
 def test_advantage_rejects_bad_gamma():
-    buf = _filled_buffer([1.0])
     with pytest.raises(ValueError):
-        buf.batch([0.0, 0.0], 1.5)
+        _batch([1.0], [0.0, 0.0], 1.5)
 
 
 def test_clip_ratio_examples():
@@ -407,22 +389,23 @@ def _toy_policy_and_batch(
     actor = mlp_init((in_dim, 8, n_act), rng, bounded_output=True, output_scale=1.5)
     critic = mlp_init((in_dim, 8, 1), rng, out_weight_std=0.5)
     policy = PolicyParams(actor, np.array([-0.4, -0.1]), critic, obs_price_scale=1.0)
-    buf = TrajectoryBuffer(d_steps)
-    drawn_values = []
+    feats, actions, log_probs, drawn_rewards, drawn_values = ([] for _ in range(5))
     for k in range(d_steps):
-        feats = rng.uniform(-1.0, 1.0, in_dim)
-        mean = mlp_forward(actor, feats)
-        action = mean + np.exp(policy.log_std) * rng.standard_normal(n_act)
-        lp = gaussian_log_prob(mean, policy.log_std, action)
+        feats.append(rng.uniform(-1.0, 1.0, in_dim))
+        mean = mlp_forward(actor, feats[-1])
+        actions.append(mean + np.exp(policy.log_std) * rng.standard_normal(n_act))
+        lp = gaussian_log_prob(mean, policy.log_std, actions[-1])
         if ratio_offsets is not None:
             lp += ratio_offsets[k]
-        r, v = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        buf.add(feats, action, lp, r if rewards is None else rewards[k])
-        drawn_values.append(v)
+        log_probs.append(lp)
+        drawn_rewards.append(rng.uniform(-1, 1))
+        drawn_values.append(rng.uniform(-1, 1))
     drawn = float(rng.uniform(-1, 1))
     bootstrap = drawn if bootstrap is None else bootstrap
+    rewards = drawn_rewards if rewards is None else rewards
     values = drawn_values if values is None else values
-    return policy, buf.batch([*values, bootstrap], gamma), bootstrap
+    batch = episode_batch(feats, actions, log_probs, rewards, [*values, bootstrap], gamma)
+    return policy, batch, bootstrap
 
 
 def test_fresh_buffer_ratios_are_one():
@@ -570,27 +553,35 @@ def test_critic_descent_monotone_on_frozen_buffer():
 # one batch per episode: the same bits as the re-stacking form
 
 
-def _rollout(seed, steps=24):
-    """(policy, filled buffer, features of the next state): steps taken the way train takes them."""
-    scenario, cfg, state = _fresh_state(seed)
-    rng = _rng(seed + 100)
-    policy = learner_mod._init_policy(state, cfg, TrainConfig(hidden=(16, 16)), rng)
-    noise = learner_mod._noise(policy)
-    buf = TrajectoryBuffer(steps)
-    for _ in range(steps):
-        feats = observe(state, policy.obs_price_scale)
-        action, lp = policy_sample(policy, feats, rng, noise)
-        tr = env_step(scenario, cfg, state, action)
-        buf.add(feats, action, lp, tr.reward)
-        state = tr.next_state
-    return policy, buf, observe(state, policy.obs_price_scale)
+def _windows(state, transitions):
+    """The history window before each transition and after the last, slid one round a step."""
+    windows = [state]
+    for tr in transitions:
+        state = GameState(np.vstack([state.prices[1:], tr.action]),
+                          np.vstack([state.allocations[1:], tr.allocations]))
+        windows.append(state)
+    return windows
 
 
 def _rollout_policy_and_batch(seed, steps=24):
     """A batch of steps taken in the environment, the way train takes them."""
-    policy, buf, next_feats = _rollout(seed, steps)
-    values = buf.values(policy.critic, next_feats)
-    return policy, buf.batch(values, 0.9), float(values[-1])
+    scenario, cfg, state = _fresh_state(seed)
+    rng = _rng(seed + 100)
+    policy = learner_mod._init_policy(state, cfg, TrainConfig(hidden=(16, 16)), rng)
+    noise = learner_mod._noise(policy)
+    feats, actions, log_probs, rewards = [], [], [], []
+    for _ in range(steps):
+        feats.append(observe(state, policy.obs_price_scale))
+        action, lp = policy_sample(policy, feats[-1], rng, noise)
+        tr = env_step(scenario, cfg, action)
+        actions.append(action)
+        log_probs.append(lp)
+        rewards.append(tr.reward)
+        state = _windows(state, [tr])[-1]
+    feats.append(observe(state, policy.obs_price_scale))
+    values = mlp_forward(policy.critic, np.array(feats))[:, 0]
+    batch = episode_batch(feats[:-1], actions, log_probs, rewards, values, 0.9)
+    return policy, batch, float(values[-1])
 
 
 def _gradcheck_policy_and_batch(seed):
@@ -653,15 +644,9 @@ def test_sigmoid_bitwise_equals_masked_form():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def _step(buf, reward):
-    buf.add(np.ones(4), np.zeros(2), 0.0, reward)
-
-
 def test_batch_is_read_only():
-    buf = TrajectoryBuffer(3)
-    _step(buf, 1.0)
-    _step(buf, 0.5)
-    batch = buf.batch([0.25, 0.5, 2.0], 1.0)
+    batch = episode_batch(np.ones((2, 4)), np.zeros((2, 2)), np.zeros(2), [1.0, 0.5],
+                          [0.25, 0.5, 2.0], 1.0)
     assert np.array_equal(batch.values, [0.25, 0.5])
     assert np.array_equal(batch.targets, [3.5, 2.5])
     assert np.array_equal(batch.advantages, [3.25, 2.0])
@@ -671,50 +656,79 @@ def test_batch_is_read_only():
 
 
 def test_batch_reflects_add_clear_bootstrap_and_gamma():
-    buf = TrajectoryBuffer(3)
-    _step(buf, 1.0)
-    _step(buf, 0.5)
-    first = buf.batch([0.0, 0.0, 2.0], 1.0)
+    # rewards written in place as train writes its steps, then rewritten
+    # by the next episode (the clear)
+    rewards = np.array([1.0, 0.5, 0.25])
+    first = _batch(rewards[:2], [0.0, 0.0, 2.0], 1.0)
+    assert np.array_equal(first.targets, [3.5, 2.5])
+    assert np.array_equal(_batch(rewards, [0.0, 0.0, 0.0, 2.0], 1.0).targets, [3.75, 2.75, 2.25])
+    assert np.array_equal(_batch(rewards, np.zeros(4), 1.0).targets, [1.75, 0.75, 0.25])
+    assert np.array_equal(_batch(rewards, np.zeros(4), 0.5).targets, [1.3125, 0.625, 0.25])
 
-    _step(buf, 0.25)
-    assert np.array_equal(buf.batch([0.0, 0.0, 0.0, 2.0], 1.0).targets, [3.75, 2.75, 2.25])
-    assert np.array_equal(first.targets, [3.5, 2.5])  # an old batch is not overwritten
-    assert np.array_equal(buf.batch(np.zeros(4), 1.0).targets, [1.75, 0.75, 0.25])
-    assert np.array_equal(buf.batch(np.zeros(4), 0.5).targets, [1.3125, 0.625, 0.25])
-
-    buf.clear()
-    with pytest.raises(ValueError):
-        buf.batch([0.0], 1.0)
-    _step(buf, 4.0)
-    after_clear = buf.batch([1.0, 0.0], 1.0)
+    rewards[0] = 4.0
+    after_clear = _batch(rewards[:1], [1.0, 0.0], 1.0)
     assert np.array_equal(after_clear.rewards, [4.0])
     assert np.array_equal(after_clear.advantages, [3.0])
+    assert np.array_equal(first.targets, [3.5, 2.5])  # an old batch is not overwritten
 
 
-def test_buffer_rejects_a_step_of_another_shape():
-    buf = TrajectoryBuffer(3)
-    _step(buf, 1.0)
-    with pytest.raises(ValueError):
-        buf.add(np.ones(5), np.zeros(2), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        buf.add(np.ones(4), np.zeros(3), 0.0, 1.0)
-    buf.clear()  # an emptied buffer takes any shape again
-    buf.add(np.ones(5), np.zeros(3), 0.0, 1.0)
-    feats, actions = buf.stacked()[:2]
-    assert feats.shape == (1, 5) and actions.shape == (1, 3)
-    with pytest.raises(ValueError):
-        buf.values(_zero_mlp((5, 1)), np.ones(4))
+def _recorded_batches(monkeypatch):
+    """The batches train builds, in order, as it builds them."""
+    batches, build = [], learner_mod.episode_batch
+
+    def recording(*args):
+        batches.append(build(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(learner_mod, "episode_batch", recording)
+    return batches
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=float).view(np.uint64)
 
 
 @pytest.mark.parametrize("steps", [1, 24])
-def test_values_and_bootstrap_are_one_batch_pass_bit_for_bit(steps):
-    policy, buf, next_feats = _rollout(7, steps)
-    batch = buf.batch(buf.values(policy.critic, next_feats), 0.9)
-    want = mlp_forward(policy.critic, np.vstack([batch.features, next_feats]))[:, 0]
+def test_values_and_bootstrap_are_one_batch_pass_bit_for_bit(monkeypatch, steps):
+    scenario, env = make_scenario(7, n=3), EnvConfig()
+    cfg = TrainConfig(episodes=1, steps_per_batch=steps, hidden=(16, 16), seed=7)
+    batches, transitions = _recorded_batches(monkeypatch), []
+    train(scenario, env, cfg, on_step=lambda ep, k, tr: transitions.append(tr))
+    # the policy of the first episode, drawn from train's stream
+    rng = _rng(cfg.seed)
+    state = env_reset(scenario, env, rng)
+    policy = learner_mod._init_policy(state, env, cfg, rng)
+    feats = np.array([observe(w, env.p_max) for w in _windows(state, transitions)])
+    want = mlp_forward(policy.critic, feats)[:, 0]
     assert want.shape == (steps + 1,)
-    assert np.array_equal(batch.values, want[:-1])
+    (batch,) = batches
+    assert np.array_equal(_bits(batch.features), _bits(feats[:-1]))
+    assert np.array_equal(_bits(batch.values), _bits(want[:-1]))
     # the targets end in the bootstrap V(s(D+1)) of the same pass
-    assert np.array_equal(batch.targets, learner_mod._targets(batch.rewards, want[-1], 0.9))
+    assert np.array_equal(batch.targets, learner_mod._targets(batch.rewards, want[-1], cfg.gamma))
+
+
+@pytest.mark.parametrize("history, n, steps", [(1, 3, 4), (3, 3, 2), (3, 3, 5), (3, 1, 4)])
+def test_every_step_observes_the_last_rounds(monkeypatch, history, n, steps):
+    """Each step's features are observe of the last L rounds, across episode boundaries."""
+    scenario, env = make_scenario(5, n=n), EnvConfig(history_rounds=history)
+    cfg = TrainConfig(episodes=3, steps_per_batch=steps, update_epochs=1, hidden=(4,), seed=5)
+    observed, transitions, sample = [], [], learner_mod.policy_sample
+
+    def recording_sample(policy, feats, rng, noise=None):
+        observed.append(np.array(feats))
+        return sample(policy, feats, rng, noise)
+
+    monkeypatch.setattr(learner_mod, "policy_sample", recording_sample)
+    batches = _recorded_batches(monkeypatch)
+    train(scenario, env, cfg, on_step=lambda ep, k, tr: transitions.append(tr))
+    windows = _windows(env_reset(scenario, env, _rng(cfg.seed)), transitions)
+    want = np.array([observe(w, env.p_max) for w in windows[:-1]])
+    assert len(observed) == len(want) == cfg.episodes * steps
+    assert np.array_equal(_bits(observed), _bits(want))
+    assert len(batches) == cfg.episodes
+    for ep, batch in enumerate(batches):
+        assert np.array_equal(_bits(batch.features), _bits(want[ep * steps:(ep + 1) * steps]))
 
 
 def test_recorded_log_probs_are_the_gaussian_density_of_the_raw_action():
@@ -733,16 +747,18 @@ def test_episode_means_of_finite_steps_are_finite():
 
 
 def test_train_does_each_episode_step_once(monkeypatch):
-    """Per episode: one batch, one target loop, one observation per state.
+    """Per episode: one batch, one target loop, one feature row per round.
 
-    Each step runs the actor alone on its state, and no single-state
+    The starting window's rounds are conditioned once, and each step
+    writes the row of the round it plays; observe is never called.  Each
+    step runs the actor alone on its observation, and no single-state
     critic pass is made: one batch critic pass per episode gives the
     values and the bootstrap.  Every inner epoch runs one actor and one
     critic forward pass on the batch, whose gradients backpropagate
-    through those passes.
+    through those passes, so mlp_backward is never called.
     """
     counts = dict.fromkeys(
-        ("stacked", "targets", "observe", "actor", "critic", "critic_batch", "batch"), 0
+        ("batches", "targets", "rows", "observe", "actor", "critic", "critic_batch", "batch"), 0
     )
 
     def counting(name, fn):
@@ -752,15 +768,22 @@ def test_train_does_each_episode_step_once(monkeypatch):
 
         return wrapped
 
-    forward = learner_mod.mlp_forward
+    forward, round_features = learner_mod.mlp_forward, learner_mod._round_features
 
     def classified_forward(params, x):
         net = "actor" if params.bounded_output else "critic"
         counts[net if np.ndim(x) == 1 else f"{net}_batch"] += 1
         return forward(params, x)
 
-    monkeypatch.setattr(TrajectoryBuffer, "stacked", counting("stacked", TrajectoryBuffer.stacked))
+    def counted_rows(prices, allocations, price_scale, out):
+        counts["rows"] += len(np.atleast_2d(prices))
+        return round_features(prices, allocations, price_scale, out)
+
+    monkeypatch.setattr(
+        learner_mod, "episode_batch", counting("batches", learner_mod.episode_batch)
+    )
     monkeypatch.setattr(learner_mod, "_targets", counting("targets", learner_mod._targets))
+    monkeypatch.setattr(learner_mod, "_round_features", counted_rows)
     monkeypatch.setattr(learner_mod, "observe", counting("observe", learner_mod.observe))
     monkeypatch.setattr(learner_mod, "mlp_forward", classified_forward)
     monkeypatch.setattr(
@@ -771,12 +794,12 @@ def test_train_does_each_episode_step_once(monkeypatch):
         raise AssertionError("the update must reuse its forward pass")
 
     monkeypatch.setattr(learner_mod, "mlp_backward", no_recomputed_forward)
-    cfg = TrainConfig(**_SMALL)
-    train(make_scenario(3, n=3), EnvConfig(), cfg)
+    env, cfg = EnvConfig(), TrainConfig(**_SMALL)
+    train(make_scenario(3, n=3), env, cfg)
     eps, steps, epochs = cfg.episodes, cfg.steps_per_batch, cfg.update_epochs
-    assert counts["stacked"] == eps and counts["targets"] == eps
-    # _init_policy observes the initial state for its input width
-    assert counts["observe"] == 2 + eps * steps
+    assert counts["batches"] == eps and counts["targets"] == eps
+    # every round observed once: the starting window's L, then one per step
+    assert counts["rows"] == env.history_rounds + eps * steps and counts["observe"] == 0
     # per step one single-state actor pass; no single-state critic pass
     assert counts["actor"] == eps * steps and counts["critic"] == 0
     # one batch critic pass per episode for the values and the bootstrap
@@ -967,7 +990,4 @@ def test_learner_never_touches_market_internals():
             for alias in node.names:
                 assert alias.name.split(".")[0] not in banned_modules
         elif isinstance(node, ast.Attribute):
-            # self.capacity is the buffer's own field, not a user profile
-            if isinstance(node.value, ast.Name) and node.value.id == "self":
-                continue
             assert node.attr not in banned_attrs, f"forbidden attribute: {node.attr}"

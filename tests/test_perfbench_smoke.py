@@ -23,12 +23,25 @@ def _trace_targets() -> list[tuple[str, str]]:
     raise AssertionError("perfbench/tracing.py defines no TARGETS list")
 
 
+# Trace targets whose code the program dropped on purpose.  The benchmark
+# changes only in a change of its own, so until that change drops them from
+# perfbench/tracing.py they read 0 and are listed in the run's
+# missing_targets.  learner.TrajectoryBuffer gave way to train's own
+# episode arrays and learner.episode_batch.
+RETIRED = {("learner", "TrajectoryBuffer.stacked")}
+
+
 def test_every_trace_target_resolves():
     """A rename that would blind the per-layer trace fails here."""
     targets = _trace_targets()
     assert targets
+    # once tracing.py drops a retired target, drop it from RETIRED too
+    assert RETIRED <= set(targets)
     for module, attr in targets:
         holder = importlib.import_module(f"mcsgame.{module}")
+        if (module, attr) in RETIRED:
+            assert not hasattr(holder, attr.split(".")[0]), f"mcsgame.{module}.{attr} is back"
+            continue
         for part in attr.split("."):
             assert hasattr(holder, part), f"mcsgame.{module}.{attr} is gone"
             holder = getattr(holder, part)

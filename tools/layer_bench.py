@@ -10,18 +10,21 @@ training episode gives a policy; one more rollout of steps_per_batch
 steps under that policy records the states, features and raw
 (unclamped) actions the layers below are timed on:
 
-- env_step: one environment step on a recorded (state, action) pair;
+- env_step: one environment step on a recorded action (in a tree whose
+  env_step still slides the history window, on the recorded state and
+  action, so --paired can compare the two);
 - policy_sample: one action draw on recorded features, given the
   exploration constants train computes once per episode;
 - episode_values: the critic's values of an episode's recorded states
   and of the state after them, as train computes them: one batch pass
-  (in an older tree, whose buffer takes a value per step, one
-  single-state pass per state, so --paired can compare the two);
-- ppo_update: the episode batch built once and update_epochs actor and
-  critic gradient evaluations on it, as in `train` but into new gradient
-  arrays on each call (`train` reuses one per network); the parameters are
-  held fixed, so every repeat times the same work (the parameter steps
-  themselves, a few array additions per epoch, are not timed);
+  over their features (in a tree with a TrajectoryBuffer, through the
+  buffer, which first copies the last state's features into it);
+- ppo_update: the episode batch built once from the episode's arrays
+  (or from the buffer) and update_epochs actor and critic gradient
+  evaluations on it, as in `train` but into new gradient arrays on each
+  call (`train` reuses one per network); the parameters are held fixed,
+  so every repeat times the same work (the parameter steps themselves, a
+  few array additions per epoch, are not timed);
 - train_step: a whole `train` call of K episodes from a fresh policy,
   divided by its steps, the parameter steps included;
 - write_tables: `cli._write_tables` writing the episodes.csv,
@@ -183,11 +186,10 @@ def measure(repeats: int, passes: int) -> dict:
     import numpy as np
 
     from mcsgame import learner
-    from mcsgame.dynamics import EnvConfig, env_reset, env_step
+    from mcsgame.dynamics import EnvConfig, GameState, env_reset, env_step
     from mcsgame.experiments import ScenarioSpec, generate_scenario
     from mcsgame.learner import (
         TrainConfig,
-        TrajectoryBuffer,
         critic_loss_and_gradient,
         mlp_forward,
         observe,
@@ -201,50 +203,55 @@ def measure(repeats: int, passes: int) -> dict:
     cfg = TrainConfig(seed=SEED)
     policy, _ = train(scenario, env, TrainConfig(seed=SEED, episodes=1))
 
-    # trees before the batch critic pass take each step's value in
-    # TrajectoryBuffer.add and the bootstrap in batch
-    batch_values = hasattr(TrajectoryBuffer, "values")
-    noise = (learner._noise(policy),) if hasattr(learner, "_noise") else ()
+    # a tree with a TrajectoryBuffer has the env_step that slides the window
+    buffered = hasattr(learner, "TrajectoryBuffer")
+    noise = learner._noise(policy)
     rng = np.random.Generator(np.random.PCG64(SEED))
     state = env_reset(scenario, env, rng)
-    buffer = TrajectoryBuffer(cfg.steps_per_batch)
-    steps = []  # (state, features, raw action)
+    step_args, features, actions, log_probs, rewards = ([] for _ in range(5))
     for _ in range(cfg.steps_per_batch):
-        feats = observe(state, policy.obs_price_scale)
-        action, log_prob = policy_sample(policy, feats, rng, *noise)
-        tr = env_step(scenario, env, state, action)
-        value = () if batch_values else (float(mlp_forward(policy.critic, feats)[0]),)
-        buffer.add(feats, action, log_prob, tr.reward, *value)
-        steps.append((state, feats, action))
-        state = tr.next_state
+        features.append(observe(state, policy.obs_price_scale))
+        action, log_prob = policy_sample(policy, features[-1], rng, noise)
+        step_args.append((state, action) if buffered else (action,))
+        tr = env_step(scenario, env, *step_args[-1])
+        state = tr.next_state if buffered else GameState(
+            np.vstack([state.prices[1:], tr.action]),
+            np.vstack([state.allocations[1:], tr.allocations]))
+        actions.append(action)
+        log_probs.append(log_prob)
+        rewards.append(tr.reward)
     next_feats = observe(state, policy.obs_price_scale)
-    states = [feats for _, feats, _ in steps] + [next_feats]
+    features = np.array([*features, next_feats])
+    if buffered:
+        buffer = learner.TrajectoryBuffer(cfg.steps_per_batch)
+        for row in zip(features, actions, log_probs, rewards):
+            buffer.add(*row)
 
     def episode_values():
-        if batch_values:
+        if buffered:
             return buffer.values(policy.critic, next_feats)
-        return [float(mlp_forward(policy.critic, feats)[0]) for feats in states]
+        return mlp_forward(policy.critic, features)[:, 0]
 
     values = episode_values()
-    calls = passes * len(steps)
+    calls = passes * len(actions)
 
     def steps_pass():
         for _ in range(passes):
-            for st, _, action in steps:
-                env_step(scenario, env, st, action)
+            for args in step_args:
+                env_step(scenario, env, *args)
 
     def samples_pass():
         for _ in range(passes):
-            for _, feats, _ in steps:
-                policy_sample(policy, feats, rng, *noise)
+            for feats in features[:-1]:
+                policy_sample(policy, feats, rng, noise)
 
     def values_pass():
         for _ in range(passes):
             episode_values()
 
     def update():
-        batch = buffer.batch(values, cfg.gamma) if batch_values else buffer.batch(
-            values[-1], cfg.gamma)
+        batch = buffer.batch(values, cfg.gamma) if buffered else learner.episode_batch(
+            features[:-1], actions, log_probs, rewards, values, cfg.gamma)
         for _ in range(cfg.update_epochs):
             ppo_actor_gradient(policy, batch, cfg.clip_epsilon)
             critic_loss_and_gradient(policy, batch)
