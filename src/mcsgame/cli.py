@@ -249,7 +249,7 @@ def cmd_static(config: RunConfig, out_dir: str) -> int:
 
 
 class _StepTrace:
-    """`train`'s step records as the steps.csv columns, one preallocated array row per step."""
+    """`train`'s step records as the steps.csv columns, one preallocated row block per episode."""
 
     def __init__(self, episodes: int, steps: int, n: int):
         rows, self.steps = episodes * steps, steps
@@ -263,10 +263,11 @@ class _StepTrace:
         }
         self.recorded = list(self.columns.values())[2:]
 
-    def record(self, ep: int, k: int, tr) -> None:
-        values = (tr.action, tr.allocations, tr.sp_payoff, tr.reward, tr.mu_payoffs, tr.clamped)
+    def record(self, ep: int, actions, prices, allocations, outcomes) -> None:
+        values = (prices, allocations, outcomes.sp_payoff, outcomes.reward, outcomes.mu_payoffs,
+                  (prices != actions).any(axis=1))  # clamped: executed differs from raw
         for column, v in zip(self.recorded, values):
-            column[(ep - 1) * self.steps + k - 1] = v
+            column[(ep - 1) * self.steps:ep * self.steps] = v
 
 
 def cmd_train(config: RunConfig, out_dir: str, svg: bool, steps_trace: bool) -> int:
@@ -277,7 +278,7 @@ def cmd_train(config: RunConfig, out_dir: str, svg: bool, steps_trace: bool) -> 
 
     try:
         policy, trace = train(
-            scenario, config.env, config.train, on_step=steps.record if steps_trace else None
+            scenario, config.env, config.train, on_episode=steps.record if steps_trace else None
         )
     except TrainingDiverged as e:
         os.makedirs(out_dir, exist_ok=True)

@@ -10,20 +10,20 @@ whatever the acting policy injects.
 
 The platform-side learner is only ever handed prices, allocations and
 rewards, never user profiles, so everything private to the users stays
-behind env_step.
+behind env_step and episode_outcomes.
 
-env_step runs once per training step, so it checks the action once, at
-its entry (its shape and finiteness), and builds no per-step objects
-beyond a Transition record whose fields are plain arrays and floats.
-It then makes one pass over the users, each giving its sale
-(follower.sale) and its payoff (the unchecked core of model.mu_payoff).
-The users' constants (margin, price threshold, own-use profit of the
-whole capacity) are cached on each MuProfile, and the responses and
-payoffs come from the same formulas the static solver uses.
+env_step does only what the next observation needs: it checks the
+action once (shape, finiteness), clamps it and returns the executed
+prices and each user's sale (follower.sale).  episode_outcomes then
+scores an episode's rounds in one pass: rewards, platform payoffs (the
+expression of model.sp_payoff per row) and user payoffs (the unchecked
+core of model.mu_payoff).  The users' constants are cached on each
+MuProfile, and all come from the formulas the static solver uses.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,15 +31,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .follower import sale
-from .model import Scenario, _mu_payoff, _sp_payoff
+from .model import Scenario, _mu_payoff
 
 __all__ = [
     "EnvConfig",
     "GameState",
-    "Transition",
+    "Outcomes",
     "respond",
     "env_reset",
     "env_step",
+    "episode_outcomes",
     "greedy_policy",
     "random_policy",
     "step_mean",
@@ -101,19 +102,12 @@ class GameState:
         return self.prices.shape[1]
 
 
-class Transition(NamedTuple):
-    """One environment step.
+class Outcomes(NamedTuple):
+    """The payoffs of D played rounds, one row per round: arrays (D,), (D,) and (D, N)."""
 
-    action holds the executed (clamped) prices as a read-only array and
-    allocations what the users sold at them.
-    """
-
-    action: np.ndarray
-    allocations: np.ndarray
-    reward: float
-    sp_payoff: float
+    reward: np.ndarray
+    sp_payoff: np.ndarray
     mu_payoffs: np.ndarray
-    clamped: bool
 
 
 def respond(scenario: Scenario, prices: np.ndarray) -> np.ndarray:
@@ -136,13 +130,12 @@ def env_reset(scenario: Scenario, config: EnvConfig, rng: np.random.Generator) -
     return GameState(prices=prices, allocations=allocations)
 
 
-def env_step(scenario: Scenario, config: EnvConfig, action) -> Transition:
-    """Post prices and collect the users' responses and payoffs.
+def env_step(scenario: Scenario, config: EnvConfig, action) -> tuple[np.ndarray, np.ndarray]:
+    """Post prices and collect the users' sales: (executed prices, allocations).
 
     The action is checked here, once: its shape and finiteness.  The
     executed prices are then non-negative, finite and of the users'
-    count, and the responses and payoffs are computed from them without
-    further checks.
+    count, and the sales are computed from them without further checks.
     """
     raw = np.asarray(action, dtype=float)
     if raw.shape != (scenario.n,):
@@ -154,17 +147,22 @@ def env_step(scenario: Scenario, config: EnvConfig, action) -> Transition:
     # its per-call cost
     p_max = config.p_max
     prices = [0.0 if v < 0.0 else (p_max if v > p_max else v) for v in requested]
-    executed = np.array(prices)
-    executed.flags.writeable = False
-    sold, earned = [], []
-    for mu, p in zip(scenario.mus, prices):
-        x = sale(mu, p)[0]
-        sold.append(x)
-        earned.append(_mu_payoff(mu, x, p))
-    alloc = np.array(sold)
-    payoff = _sp_payoff(alloc, executed, scenario.utility_scale)
-    return Transition(executed, alloc, config.reward_scale * payoff, payoff, np.array(earned),
-                      prices != requested)
+    return np.array(prices), np.array([sale(mu, p)[0] for mu, p in zip(scenario.mus, prices)])
+
+
+def episode_outcomes(scenario: Scenario, config: EnvConfig, prices, allocations) -> Outcomes:
+    """Score D rounds of (D, N) executed prices and their sales from env_step.
+
+    Row for row the bits of model.sp_payoff, reward_scale times it and each model.mu_payoff.
+    """
+    aggregates = 1.0 + np.log1p(allocations).sum(axis=1)  # model._aggregate per row
+    utility = np.array([math.log(b) for b in aggregates.tolist()])
+    sp = scenario.utility_scale * utility - np.vecdot(prices, allocations)
+    # user n of round k is entry k * N + n of the flat rows
+    mu = map(_mu_payoff, itertools.cycle(scenario.mus), allocations.ravel().tolist(),
+             prices.ravel().tolist())
+    return Outcomes(config.reward_scale * sp, sp,
+                    np.fromiter(mu, float, allocations.size).reshape(allocations.shape))
 
 
 def greedy_policy(scenario: Scenario, config: EnvConfig) -> np.ndarray:

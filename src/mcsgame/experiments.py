@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import MAX_COUNT, EnvConfig, env_reset, env_step, greedy_policy, random_policy, step_mean
+from .dynamics import (MAX_COUNT, EnvConfig, Outcomes, env_reset, env_step, episode_outcomes,
+                       greedy_policy, step_mean)
 from .leader import EquilibriumResult, SolverConfig, compute_se, price_box
 from .model import DemandDistribution, LinearDemand, MuProfile, Scenario, UniformDemand
 
@@ -112,19 +113,23 @@ class BaselineResult:
     mean_mu_payoff: np.ndarray
 
 
+def _baseline(name: str, steps: int, outcomes: Outcomes) -> BaselineResult:
+    return BaselineResult(name, steps, float(step_mean(outcomes.sp_payoff)),
+                          float(step_mean(outcomes.reward)), step_mean(outcomes.mu_payoffs))
+
+
 def play_constant(
     scenario: Scenario, env_config: EnvConfig, prices: np.ndarray, steps: int, name: str
 ) -> BaselineResult:
     """Roll the environment under one fixed price profile.
 
     The users' responses depend only on the posted prices, so every step
-    has the outcome of the first: one env_step gives the steps' columns.
+    has the outcome of the first: one scored round, repeated.
     """
-    tr = env_step(scenario, env_config, prices)
+    executed, sold = env_step(scenario, env_config, prices)
+    first = episode_outcomes(scenario, env_config, executed[None], sold[None])
     # the mean of the repeated column, which rounds unlike the value itself
-    return BaselineResult(name, steps, float(step_mean(np.full(steps, tr.sp_payoff))),
-                          float(step_mean(np.full(steps, tr.reward))),
-                          step_mean(np.tile(tr.mu_payoffs, (steps, 1))))
+    return _baseline(name, steps, Outcomes(*(np.repeat(col, steps, axis=0) for col in first)))
 
 
 def play_random(
@@ -133,16 +138,15 @@ def play_random(
     """Roll the environment under uniformly random prices.
 
     One RNG stream, seeded by seed, draws the starting window first
-    (env_reset) and then each step's prices.
+    (env_reset), then every step's prices in one draw (the stream of
+    random_policy's per-step draws); all rounds are scored in one pass.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     env_reset(scenario, env_config, rng)
-    payoffs, rewards, mu_payoffs = np.empty(steps), np.empty(steps), np.empty((steps, scenario.n))
-    for k in range(steps):
-        tr = env_step(scenario, env_config, random_policy(scenario.n, env_config, rng))
-        payoffs[k], rewards[k], mu_payoffs[k] = tr.sp_payoff, tr.reward, tr.mu_payoffs
-    return BaselineResult("random", steps, float(step_mean(payoffs)), float(step_mean(rewards)),
-                          step_mean(mu_payoffs))
+    prices, sold = np.empty((steps, scenario.n)), np.empty((steps, scenario.n))
+    for k, row in enumerate(rng.uniform(0.0, env_config.p_max, size=(steps, scenario.n))):
+        prices[k], sold[k] = env_step(scenario, env_config, row)
+    return _baseline("random", steps, episode_outcomes(scenario, env_config, prices, sold))
 
 
 def play_greedy(scenario: Scenario, env_config: EnvConfig, steps: int) -> BaselineResult:

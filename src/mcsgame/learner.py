@@ -8,27 +8,25 @@ network with a linear scalar head.  Both are updated by plain gradient
 steps computed by hand; there is no autograd, optimizer state, GAE,
 entropy bonus or mini-batching.
 
-Each training step writes each fact once.  train keeps one array of
-round features, one row per (price, allocation) round: the prices over
-p_max, then log1p of the allocations.  A step writes the row of the
-round it plays, and its observation of the last L rounds is a view of
-L consecutive rows; the last L rows move to the front at the end of an
-episode.  The step runs only the actor and writes its action, log
-density and outcomes into arrays preallocated for the episode (one
-reduction each for the means).  The critic, which chooses no action and
-is fixed during the rollout, then makes one batch pass over one strided
-copy of the episode's observations, the next state's last, for the
-values and the bootstrap V(s(D+1)).  episode_batch builds one read-only
-EpisodeBatch from them, which every inner update epoch and the final
-surrogate read and backpropagate through.
+A training step does only what the next observation needs.  train
+keeps one array of round features, one row per (price, allocation)
+round: the prices over p_max, then log1p of the allocations.  A step's
+observation of the last L rounds is a view of L consecutive rows.  The
+step runs the actor, draws the action (policy_sample), sells it
+(dynamics.env_step) and writes the row of the round.  The rest is done
+once per episode: the rewards and payoffs (dynamics.episode_outcomes),
+the raw actions' log densities (gaussian_log_prob over the rows), and
+one critic batch pass, over one read-only copy of the observations and
+the next state's, for the values and the bootstrap V(s(D+1)).  The
+EpisodeBatch built on that copy serves every update epoch.
 
 A network's weights and biases are views into one float64 vector, and
 train writes each network's gradients into one such vector allocated
-per call, so a parameter step is one array operation.  The rollout
-evaluates single states as W @ h per layer, with no batch axis.
+per call, so a parameter step is one array operation.  Products use
+ndarray.dot (less per-call cost than @); single states take W.dot(h).
 
-This module sees the game only through dynamics.env_reset/env_step and
-the (price, allocation, reward) stream they produce.  It never imports
+This module sees the game only through dynamics' env_reset, env_step
+and episode_outcomes and the (price, allocation, reward) stream.  It never imports
 the market model and never reads user profile fields, so the agent
 cannot peek at capacities, valuations, costs or demand laws.
 """
@@ -43,7 +41,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dynamics import MAX_COUNT, EnvConfig, GameState, env_reset, env_step, step_mean
+from .dynamics import (MAX_COUNT, EnvConfig, GameState, env_reset, env_step, episode_outcomes,
+                       step_mean)
 from .reporting import write_json
 
 __all__ = [
@@ -170,9 +169,9 @@ def _forward_cached(params: MlpParams, x: np.ndarray):
     a = np.atleast_2d(np.asarray(x, dtype=float))
     acts = [a]
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        a = np.tanh(a @ W.T + b)
+        a = np.tanh(a.dot(W.T) + b)
         acts.append(a)
-    z = a @ params.weights[-1].T + params.biases[-1]
+    z = a.dot(params.weights[-1].T) + params.biases[-1]
     if params.bounded_output:
         out = params.output_scale * _sigmoid(z)
     else:
@@ -183,7 +182,7 @@ def _forward_cached(params: MlpParams, x: np.ndarray):
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
     """Evaluate the network on one input (in,) or a batch (B, in).
 
-    One input takes W @ h per layer, each layer's bias and tanh applied
+    One input takes W.dot(h) per layer, each layer's bias and tanh applied
     in place; on OpenBLAS, which runs a one-row matrix product as a
     matrix-vector one, the bits equal the batch row.
     """
@@ -191,10 +190,10 @@ def mlp_forward(params: MlpParams, x) -> np.ndarray:
     if h.ndim != 1:
         return _forward_cached(params, h)[0]
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = W @ h
+        h = W.dot(h)
         h += b
         np.tanh(h, out=h)
-    z = params.weights[-1] @ h
+    z = params.weights[-1].dot(h)
     z += params.biases[-1]
     return params.output_scale * _sigmoid(z) if params.bounded_output else z
 
@@ -216,10 +215,10 @@ def _backprop(params: MlpParams, out: np.ndarray, acts: list, upstream, into=Non
     grads = MlpGrads([None] * layers, [None] * layers) if into is None else into
     gw, gb = grads.weights, grads.biases
     for i in range(layers - 1, -1, -1):
-        gw[i] = np.matmul(dz.T, acts[i], out=gw[i])  # out=None allocates
+        gw[i] = np.dot(dz.T, acts[i], out=gw[i])  # out=None allocates
         gb[i] = dz.sum(axis=0, out=gb[i])
         if i > 0:
-            da = dz @ params.weights[i]
+            da = dz.dot(params.weights[i])
             dz = da * (1.0 - acts[i] ** 2)  # tanh'
     return grads
 
@@ -271,32 +270,36 @@ def observe(state: GameState, price_scale: float) -> np.ndarray:
     return _round_features(state.prices, state.allocations, price_scale, rounds).reshape(-1)
 
 
-def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, action: np.ndarray) -> float:
-    """Log density of a diagonal Gaussian at the given action."""
-    z = (np.asarray(action) - mean) / np.exp(log_std)
-    return float((-0.5 * _LOG_2PI - log_std - 0.5 * z * z).sum())
-
-
 def _noise(policy: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
     """The policy's standard deviations and per-dimension log-density constants."""
     return np.exp(policy.log_std), -0.5 * _LOG_2PI - policy.log_std
 
 
+def _log_density(action: np.ndarray, mean: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
+    """z-scores and log densities of actions (N,) or rows (D, N); noise is as _noise gives it."""
+    std, log_norm = noise
+    z = (action - mean) / std
+    return z, np.sum(log_norm - 0.5 * z * z, axis=-1)
+
+
+def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, action: np.ndarray):
+    """Log density of a diagonal Gaussian at an action (N,), a float, or at each row of (D, N)."""
+    logp = _log_density(np.asarray(action), mean, (np.exp(log_std), -0.5 * _LOG_2PI - log_std))[1]
+    return logp if np.ndim(logp) else float(logp)
+
+
 def policy_sample(policy: PolicyParams, feats: np.ndarray, rng: np.random.Generator,
                   noise: tuple[np.ndarray, np.ndarray] | None = None):
-    """Draw an action for the observed features and report its log density.
+    """Draw an action for the observed features: (action, actor mean).
 
     feats is observe(state, policy.obs_price_scale); noise is _noise(policy),
     which train computes once per episode, as only the update moves log_std.
-    The density is of the raw sample: the environment clamps prices
-    itself, and a density of the clamped price would bias the PPO ratios.
+    train takes the log densities of the raw samples once per episode: the
+    environment clamps prices, and a clamped price's density would bias PPO.
     """
     mean = mlp_forward(policy.actor, feats)
-    std, log_norm = noise or _noise(policy)
-    action = mean + std * rng.standard_normal(mean.size)
-    # gaussian_log_prob(mean, policy.log_std, action), expression for expression
-    z = (action - mean) / std
-    return action, float((log_norm - 0.5 * z * z).sum())
+    std = (noise or _noise(policy))[0]
+    return mean + std * rng.standard_normal(mean.size), mean
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +335,15 @@ def episode_batch(features, actions, log_probs, rewards, values, gamma: float) -
     """One episode's batch: read-only copies of its steps, with targets and advantages.
 
     Row k of features, actions, log_probs and rewards is step k; values
-    holds V of each step's state, then the bootstrap V(s(D+1)).
+    holds V of each step's state, then the bootstrap V(s(D+1)).  Read-only
+    features are kept, not copied: train's one copy, which the critic read.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    features, actions, log_probs, rewards, values = (
-        np.array(a, dtype=float) for a in (features, actions, log_probs, rewards, values)
+    kept = isinstance(features, np.ndarray) and not features.flags.writeable
+    features = np.array(features, dtype=float, copy=None if kept else True)
+    actions, log_probs, rewards, values = (
+        np.array(a, dtype=float) for a in (actions, log_probs, rewards, values)
     )
     if values.shape != (rewards.size + 1,):
         raise ValueError(f"need {rewards.size + 1} values, got shape {values.shape}")
@@ -364,11 +370,10 @@ def clip_ratio(f, epsilon: float):
 
 def _ratio_pieces(policy: PolicyParams, batch: EpisodeBatch):
     mean, acts = _forward_cached(policy.actor, batch.features)
-    std, log_norm = _noise(policy)
-    z = (batch.actions - mean) / std
-    logp_now = np.sum(log_norm - 0.5 * z * z, axis=1)
+    noise = _noise(policy)
+    z, logp_now = _log_density(batch.actions, mean, noise)
     f = np.exp(logp_now - batch.log_probs)
-    return mean, acts, std, z, f
+    return mean, acts, noise[0], z, f
 
 
 def ppo_surrogate(policy: PolicyParams, batch: EpisodeBatch, epsilon: float) -> float:
@@ -517,7 +522,7 @@ def _snapshot(policy: PolicyParams) -> dict:
     }
 
 
-def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=None):
+def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_episode=None):
     """Run the PPO loop and return (policy, per-episode trace).
 
     One RNG stream, seeded by train_config.seed, drives the initial
@@ -525,9 +530,9 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
     pure function of (scenario, env_config, train_config).  The round
     history carries over between episodes.
 
-    on_step, if given, is called as on_step(episode, step, transition)
-    after every environment step.  It observes only; it must not touch
-    the RNG or the policy.
+    on_episode, if given, is called as on_episode(episode, actions, prices,
+    allocations, outcomes) after each rollout: (D, N) arrays that the next
+    episode overwrites, and the dynamics.Outcomes.  It observes only.
     """
     cfg = train_config
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -544,8 +549,7 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
     observations = as_strided(rounds, (d + 1, history * 2 * n),
                               (rounds.strides[0], rounds.itemsize), writeable=False)
     # the episode's arrays, one row per step, overwritten every episode
-    actions, prices, allocations, mu_payoffs = (np.empty((d, n)) for _ in range(4))
-    log_probs, rewards, sp_payoffs = (np.empty(d) for _ in range(3))
+    actions, means, prices, allocations = (np.empty((d, n)) for _ in range(4))
 
     # an overflow in a rollout or an update leaves a non-finite value or
     # parameter, which the table check or all_finite turns into exit 4;
@@ -554,16 +558,16 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
         for ep in range(1, cfg.episodes + 1):
             noise = _noise(policy)
             for k in range(d):
-                actions[k], log_probs[k] = policy_sample(policy, observations[k], rng, noise)
-                tr = env_step(scenario, env_config, actions[k])
-                if on_step is not None:
-                    on_step(ep, k + 1, tr)
-                _round_features(tr.action, tr.allocations, scale, rounds[history + k])
-                prices[k], allocations[k], mu_payoffs[k] = tr.action, tr.allocations, tr.mu_payoffs
-                rewards[k], sp_payoffs[k] = tr.reward, tr.sp_payoff
-            features = observations.copy()
+                actions[k], means[k] = policy_sample(policy, observations[k], rng, noise)
+                p, x = prices[k], allocations[k] = env_step(scenario, env_config, actions[k])
+                _round_features(p, x, scale, rounds[history + k])
+            outcomes = episode_outcomes(scenario, env_config, prices, allocations)
+            if on_episode is not None:
+                on_episode(ep, actions, prices, allocations, outcomes)
+            features = _read_only(observations.copy())[0]
             rounds[:history] = rounds[d:]
-            batch = episode_batch(features[:d], actions, log_probs, rewards,
+            log_probs = gaussian_log_prob(means, policy.log_std, actions)
+            batch = episode_batch(features[:d], actions, log_probs, outcomes.reward,
                                   mlp_forward(policy.critic, features)[:, 0], cfg.gamma)
 
             for epoch in range(1, cfg.update_epochs + 1):
@@ -579,9 +583,9 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_step=No
                     raise TrainingDiverged(f"non-finite parameter after episode {ep}, inner "
                                            f"epoch {epoch}", ep, epoch, _snapshot(policy))
             trace.append(EpisodeStats(
-                ep, float(step_mean(rewards)), float(step_mean(sp_payoffs)),
+                ep, float(step_mean(outcomes.reward)), float(step_mean(outcomes.sp_payoff)),
                 ppo_surrogate(policy, batch, cfg.clip_epsilon), critic_loss,
-                step_mean(prices), step_mean(allocations), step_mean(mu_payoffs),
+                step_mean(prices), step_mean(allocations), step_mean(outcomes.mu_payoffs),
             ))
     return policy, trace
 

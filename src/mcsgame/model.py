@@ -252,7 +252,7 @@ def sp_payoff(x, p, utility_scale: float) -> float:
 
 
 # The formula cores below take values that sp_payoff and mu_payoff (or
-# the solver and dynamics.env_step, which build them) have checked: x
+# the solver and the rounds dynamics.env_step plays) have checked: x
 # finite and non-negative (at most the capacity for a user), p of the
 # same length or non-negative, utility_scale positive.
 

@@ -9,6 +9,7 @@ from mcsgame.dynamics import (
     GameState,
     env_reset,
     env_step,
+    episode_outcomes,
     greedy_policy,
     random_policy,
     respond,
@@ -82,6 +83,26 @@ _PRICE_KINDS = (
 )
 
 
+def _bits(arr):
+    return np.asarray(arr, dtype=float).view(np.uint64)
+
+
+def _played(scenario, cfg, actions):
+    """env_step of each action, as (D, N) executed prices and sales."""
+    return map(np.array, zip(*(env_step(scenario, cfg, a) for a in actions)))
+
+
+def _assert_outcomes_are_the_public_formulas(scenario, cfg, prices, alloc):
+    out = episode_outcomes(scenario, cfg, prices, alloc)
+    assert out.mu_payoffs.shape == prices.shape and out.reward.shape == (len(prices),)
+    for k, (p, x) in enumerate(zip(prices, alloc)):
+        payoff = sp_payoff(x, p, scenario.utility_scale)
+        assert _bits(out.sp_payoff[k]) == _bits(payoff)
+        assert _bits(out.reward[k]) == _bits(cfg.reward_scale * payoff)
+        want = [mu_payoff(mu, xi, pi) for mu, xi, pi in zip(scenario.mus, x.tolist(), p.tolist())]
+        assert np.array_equal(_bits(out.mu_payoffs[k]), _bits(want))
+
+
 @pytest.mark.parametrize("law", [UniformDemand, LinearDemand])
 @pytest.mark.parametrize("demand_lo", [0.0, 4.0])
 def test_step_matches_the_public_formulas_bit_for_bit(law, demand_lo):
@@ -94,46 +115,68 @@ def test_step_matches_the_public_formulas_bit_for_bit(law, demand_lo):
     )
     scenario = Scenario(50.0, mus)
     cfg = EnvConfig()
-    for shift in range(len(_PRICE_KINDS)):
-        # every user meets every kind once over the shifts
-        action = np.array([
-            _PRICE_KINDS[(i + shift) % len(_PRICE_KINDS)](mu) for i, mu in enumerate(mus)
-        ])
-        tr = env_step(scenario, cfg, action)
-        executed = np.clip(action, 0.0, cfg.p_max)
-        alloc = np.array([best_response(mu, p).allocation for mu, p in zip(mus, executed)])
-        payoff = sp_payoff(alloc, executed, scenario.utility_scale)
-        assert np.array_equal(tr.action, executed) and not tr.action.flags.writeable
-        assert np.array_equal(tr.allocations, alloc)
-        assert tr.sp_payoff == payoff
-        assert tr.reward == cfg.reward_scale * payoff
-        payoffs = np.array([mu_payoff(mu, x, p) for mu, x, p in zip(mus, alloc, executed)])
-        assert np.array_equal(tr.mu_payoffs.view(np.uint64), payoffs.view(np.uint64))
-        assert tr.clamped is True
+    # every user meets every kind once over the shifts
+    actions = np.array([
+        [_PRICE_KINDS[(i + shift) % len(_PRICE_KINDS)](mu) for i, mu in enumerate(mus)]
+        for shift in range(len(_PRICE_KINDS))
+    ])
+    prices, alloc = _played(scenario, cfg, actions)
+    executed = np.clip(actions, 0.0, cfg.p_max)
+    assert np.array_equal(_bits(prices), _bits(executed))
+    want = [[best_response(mu, p).allocation for mu, p in zip(mus, row)] for row in executed]
+    assert np.array_equal(_bits(alloc), _bits(want))
+    _assert_outcomes_are_the_public_formulas(scenario, cfg, prices, alloc)
+
+
+@pytest.mark.parametrize("law", [UniformDemand, LinearDemand])
+@pytest.mark.parametrize("n", [1, 5, 25])
+def test_episode_outcomes_equal_the_public_formulas_row_by_row(law, n):
+    """Per round: model.sp_payoff, reward_scale times it and model.mu_payoff, bit for bit."""
+    rng = _rng(n)
+    mus = tuple(MuProfile(float(cap), float(value), float(cost), law(0.0, 25.0))
+                for cap, value, cost in zip(rng.uniform(5.0, 30.0, n), rng.uniform(0.5, 1.0, n),
+                                            rng.uniform(0.0, 0.45, n)))
+    scenario = Scenario(50.0, mus)
+    cfg = EnvConfig(reward_scale=0.37)
+    # each kind for every user (clamped at 0 and p_max, no sale, the whole
+    # capacity), then random rounds, a quarter of their prices clamped
+    kinds = [[kind(mu) for mu in mus] for kind in _PRICE_KINDS]
+    actions = np.vstack([kinds, rng.uniform(-0.25, 1.25, size=(40, n))])
+    prices, alloc = _played(scenario, cfg, actions)
+    assert np.any(prices == 0.0) and np.any(prices == cfg.p_max)
+    assert np.any(alloc == 0.0) and np.any(alloc == scenario.capacities())
+    _assert_outcomes_are_the_public_formulas(scenario, cfg, prices, alloc)
 
 
 def test_step_keeps_the_sign_of_a_zero_price_as_clip_does(five_mu_scenario):
     cfg = EnvConfig()
     action = np.array([-0.0, 0.0, 0.3, 0.6, 0.9])
-    tr = env_step(five_mu_scenario, cfg, action)
-    assert np.array_equal(np.signbit(tr.action), np.signbit(np.clip(action, 0.0, cfg.p_max)))
-    assert not tr.clamped
+    executed, _ = env_step(five_mu_scenario, cfg, action)
+    assert np.array_equal(np.signbit(executed), np.signbit(np.clip(action, 0.0, cfg.p_max)))
+    assert np.array_equal(executed, action)
+
+
+def _outcome(scenario, cfg, action):
+    """The executed prices, the sales and the outcomes of one round."""
+    executed, alloc = env_step(scenario, cfg, action)
+    out = episode_outcomes(scenario, cfg, executed[None], alloc[None])
+    return executed, alloc, type(out)(*(col[0] for col in out))
 
 
 def test_step_at_static_optimum_reproduces_payoff():
     scenario = make_scenario(7)
     se = compute_se(scenario)
-    tr = env_step(scenario, EnvConfig(), se.prices)
-    assert tr.sp_payoff == pytest.approx(se.sp_payoff, abs=1e-9)
-    assert np.allclose(tr.mu_payoffs, se.mu_payoffs, atol=1e-9)
+    out = _outcome(scenario, EnvConfig(), se.prices)[2]
+    assert out.sp_payoff == pytest.approx(se.sp_payoff, abs=1e-9)
+    assert np.allclose(out.mu_payoffs, se.mu_payoffs, atol=1e-9)
 
 
 def test_step_zero_prices_zero_reward():
     scenario = _costly_scenario()
-    tr = env_step(scenario, EnvConfig(), np.zeros(3))
-    assert np.array_equal(tr.allocations, np.zeros(3))
-    assert tr.reward == 0.0
-    assert not tr.clamped
+    executed, alloc, out = _outcome(scenario, EnvConfig(), np.zeros(3))
+    assert np.array_equal(alloc, np.zeros(3))
+    assert out.reward == 0.0
+    assert np.array_equal(executed, np.zeros(3))
 
 
 def test_step_zero_price_at_zero_cost_past_the_support():
@@ -141,46 +184,47 @@ def test_step_zero_price_at_zero_cost_past_the_support():
     # cost 0, where the kept quantile sits on the vanishing density
     mus = tuple(MuProfile(cap, 0.8, 0.0, LinearDemand(0.0, 25.0)) for cap in (25.0, 30.0))
     scenario = Scenario(50.0, mus)
-    tr = env_step(scenario, EnvConfig(), np.zeros(2))
-    assert np.array_equal(tr.allocations, [0.0, 5.0])
-    assert tr.sp_payoff == pytest.approx(50.0 * np.log(1.0 + np.log(6.0)), rel=1e-12)
-    assert np.array_equal(tr.mu_payoffs, [0.0, 0.0])
+    _, alloc, out = _outcome(scenario, EnvConfig(), np.zeros(2))
+    assert np.array_equal(alloc, [0.0, 5.0])
+    assert out.sp_payoff == pytest.approx(50.0 * np.log(1.0 + np.log(6.0)), rel=1e-12)
+    assert np.array_equal(out.mu_payoffs, [0.0, 0.0])
 
 
 def test_step_reward_scaling(five_mu_scenario):
     cfg = EnvConfig(reward_scale=0.01)
-    tr = env_step(five_mu_scenario, cfg, np.full(5, 0.8))
-    assert tr.reward == pytest.approx(0.01 * tr.sp_payoff, abs=1e-15)
+    out = _outcome(five_mu_scenario, cfg, np.full(5, 0.8))[2]
+    assert out.reward == pytest.approx(0.01 * out.sp_payoff, abs=1e-15)
 
 
 def test_step_clamps_and_flags(five_mu_scenario):
+    # a round is flagged as clamped where its executed prices differ from the action
     cfg = EnvConfig(p_max=1.0)
-    tr = env_step(five_mu_scenario, cfg, np.array([2.0, -0.5, 0.5, 0.5, 0.5]))
-    assert tr.clamped
-    assert tr.action[0] == 1.0
-    assert tr.action[1] == 0.0
-    in_range = env_step(five_mu_scenario, cfg, np.full(5, 0.7))
-    assert not in_range.clamped
+    action = np.array([2.0, -0.5, 0.5, 0.5, 0.5])
+    executed, _ = env_step(five_mu_scenario, cfg, action)
+    assert executed[0] == 1.0 and executed[1] == 0.0
+    assert np.array_equal(executed != action, [True, True, False, False, False])
+    in_range = np.full(5, 0.7)
+    assert np.array_equal(env_step(five_mu_scenario, cfg, in_range)[0], in_range)
 
 
 def test_step_returns_fresh_arrays(five_mu_scenario):
     # train passes a row of its episode array of actions and overwrites it later
     action = np.full(5, 0.6)
-    tr = env_step(five_mu_scenario, EnvConfig(), action)
-    for arr in (tr.action, tr.allocations, tr.mu_payoffs):
+    executed, alloc = env_step(five_mu_scenario, EnvConfig(), action)
+    for arr in (executed, alloc):
         assert arr.dtype == np.float64 and not np.shares_memory(arr, action)
     action[:] = 0.9
-    assert np.array_equal(tr.action, np.full(5, 0.6))
-    assert np.array_equal(tr.allocations, respond(five_mu_scenario, np.full(5, 0.6)))
+    assert np.array_equal(executed, np.full(5, 0.6))
+    assert np.array_equal(alloc, respond(five_mu_scenario, np.full(5, 0.6)))
 
 
 def test_step_deterministic(five_mu_scenario):
     cfg = EnvConfig()
-    a = env_step(five_mu_scenario, cfg, np.full(5, 0.4))
-    b = env_step(five_mu_scenario, cfg, np.full(5, 0.4))
-    assert a.sp_payoff == b.sp_payoff
-    assert np.array_equal(a.allocations, b.allocations)
-    assert np.array_equal(a.mu_payoffs, b.mu_payoffs)
+    a = _outcome(five_mu_scenario, cfg, np.full(5, 0.4))
+    b = _outcome(five_mu_scenario, cfg, np.full(5, 0.4))
+    assert a[2].sp_payoff == b[2].sp_payoff
+    assert np.array_equal(a[1], b[1])
+    assert np.array_equal(a[2].mu_payoffs, b[2].mu_payoffs)
 
 
 def test_step_validates_action(five_mu_scenario):
@@ -204,10 +248,10 @@ def test_greedy_never_beats_static_optimum():
         scenario = make_scenario(seed)
         se = compute_se(scenario)
         cfg = EnvConfig()
-        tr = env_step(scenario, cfg, greedy_policy(scenario, cfg))
-        assert tr.sp_payoff <= se.sp_payoff + 1e-9
+        out = _outcome(scenario, cfg, greedy_policy(scenario, cfg))[2]
+        assert out.sp_payoff <= se.sp_payoff + 1e-9
         # users do better under greedy pricing
-        assert np.all(tr.mu_payoffs >= se.mu_payoffs - 1e-9)
+        assert np.all(out.mu_payoffs >= se.mu_payoffs - 1e-9)
 
 
 def test_random_policy_bounds_and_determinism():

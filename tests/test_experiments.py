@@ -25,7 +25,7 @@ from mcsgame.experiments import (
 )
 from mcsgame.follower import price_threshold
 from mcsgame.leader import compute_se
-from mcsgame.model import LinearDemand, UniformDemand
+from mcsgame.model import LinearDemand, UniformDemand, mu_payoff, sp_payoff
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,8 @@ def test_random_baseline_deterministic_and_seed_sensitive():
 
 @pytest.mark.parametrize("steps", [1, 7, 1000])
 def test_baselines_equal_their_step_by_step_rollouts(steps):
-    # one env_step per step; the random prices are drawn after env_reset's window
+    # one env_step per step, scored by the public formulas; the random
+    # prices are drawn after env_reset's window, one step's after another
     scen, env = make_scenario(7), EnvConfig(history_rounds=2)
     rng = np.random.Generator(np.random.PCG64(3))
     env_reset(scen, env, rng)
@@ -147,11 +148,13 @@ def test_baselines_equal_their_step_by_step_rollouts(steps):
         (play_random(scen, env, steps, 3), lambda: random_policy(scen.n, env, rng)),
     ):
         rows = [env_step(scen, env, prices_for()) for _ in range(steps)]
+        sp = np.array([sp_payoff(x, p, scen.utility_scale) for p, x in rows])
+        mu = np.array([[mu_payoff(m, xi, pi) for m, xi, pi in zip(scen.mus, x.tolist(), p.tolist())]
+                       for p, x in rows])
         assert res.steps == steps
-        assert res.mean_sp_payoff == float(step_mean(np.array([tr.sp_payoff for tr in rows])))
-        assert res.mean_reward == float(step_mean(np.array([tr.reward for tr in rows])))
-        want = step_mean(np.array([tr.mu_payoffs for tr in rows]))
-        assert np.array_equal(res.mean_mu_payoff, want)
+        assert res.mean_sp_payoff == float(step_mean(sp))
+        assert res.mean_reward == float(step_mean(env.reward_scale * sp))
+        assert np.array_equal(res.mean_mu_payoff, step_mean(mu))
 
 
 # ---------------------------------------------------------------------------

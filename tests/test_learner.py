@@ -10,7 +10,8 @@ import pytest
 
 import mcsgame.learner as learner_mod
 from conftest import make_scenario
-from mcsgame.dynamics import EnvConfig, GameState, env_reset, env_step, step_mean
+from mcsgame.dynamics import (EnvConfig, GameState, env_reset, env_step, episode_outcomes, respond,
+                              step_mean)
 from mcsgame.gradcheck import _toy_batch, _toy_policy
 from mcsgame.learner import (
     LOG_STD_MAX,
@@ -231,6 +232,22 @@ def test_log_prob_sums_over_dimensions():
     assert lp == pytest.approx(3 * -0.9189385332046727, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 5, 25])
+def test_log_densities_of_rows_equal_the_one_dimensional_density(n):
+    """train's one pass over the (D, N) rows gives each row's 1-D density, bit for bit."""
+    rng = _rng(n)
+    means = rng.uniform(0.0, 1.0, size=(64, n))
+    log_std = rng.uniform(LOG_STD_MIN, LOG_STD_MAX, size=n)
+    # raw actions, many beyond [0, p_max = 1] where the environment clamps them
+    actions = means + np.exp(log_std) * rng.standard_normal((64, n))
+    assert np.any(actions < 0.0) and np.any(actions > 1.0)
+    rows = gaussian_log_prob(means, log_std, actions)
+    assert rows.shape == (64,)
+    want = [gaussian_log_prob(m, log_std, a) for m, a in zip(means, actions)]
+    assert all(isinstance(w, float) for w in want)
+    assert np.array_equal(_bits(rows), _bits(want))
+
+
 def test_log_prob_matches_closed_form_off_mean():
     mean = np.array([0.5, -0.2])
     log_std = np.array([-0.4, 0.3])
@@ -250,17 +267,25 @@ def test_policy_sample_deterministic_in_rng():
     scenario, cfg, state = _fresh_state(4)
     policy = learner_mod._init_policy(state, cfg, TrainConfig(), _rng(9))
     feats = observe(state, policy.obs_price_scale)
-    a1, lp1 = policy_sample(policy, feats, _rng(33))
-    a2, lp2 = policy_sample(policy, feats, _rng(33))
-    assert np.array_equal(a1, a2) and lp1 == lp2
+    a1, m1 = policy_sample(policy, feats, _rng(33))
+    a2, m2 = policy_sample(policy, feats, _rng(33))
+    assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
 
 
-def test_policy_sample_log_prob_is_of_raw_action():
+def test_policy_sample_returns_the_raw_action_and_the_actor_mean():
     scenario, cfg, state = _fresh_state(4)
-    policy = learner_mod._init_policy(state, cfg, TrainConfig(), _rng(9))
-    action, lp = policy_sample(policy, observe(state, policy.obs_price_scale), _rng(12))
+    policy = learner_mod._init_policy(state, cfg, TrainConfig(log_std_init=LOG_STD_MAX), _rng(9))
+    feats = observe(state, policy.obs_price_scale)
     mean = _mean_action(policy, state)
-    assert lp == pytest.approx(gaussian_log_prob(mean, policy.log_std, action), abs=1e-12)
+    noise = _rng(12).standard_normal((50, state.n_mus))
+    rng = _rng(12)
+    for z in noise:
+        action, got_mean = policy_sample(policy, feats, rng)
+        assert np.array_equal(_bits(got_mean), _bits(mean))
+        assert np.array_equal(_bits(action), _bits(mean + np.exp(policy.log_std) * z))
+    # unclamped: the log density train takes is of the raw sample
+    actions = mean + np.exp(policy.log_std) * noise
+    assert np.any(actions < 0.0) and np.any(actions > cfg.p_max)
 
 
 def test_tiny_log_std_concentrates_samples():
@@ -553,14 +578,21 @@ def test_critic_descent_monotone_on_frozen_buffer():
 # one batch per episode: the same bits as the re-stacking form
 
 
-def _windows(state, transitions):
-    """The history window before each transition and after the last, slid one round a step."""
+def _windows(state, rounds):
+    """The history window before each (prices, allocations) round and after the last."""
     windows = [state]
-    for tr in transitions:
-        state = GameState(np.vstack([state.prices[1:], tr.action]),
-                          np.vstack([state.allocations[1:], tr.allocations]))
+    for prices, allocations in rounds:
+        state = GameState(np.vstack([state.prices[1:], prices]),
+                          np.vstack([state.allocations[1:], allocations]))
         windows.append(state)
     return windows
+
+
+def _rounds_hook(rounds):
+    """A train on_episode hook appending copies of each round's (prices, allocations) to rounds."""
+    def hook(ep, actions, prices, allocations, outcomes):
+        rounds.extend(zip(prices.copy(), allocations.copy()))
+    return hook
 
 
 def _rollout_policy_and_batch(seed, steps=24):
@@ -569,17 +601,18 @@ def _rollout_policy_and_batch(seed, steps=24):
     rng = _rng(seed + 100)
     policy = learner_mod._init_policy(state, cfg, TrainConfig(hidden=(16, 16)), rng)
     noise = learner_mod._noise(policy)
-    feats, actions, log_probs, rewards = [], [], [], []
+    feats, actions, means, rounds = [], [], [], []
     for _ in range(steps):
         feats.append(observe(state, policy.obs_price_scale))
-        action, lp = policy_sample(policy, feats[-1], rng, noise)
-        tr = env_step(scenario, cfg, action)
+        action, mean = policy_sample(policy, feats[-1], rng, noise)
+        rounds.append(env_step(scenario, cfg, action))
         actions.append(action)
-        log_probs.append(lp)
-        rewards.append(tr.reward)
-        state = _windows(state, [tr])[-1]
+        means.append(mean)
+        state = _windows(state, rounds[-1:])[-1]
     feats.append(observe(state, policy.obs_price_scale))
     values = mlp_forward(policy.critic, np.array(feats))[:, 0]
+    rewards = episode_outcomes(scenario, cfg, *map(np.array, zip(*rounds))).reward
+    log_probs = gaussian_log_prob(np.array(means), policy.log_std, np.array(actions))
     batch = episode_batch(feats[:-1], actions, log_probs, rewards, values, 0.9)
     return policy, batch, float(values[-1])
 
@@ -692,13 +725,13 @@ def _bits(arr):
 def test_values_and_bootstrap_are_one_batch_pass_bit_for_bit(monkeypatch, steps):
     scenario, env = make_scenario(7, n=3), EnvConfig()
     cfg = TrainConfig(episodes=1, steps_per_batch=steps, hidden=(16, 16), seed=7)
-    batches, transitions = _recorded_batches(monkeypatch), []
-    train(scenario, env, cfg, on_step=lambda ep, k, tr: transitions.append(tr))
+    batches, rounds = _recorded_batches(monkeypatch), []
+    train(scenario, env, cfg, on_episode=_rounds_hook(rounds))
     # the policy of the first episode, drawn from train's stream
     rng = _rng(cfg.seed)
     state = env_reset(scenario, env, rng)
     policy = learner_mod._init_policy(state, env, cfg, rng)
-    feats = np.array([observe(w, env.p_max) for w in _windows(state, transitions)])
+    feats = np.array([observe(w, env.p_max) for w in _windows(state, rounds)])
     want = mlp_forward(policy.critic, feats)[:, 0]
     assert want.shape == (steps + 1,)
     (batch,) = batches
@@ -713,7 +746,7 @@ def test_every_step_observes_the_last_rounds(monkeypatch, history, n, steps):
     """Each step's features are observe of the last L rounds, across episode boundaries."""
     scenario, env = make_scenario(5, n=n), EnvConfig(history_rounds=history)
     cfg = TrainConfig(episodes=3, steps_per_batch=steps, update_epochs=1, hidden=(4,), seed=5)
-    observed, transitions, sample = [], [], learner_mod.policy_sample
+    observed, rounds, sample = [], [], learner_mod.policy_sample
 
     def recording_sample(policy, feats, rng, noise=None):
         observed.append(np.array(feats))
@@ -721,8 +754,8 @@ def test_every_step_observes_the_last_rounds(monkeypatch, history, n, steps):
 
     monkeypatch.setattr(learner_mod, "policy_sample", recording_sample)
     batches = _recorded_batches(monkeypatch)
-    train(scenario, env, cfg, on_step=lambda ep, k, tr: transitions.append(tr))
-    windows = _windows(env_reset(scenario, env, _rng(cfg.seed)), transitions)
+    train(scenario, env, cfg, on_episode=_rounds_hook(rounds))
+    windows = _windows(env_reset(scenario, env, _rng(cfg.seed)), rounds)
     want = np.array([observe(w, env.p_max) for w in windows[:-1]])
     assert len(observed) == len(want) == cfg.episodes * steps
     assert np.array_equal(_bits(observed), _bits(want))
@@ -747,19 +780,21 @@ def test_episode_means_of_finite_steps_are_finite():
 
 
 def test_train_does_each_episode_step_once(monkeypatch):
-    """Per episode: one batch, one target loop, one feature row per round.
+    """Per step only what the next observation needs; the rest once per episode.
 
     The starting window's rounds are conditioned once, and each step
     writes the row of the round it plays; observe is never called.  Each
-    step runs the actor alone on its observation, and no single-state
-    critic pass is made: one batch critic pass per episode gives the
-    values and the bootstrap.  Every inner epoch runs one actor and one
-    critic forward pass on the batch, whose gradients backpropagate
-    through those passes, so mlp_backward is never called.
+    step runs the actor alone on its observation (policy_sample) and
+    sells the action (env_step), and nothing else: one outcome pass, one
+    log-density pass over the rows, one batch, one target loop and one
+    batch critic pass (the values and the bootstrap) per episode.  Every
+    inner epoch runs one actor and one critic forward pass on the batch,
+    whose gradients backpropagate through those passes, so mlp_backward
+    is never called.
     """
-    counts = dict.fromkeys(
-        ("batches", "targets", "rows", "observe", "actor", "critic", "critic_batch", "batch"), 0
-    )
+    names = ("batches", "targets", "rows", "observe", "actor", "critic", "critic_batch", "batch",
+             "sample", "step", "outcomes", "log_density", "log_prob")
+    counts = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -779,16 +814,14 @@ def test_train_does_each_episode_step_once(monkeypatch):
         counts["rows"] += len(np.atleast_2d(prices))
         return round_features(prices, allocations, price_scale, out)
 
-    monkeypatch.setattr(
-        learner_mod, "episode_batch", counting("batches", learner_mod.episode_batch)
-    )
-    monkeypatch.setattr(learner_mod, "_targets", counting("targets", learner_mod._targets))
+    for name, attr in (("batches", "episode_batch"), ("targets", "_targets"),
+                       ("observe", "observe"), ("batch", "_forward_cached"),
+                       ("sample", "policy_sample"), ("step", "env_step"),
+                       ("outcomes", "episode_outcomes"), ("log_density", "_log_density"),
+                       ("log_prob", "gaussian_log_prob")):
+        monkeypatch.setattr(learner_mod, attr, counting(name, getattr(learner_mod, attr)))
     monkeypatch.setattr(learner_mod, "_round_features", counted_rows)
-    monkeypatch.setattr(learner_mod, "observe", counting("observe", learner_mod.observe))
     monkeypatch.setattr(learner_mod, "mlp_forward", classified_forward)
-    monkeypatch.setattr(
-        learner_mod, "_forward_cached", counting("batch", learner_mod._forward_cached)
-    )
 
     def no_recomputed_forward(*args):
         raise AssertionError("the update must reuse its forward pass")
@@ -800,12 +833,46 @@ def test_train_does_each_episode_step_once(monkeypatch):
     assert counts["batches"] == eps and counts["targets"] == eps
     # every round observed once: the starting window's L, then one per step
     assert counts["rows"] == env.history_rounds + eps * steps and counts["observe"] == 0
-    # per step one single-state actor pass; no single-state critic pass
-    assert counts["actor"] == eps * steps and counts["critic"] == 0
+    # per step one draw, one single-state actor pass and one sale; no single-state critic pass
+    assert counts["sample"] == counts["step"] == counts["actor"] == eps * steps
+    assert counts["critic"] == 0
+    # the rounds scored and the raw actions' densities taken once per episode
+    assert counts["outcomes"] == counts["log_prob"] == eps
+    # that density pass, then one in each inner epoch's actor gradient and in the final surrogate
+    assert counts["log_density"] == eps * (1 + epochs + 1)
     # one batch critic pass per episode for the values and the bootstrap
     assert counts["critic_batch"] == eps
     # that pass, two batch passes per inner epoch and the final surrogate
     assert counts["batch"] == eps * (1 + 2 * epochs + 1)
+
+
+def test_the_batch_and_the_critic_pass_share_one_copy_of_the_features(monkeypatch):
+    critic_inputs, forward = [], learner_mod.mlp_forward
+
+    def recording_forward(params, x):
+        if not params.bounded_output:
+            critic_inputs.append(x)
+        return forward(params, x)
+
+    monkeypatch.setattr(learner_mod, "mlp_forward", recording_forward)
+    batches = _recorded_batches(monkeypatch)
+    train(make_scenario(3, n=3), EnvConfig(), TrainConfig(**_SMALL))
+    assert len(critic_inputs) == len(batches) == _SMALL["episodes"]
+    for feats, batch in zip(critic_inputs, batches):
+        assert not feats.flags.writeable and feats.flags.c_contiguous
+        assert batch.features.base is feats and np.shares_memory(batch.features, feats)
+        assert np.array_equal(batch.features, feats[:-1])
+
+
+def test_batch_keeps_read_only_features_and_copies_the_rest():
+    feats = np.ones((3, 4))
+    copied = episode_batch(feats, np.zeros((2, 2)), np.zeros(2), [1.0, 0.5], np.zeros(3), 1.0)
+    assert not np.shares_memory(copied.features, feats) and feats.flags.writeable
+    feats.flags.writeable = False
+    actions = np.zeros((2, 2))
+    kept = episode_batch(feats[:2], actions, np.zeros(2), [1.0, 0.5], np.zeros(3), 1.0)
+    assert kept.features.base is feats
+    assert not np.shares_memory(kept.actions, actions) and actions.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -844,24 +911,25 @@ def test_train_seed_changes_trace():
     assert ta[0].mean_reward != tb[0].mean_reward
 
 
-def test_train_on_step_sees_every_transition_in_order():
-    scenario = make_scenario(3, n=3)
+def test_train_on_episode_sees_every_round_in_order():
+    scenario, env = make_scenario(3, n=3), EnvConfig()
     cfg = TrainConfig(**_SMALL)
-    seen = []
-    rewards = []
+    seen, rewards = [], []
 
-    def hook(ep, k, tr):
-        seen.append((ep, k))
-        rewards.append(tr.reward)
+    def hook(ep, actions, prices, allocations, outcomes):
+        seen.append(ep)
+        rewards.append(outcomes.reward.copy())
+        assert actions.shape == prices.shape == allocations.shape == (cfg.steps_per_batch, 3)
+        # the executed prices are the raw actions clamped, and the sales the responses to them
+        assert np.array_equal(_bits(prices), _bits(np.clip(actions, 0.0, env.p_max)))
+        assert np.array_equal(allocations, [respond(scenario, p) for p in prices])
+        assert np.array_equal(outcomes.sp_payoff,
+                              episode_outcomes(scenario, env, prices, allocations).sp_payoff)
 
-    _, trace = train(scenario, EnvConfig(), cfg, on_step=hook)
-    d = cfg.steps_per_batch
-    assert seen == [(ep, k) for ep in range(1, 5) for k in range(1, d + 1)]
-    for ep_stats in trace:
-        lo = (ep_stats.episode - 1) * d
-        assert ep_stats.mean_reward == pytest.approx(
-            float(np.mean(rewards[lo : lo + d])), rel=1e-12
-        )
+    _, trace = train(scenario, env, cfg, on_episode=hook)
+    assert seen == list(range(1, cfg.episodes + 1))
+    for ep_stats, r in zip(trace, rewards, strict=True):
+        assert ep_stats.mean_reward == float(step_mean(r))
 
 
 def test_train_log_std_respects_clamp():

@@ -10,17 +10,22 @@ training episode gives a policy; one more rollout of steps_per_batch
 steps under that policy records the states, features and raw
 (unclamped) actions the layers below are timed on:
 
-- env_step: one environment step on a recorded action (in a tree whose
-  env_step still slides the history window, on the recorded state and
-  action, so --paired can compare the two);
+- env_step: one environment step on a recorded action (the executed
+  prices and the sales; in a tree whose env_step also scores the round
+  and returns a Transition, that whole step, so --paired can compare
+  the two);
 - policy_sample: one action draw on recorded features, given the
-  exploration constants train computes once per episode;
+  exploration constants train computes once per episode (with its log
+  density, in a tree whose policy_sample still returns it);
+- episode_outcomes: what train computes once per episode after the
+  rollout, in a tree that has dynamics.episode_outcomes: the recorded
+  rounds' rewards and payoffs, and the raw actions' log densities over
+  the (D, N) rows (--paired reports this layer for the side that has it);
 - episode_values: the critic's values of an episode's recorded states
   and of the state after them, as train computes them: one batch pass
-  over their features (in a tree with a TrajectoryBuffer, through the
-  buffer, which first copies the last state's features into it);
+  over their features;
 - ppo_update: the episode batch built once from the episode's arrays
-  (or from the buffer) and update_epochs actor and critic gradient
+  and update_epochs actor and critic gradient
   evaluations on it, as in `train` but into new gradient arrays on each
   call (`train` reuses one per network); the parameters are held fixed,
   so every repeat times the same work (the parameter steps themselves, a
@@ -63,7 +68,8 @@ measurement above P times for each, alternating the parent tree and
 run in a fresh process.  BENCH_<label>.json then holds, per layer, each
 side's median over its runs, the per-pair ratios of the --src median
 to the parent's with their median and quartiles, and the number of
-pairs in which --src was faster.
+pairs in which --src was faster.  A layer that only one tree has is
+listed under "unpaired" with that side's median.
 """
 
 from __future__ import annotations
@@ -185,12 +191,13 @@ def _tables_layer(tmp: str, episodes: int) -> tuple:
 def measure(repeats: int, passes: int) -> dict:
     import numpy as np
 
-    from mcsgame import learner
+    from mcsgame import dynamics, learner
     from mcsgame.dynamics import EnvConfig, GameState, env_reset, env_step
     from mcsgame.experiments import ScenarioSpec, generate_scenario
     from mcsgame.learner import (
         TrainConfig,
         critic_loss_and_gradient,
+        gaussian_log_prob,
         mlp_forward,
         observe,
         policy_sample,
@@ -203,33 +210,30 @@ def measure(repeats: int, passes: int) -> dict:
     cfg = TrainConfig(seed=SEED)
     policy, _ = train(scenario, env, TrainConfig(seed=SEED, episodes=1))
 
-    # a tree with a TrajectoryBuffer has the env_step that slides the window
-    buffered = hasattr(learner, "TrajectoryBuffer")
+    # a tree without episode_outcomes scores each round in env_step, as a Transition
+    scored_per_step = not hasattr(dynamics, "episode_outcomes")
     noise = learner._noise(policy)
     rng = np.random.Generator(np.random.PCG64(SEED))
     state = env_reset(scenario, env, rng)
-    step_args, features, actions, log_probs, rewards = ([] for _ in range(5))
+    features, actions, means, played = ([] for _ in range(4))
     for _ in range(cfg.steps_per_batch):
         features.append(observe(state, policy.obs_price_scale))
-        action, log_prob = policy_sample(policy, features[-1], rng, noise)
-        step_args.append((state, action) if buffered else (action,))
-        tr = env_step(scenario, env, *step_args[-1])
-        state = tr.next_state if buffered else GameState(
-            np.vstack([state.prices[1:], tr.action]),
-            np.vstack([state.allocations[1:], tr.allocations]))
-        actions.append(action)
-        log_probs.append(log_prob)
-        rewards.append(tr.reward)
-    next_feats = observe(state, policy.obs_price_scale)
-    features = np.array([*features, next_feats])
-    if buffered:
-        buffer = learner.TrajectoryBuffer(cfg.steps_per_batch)
-        for row in zip(features, actions, log_probs, rewards):
-            buffer.add(*row)
+        actions.append(policy_sample(policy, features[-1], rng, noise)[0])
+        means.append(mlp_forward(policy.actor, features[-1]))
+        played.append(env_step(scenario, env, actions[-1]))
+        prices, allocations = played[-1][:2]  # a Transition starts with the same two
+        state = GameState(np.vstack([state.prices[1:], prices]),
+                          np.vstack([state.allocations[1:], allocations]))
+    features = np.array([*features, observe(state, policy.obs_price_scale)])
+    actions, means = np.array(actions), np.array(means)
+    prices, allocations = (np.array(column) for column in zip(*(p[:2] for p in played)))
+    log_probs = [gaussian_log_prob(m, policy.log_std, a) for m, a in zip(means, actions)]
+    if scored_per_step:
+        rewards = [tr.reward for tr in played]
+    else:
+        rewards = dynamics.episode_outcomes(scenario, env, prices, allocations).reward
 
     def episode_values():
-        if buffered:
-            return buffer.values(policy.critic, next_feats)
         return mlp_forward(policy.critic, features)[:, 0]
 
     values = episode_values()
@@ -237,21 +241,25 @@ def measure(repeats: int, passes: int) -> dict:
 
     def steps_pass():
         for _ in range(passes):
-            for args in step_args:
-                env_step(scenario, env, *args)
+            for action in actions:
+                env_step(scenario, env, action)
 
     def samples_pass():
         for _ in range(passes):
             for feats in features[:-1]:
                 policy_sample(policy, feats, rng, noise)
 
+    def outcomes_pass():
+        for _ in range(passes):
+            dynamics.episode_outcomes(scenario, env, prices, allocations)
+            gaussian_log_prob(means, policy.log_std, actions)
+
     def values_pass():
         for _ in range(passes):
             episode_values()
 
     def update():
-        batch = buffer.batch(values, cfg.gamma) if buffered else learner.episode_batch(
-            features[:-1], actions, log_probs, rewards, values, cfg.gamma)
+        batch = learner.episode_batch(features[:-1], actions, log_probs, rewards, values, cfg.gamma)
         for _ in range(cfg.update_epochs):
             ppo_actor_gradient(policy, batch, cfg.clip_epsilon)
             critic_loss_and_gradient(policy, batch)
@@ -261,9 +269,11 @@ def measure(repeats: int, passes: int) -> dict:
 
     layers = {}
     with tempfile.TemporaryDirectory() as tmp:
+        per_episode = [] if scored_per_step else [("episode_outcomes", outcomes_pass, passes)]
         for name, fn, n in (
             ("env_step", steps_pass, calls),
             ("policy_sample", samples_pass, calls),
+            *per_episode,
             ("episode_values", values_pass, passes),
             ("ppo_update", update, 1),
             ("train_step", train_steps, passes * cfg.steps_per_batch),
@@ -301,8 +311,13 @@ def paired(parent_src: str, src: str, pairs: int, repeats: int, passes: int) -> 
                     check=True, stdout=subprocess.DEVNULL,
                 )
                 runs[side].append(json.loads(Path(tmp, f"BENCH_{side}.json").read_text()))
-    layers = {}
-    for name in runs["change"][0]["layers"]:
+    layers, unpaired = {}, {}
+    names = {side: runs[side][0]["layers"] for side in runs}
+    for side, other in (("parent", "change"), ("change", "parent")):
+        for name in sorted(names[side].keys() - names[other].keys()):
+            unpaired[name] = {"side": side, "median_us": statistics.median(
+                run["layers"][name]["median_us"] for run in runs[side])}
+    for name in (n for n in names["change"] if n in names["parent"]):
         parent, change = ([run["layers"][name]["median_us"] for run in runs[side]]
                           for side in ("parent", "change"))
         ratios = [c / p for p, c in zip(parent, change)]
@@ -315,7 +330,7 @@ def paired(parent_src: str, src: str, pairs: int, repeats: int, passes: int) -> 
         }
     first = runs["change"][0]
     return {"config": first["config"], "numpy": first["numpy"], "pairs": pairs,
-            "parent_src": str(Path(parent_src).resolve()), "layers": layers}
+            "parent_src": str(Path(parent_src).resolve()), "layers": layers, "unpaired": unpaired}
 
 
 def main(argv=None) -> int:
@@ -363,6 +378,8 @@ def main(argv=None) -> int:
         else:
             print(f"{name.ljust(width)}  median {row['median_us']:10.2f} us  "
                   f"[{row['q1_us']:.2f}, {row['q3_us']:.2f}]")
+    for name, row in record.get("unpaired", {}).items():
+        print(f"{name.ljust(width)}  {row['side']} only: median {row['median_us']:10.2f} us")
     print(f"wrote {path}")
     return 0
 
