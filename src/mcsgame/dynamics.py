@@ -5,8 +5,9 @@ myopically with their static best responses.  A round's outcome
 therefore depends only on the prices posted in it: env_step is
 stateless, and the history of (price, allocation) rounds is the
 learner's observation, which it keeps itself.  env_reset draws the
-random starting window of L rounds; after it, the only randomness is
-whatever the acting policy injects.
+random starting window of L rounds, as (L, N) arrays of prices and
+allocations; after it, the only randomness is whatever the acting
+policy injects.
 
 The platform-side learner is only ever handed prices, allocations and
 rewards, never user profiles, so everything private to the users stays
@@ -35,14 +36,11 @@ from .model import Scenario, _mu_payoff
 
 __all__ = [
     "EnvConfig",
-    "GameState",
     "Outcomes",
     "respond",
     "env_reset",
     "env_step",
     "episode_outcomes",
-    "greedy_policy",
-    "random_policy",
     "step_mean",
 ]
 
@@ -68,40 +66,6 @@ class EnvConfig:
             raise ValueError("p_max must be positive")
 
 
-def _frozen(arr) -> np.ndarray:
-    """A read-only float64 copy of arr."""
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True)
-class GameState:
-    """The last L rounds of (prices, allocations), oldest first.
-
-    prices and allocations have shape (L, N).
-    """
-
-    prices: np.ndarray
-    allocations: np.ndarray
-
-    def __post_init__(self):
-        p = _frozen(self.prices)
-        x = _frozen(self.allocations)
-        if p.ndim != 2 or p.shape != x.shape:
-            raise ValueError("prices and allocations must share shape (L, N)")
-        object.__setattr__(self, "prices", p)
-        object.__setattr__(self, "allocations", x)
-
-    @property
-    def window(self) -> int:
-        return self.prices.shape[0]
-
-    @property
-    def n_mus(self) -> int:
-        return self.prices.shape[1]
-
-
 class Outcomes(NamedTuple):
     """The payoffs of D played rounds, one row per round: arrays (D,), (D,) and (D, N)."""
 
@@ -119,15 +83,15 @@ def respond(scenario: Scenario, prices: np.ndarray) -> np.ndarray:
     return np.array([sale(mu, p)[0] for mu, p in zip(scenario.mus, prices.tolist())])
 
 
-def env_reset(scenario: Scenario, config: EnvConfig, rng: np.random.Generator) -> GameState:
-    """Build the starting history window.
+def env_reset(scenario: Scenario, config: EnvConfig,
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the starting history window: (prices, allocations), each (L, N), oldest round first.
 
     Prices for each of the L seed rounds are drawn uniformly from
     [0, p_max], and allocations are the users' responses to those prices.
     """
     prices = rng.uniform(0.0, config.p_max, size=(config.history_rounds, scenario.n))
-    allocations = np.array([respond(scenario, row) for row in prices])
-    return GameState(prices=prices, allocations=allocations)
+    return prices, np.array([respond(scenario, row) for row in prices])
 
 
 def env_step(scenario: Scenario, config: EnvConfig, action) -> tuple[np.ndarray, np.ndarray]:
@@ -163,18 +127,6 @@ def episode_outcomes(scenario: Scenario, config: EnvConfig, prices, allocations)
              prices.ravel().tolist())
     return Outcomes(config.reward_scale * sp, sp,
                     np.fromiter(mu, float, allocations.size).reshape(allocations.shape))
-
-
-def greedy_policy(scenario: Scenario, config: EnvConfig) -> np.ndarray:
-    """Pay the cap to everyone, maximizing bought resource regardless of cost."""
-    return np.full(scenario.n, config.p_max)
-
-
-def random_policy(n_mus: int, config: EnvConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw each price uniformly from [0, p_max]."""
-    if n_mus < 1:
-        raise ValueError("n_mus must be at least 1")
-    return rng.uniform(0.0, config.p_max, size=n_mus)
 
 
 def step_mean(column: np.ndarray) -> np.ndarray:

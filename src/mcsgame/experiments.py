@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (MAX_COUNT, EnvConfig, Outcomes, env_reset, env_step, episode_outcomes,
-                       greedy_policy, step_mean)
+                       step_mean)
 from .leader import EquilibriumResult, SolverConfig, compute_se, price_box
 from .model import DemandDistribution, LinearDemand, MuProfile, Scenario, UniformDemand
 
@@ -138,8 +138,9 @@ def play_random(
     """Roll the environment under uniformly random prices.
 
     One RNG stream, seeded by seed, draws the starting window first
-    (env_reset), then every step's prices in one draw (the stream of
-    random_policy's per-step draws); all rounds are scored in one pass.
+    (env_reset), then every step's prices in one draw, each uniform on
+    [0, p_max] (the same stream as one draw per step); all rounds are
+    scored in one pass.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     env_reset(scenario, env_config, rng)
@@ -151,7 +152,8 @@ def play_random(
 
 def play_greedy(scenario: Scenario, env_config: EnvConfig, steps: int) -> BaselineResult:
     """Roll the environment paying the price cap to everyone."""
-    return play_constant(scenario, env_config, greedy_policy(scenario, env_config), steps, "greedy")
+    return play_constant(scenario, env_config, np.full(scenario.n, env_config.p_max), steps,
+                         "greedy")
 
 
 # ---------------------------------------------------------------------------

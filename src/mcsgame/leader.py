@@ -187,22 +187,22 @@ class _Market:
         """
         k, m, w = self.power, self.margin, self.width
         x = self.x_hi.copy()
-        # a subnormal dphi overflows the quotients; the clip and the mask discard the infinities
-        with np.errstate(over="ignore"):
-            for _ in range(_INNER_BUDGET):
-                s = self._share(x)
-                s_k1 = s ** (k - 1.0)
-                marginal = self.cost + m * s_k1 * (s + k * x / w)
-                # C''(x); the (k - 1) term is exact for k in {1, 2}
-                curvature = (m * k / w) * (2.0 * s_k1 + (k - 1.0) * x / w)
-                dphi = marginal + (1.0 + x) * curvature
-                nxt = np.clip(x - ((1.0 + x) * marginal - g) / dphi, self.x_lo, self.x_hi)
-                done = bool(np.all(np.abs(nxt - x) <= 1e-14 * (1.0 + x)))
-                x = nxt
-                if done:
-                    break
-            inside = (x > self.x_lo) & (x < self.x_hi)
-            return x, np.where(inside, 1.0 / dphi, 0.0)
+        # a subnormal dphi overflows the quotients; the clip and the mask
+        # discard the infinities (compute_se runs this under its errstate)
+        for _ in range(_INNER_BUDGET):
+            s = self._share(x)
+            s_k1 = s ** (k - 1.0)
+            marginal = self.cost + m * s_k1 * (s + k * x / w)
+            # C''(x); the (k - 1) term is exact for k in {1, 2}
+            curvature = (m * k / w) * (2.0 * s_k1 + (k - 1.0) * x / w)
+            dphi = marginal + (1.0 + x) * curvature
+            nxt = np.clip(x - ((1.0 + x) * marginal - g) / dphi, self.x_lo, self.x_hi)
+            done = bool(np.all(np.abs(nxt - x) <= 1e-14 * (1.0 + x)))
+            x = nxt
+            if done:
+                break
+        inside = (x > self.x_lo) & (x < self.x_hi)
+        return x, np.where(inside, 1.0 / dphi, 0.0)
 
 
 def _solve(market: _Market, utility_scale: float) -> tuple[np.ndarray, int]:
@@ -252,37 +252,39 @@ def compute_se(scenario: Scenario, config: SolverConfig | None = None) -> Equili
 
     Raises FloatingPointError when a price or a payoff of the solution
     is not finite, because the market's numbers left the floating-point
-    range.
+    range; numpy does not warn on the way, as such a value either drops
+    out (a clip, a mask, a zero gap) or reaches those checks.
     """
     cfg = config or SolverConfig()
-    market = _Market(scenario)
-    x, iterations = _solve(market, scenario.utility_scale)
-    lo, hi = price_box(scenario)
-    p = np.clip(market.price(x), lo, hi)
-    p = np.where(x <= market.x_lo, lo, np.where(x >= market.x_hi, hi, p))
-    if not np.isfinite(p).all():
-        raise FloatingPointError("the equilibrium prices are not finite")
-    alloc, slope, _ = _responses(scenario, p)
-    grad = _gradient_from(scenario, p, alloc, slope)
-    residual = float(np.max(np.abs(p - np.clip(p + grad, lo, hi))))
-    payoffs = np.array([
-        mu_payoff(mu, float(alloc[i]), float(p[i])) for i, mu in enumerate(scenario.mus)
-    ])
-    payoff = _sp_payoff(alloc, p, scenario.utility_scale)
-    if not (math.isfinite(payoff) and np.isfinite(payoffs).all()):
-        raise FloatingPointError("the equilibrium payoffs are not finite")
-    regions = np.where(alloc == market.x_lo, Region.BELOW_THRESHOLD.value,
-                       np.where(alloc == market.x_hi, Region.AT_CAPACITY.value,
-                                Region.INTERIOR.value))
-    for arr in (p, alloc, payoffs, regions):
-        arr.flags.writeable = False
-    return EquilibriumResult(
-        prices=p,
-        allocations=alloc,
-        sp_payoff=payoff,
-        mu_payoffs=payoffs,
-        regions=regions,
-        iterations=iterations,
-        grad_residual=residual,
-        converged=residual <= cfg.tol,
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        market = _Market(scenario)
+        x, iterations = _solve(market, scenario.utility_scale)
+        lo, hi = price_box(scenario)
+        p = np.clip(market.price(x), lo, hi)
+        p = np.where(x <= market.x_lo, lo, np.where(x >= market.x_hi, hi, p))
+        if not np.isfinite(p).all():
+            raise FloatingPointError("the equilibrium prices are not finite")
+        alloc, slope, _ = _responses(scenario, p)
+        grad = _gradient_from(scenario, p, alloc, slope)
+        residual = float(np.max(np.abs(p - np.clip(p + grad, lo, hi))))
+        payoffs = np.array([
+            mu_payoff(mu, float(alloc[i]), float(p[i])) for i, mu in enumerate(scenario.mus)
+        ])
+        payoff = _sp_payoff(alloc, p, scenario.utility_scale)
+        if not (math.isfinite(payoff) and np.isfinite(payoffs).all()):
+            raise FloatingPointError("the equilibrium payoffs are not finite")
+        regions = np.where(alloc == market.x_lo, Region.BELOW_THRESHOLD.value,
+                           np.where(alloc == market.x_hi, Region.AT_CAPACITY.value,
+                                    Region.INTERIOR.value))
+        for arr in (p, alloc, payoffs, regions):
+            arr.flags.writeable = False
+        return EquilibriumResult(
+            prices=p,
+            allocations=alloc,
+            sp_payoff=payoff,
+            mu_payoffs=payoffs,
+            regions=regions,
+            iterations=iterations,
+            grad_residual=residual,
+            converged=residual <= cfg.tol,
+        )

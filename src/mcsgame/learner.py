@@ -25,24 +25,23 @@ train writes each network's gradients into one such vector allocated
 per call, so a parameter step is one array operation.  Products use
 ndarray.dot (less per-call cost than @); single states take W.dot(h).
 
-This module sees the game only through dynamics' env_reset, env_step
-and episode_outcomes and the (price, allocation, reward) stream.  It never imports
-the market model and never reads user profile fields, so the agent
-cannot peek at capacities, valuations, costs or demand laws.
+This module sees the game only through dynamics' env_reset (the
+starting window's price and allocation arrays), env_step and
+episode_outcomes: the (price, allocation, reward) stream.  It never
+imports the market model and never reads user profile fields, so the
+agent cannot peek at capacities, valuations, costs or demand laws.
+save_policy writes the trained policy as JSON; nothing reads it back.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dynamics import (MAX_COUNT, EnvConfig, GameState, env_reset, env_step, episode_outcomes,
-                       step_mean)
+from .dynamics import MAX_COUNT, EnvConfig, env_reset, env_step, episode_outcomes, step_mean
 from .reporting import write_json
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "mlp_init",
     "mlp_forward",
     "mlp_backward",
-    "observe",
     "gaussian_log_prob",
     "policy_sample",
     "episode_batch",
@@ -67,7 +65,6 @@ __all__ = [
     "critic_loss_and_gradient",
     "train",
     "save_policy",
-    "load_policy",
 ]
 
 # Floor keeps exploration noise >= e^-3 of the action range.  Lower floors
@@ -259,17 +256,6 @@ def _round_features(prices, allocations, price_scale: float, out: np.ndarray) ->
     return out
 
 
-def observe(state: GameState, price_scale: float) -> np.ndarray:
-    """Condition the raw window for the networks: its rounds' features, oldest first.
-
-    Prices are divided by the public cap and allocations squashed by
-    log1p so every feature lands in a tanh-friendly range.  Uses only
-    publicly observed quantities.
-    """
-    rounds = np.empty((state.window, 2 * state.n_mus))
-    return _round_features(state.prices, state.allocations, price_scale, rounds).reshape(-1)
-
-
 def _noise(policy: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
     """The policy's standard deviations and per-dimension log-density constants."""
     return np.exp(policy.log_std), -0.5 * _LOG_2PI - policy.log_std
@@ -292,7 +278,8 @@ def policy_sample(policy: PolicyParams, feats: np.ndarray, rng: np.random.Genera
                   noise: tuple[np.ndarray, np.ndarray] | None = None):
     """Draw an action for the observed features: (action, actor mean).
 
-    feats is observe(state, policy.obs_price_scale); noise is _noise(policy),
+    feats is a step's observation, the features of its last L rounds (train
+    reads it as a view of its round rows); noise is _noise(policy),
     which train computes once per episode, as only the update moves log_std.
     train takes the log densities of the raw samples once per episode: the
     environment clamps prices, and a clamped price's density would bias PPO.
@@ -497,9 +484,9 @@ class TrainingDiverged(RuntimeError):
         self.snapshot = snapshot
 
 
-def _init_policy(state: GameState, env_config: EnvConfig, cfg: TrainConfig, rng) -> PolicyParams:
-    n = state.n_mus
-    in_dim = 2 * state.prices.size  # observe's width: two features per user and round
+def _init_policy(in_dim: int, n: int, env_config: EnvConfig, cfg: TrainConfig,
+                 rng) -> PolicyParams:
+    """Fresh networks for in_dim observed features (two per user and round) and n users."""
     actor = mlp_init(
         (in_dim, *cfg.hidden, n),
         rng,
@@ -536,15 +523,15 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_episode
     """
     cfg = train_config
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    state = env_reset(scenario, env_config, rng)
-    policy = _init_policy(state, env_config, cfg, rng)
+    start_prices, start_allocations = env_reset(scenario, env_config, rng)
+    d, (history, n) = cfg.steps_per_batch, start_prices.shape
+    policy = _init_policy(2 * start_prices.size, n, env_config, cfg, rng)
     actor_grads, critic_grads = _grads_for(policy.actor), _grads_for(policy.critic)
     trace: list[EpisodeStats] = []
-    d, (history, n) = cfg.steps_per_batch, state.prices.shape
     scale = policy.obs_price_scale
     # one feature row per round, oldest first; step k observes rows k .. k + L - 1
     rounds = np.empty((history + d, 2 * n))
-    _round_features(state.prices, state.allocations, scale, rounds[:history])
+    _round_features(start_prices, start_allocations, scale, rounds[:history])
     # row k is step k's observation, row d that of the state after the episode
     observations = as_strided(rounds, (d + 1, history * 2 * n),
                               (rounds.strides[0], rounds.itemsize), writeable=False)
@@ -604,17 +591,8 @@ def _mlp_record(params: MlpParams) -> dict:
     }
 
 
-def _mlp_from_record(rec: dict) -> MlpParams:
-    weights = [
-        np.array(flat, dtype=float).reshape(shape)
-        for flat, shape in zip(rec["weights"], rec["shapes"])
-    ]
-    biases = [np.array(b, dtype=float) for b in rec["biases"]]
-    return MlpParams(weights, biases, bool(rec["bounded_output"]), float(rec["output_scale"]))
-
-
 def save_policy(path, policy: PolicyParams, env_config: EnvConfig, train_config: TrainConfig) -> None:
-    """Write a self-describing JSON checkpoint.  Round-trips exactly."""
+    """Write a self-describing JSON checkpoint; every float in it reads back to its bits."""
     record = {
         "format": "mcsgame-policy",
         "version": 2,
@@ -626,21 +604,3 @@ def save_policy(path, policy: PolicyParams, env_config: EnvConfig, train_config:
         "critic": _mlp_record(policy.critic),
     }
     write_json(path, record)
-
-
-def load_policy(path) -> tuple[PolicyParams, dict]:
-    """Read a checkpoint back; returns the policy and the raw record.
-
-    Version 1 checkpoints also carry env.episode_length, a field that
-    never had an effect; it is left in the returned record.
-    """
-    record = json.loads(Path(path).read_text())
-    if record.get("format") != "mcsgame-policy" or record.get("version") not in (1, 2):
-        raise ValueError("not a recognized policy checkpoint")
-    policy = PolicyParams(
-        actor=_mlp_from_record(record["actor"]),
-        log_std=np.array(record["log_std"], dtype=float),
-        critic=_mlp_from_record(record["critic"]),
-        obs_price_scale=float(record["obs_price_scale"]),
-    )
-    return policy, record

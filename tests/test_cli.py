@@ -13,14 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import assert_checkpoint_holds, make_scenario
 from mcsgame import cli, gradcheck, learner
 from mcsgame.cli import main
 from mcsgame.dynamics import EnvConfig
 from mcsgame.experiments import ScenarioSpec
 from mcsgame.gradcheck import CHECK_NAMES, run_all
 from mcsgame.leader import compute_se
-from mcsgame.learner import ActorGrads, MlpGrads, TrainConfig, load_policy
+from mcsgame.learner import ActorGrads, MlpGrads, TrainConfig
 from oracles import leader_grid_best_uniform_n1
 
 
@@ -456,7 +456,15 @@ def test_static_takes_no_svg_flag(tmp_path):
 # train
 
 
-def test_train_emits_full_artifact_set(tmp_path):
+def test_train_emits_full_artifact_set(tmp_path, monkeypatch):
+    trained, real_train = [], cli.train
+
+    def recording_train(scenario, env_config, train_config, on_episode=None):
+        trained.append((real_train(scenario, env_config, train_config, on_episode),
+                        env_config, train_config))
+        return trained[-1][0]
+
+    monkeypatch.setattr(cli, "train", recording_train)
     out = tmp_path / "run"
     rc = main(["train", "--seed", "0", "--out", str(out), "--steps-trace", "on", *TINY_TRAIN])
     assert rc == 0
@@ -476,9 +484,10 @@ def test_train_emits_full_artifact_set(tmp_path):
     assert len(srows) == 2 * 8
     assert sh[:2] == ["episode", "step"]
 
-    policy, record = load_policy(out / "checkpoint.json")
+    ((policy, _), env_config, train_config), = trained
+    record = assert_checkpoint_holds(out / "checkpoint.json", policy, env_config, train_config)
     assert record["train"]["episodes"] == 2
-    assert policy.log_std.shape == (5,)
+    assert len(record["log_std"]) == 5
 
     for svg in ("prices.svg", "allocations.svg", "sp_payoff.svg", "mu_payoffs.svg"):
         assert (out / svg).is_file()

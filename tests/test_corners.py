@@ -9,8 +9,12 @@ run whose tables would hold a non-finite cell exits 4 the same way.
 
 import csv
 import itertools
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,20 @@ def test_corner_grid_never_raises_anything_else(law):
                 unit_cost_range=(0.0, 0.0), own_value_range=(margin, margin),
             ))] += 1
     assert set(outcomes) == {"rejected", "out of range", "solved"}
+
+
+def test_static_out_of_range_prints_only_the_numeric_failure(tmp_path):
+    # own_value 1e308 at zero cost: the solve meets inf / inf on its way out of range
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcsgame", "static", "--out", str(tmp_path / "run"),
+         "--set", "scenario.own_value_range=[1e308,1e308]",
+         "--set", "scenario.unit_cost_range=[0,0]"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "numeric failure: the equilibrium prices are not finite\n"
+    assert not (tmp_path / "run").exists()
 
 
 _EXIT_PATHS = {

@@ -6,15 +6,12 @@ import pytest
 from mcsgame.cli import main
 from mcsgame.dynamics import (
     EnvConfig,
-    GameState,
     env_reset,
     env_step,
     episode_outcomes,
-    greedy_policy,
-    random_policy,
     respond,
 )
-from mcsgame.experiments import ScenarioSpec, generate_scenario
+from mcsgame.experiments import ScenarioSpec, generate_scenario, play_constant, play_greedy
 from mcsgame.follower import best_response, price_threshold
 from mcsgame.leader import compute_se
 from mcsgame.model import LinearDemand, MuProfile, Scenario, UniformDemand, mu_payoff, sp_payoff
@@ -40,18 +37,17 @@ def _costly_scenario():
 
 def test_reset_window_shape(five_mu_scenario):
     cfg = EnvConfig(history_rounds=3)
-    state = env_reset(five_mu_scenario, cfg, _rng(0))
-    assert state.window == 3
-    assert state.n_mus == 5
-    assert state.prices.shape == (3, 5)
+    prices, allocations = env_reset(five_mu_scenario, cfg, _rng(0))
+    for arr in (prices, allocations):
+        assert arr.shape == (3, 5) and arr.dtype == np.float64
 
 
 def test_reset_deterministic(five_mu_scenario):
     cfg = EnvConfig()
     a = env_reset(five_mu_scenario, cfg, _rng(9))
     b = env_reset(five_mu_scenario, cfg, _rng(9))
-    assert np.array_equal(a.prices, b.prices)
-    assert np.array_equal(a.allocations, b.allocations)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_respond_to_zero_prices_sells_nothing():
@@ -60,10 +56,14 @@ def test_respond_to_zero_prices_sells_nothing():
 
 
 def test_reset_history_self_consistent(five_mu_scenario):
-    cfg = EnvConfig()
-    state = env_reset(five_mu_scenario, cfg, _rng(4))
-    for t in range(state.window):
-        assert np.allclose(state.allocations[t], respond(five_mu_scenario, state.prices[t]))
+    """Each starting round's prices are uniform on [0, p_max], its allocations their response."""
+    for history in (1, 3):
+        cfg = EnvConfig(history_rounds=history, p_max=0.8)
+        prices, allocations = env_reset(five_mu_scenario, cfg, _rng(4))
+        assert np.array_equal(prices, _rng(4).uniform(0.0, 0.8, size=(history, 5)))
+        for t in range(history):
+            want = respond(five_mu_scenario, prices[t])
+            assert np.array_equal(_bits(allocations[t]), _bits(want))
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +236,16 @@ def test_step_validates_action(five_mu_scenario):
 
 
 # ---------------------------------------------------------------------------
-# baseline policies
+# greedy pricing
 
 
 def test_greedy_is_price_cap(five_mu_scenario):
-    assert np.array_equal(greedy_policy(five_mu_scenario, EnvConfig(p_max=1.0)), np.ones(5))
+    cfg = EnvConfig(p_max=0.7)  # a cap other than the default
+    greedy = play_greedy(five_mu_scenario, cfg, 4)
+    at_cap = play_constant(five_mu_scenario, cfg, np.full(5, 0.7), 4, "greedy")
+    assert (greedy.mean_sp_payoff, greedy.mean_reward) == (at_cap.mean_sp_payoff,
+                                                           at_cap.mean_reward)
+    assert np.array_equal(greedy.mean_mu_payoff, at_cap.mean_mu_payoff)
 
 
 def test_greedy_never_beats_static_optimum():
@@ -248,46 +253,14 @@ def test_greedy_never_beats_static_optimum():
         scenario = make_scenario(seed)
         se = compute_se(scenario)
         cfg = EnvConfig()
-        out = _outcome(scenario, cfg, greedy_policy(scenario, cfg))[2]
+        out = _outcome(scenario, cfg, np.full(scenario.n, cfg.p_max))[2]
         assert out.sp_payoff <= se.sp_payoff + 1e-9
         # users do better under greedy pricing
         assert np.all(out.mu_payoffs >= se.mu_payoffs - 1e-9)
 
 
-def test_random_policy_bounds_and_determinism():
-    cfg = EnvConfig(p_max=1.0)
-    draws = random_policy(5, cfg, _rng(11))
-    again = random_policy(5, cfg, _rng(11))
-    assert np.array_equal(draws, again)
-    assert np.all((draws >= 0.0) & (draws <= 1.0))
-
-
-def test_random_policy_mean():
-    cfg = EnvConfig(p_max=1.0)
-    draws = random_policy(100000, cfg, _rng(12))
-    se = (1.0 / np.sqrt(12.0)) / np.sqrt(draws.size)
-    assert abs(np.mean(draws) - 0.5) < 3.0 * se
-
-
 # ---------------------------------------------------------------------------
-# state plumbing
-
-
-def test_state_arrays_read_only():
-    state = GameState(prices=np.zeros((1, 2)), allocations=np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        state.prices[0, 0] = 1.0
-
-
-def test_state_copies_caller_arrays():
-    prices, allocs = np.zeros((2, 2)), np.ones((2, 2))
-    state = GameState(prices=prices, allocations=allocs)
-    prices[0, 0] = allocs[0, 0] = 7.0
-    assert state.prices[0, 0] == 0.0 and state.allocations[0, 0] == 1.0
-    # a read-only view shares a writable base, so it is copied too
-    view = prices[:1]
-    view.flags.writeable = False
-    assert not np.shares_memory(GameState(prices=view, allocations=view).prices, prices)
+# config
 
 
 def test_env_config_validation():

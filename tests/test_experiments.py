@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from mcsgame.dynamics import (
-    EnvConfig,
-    env_reset,
-    env_step,
-    greedy_policy,
-    random_policy,
-    step_mean,
-)
+from mcsgame.dynamics import EnvConfig, env_reset, env_step, step_mean
 from mcsgame.experiments import (
     SWEEP_AXES,
     ScenarioSpec,
@@ -144,8 +137,8 @@ def test_baselines_equal_their_step_by_step_rollouts(steps):
     rng = np.random.Generator(np.random.PCG64(3))
     env_reset(scen, env, rng)
     for res, prices_for in (
-        (play_greedy(scen, env, steps), lambda: greedy_policy(scen, env)),
-        (play_random(scen, env, steps, 3), lambda: random_policy(scen.n, env, rng)),
+        (play_greedy(scen, env, steps), lambda: np.full(scen.n, env.p_max)),
+        (play_random(scen, env, steps, 3), lambda: rng.uniform(0.0, env.p_max, size=scen.n)),
     ):
         rows = [env_step(scen, env, prices_for()) for _ in range(steps)]
         sp = np.array([sp_payoff(x, p, scen.utility_scale) for p, x in rows])

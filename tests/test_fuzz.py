@@ -122,6 +122,12 @@ def _numeric_cells_finite(out: str) -> None:
 @example(command="static", overrides=["scenario.unit_cost_range=[0,1,2]"])
 @example(command="train", overrides=["env.history_rounds=100000000000000000"])
 @example(command="sweep", overrides=['sweep.axis="delta"', "sweep.values=[1.0, 5e-324]"])
+@example(command="static", overrides=["scenario.capacity=1e-300", "scenario.demand_hi=1e300",
+                                      "scenario.utility_scale=1e300"])
+@example(command="static", overrides=["scenario.capacity=1e300", "scenario.demand_hi=1e300",
+                                      "scenario.utility_scale=1e-300",
+                                      "scenario.own_value_range=[1e-300,1e-300]",
+                                      "scenario.unit_cost_range=[0,0]"])
 def test_every_set_space_exits_with_a_documented_code(command, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "run")

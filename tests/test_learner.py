@@ -3,15 +3,13 @@
 import ast
 import dataclasses
 import inspect
-import json
 
 import numpy as np
 import pytest
 
 import mcsgame.learner as learner_mod
-from conftest import make_scenario
-from mcsgame.dynamics import (EnvConfig, GameState, env_reset, env_step, episode_outcomes, respond,
-                              step_mean)
+from conftest import assert_checkpoint_holds, make_scenario
+from mcsgame.dynamics import EnvConfig, env_reset, env_step, episode_outcomes, respond, step_mean
 from mcsgame.gradcheck import _toy_batch, _toy_policy
 from mcsgame.learner import (
     LOG_STD_MAX,
@@ -24,11 +22,9 @@ from mcsgame.learner import (
     critic_loss_and_gradient,
     episode_batch,
     gaussian_log_prob,
-    load_policy,
     mlp_backward,
     mlp_forward,
     mlp_init,
-    observe,
     policy_sample,
     ppo_actor_gradient,
     ppo_surrogate,
@@ -42,9 +38,22 @@ def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _mean_action(policy, state):
+def _features(window, price_scale):
+    """A window's observation, written out: per round, oldest first, prices / scale, log1p(sales)."""
+    prices, allocations = window
+    return np.concatenate([np.concatenate([p / price_scale, np.log1p(x)])
+                           for p, x in zip(prices, allocations)])
+
+
+def _mean_action(policy, window):
     """The Gaussian mean, through the actor and observation train uses."""
-    return mlp_forward(policy.actor, observe(state, policy.obs_price_scale))
+    return mlp_forward(policy.actor, _features(window, policy.obs_price_scale))
+
+
+def _init_policy(window, env, cfg, rng):
+    """train's fresh policy for a (prices, allocations) starting window."""
+    prices = window[0]
+    return learner_mod._init_policy(2 * prices.size, prices.shape[1], env, cfg, rng)
 
 
 def _zero_mlp(sizes, bounded_output=False, output_scale=1.0):
@@ -135,13 +144,12 @@ def test_parameters_are_views_of_one_vector(tmp_path):
     cfg = TrainConfig(**_SMALL)
     policy, _ = train(scenario, EnvConfig(), cfg)
     save_policy(tmp_path / "a.json", policy, EnvConfig(), cfg)
-    loaded, _ = load_policy(tmp_path / "a.json")
-    for trained, read in ((policy.actor, loaded.actor), (policy.critic, loaded.critic)):
+    record = assert_checkpoint_holds(tmp_path / "a.json", policy, EnvConfig(), cfg)
+    for key, trained in (("actor", policy.actor), ("critic", policy.critic)):
         _assert_packed(trained)
-        _assert_packed(read)
-        assert np.array_equal(trained.vector, read.vector)
-    save_policy(tmp_path / "b.json", loaded, EnvConfig(), cfg)
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        # the checkpoint lists the packed vector: every layer's weights, then the biases
+        written = [*record[key]["weights"], *record[key]["biases"]]
+        assert np.array_equal(_bits(np.concatenate(written)), _bits(trained.vector))
 
 
 def test_params_copy_the_arrays_they_are_built_from():
@@ -265,8 +273,8 @@ def _fresh_state(seed=0, n=3):
 
 def test_policy_sample_deterministic_in_rng():
     scenario, cfg, state = _fresh_state(4)
-    policy = learner_mod._init_policy(state, cfg, TrainConfig(), _rng(9))
-    feats = observe(state, policy.obs_price_scale)
+    policy = _init_policy(state, cfg, TrainConfig(), _rng(9))
+    feats = _features(state, policy.obs_price_scale)
     a1, m1 = policy_sample(policy, feats, _rng(33))
     a2, m2 = policy_sample(policy, feats, _rng(33))
     assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
@@ -274,10 +282,10 @@ def test_policy_sample_deterministic_in_rng():
 
 def test_policy_sample_returns_the_raw_action_and_the_actor_mean():
     scenario, cfg, state = _fresh_state(4)
-    policy = learner_mod._init_policy(state, cfg, TrainConfig(log_std_init=LOG_STD_MAX), _rng(9))
-    feats = observe(state, policy.obs_price_scale)
+    policy = _init_policy(state, cfg, TrainConfig(log_std_init=LOG_STD_MAX), _rng(9))
+    feats = _features(state, policy.obs_price_scale)
     mean = _mean_action(policy, state)
-    noise = _rng(12).standard_normal((50, state.n_mus))
+    noise = _rng(12).standard_normal((50, scenario.n))
     rng = _rng(12)
     for z in noise:
         action, got_mean = policy_sample(policy, feats, rng)
@@ -291,10 +299,10 @@ def test_policy_sample_returns_the_raw_action_and_the_actor_mean():
 def test_tiny_log_std_concentrates_samples():
     # sigma = e^-5: a thousand draws all hug the mean.  Seeded, so exact.
     scenario, cfg, state = _fresh_state(4)
-    policy = learner_mod._init_policy(state, cfg, TrainConfig(), _rng(9))
-    policy.log_std = np.full(state.n_mus, -5.0)
+    policy = _init_policy(state, cfg, TrainConfig(), _rng(9))
+    policy.log_std = np.full(scenario.n, -5.0)
     mean = _mean_action(policy, state)
-    feats = observe(state, policy.obs_price_scale)
+    feats = _features(state, policy.obs_price_scale)
     rng = _rng(77)
     sigma = np.exp(-5.0)
     for _ in range(1000):
@@ -304,20 +312,22 @@ def test_tiny_log_std_concentrates_samples():
 
 def test_mean_action_strictly_inside_price_box():
     scenario, cfg, state = _fresh_state(8)
-    policy = learner_mod._init_policy(state, cfg, TrainConfig(), _rng(1))
+    policy = _init_policy(state, cfg, TrainConfig(), _rng(1))
     mean = _mean_action(policy, state)
     assert np.all(mean > 0.0) and np.all(mean < cfg.p_max)
 
 
 def test_observe_layout_and_scaling():
-    scenario, cfg, state = _fresh_state(2)
-    feats = observe(state, cfg.p_max)
-    L, n = state.prices.shape
+    """train's round rows, read as one window, are the observation written out."""
+    scenario, cfg, (prices, allocations) = _fresh_state(2)
+    L, n = prices.shape
+    rows = learner_mod._round_features(prices, allocations, cfg.p_max, np.empty((L, 2 * n)))
+    feats = rows.reshape(-1)
     assert feats.shape == (2 * L * n,)
     manual = []
     for r in range(L):
-        manual.extend(state.prices[r] / cfg.p_max)
-        manual.extend(np.log1p(state.allocations[r]))
+        manual.extend(prices[r] / cfg.p_max)
+        manual.extend(np.log1p(allocations[r]))
     assert np.array_equal(feats, np.array(manual))
 
 
@@ -578,13 +588,12 @@ def test_critic_descent_monotone_on_frozen_buffer():
 # one batch per episode: the same bits as the re-stacking form
 
 
-def _windows(state, rounds):
-    """The history window before each (prices, allocations) round and after the last."""
-    windows = [state]
-    for prices, allocations in rounds:
-        state = GameState(np.vstack([state.prices[1:], prices]),
-                          np.vstack([state.allocations[1:], allocations]))
-        windows.append(state)
+def _windows(window, rounds):
+    """The (prices, allocations) history window before each round and after the last."""
+    windows = [window]
+    for played in rounds:
+        window = tuple(np.vstack([past[1:], now]) for past, now in zip(window, played))
+        windows.append(window)
     return windows
 
 
@@ -599,17 +608,17 @@ def _rollout_policy_and_batch(seed, steps=24):
     """A batch of steps taken in the environment, the way train takes them."""
     scenario, cfg, state = _fresh_state(seed)
     rng = _rng(seed + 100)
-    policy = learner_mod._init_policy(state, cfg, TrainConfig(hidden=(16, 16)), rng)
+    policy = _init_policy(state, cfg, TrainConfig(hidden=(16, 16)), rng)
     noise = learner_mod._noise(policy)
     feats, actions, means, rounds = [], [], [], []
     for _ in range(steps):
-        feats.append(observe(state, policy.obs_price_scale))
+        feats.append(_features(state, policy.obs_price_scale))
         action, mean = policy_sample(policy, feats[-1], rng, noise)
         rounds.append(env_step(scenario, cfg, action))
         actions.append(action)
         means.append(mean)
         state = _windows(state, rounds[-1:])[-1]
-    feats.append(observe(state, policy.obs_price_scale))
+    feats.append(_features(state, policy.obs_price_scale))
     values = mlp_forward(policy.critic, np.array(feats))[:, 0]
     rewards = episode_outcomes(scenario, cfg, *map(np.array, zip(*rounds))).reward
     log_probs = gaussian_log_prob(np.array(means), policy.log_std, np.array(actions))
@@ -730,8 +739,8 @@ def test_values_and_bootstrap_are_one_batch_pass_bit_for_bit(monkeypatch, steps)
     # the policy of the first episode, drawn from train's stream
     rng = _rng(cfg.seed)
     state = env_reset(scenario, env, rng)
-    policy = learner_mod._init_policy(state, env, cfg, rng)
-    feats = np.array([observe(w, env.p_max) for w in _windows(state, rounds)])
+    policy = _init_policy(state, env, cfg, rng)
+    feats = np.array([_features(w, env.p_max) for w in _windows(state, rounds)])
     want = mlp_forward(policy.critic, feats)[:, 0]
     assert want.shape == (steps + 1,)
     (batch,) = batches
@@ -743,7 +752,7 @@ def test_values_and_bootstrap_are_one_batch_pass_bit_for_bit(monkeypatch, steps)
 
 @pytest.mark.parametrize("history, n, steps", [(1, 3, 4), (3, 3, 2), (3, 3, 5), (3, 1, 4)])
 def test_every_step_observes_the_last_rounds(monkeypatch, history, n, steps):
-    """Each step's features are observe of the last L rounds, across episode boundaries."""
+    """Each step's features are those of the last L rounds, across episode boundaries."""
     scenario, env = make_scenario(5, n=n), EnvConfig(history_rounds=history)
     cfg = TrainConfig(episodes=3, steps_per_batch=steps, update_epochs=1, hidden=(4,), seed=5)
     observed, rounds, sample = [], [], learner_mod.policy_sample
@@ -756,7 +765,7 @@ def test_every_step_observes_the_last_rounds(monkeypatch, history, n, steps):
     batches = _recorded_batches(monkeypatch)
     train(scenario, env, cfg, on_episode=_rounds_hook(rounds))
     windows = _windows(env_reset(scenario, env, _rng(cfg.seed)), rounds)
-    want = np.array([observe(w, env.p_max) for w in windows[:-1]])
+    want = np.array([_features(w, env.p_max) for w in windows[:-1]])
     assert len(observed) == len(want) == cfg.episodes * steps
     assert np.array_equal(_bits(observed), _bits(want))
     assert len(batches) == cfg.episodes
@@ -783,7 +792,7 @@ def test_train_does_each_episode_step_once(monkeypatch):
     """Per step only what the next observation needs; the rest once per episode.
 
     The starting window's rounds are conditioned once, and each step
-    writes the row of the round it plays; observe is never called.  Each
+    writes the row of the round it plays.  Each
     step runs the actor alone on its observation (policy_sample) and
     sells the action (env_step), and nothing else: one outcome pass, one
     log-density pass over the rows, one batch, one target loop and one
@@ -792,8 +801,8 @@ def test_train_does_each_episode_step_once(monkeypatch):
     whose gradients backpropagate through those passes, so mlp_backward
     is never called.
     """
-    names = ("batches", "targets", "rows", "observe", "actor", "critic", "critic_batch", "batch",
-             "sample", "step", "outcomes", "log_density", "log_prob")
+    names = ("batches", "targets", "rows", "actor", "critic", "critic_batch", "batch", "sample",
+             "step", "outcomes", "log_density", "log_prob")
     counts = dict.fromkeys(names, 0)
 
     def counting(name, fn):
@@ -815,7 +824,7 @@ def test_train_does_each_episode_step_once(monkeypatch):
         return round_features(prices, allocations, price_scale, out)
 
     for name, attr in (("batches", "episode_batch"), ("targets", "_targets"),
-                       ("observe", "observe"), ("batch", "_forward_cached"),
+                       ("batch", "_forward_cached"),
                        ("sample", "policy_sample"), ("step", "env_step"),
                        ("outcomes", "episode_outcomes"), ("log_density", "_log_density"),
                        ("log_prob", "gaussian_log_prob")):
@@ -832,7 +841,7 @@ def test_train_does_each_episode_step_once(monkeypatch):
     eps, steps, epochs = cfg.episodes, cfg.steps_per_batch, cfg.update_epochs
     assert counts["batches"] == eps and counts["targets"] == eps
     # every round observed once: the starting window's L, then one per step
-    assert counts["rows"] == env.history_rounds + eps * steps and counts["observe"] == 0
+    assert counts["rows"] == env.history_rounds + eps * steps
     # per step one draw, one single-state actor pass and one sale; no single-state critic pass
     assert counts["sample"] == counts["step"] == counts["actor"] == eps * steps
     assert counts["critic"] == 0
@@ -980,50 +989,9 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     policy, _ = train(scenario, env_cfg, cfg)
     path = tmp_path / "ckpt.json"
     save_policy(path, policy, env_cfg, cfg)
-    loaded, record = load_policy(path)
-    for a, b in zip(policy.actor.weights, loaded.actor.weights):
-        assert np.array_equal(a, b)
-    for a, b in zip(policy.critic.weights, loaded.critic.weights):
-        assert np.array_equal(a, b)
-    assert np.array_equal(policy.log_std, loaded.log_std)
-    assert loaded.obs_price_scale == policy.obs_price_scale
-    assert record["train"]["seed"] == cfg.seed
-    assert record["env"]["p_max"] == env_cfg.p_max
-    assert record["version"] == 2
+    record = assert_checkpoint_holds(path, policy, env_cfg, cfg)
     assert sorted(record["env"]) == ["history_rounds", "p_max", "reward_scale"]
     assert sorted(record["train"]) == sorted(f.name for f in dataclasses.fields(TrainConfig))
-    # loaded policy plays identically
-    state = env_reset(scenario, env_cfg, _rng(0))
-    assert np.array_equal(
-        _mean_action(policy, state), _mean_action(loaded, state)
-    )
-
-
-def test_load_reads_version_1_and_rejects_unknown_versions(tmp_path):
-    policy = _toy_policy_and_batch(seed=2)[0]
-    path = tmp_path / "ckpt.json"
-    save_policy(path, policy, EnvConfig(), TrainConfig())
-    record = json.loads(path.read_text())
-    record["version"] = 1
-    record["env"]["episode_length"] = 128
-    path.write_text(json.dumps(record))
-    loaded, raw = load_policy(path)
-    assert raw["version"] == 1
-    for a, b in zip(policy.actor.weights + policy.critic.weights,
-                    loaded.actor.weights + loaded.critic.weights):
-        assert np.array_equal(a, b)
-    assert np.array_equal(policy.log_std, loaded.log_std)
-    record["version"] = 3
-    path.write_text(json.dumps(record))
-    with pytest.raises(ValueError):
-        load_policy(path)
-
-
-def test_load_rejects_foreign_json(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"format": "something-else"}')
-    with pytest.raises(ValueError):
-        load_policy(path)
 
 
 # ---------------------------------------------------------------------------

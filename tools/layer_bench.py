@@ -7,20 +7,21 @@
 The training layers run at the `train` command's default configuration:
 5 users drawn from seed 7, EnvConfig() and TrainConfig(seed=7).  One
 training episode gives a policy; one more rollout of steps_per_batch
-steps under that policy records the states, features and raw
-(unclamped) actions the layers below are timed on:
+steps under that policy records the rounds, features and raw
+(unclamped) actions the layers below are timed on.  The rollout starts
+from a window of L rounds it draws itself, as env_reset does: uniform
+prices on [0, p_max] and the users' responses (dynamics.respond).  A
+step's features are written out here: per round of the last L, oldest
+first, the prices over p_max, then log1p of the allocations.
 
 - env_step: one environment step on a recorded action (the executed
-  prices and the sales; in a tree whose env_step also scores the round
-  and returns a Transition, that whole step, so --paired can compare
-  the two);
+  prices and the sales);
 - policy_sample: one action draw on recorded features, given the
-  exploration constants train computes once per episode (with its log
-  density, in a tree whose policy_sample still returns it);
+  exploration constants train computes once per episode;
 - episode_outcomes: what train computes once per episode after the
-  rollout, in a tree that has dynamics.episode_outcomes: the recorded
-  rounds' rewards and payoffs, and the raw actions' log densities over
-  the (D, N) rows (--paired reports this layer for the side that has it);
+  rollout: the recorded rounds' rewards and payoffs
+  (dynamics.episode_outcomes), and the raw actions' log densities over
+  the (D, N) rows;
 - episode_values: the critic's values of an episode's recorded states
   and of the state after them, as train computes them: one batch pass
   over their features;
@@ -191,15 +192,14 @@ def _tables_layer(tmp: str, episodes: int) -> tuple:
 def measure(repeats: int, passes: int) -> dict:
     import numpy as np
 
-    from mcsgame import dynamics, learner
-    from mcsgame.dynamics import EnvConfig, GameState, env_reset, env_step
+    from mcsgame import learner
+    from mcsgame.dynamics import EnvConfig, env_step, episode_outcomes, respond
     from mcsgame.experiments import ScenarioSpec, generate_scenario
     from mcsgame.learner import (
         TrainConfig,
         critic_loss_and_gradient,
         gaussian_log_prob,
         mlp_forward,
-        observe,
         policy_sample,
         ppo_actor_gradient,
         train,
@@ -210,28 +210,27 @@ def measure(repeats: int, passes: int) -> dict:
     cfg = TrainConfig(seed=SEED)
     policy, _ = train(scenario, env, TrainConfig(seed=SEED, episodes=1))
 
-    # a tree without episode_outcomes scores each round in env_step, as a Transition
-    scored_per_step = not hasattr(dynamics, "episode_outcomes")
     noise = learner._noise(policy)
     rng = np.random.Generator(np.random.PCG64(SEED))
-    state = env_reset(scenario, env, rng)
-    features, actions, means, played = ([] for _ in range(4))
+    history = env.history_rounds
+    start = rng.uniform(0.0, env.p_max, size=(history, scenario.n))
+    rounds = [(row, respond(scenario, row)) for row in start]
+
+    def observed():
+        return np.concatenate([np.concatenate([p / env.p_max, np.log1p(x)])
+                               for p, x in rounds[-history:]])
+
+    features, actions, means = [], [], []
     for _ in range(cfg.steps_per_batch):
-        features.append(observe(state, policy.obs_price_scale))
+        features.append(observed())
         actions.append(policy_sample(policy, features[-1], rng, noise)[0])
         means.append(mlp_forward(policy.actor, features[-1]))
-        played.append(env_step(scenario, env, actions[-1]))
-        prices, allocations = played[-1][:2]  # a Transition starts with the same two
-        state = GameState(np.vstack([state.prices[1:], prices]),
-                          np.vstack([state.allocations[1:], allocations]))
-    features = np.array([*features, observe(state, policy.obs_price_scale)])
+        rounds.append(env_step(scenario, env, actions[-1]))
+    features = np.array([*features, observed()])
     actions, means = np.array(actions), np.array(means)
-    prices, allocations = (np.array(column) for column in zip(*(p[:2] for p in played)))
-    log_probs = [gaussian_log_prob(m, policy.log_std, a) for m, a in zip(means, actions)]
-    if scored_per_step:
-        rewards = [tr.reward for tr in played]
-    else:
-        rewards = dynamics.episode_outcomes(scenario, env, prices, allocations).reward
+    prices, allocations = (np.array(column) for column in zip(*rounds[history:]))
+    log_probs = gaussian_log_prob(means, policy.log_std, actions)
+    rewards = episode_outcomes(scenario, env, prices, allocations).reward
 
     def episode_values():
         return mlp_forward(policy.critic, features)[:, 0]
@@ -251,7 +250,7 @@ def measure(repeats: int, passes: int) -> dict:
 
     def outcomes_pass():
         for _ in range(passes):
-            dynamics.episode_outcomes(scenario, env, prices, allocations)
+            episode_outcomes(scenario, env, prices, allocations)
             gaussian_log_prob(means, policy.log_std, actions)
 
     def values_pass():
@@ -269,11 +268,10 @@ def measure(repeats: int, passes: int) -> dict:
 
     layers = {}
     with tempfile.TemporaryDirectory() as tmp:
-        per_episode = [] if scored_per_step else [("episode_outcomes", outcomes_pass, passes)]
         for name, fn, n in (
             ("env_step", steps_pass, calls),
             ("policy_sample", samples_pass, calls),
-            *per_episode,
+            ("episode_outcomes", outcomes_pass, passes),
             ("episode_values", values_pass, passes),
             ("ppo_update", update, 1),
             ("train_step", train_steps, passes * cfg.steps_per_batch),
