@@ -17,14 +17,12 @@ env_step does only what the next observation needs: it checks the
 action once (shape, finiteness), clamps it and returns the executed
 prices and each user's sale (follower.sale).  episode_outcomes then
 scores an episode's rounds in one pass: rewards, platform payoffs (the
-expression of model.sp_payoff per row) and user payoffs (the unchecked
-core of model.mu_payoff).  The users' constants are cached on each
-MuProfile, and all come from the formulas the static solver uses.
+expression of model.sp_payoff per row) and user payoffs (model's
+vectorized mu_payoff over the scenario's columns, as in compute_se).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .follower import sale
-from .model import Scenario, _mu_payoff
+from .model import Scenario, _mu_payoffs
 
 __all__ = [
     "EnvConfig",
@@ -122,11 +120,7 @@ def episode_outcomes(scenario: Scenario, config: EnvConfig, prices, allocations)
     aggregates = 1.0 + np.log1p(allocations).sum(axis=1)  # model._aggregate per row
     utility = np.array([math.log(b) for b in aggregates.tolist()])
     sp = scenario.utility_scale * utility - np.vecdot(prices, allocations)
-    # user n of round k is entry k * N + n of the flat rows
-    mu = map(_mu_payoff, itertools.cycle(scenario.mus), allocations.ravel().tolist(),
-             prices.ravel().tolist())
-    return Outcomes(config.reward_scale * sp, sp,
-                    np.fromiter(mu, float, allocations.size).reshape(allocations.shape))
+    return Outcomes(config.reward_scale * sp, sp, _mu_payoffs(scenario, allocations, prices))
 
 
 def step_mean(column: np.ndarray) -> np.ndarray:

@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (MAX_COUNT, EnvConfig, Outcomes, env_reset, env_step, episode_outcomes,
-                       step_mean)
-from .leader import EquilibriumResult, SolverConfig, compute_se, price_box
+from .dynamics import MAX_COUNT, EnvConfig, Outcomes, env_step, episode_outcomes, step_mean
+from .leader import EquilibriumResult, SolverConfig, compute_se
 from .model import DemandDistribution, LinearDemand, MuProfile, Scenario, UniformDemand
 
 __all__ = [
@@ -80,21 +79,23 @@ class ScenarioSpec:
         return _DEMAND_KINDS[self.demand_kind](self.demand_lo, self.demand_hi)
 
 
-def _draw_mu(spec: ScenarioSpec, rng: np.random.Generator) -> MuProfile:
+def _draw_mu(spec: ScenarioSpec, demand: DemandDistribution,
+             rng: np.random.Generator) -> MuProfile:
     c_lo, c_hi = spec.unit_cost_range
     v_lo, v_hi = spec.own_value_range
     for _ in range(10000):
         cost = rng.uniform(c_lo, c_hi) if c_hi > c_lo else c_lo
         value = rng.uniform(v_lo, v_hi) if v_hi > v_lo else v_lo
         if value > cost:
-            return MuProfile(spec.capacity, value, cost, spec.demand())
+            return MuProfile(spec.capacity, value, cost, demand)
     raise ValueError("could not draw own_value > unit_cost from the given ranges")
 
 
 def generate_scenario(spec: ScenarioSpec, seed: int) -> Scenario:
     """Draw user economics from the configured ranges, deterministically in seed."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    mus = tuple(_draw_mu(spec, rng) for _ in range(spec.n_mus))
+    demand = spec.demand()  # one law object, shared by every user
+    mus = tuple(_draw_mu(spec, demand, rng) for _ in range(spec.n_mus))
     return Scenario(utility_scale=spec.utility_scale, mus=mus)
 
 
@@ -137,15 +138,16 @@ def play_random(
 ) -> BaselineResult:
     """Roll the environment under uniformly random prices.
 
-    One RNG stream, seeded by seed, draws the starting window first
-    (env_reset), then every step's prices in one draw, each uniform on
-    [0, p_max] (the same stream as one draw per step); all rounds are
-    scored in one pass.
+    One RNG stream, seeded by seed, draws every price uniform on
+    [0, p_max] in one draw: the L rows of env_reset's window, skipped,
+    then one row per step (the same stream as env_reset and one draw
+    per step); all rounds are scored in one pass.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    env_reset(scenario, env_config, rng)
+    skip = env_config.history_rounds
+    draws = rng.uniform(0.0, env_config.p_max, size=(skip + steps, scenario.n))[skip:]
     prices, sold = np.empty((steps, scenario.n)), np.empty((steps, scenario.n))
-    for k, row in enumerate(rng.uniform(0.0, env_config.p_max, size=(steps, scenario.n))):
+    for k, row in enumerate(draws):
         prices[k], sold[k] = env_step(scenario, env_config, row)
     return _baseline("random", steps, episode_outcomes(scenario, env_config, prices, sold))
 
@@ -178,13 +180,10 @@ def user_columns(scenario: Scenario, res: EquilibriumResult) -> dict[str, np.nda
     n = scenario.n
     return {
         "mu_index": np.arange(1, n + 1),
-        "own_value": scenario.own_values(),
-        "unit_cost": scenario.unit_costs(),
-        "capacity": scenario.capacities(),
-        "demand_lo": np.array([mu.demand.lo for mu in scenario.mus]),
-        "demand_hi": np.array([mu.demand.hi for mu in scenario.mus]),
+        **{name: getattr(scenario, name)
+           for name in ("own_value", "unit_cost", "capacity", "demand_lo", "demand_hi")},
         "utility_scale": np.full(n, scenario.utility_scale),
-        "price_threshold": price_box(scenario)[0],
+        "price_threshold": scenario.price_threshold,
         "p_star": res.prices,
         "x_star": res.allocations,
         "region": res.regions,
@@ -239,16 +238,17 @@ def run_sweep(
         raise ValueError("a sweep needs at least two values, all finite")
 
     if axis in ("delta", "cost"):
+        demand = spec.demand()
         if axis == "delta":
             cost = spec.unit_cost_range[0]
             if any(v <= cost for v in vals):
                 raise ValueError(f"every swept own_value must exceed unit_cost {cost}")
-            mus = tuple(MuProfile(spec.capacity, v, cost, spec.demand()) for v in vals)
+            mus = tuple(MuProfile(spec.capacity, v, cost, demand) for v in vals)
         else:
             value = spec.own_value_range[1]
             if any(v >= value for v in vals):
                 raise ValueError(f"every swept unit_cost must stay below own_value {value}")
-            mus = tuple(MuProfile(spec.capacity, value, v, spec.demand()) for v in vals)
+            mus = tuple(MuProfile(spec.capacity, value, v, demand) for v in vals)
         markets = [("joint", Scenario(spec.utility_scale, mus))]
     else:
         base = generate_scenario(spec, seed)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .follower import Region, best_response, price_threshold
-from .model import Scenario, _aggregate, _sp_payoff, mu_payoff
+from .follower import Region, best_response
+from .model import Scenario, _aggregate, _mu_payoffs, _sp_payoff
 
 __all__ = [
     "SolverConfig",
@@ -77,11 +77,9 @@ def price_box(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
     Prices below the threshold buy nothing and prices above own_value
     overpay for capacity the user would sell anyway, so the optimum
-    always lies in this box.
+    always lies in this box.  Both are the scenario's read-only columns.
     """
-    lo = np.array([price_threshold(mu) for mu in scenario.mus])
-    hi = scenario.own_values()
-    return lo, hi
+    return scenario.price_threshold, scenario.own_value
 
 
 def _responses(scenario: Scenario, p: np.ndarray):
@@ -107,12 +105,13 @@ def _require_in_box(scenario: Scenario, p: np.ndarray) -> np.ndarray:
 
 
 def _gradient_from(scenario, p, alloc, slope):
-    gp = scenario.utility_scale / _aggregate(alloc)
-    gap = gp / (1.0 + alloc) - p
-    # one product per user: an infinite slope at a vanishing density
-    # gives a signed infinity here rather than inf - inf, and a zero gap
-    # meets the first-order condition whatever the slope, so it adds 0
-    return np.multiply(slope, gap, out=np.zeros_like(gap), where=gap != 0.0) - alloc
+    # a product overflowing at the float-range corners is a signed infinity the box clips
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gap = scenario.utility_scale / _aggregate(alloc) / (1.0 + alloc) - p
+        # one product per user: an infinite slope at a vanishing density
+        # gives a signed infinity here rather than inf - inf, and a zero
+        # gap meets the first-order condition whatever the slope, so it adds 0
+        return np.multiply(slope, gap, out=np.zeros_like(gap), where=gap != 0.0) - alloc
 
 
 def sp_payoff_gradient(scenario: Scenario, p) -> np.ndarray:
@@ -159,14 +158,11 @@ class _Market:
     """
 
     def __init__(self, scenario: Scenario):
-        cap = scenario.capacities()
-        lo = np.array([mu.demand.lo for mu in scenario.mus])
-        hi = np.array([mu.demand.hi for mu in scenario.mus])
-        self.cost = scenario.unit_costs()
-        self.margin = scenario.own_values() - self.cost
+        cap, lo, hi = scenario.capacity, scenario.demand_lo, scenario.demand_hi
+        self.cost, self.margin, self.power = (scenario.unit_cost, scenario.margin,
+                                              scenario.tail_power)
         self.shift = hi - cap
         self.width = hi - lo
-        self.power = np.array([mu.demand.tail_power for mu in scenario.mus])
         self.x_lo = np.maximum(cap - hi, 0.0)
         self.x_hi = np.maximum(cap - lo, 0.0)
 
@@ -267,9 +263,7 @@ def compute_se(scenario: Scenario, config: SolverConfig | None = None) -> Equili
         alloc, slope, _ = _responses(scenario, p)
         grad = _gradient_from(scenario, p, alloc, slope)
         residual = float(np.max(np.abs(p - np.clip(p + grad, lo, hi))))
-        payoffs = np.array([
-            mu_payoff(mu, float(alloc[i]), float(p[i])) for i, mu in enumerate(scenario.mus)
-        ])
+        payoffs = _mu_payoffs(scenario, alloc, p)
         payoff = _sp_payoff(alloc, p, scenario.utility_scale)
         if not (math.isfinite(payoff) and np.isfinite(payoffs).all()):
             raise FloatingPointError("the equilibrium payoffs are not finite")

@@ -56,10 +56,10 @@ class DemandDistribution:
     convention, so quantile(0.0) is lo and quantile(1.0) is hi.
 
     The width and the constants of k are computed once per instance:
-    the follower calls four of these methods per response, and reading
-    them from the instance, not deriving them from k on each call,
-    keeps each call within tens of nanoseconds of hand-written per-law
-    code.
+    the scalar response and payoff call these methods once per user, and
+    reading them from the instance, not deriving them from k on each
+    call, keeps each call within tens of nanoseconds of hand-written
+    per-law code.
     """
 
     lo: float
@@ -174,8 +174,8 @@ class MuProfile:
     DemandDistribution keeps its own: the margin own_value - unit_cost,
     the price threshold below which nothing is sold (see
     follower.price_threshold) and the own-use profit of keeping the
-    whole capacity, mu_own_profit(mu, capacity).  Every payoff and
-    response reads them instead of deriving them on each call.
+    whole capacity, mu_own_profit(mu, capacity).  The scalar payoff and
+    response read them, and Scenario gathers them into its columns.
     """
 
     capacity: float
@@ -202,10 +202,19 @@ class MuProfile:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A pricing game instance: platform weight and users."""
+    """A pricing game instance: platform weight and users.
+
+    The users' numbers are also the COLUMNS: read-only, contiguous
+    float64 arrays, one entry per user, built once here from each
+    MuProfile's fields and constants for the vectorized passes.
+    """
 
     utility_scale: float
     mus: tuple[MuProfile, ...]
+
+    COLUMNS: ClassVar[tuple[str, ...]] = ("capacity", "own_value", "unit_cost", "demand_lo",
+                                          "demand_hi", "tail_power", "margin", "price_threshold",
+                                          "full_profit")
 
     def __post_init__(self):
         if not (math.isfinite(self.utility_scale) and self.utility_scale > 0.0):
@@ -213,19 +222,15 @@ class Scenario:
         if len(self.mus) == 0:
             raise ValueError("scenario needs at least one mobile user")
         object.__setattr__(self, "mus", tuple(self.mus))
+        table = np.array([(mu.capacity, mu.own_value, mu.unit_cost, mu.demand.lo, mu.demand.hi,
+                           mu.demand.tail_power, mu._margin, mu._threshold, mu._full_profit)
+                          for mu in self.mus], dtype=float).T.copy()
+        table.flags.writeable = False
+        vars(self).update(zip(self.COLUMNS, table))  # past the frozen __setattr__
 
     @property
     def n(self) -> int:
         return len(self.mus)
-
-    def capacities(self) -> np.ndarray:
-        return np.array([mu.capacity for mu in self.mus])
-
-    def own_values(self) -> np.ndarray:
-        return np.array([mu.own_value for mu in self.mus])
-
-    def unit_costs(self) -> np.ndarray:
-        return np.array([mu.unit_cost for mu in self.mus])
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +271,15 @@ def _sp_payoff(x: np.ndarray, p: np.ndarray, utility_scale: float) -> float:
     return utility_scale * math.log(_aggregate(x)) - float(p.dot(x))
 
 
-def _mu_payoff(mu: MuProfile, x: float, price: float) -> float:
-    kept = mu._margin * mu.demand.expected_min(mu.capacity - x)
-    return kept - mu._full_profit - mu.unit_cost * x + price * x
+def _mu_payoffs(scenario: Scenario, x: np.ndarray, price: np.ndarray) -> np.ndarray:
+    """mu_payoff per entry of (N,) or (D, N) sales and prices, bit for bit."""
+    lo, hi, k = scenario.demand_lo, scenario.demand_hi, scenario.tail_power
+    r = scenario.capacity - x
+    # expected_min's r, clamped into [lo, hi] so the branch np.where discards stays finite
+    kept = np.minimum(np.maximum(r, lo), hi)
+    t = (hi - kept) / (hi - lo)
+    served = np.where(r <= lo, r, lo + (kept - lo) * (1.0 + t + (k - 1.0) * t * t) / (k + 1.0))
+    return scenario.margin * served - scenario.full_profit - scenario.unit_cost * x + price * x
 
 
 # ---------------------------------------------------------------------------
@@ -297,4 +308,5 @@ def mu_payoff(mu: MuProfile, x: float, price: float) -> float:
         raise ValueError(f"x must lie in [0, {mu.capacity}], got {x}")
     if price < 0.0:
         raise ValueError(f"price must be non-negative, got {price}")
-    return _mu_payoff(mu, x, price)
+    return (mu._margin * mu.demand.expected_min(mu.capacity - x) - mu._full_profit
+            - mu.unit_cost * x + price * x)

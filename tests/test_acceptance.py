@@ -130,7 +130,7 @@ def test_criterion_04_multistart_uniqueness():
         for k in range(5):
             p0 = lo + _rng(seed + k).uniform(0.0, 1.0, size=scen.n) * (hi - lo)
             p_ref, residual = leader_ascent(
-                kind, d_lo, d_hi, cap, scen.own_values(), scen.unit_costs(),
+                kind, d_lo, d_hi, cap, scen.own_value, scen.unit_cost,
                 scen.utility_scale, p0,
             )
             assert residual <= 1e-8

@@ -131,21 +131,34 @@ def test_step_matches_the_public_formulas_bit_for_bit(law, demand_lo):
 @pytest.mark.parametrize("law", [UniformDemand, LinearDemand])
 @pytest.mark.parametrize("n", [1, 5, 25])
 def test_episode_outcomes_equal_the_public_formulas_row_by_row(law, n):
-    """Per round: model.sp_payoff, reward_scale times it and model.mu_payoff, bit for bit."""
+    """Per round: model.sp_payoff, reward_scale times it and model.mu_payoff, bit for bit.
+
+    On three supports: lo = 0; lo > 0; and lo = 1e300, where every kept
+    amount r = capacity - x lies below lo and the formula for r > lo,
+    which the vectorized payoff evaluates and discards, would overflow.
+    The first user's capacity lies past hi = 25, so r > hi when it sells
+    nothing.
+    """
     rng = _rng(n)
-    mus = tuple(MuProfile(float(cap), float(value), float(cost), law(0.0, 25.0))
-                for cap, value, cost in zip(rng.uniform(5.0, 30.0, n), rng.uniform(0.5, 1.0, n),
-                                            rng.uniform(0.0, 0.45, n)))
-    scenario = Scenario(50.0, mus)
+    caps, values, costs = (rng.uniform(5.0, 30.0, n), rng.uniform(0.5, 1.0, n),
+                           rng.uniform(0.0, 0.45, n))
+    caps[0] = 30.0
+    random_rounds = rng.uniform(-0.25, 1.25, size=(40, n))
     cfg = EnvConfig(reward_scale=0.37)
-    # each kind for every user (clamped at 0 and p_max, no sale, the whole
-    # capacity), then random rounds, a quarter of their prices clamped
-    kinds = [[kind(mu) for mu in mus] for kind in _PRICE_KINDS]
-    actions = np.vstack([kinds, rng.uniform(-0.25, 1.25, size=(40, n))])
-    prices, alloc = _played(scenario, cfg, actions)
-    assert np.any(prices == 0.0) and np.any(prices == cfg.p_max)
-    assert np.any(alloc == 0.0) and np.any(alloc == scenario.capacities())
-    _assert_outcomes_are_the_public_formulas(scenario, cfg, prices, alloc)
+    for lo, hi in ((0.0, 25.0), (4.0, 25.0), (1e300, 1.0000000000000002e300)):
+        mus = tuple(MuProfile(float(cap), float(value), float(cost), law(lo, hi))
+                    for cap, value, cost in zip(caps, values, costs))
+        scenario = Scenario(50.0, mus)
+        # each kind for every user (clamped at 0 and p_max, no sale, the whole
+        # capacity), then random rounds, a quarter of their prices clamped
+        kinds = [[kind(mu) for mu in mus] for kind in _PRICE_KINDS]
+        prices, alloc = _played(scenario, cfg, np.vstack([kinds, random_rounds]))
+        assert np.any(prices == 0.0) and np.any(prices == cfg.p_max)
+        assert np.any(alloc == 0.0) and np.any(alloc == scenario.capacity)
+        kept = scenario.capacity - alloc
+        assert np.any(kept <= lo)
+        assert np.any(kept > hi) == (hi == 25.0)
+        _assert_outcomes_are_the_public_formulas(scenario, cfg, prices, alloc)
 
 
 def test_step_keeps_the_sign_of_a_zero_price_as_clip_does(five_mu_scenario):

@@ -119,6 +119,18 @@ def test_gradient_is_signed_infinity_at_vanishing_density():
     assert res.allocations[0] == 5.0
 
 
+def test_gradient_at_the_float_range_corner_certifies_as_compute_se_does():
+    # the payoff gradient overflows to a signed infinity here, which the
+    # box projection clips, so the public formula needs no warning either
+    spec = ScenarioSpec(capacity=1e-300, demand_hi=1e300, utility_scale=1e300)
+    scenario = generate_scenario(spec, 0)
+    res = compute_se(scenario)
+    grad = sp_payoff_gradient(scenario, res.prices)
+    lo, hi = price_box(scenario)
+    assert res.grad_residual == 0.0 and res.converged
+    assert float(np.max(np.abs(res.prices - np.clip(res.prices + grad, lo, hi)))) == 0.0
+
+
 def test_equilibrium_arrays_are_read_only(five_mu_scenario):
     res = compute_se(five_mu_scenario)
     for arr in (res.prices, res.allocations, res.mu_payoffs, res.regions):
@@ -146,6 +158,10 @@ def test_region_is_the_face_of_the_allocation_box():
         "interior", "interior", "below_threshold", "below_threshold", "at_capacity",
     ]
     assert res.allocations.tolist()[2:] == [0.0, 5.0, 16.0]
+    # on every face and law, the vectorized payoff is model.mu_payoff per user, bit for bit
+    want = np.array([mu_payoff(mu, x, p) for mu, x, p in
+                     zip(mus, res.allocations.tolist(), res.prices.tolist())])
+    assert np.array_equal(res.mu_payoffs.view(np.uint64), want.view(np.uint64))
 
 
 def test_gradient_rejects_out_of_box(five_mu_scenario):
@@ -292,7 +308,7 @@ def test_price_box_bounds(five_mu_scenario):
     lo, hi = price_box(five_mu_scenario)
     thresholds = np.array([price_threshold(mu) for mu in five_mu_scenario.mus])
     assert np.allclose(lo, thresholds)
-    assert np.allclose(hi, five_mu_scenario.own_values())
+    assert np.allclose(hi, five_mu_scenario.own_value)
 
 
 def test_se_prices_stay_in_box():

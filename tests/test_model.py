@@ -346,8 +346,47 @@ def test_scenario_validation(example_mu):
 def test_scenario_vector_accessors(five_mu_scenario):
     sc = five_mu_scenario
     assert sc.n == 5
-    assert sc.capacities().shape == (5,)
-    assert np.all(sc.own_values() > sc.unit_costs())
+    assert sc.capacity.shape == (5,)
+    assert np.all(sc.own_value > sc.unit_cost)
+
+
+def _profile_numbers(mu):
+    """Each Scenario column's entry for one user, from the profile itself."""
+    return {
+        "capacity": mu.capacity, "own_value": mu.own_value, "unit_cost": mu.unit_cost,
+        "demand_lo": mu.demand.lo, "demand_hi": mu.demand.hi,
+        "tail_power": mu.demand.tail_power, "margin": mu.own_value - mu.unit_cost,
+        "price_threshold": price_threshold(mu), "full_profit": mu_own_profit(mu, mu.capacity),
+    }
+
+
+def test_scenario_columns_are_the_profiles_numbers_read_only():
+    """Every column holds each profile's number bit for bit, is read-only, and follows the users."""
+    base = Scenario(50.0, (
+        MuProfile(20.0, 0.9, 0.2, UniformDemand(0.0, 25.0)),
+        MuProfile(30.0, 0.6, 0.0, LinearDemand(4.0, 25.0)),
+        MuProfile(5.0, 0.95, 0.05, UniformDemand(1.0, 7.5)),
+    ))
+    moved = Scenario(50.0, tuple(dataclasses.replace(mu, demand=LinearDemand(2.0, 40.0))
+                                 for mu in base.mus))
+    rescaled = Scenario(7.0, base.mus)
+    assert set(Scenario.COLUMNS) == set(_profile_numbers(base.mus[0]))
+    for sc in (base, moved, rescaled):
+        for name in Scenario.COLUMNS:
+            col = getattr(sc, name)
+            assert type(col) is np.ndarray and col.dtype == np.float64
+            assert col.shape == (sc.n,) and col.flags.c_contiguous
+            want = np.array([_profile_numbers(mu)[name] for mu in sc.mus])
+            assert np.array_equal(col.view(np.uint64), want.view(np.uint64)), name
+            with pytest.raises(ValueError):
+                col[0] = 1.0
+            with pytest.raises(ValueError):
+                col.flags.writeable = True
+    # a new demand law moves its columns; a new utility scale moves none
+    for name in ("demand_lo", "demand_hi", "tail_power", "price_threshold", "full_profit"):
+        assert not np.array_equal(getattr(moved, name), getattr(base, name)), name
+    for name in Scenario.COLUMNS:
+        assert np.array_equal(getattr(rescaled, name), getattr(base, name))
 
 
 def test_profiles_are_immutable(example_mu):
