@@ -14,11 +14,12 @@ rewards, never user profiles, so everything private to the users stays
 behind env_step and episode_outcomes.
 
 env_step does only what the next observation needs: it checks the
-action once (shape, finiteness), clamps it and returns the executed
-prices and each user's sale (follower.sale).  episode_outcomes then
-scores an episode's rounds in one pass: rewards, platform payoffs (the
-expression of model.sp_payoff per row) and user payoffs (model's
-vectorized mu_payoff over the scenario's columns, as in compute_se).
+action once (length, finiteness), clamps it and returns the executed
+prices and each user's sale (follower.sale) as lists of floats.
+episode_outcomes then scores an episode's rounds in one pass: rewards,
+platform payoffs (the expression of model.sp_payoff per row) and user
+payoffs (model's vectorized mu_payoff over the scenario's columns, as
+in compute_se).
 """
 
 from __future__ import annotations
@@ -92,24 +93,24 @@ def env_reset(scenario: Scenario, config: EnvConfig,
     return prices, np.array([respond(scenario, row) for row in prices])
 
 
-def env_step(scenario: Scenario, config: EnvConfig, action) -> tuple[np.ndarray, np.ndarray]:
-    """Post prices and collect the users' sales: (executed prices, allocations).
+def env_step(scenario: Scenario, config: EnvConfig, action) -> tuple[list, list]:
+    """Post prices and collect the users' sales: (executed prices, allocations), as lists.
 
-    The action is checked here, once: its shape and finiteness.  The
-    executed prices are then non-negative, finite and of the users'
-    count, and the sales are computed from them without further checks.
+    The action, a list or array (N,), is checked here, once: its length and
+    finiteness.  The executed prices are then non-negative, finite and of the
+    users' count, and the sales are computed from them without further checks.
     """
-    raw = np.asarray(action, dtype=float)
-    if raw.shape != (scenario.n,):
-        raise ValueError(f"action must have {scenario.n} entries, got shape {raw.shape}")
-    requested = raw.tolist()
+    shape = (len(action),) if isinstance(action, list) else np.shape(action)
+    if shape != (scenario.n,):
+        raise ValueError(f"action must have {scenario.n} entries, got shape {shape}")
+    requested = action if isinstance(action, list) else np.asarray(action, dtype=float).tolist()
     if not all(map(math.isfinite, requested)):
         raise ValueError("action prices must be finite")
     # np.clip(raw, 0, p_max) bit for bit (a -0.0 stays -0.0), without
     # its per-call cost
     p_max = config.p_max
     prices = [0.0 if v < 0.0 else (p_max if v > p_max else v) for v in requested]
-    return np.array(prices), np.array([sale(mu, p)[0] for mu, p in zip(scenario.mus, prices)])
+    return prices, [sale(mu, p)[0] for mu, p in zip(scenario.mus, prices)]
 
 
 def episode_outcomes(scenario: Scenario, config: EnvConfig, prices, allocations) -> Outcomes:

@@ -128,7 +128,7 @@ def play_constant(
     has the outcome of the first: one scored round, repeated.
     """
     executed, sold = env_step(scenario, env_config, prices)
-    first = episode_outcomes(scenario, env_config, executed[None], sold[None])
+    first = episode_outcomes(scenario, env_config, np.array([executed]), np.array([sold]))
     # the mean of the repeated column, which rounds unlike the value itself
     return _baseline(name, steps, Outcomes(*(np.repeat(col, steps, axis=0) for col in first)))
 

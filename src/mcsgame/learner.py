@@ -12,12 +12,13 @@ A training step does only what the next observation needs.  train
 keeps one array of round features, one row per (price, allocation)
 round: the prices over p_max, then log1p of the allocations.  A step's
 observation of the last L rounds is a view of L consecutive rows.  The
-step runs the actor, draws the action (policy_sample), sells it
-(dynamics.env_step) and writes the row of the round.  The rest is done
-once per episode: the rewards and payoffs (dynamics.episode_outcomes),
-the raw actions' log densities (gaussian_log_prob over the rows), and
-one critic batch pass, over one read-only copy of the observations and
-the next state's, for the values and the bootstrap V(s(D+1)).  The
+step runs the actor and adds its row of the episode's one noise draw
+(policy_sample), sells the action (dynamics.env_step) and writes the
+round's row, in Python floats past the actor's matrix products.  The rest
+is done once per episode: the rewards and payoffs (episode_outcomes), the
+raw actions' log densities (gaussian_log_prob over the rows), and one
+critic batch pass, over one read-only copy of the observations and the
+next state's, for the values and the bootstrap V(s(D+1)).  The
 EpisodeBatch built on that copy serves every update epoch.
 
 A network's weights and biases are views into one float64 vector, and
@@ -161,37 +162,48 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(z, 0.0)) / (1.0 + e)
 
 
+def _scaled_sigmoid(z: np.ndarray, scale: float) -> list:
+    """scale * _sigmoid(z) bit for bit as floats, for one input's z (N,); e doubles as numerator."""
+    return [scale * ((1.0 if v >= 0.0 else e) / (1.0 + e))
+            for v, e in zip(z.tolist(), np.exp(np.minimum(z, -z)).tolist())]
+
+
 def _forward_cached(params: MlpParams, x: np.ndarray):
     """Forward pass that also returns what the backward pass needs."""
     a = np.atleast_2d(np.asarray(x, dtype=float))
     acts = [a]
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        a = np.tanh(a.dot(W.T) + b)
+        a = a.dot(W.T)
+        a += b
+        np.tanh(a, out=a)
         acts.append(a)
-    z = a.dot(params.weights[-1].T) + params.biases[-1]
-    if params.bounded_output:
-        out = params.output_scale * _sigmoid(z)
-    else:
-        out = z
-    return out, acts
+    z = a.dot(params.weights[-1].T)
+    z += params.biases[-1]
+    return params.output_scale * _sigmoid(z) if params.bounded_output else z, acts
 
 
-def mlp_forward(params: MlpParams, x) -> np.ndarray:
-    """Evaluate the network on one input (in,) or a batch (B, in).
+def _preactivation(params: MlpParams, h: np.ndarray) -> np.ndarray:
+    """The output layer's pre-activation for one input (in,): W.dot(h), bias and tanh per layer.
 
-    One input takes W.dot(h) per layer, each layer's bias and tanh applied
-    in place; on OpenBLAS, which runs a one-row matrix product as a
-    matrix-vector one, the bits equal the batch row.
+    On OpenBLAS these bits equal a batch of one row's, but not that row's in a
+    batch of many (128 steps), whose matrix kernel sums in another order: so
+    the first update epoch's probability ratios are near 1, not exactly 1.
     """
-    h = np.asarray(x, dtype=float)
-    if h.ndim != 1:
-        return _forward_cached(params, h)[0]
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
         h = W.dot(h)
         h += b
         np.tanh(h, out=h)
     z = params.weights[-1].dot(h)
     z += params.biases[-1]
+    return z
+
+
+def mlp_forward(params: MlpParams, x) -> np.ndarray:
+    """Evaluate the network on one input (in,) or a batch (B, in); see _preactivation."""
+    h = np.asarray(x, dtype=float)
+    if h.ndim != 1:
+        return _forward_cached(params, h)[0]
+    z = _preactivation(params, h)
     return params.output_scale * _sigmoid(z) if params.bounded_output else z
 
 
@@ -215,8 +227,10 @@ def _backprop(params: MlpParams, out: np.ndarray, acts: list, upstream, into=Non
         gw[i] = np.dot(dz.T, acts[i], out=gw[i])  # out=None allocates
         gb[i] = dz.sum(axis=0, out=gb[i])
         if i > 0:
-            da = dz.dot(params.weights[i])
-            dz = da * (1.0 - acts[i] ** 2)  # tanh'
+            dz = dz.dot(params.weights[i])
+            tanh_prime = np.square(acts[i])
+            np.subtract(1.0, tanh_prime, out=tanh_prime)
+            dz *= tanh_prime
     return grads
 
 
@@ -248,12 +262,11 @@ class PolicyParams:
         return all(np.isfinite(a).all() for a in arrays)
 
 
-def _round_features(prices, allocations, price_scale: float, out: np.ndarray) -> np.ndarray:
-    """Write the features of one round (N,) or of rounds (R, N) into out's rows of 2N."""
-    n = prices.shape[-1]
-    np.divide(prices, price_scale, out=out[..., :n])
-    np.log1p(allocations, out=out[..., n:])
-    return out
+def _round_features(prices: list, allocations: list, price_scale: float, out: np.ndarray):
+    """Write the features of one round, its prices and sales as lists, into the row out of 2N."""
+    n = len(prices)
+    out[:n] = [p / price_scale for p in prices]
+    np.log1p(allocations, out=out[n:])
 
 
 def _noise(policy: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
@@ -274,19 +287,16 @@ def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, action: np.ndarray)
     return logp if np.ndim(logp) else float(logp)
 
 
-def policy_sample(policy: PolicyParams, feats: np.ndarray, rng: np.random.Generator,
-                  noise: tuple[np.ndarray, np.ndarray] | None = None):
-    """Draw an action for the observed features: (action, actor mean).
+def policy_sample(policy: PolicyParams, feats: np.ndarray, jitter: list) -> tuple[list, list]:
+    """The action for the observed features and its actor mean, as lists of floats.
 
-    feats is a step's observation, the features of its last L rounds (train
-    reads it as a view of its round rows); noise is _noise(policy),
-    which train computes once per episode, as only the update moves log_std.
-    train takes the log densities of the raw samples once per episode: the
-    environment clamps prices, and a clamped price's density would bias PPO.
+    feats is a step's observation (train reads it as a view of its round
+    rows); jitter is the step's row of exp(log_std) times the episode's one
+    (D, N) standard normal draw.  The action is mean + jitter, unclamped:
+    train takes the raw samples' log densities, as a clamped price's would bias PPO.
     """
-    mean = mlp_forward(policy.actor, feats)
-    std = (noise or _noise(policy))[0]
-    return mean + std * rng.standard_normal(mean.size), mean
+    mean = _scaled_sigmoid(_preactivation(policy.actor, feats), policy.actor.output_scale)
+    return [m + j for m, j in zip(mean, jitter)], mean
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +541,13 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_episode
     scale = policy.obs_price_scale
     # one feature row per round, oldest first; step k observes rows k .. k + L - 1
     rounds = np.empty((history + d, 2 * n))
-    _round_features(start_prices, start_allocations, scale, rounds[:history])
+    for row, p, x in zip(rounds, start_prices.tolist(), start_allocations.tolist()):
+        _round_features(p, x, scale, row)
     # row k is step k's observation, row d that of the state after the episode
     observations = as_strided(rounds, (d + 1, history * 2 * n),
                               (rounds.strides[0], rounds.itemsize), writeable=False)
+    # step k reads observation row k and writes round row L + k: their views, made once
+    step_rows = list(zip(observations, rounds[history:]))
     # the episode's arrays, one row per step, overwritten every episode
     actions, means, prices, allocations = (np.empty((d, n)) for _ in range(4))
 
@@ -543,11 +556,11 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_episode
     # numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
         for ep in range(1, cfg.episodes + 1):
-            noise = _noise(policy)
-            for k in range(d):
-                actions[k], means[k] = policy_sample(policy, observations[k], rng, noise)
-                p, x = prices[k], allocations[k] = env_step(scenario, env_config, actions[k])
-                _round_features(p, x, scale, rounds[history + k])
+            jitter = (np.exp(policy.log_std) * rng.standard_normal((d, n))).tolist()
+            for k, (observed, row) in enumerate(step_rows):
+                actions[k], means[k] = drawn = policy_sample(policy, observed, jitter[k])
+                p, x = prices[k], allocations[k] = env_step(scenario, env_config, drawn[0])
+                _round_features(p, x, scale, row)
             outcomes = episode_outcomes(scenario, env_config, prices, allocations)
             if on_episode is not None:
                 on_episode(ep, actions, prices, allocations, outcomes)

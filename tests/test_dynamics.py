@@ -170,8 +170,8 @@ def test_step_keeps_the_sign_of_a_zero_price_as_clip_does(five_mu_scenario):
 
 
 def _outcome(scenario, cfg, action):
-    """The executed prices, the sales and the outcomes of one round."""
-    executed, alloc = env_step(scenario, cfg, action)
+    """The executed prices, the sales and the outcomes of one round, as arrays."""
+    executed, alloc = map(np.array, env_step(scenario, cfg, action))
     out = episode_outcomes(scenario, cfg, executed[None], alloc[None])
     return executed, alloc, type(out)(*(col[0] for col in out))
 
@@ -220,15 +220,32 @@ def test_step_clamps_and_flags(five_mu_scenario):
     assert np.array_equal(env_step(five_mu_scenario, cfg, in_range)[0], in_range)
 
 
-def test_step_returns_fresh_arrays(five_mu_scenario):
-    # train passes a row of its episode array of actions and overwrites it later
-    action = np.full(5, 0.6)
-    executed, alloc = env_step(five_mu_scenario, EnvConfig(), action)
-    for arr in (executed, alloc):
-        assert arr.dtype == np.float64 and not np.shares_memory(arr, action)
-    action[:] = 0.9
-    assert np.array_equal(executed, np.full(5, 0.6))
-    assert np.array_equal(alloc, respond(five_mu_scenario, np.full(5, 0.6)))
+def test_step_returns_fresh_lists(five_mu_scenario):
+    # train passes its action list and then writes it into a row of its
+    # episode array; the caller may overwrite either later
+    want = respond(five_mu_scenario, np.full(5, 0.6))
+    for action in (np.full(5, 0.6), [0.6] * 5):
+        executed, alloc = env_step(five_mu_scenario, EnvConfig(), action)
+        for values in (executed, alloc):
+            assert type(values) is list and all(type(v) is float for v in values)
+        assert executed is not action
+        action[:] = [0.9] * 5
+        assert executed == [0.6] * 5
+        assert np.array_equal(_bits(alloc), _bits(want))
+
+
+def test_step_takes_a_list_as_its_array(five_mu_scenario):
+    # the same checks, clamp and sales for an action list as for the array
+    cfg = EnvConfig(p_max=0.9)
+    for action in (np.array([-0.0, 0.0, 0.3, 0.95, 0.9]), np.array([1.7, -0.2, 0.5, 0.5, 0.5])):
+        got = env_step(five_mu_scenario, cfg, action.tolist())
+        want = env_step(five_mu_scenario, cfg, action)
+        for g, w in zip(got, want):
+            assert np.array_equal(_bits(g), _bits(w))
+    for bad in ([0.1] * 4, [0.1] * 6, [0.1, 0.2, float("inf"), 0.3, 0.4],
+                [0.1, float("nan"), 0.2, 0.3, 0.4]):
+        with pytest.raises(ValueError):
+            env_step(five_mu_scenario, cfg, bad)
 
 
 def test_step_deterministic(five_mu_scenario):
@@ -242,10 +259,9 @@ def test_step_deterministic(five_mu_scenario):
 
 def test_step_validates_action(five_mu_scenario):
     cfg = EnvConfig()
-    with pytest.raises(ValueError):
-        env_step(five_mu_scenario, cfg, np.zeros(4))
-    with pytest.raises(ValueError):
-        env_step(five_mu_scenario, cfg, np.array([np.nan] * 5))
+    for bad in (np.zeros(4), np.zeros((5, 1)), np.zeros((1, 5)), np.array([np.nan] * 5)):
+        with pytest.raises(ValueError):
+            env_step(five_mu_scenario, cfg, bad)
 
 
 # ---------------------------------------------------------------------------

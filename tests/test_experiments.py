@@ -142,7 +142,7 @@ def test_baselines_equal_their_step_by_step_rollouts(steps):
     ):
         rows = [env_step(scen, env, prices_for()) for _ in range(steps)]
         sp = np.array([sp_payoff(x, p, scen.utility_scale) for p, x in rows])
-        mu = np.array([[mu_payoff(m, xi, pi) for m, xi, pi in zip(scen.mus, x.tolist(), p.tolist())]
+        mu = np.array([[mu_payoff(m, xi, pi) for m, xi, pi in zip(scen.mus, x, p)]
                        for p, x in rows])
         assert res.steps == steps
         assert res.mean_sp_payoff == float(step_mean(sp))

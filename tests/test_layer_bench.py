@@ -23,7 +23,8 @@ def test_layer_bench_writes_one_record_per_layer(tmp_path):
     assert record["config"]["users"] == 5 and record["config"]["table_episodes"] == 50
     steps = record["config"]["steps_per_batch"]
     calls = {
-        "env_step": steps, "policy_sample": steps, "episode_outcomes": 1, "episode_values": 1,
+        "env_step": steps, "policy_sample": steps, "rollout_step": steps,
+        "episode_outcomes": 1, "episode_values": 1,
         "ppo_update": 1,
         "train_step": steps, "write_tables": 1,
         "best_response": 5, "sp_payoff_gradient_n200": 1, "static_n25": 1,
@@ -51,7 +52,7 @@ def test_paired_mode_compares_two_trees_layer_by_layer(tmp_path):
     record = json.loads((tmp_path / "BENCH_pair.json").read_text())
     assert record["pairs"] == 2 and record["parent_src"] == str(Path(src).resolve())
     assert {"train_step", "ppo_update", "episode_outcomes", "episode_values", "env_step",
-            "static_n25", "write_tables"} <= set(record["layers"])
+            "policy_sample", "rollout_step", "static_n25", "write_tables"} <= set(record["layers"])
     assert record["unpaired"] == {}
     for name, row in record["layers"].items():
         assert row["parent_median_us"] > 0.0 and row["change_median_us"] > 0.0, name

@@ -113,8 +113,11 @@ def test_batch_forward_matches_single():
 @pytest.mark.parametrize("sizes", [(3, 2), (6, 5, 4, 2), (30, 64, 64, 5), (30, 64, 64, 1)])
 @pytest.mark.parametrize("bounded", [False, True])
 def test_single_state_forward_matches_the_batch_path(sizes, bounded):
-    # bit equality holds on OpenBLAS; another BLAS may round a
-    # matrix-vector product differently from a one-row matrix product.
+    # compared with a batch of one row: on OpenBLAS its product runs as a
+    # matrix-vector one and the bits are equal; another BLAS may round the
+    # two differently.  The same row inside a batch of many rows need not
+    # have these bits on any BLAS (a matrix-matrix kernel sums in another
+    # order), so the first update epoch's ratios are near 1, not exactly 1.
     # atol is a floor for outputs that cancel to near 0.
     rng = _rng(len(sizes) + bounded)
     params = mlp_init(sizes, rng, bounded_output=bounded, output_scale=1.5)
@@ -271,13 +274,20 @@ def _fresh_state(seed=0, n=3):
     return scenario, cfg, env_reset(scenario, cfg, _rng(seed))
 
 
+def _jitter(policy, rng, steps):
+    """An episode's noise as train draws it: exp(log_std) times one (D, N) draw, as lists."""
+    return (np.exp(policy.log_std) * rng.standard_normal((steps, policy.log_std.size))).tolist()
+
+
 def test_policy_sample_deterministic_in_rng():
     scenario, cfg, state = _fresh_state(4)
     policy = _init_policy(state, cfg, TrainConfig(), _rng(9))
     feats = _features(state, policy.obs_price_scale)
-    a1, m1 = policy_sample(policy, feats, _rng(33))
-    a2, m2 = policy_sample(policy, feats, _rng(33))
-    assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
+    vector = policy.actor.vector.copy()
+    a1, m1 = policy_sample(policy, feats, _jitter(policy, _rng(33), 1)[0])
+    a2, m2 = policy_sample(policy, feats, _jitter(policy, _rng(33), 1)[0])
+    assert np.array_equal(_bits(a1), _bits(a2)) and np.array_equal(_bits(m1), _bits(m2))
+    assert np.array_equal(_bits(policy.actor.vector), _bits(vector))
 
 
 def test_policy_sample_returns_the_raw_action_and_the_actor_mean():
@@ -285,14 +295,16 @@ def test_policy_sample_returns_the_raw_action_and_the_actor_mean():
     policy = _init_policy(state, cfg, TrainConfig(log_std_init=LOG_STD_MAX), _rng(9))
     feats = _features(state, policy.obs_price_scale)
     mean = _mean_action(policy, state)
-    noise = _rng(12).standard_normal((50, scenario.n))
-    rng = _rng(12)
-    for z in noise:
-        action, got_mean = policy_sample(policy, feats, rng)
+    # the episode's one draw is the stream of one draw per step
+    per_step = _rng(12)
+    for jitter in _jitter(policy, _rng(12), 50):
+        action, got_mean = policy_sample(policy, feats, jitter)
+        assert type(action) is list and type(got_mean) is list
         assert np.array_equal(_bits(got_mean), _bits(mean))
+        z = per_step.standard_normal(scenario.n)
         assert np.array_equal(_bits(action), _bits(mean + np.exp(policy.log_std) * z))
     # unclamped: the log density train takes is of the raw sample
-    actions = mean + np.exp(policy.log_std) * noise
+    actions = mean + np.exp(policy.log_std) * _rng(12).standard_normal((50, scenario.n))
     assert np.any(actions < 0.0) and np.any(actions > cfg.p_max)
 
 
@@ -303,11 +315,23 @@ def test_tiny_log_std_concentrates_samples():
     policy.log_std = np.full(scenario.n, -5.0)
     mean = _mean_action(policy, state)
     feats = _features(state, policy.obs_price_scale)
-    rng = _rng(77)
     sigma = np.exp(-5.0)
-    for _ in range(1000):
-        action, _ = policy_sample(policy, feats, rng)
-        assert np.all(np.abs(action - mean) < 5.0 * sigma)
+    for jitter in _jitter(policy, _rng(77), 1000):
+        action, _ = policy_sample(policy, feats, jitter)
+        assert np.all(np.abs(np.array(action) - mean) < 5.0 * sigma)
+
+
+@pytest.mark.parametrize("steps, n", [(1, 1), (1, 5), (7, 3), (128, 5), (16, 25)])
+def test_one_episode_draw_is_the_stream_of_per_step_draws(steps, n):
+    # train draws an episode's noise as one (D, N) array; policy_sample
+    # used to draw N values per step from the same generator
+    std = np.exp(_rng(steps).uniform(LOG_STD_MIN, LOG_STD_MAX, n))
+    episode, per_step = _rng(n), _rng(n)
+    draw = std * episode.standard_normal((steps, n))
+    want = np.array([std * per_step.standard_normal(n) for _ in range(steps)])
+    assert np.array_equal(_bits(draw), _bits(want))
+    # and both generators stand at the same place in the stream afterwards
+    assert np.array_equal(_bits(episode.random(4)), _bits(per_step.random(4)))
 
 
 def test_mean_action_strictly_inside_price_box():
@@ -321,7 +345,9 @@ def test_observe_layout_and_scaling():
     """train's round rows, read as one window, are the observation written out."""
     scenario, cfg, (prices, allocations) = _fresh_state(2)
     L, n = prices.shape
-    rows = learner_mod._round_features(prices, allocations, cfg.p_max, np.empty((L, 2 * n)))
+    rows = np.empty((L, 2 * n))
+    for row, p, x in zip(rows, prices.tolist(), allocations.tolist()):
+        learner_mod._round_features(p, x, cfg.p_max, row)
     feats = rows.reshape(-1)
     assert feats.shape == (2 * L * n,)
     manual = []
@@ -609,11 +635,10 @@ def _rollout_policy_and_batch(seed, steps=24):
     scenario, cfg, state = _fresh_state(seed)
     rng = _rng(seed + 100)
     policy = _init_policy(state, cfg, TrainConfig(hidden=(16, 16)), rng)
-    noise = learner_mod._noise(policy)
     feats, actions, means, rounds = [], [], [], []
-    for _ in range(steps):
+    for jitter in _jitter(policy, rng, steps):
         feats.append(_features(state, policy.obs_price_scale))
-        action, mean = policy_sample(policy, feats[-1], rng, noise)
+        action, mean = policy_sample(policy, feats[-1], jitter)
         rounds.append(env_step(scenario, cfg, action))
         actions.append(action)
         means.append(mean)
@@ -673,6 +698,19 @@ def test_update_equals_restacking_reference_bitwise(case):
         policy.actor.biases[i] += 0.05 * grads.mlp.biases[i]
     policy.log_std = policy.log_std + 0.05 * grads.log_std
     _assert_update_matches_reference(policy, batch, bootstrap, 0.2, 0.9)
+
+
+def test_step_float_sigmoid_equals_the_array_form_bitwise():
+    # policy_sample's mean in floats against mlp_forward's output_scale * _sigmoid(z)
+    tiny = np.nextafter(0.0, 1.0)  # 5e-324
+    edges = np.array([0.0, tiny, 1e-300, 36.0, 709.0, 745.0, np.inf])
+    random = _rng(8).standard_normal(1000) * np.exp(_rng(9).uniform(-5.0, 7.0, 1000))
+    for z in (np.concatenate([edges, -edges]), random, random[:5]):
+        for scale in (1.0, 1.5, 1e-300, 3e300):
+            got = learner_mod._scaled_sigmoid(z, scale)
+            assert type(got) is list and len(got) == z.size
+            want = scale * learner_mod._sigmoid(z)
+            assert np.array_equal(_bits(got), _bits(want)), (z, scale)
 
 
 def test_sigmoid_bitwise_equals_masked_form():
@@ -757,9 +795,9 @@ def test_every_step_observes_the_last_rounds(monkeypatch, history, n, steps):
     cfg = TrainConfig(episodes=3, steps_per_batch=steps, update_epochs=1, hidden=(4,), seed=5)
     observed, rounds, sample = [], [], learner_mod.policy_sample
 
-    def recording_sample(policy, feats, rng, noise=None):
+    def recording_sample(policy, feats, jitter):
         observed.append(np.array(feats))
-        return sample(policy, feats, rng, noise)
+        return sample(policy, feats, jitter)
 
     monkeypatch.setattr(learner_mod, "policy_sample", recording_sample)
     batches = _recorded_batches(monkeypatch)
@@ -771,6 +809,26 @@ def test_every_step_observes_the_last_rounds(monkeypatch, history, n, steps):
     assert len(batches) == cfg.episodes
     for ep, batch in enumerate(batches):
         assert np.array_equal(_bits(batch.features), _bits(want[ep * steps:(ep + 1) * steps]))
+
+
+def test_train_actions_are_the_mean_plus_the_stream_of_per_step_draws():
+    # train's one noise draw per episode continues its stream as one draw per step would
+    scenario, env = make_scenario(5, n=3), EnvConfig()
+    cfg = TrainConfig(episodes=1, steps_per_batch=6, hidden=(4,), seed=5)
+    rounds, actions = [], []
+
+    def hook(ep, acts, prices, allocations, outcomes):
+        actions.extend(acts.copy())
+        rounds.extend(zip(prices.copy(), allocations.copy()))
+
+    train(scenario, env, cfg, on_episode=hook)
+    rng = _rng(cfg.seed)
+    state = env_reset(scenario, env, rng)
+    policy = _init_policy(state, env, cfg, rng)
+    assert len(actions) == cfg.steps_per_batch
+    for action, window in zip(actions, _windows(state, rounds)):
+        want = _mean_action(policy, window) + np.exp(policy.log_std) * rng.standard_normal(3)
+        assert np.array_equal(_bits(action), _bits(want))
 
 
 def test_recorded_log_probs_are_the_gaussian_density_of_the_raw_action():
@@ -794,7 +852,8 @@ def test_train_does_each_episode_step_once(monkeypatch):
     The starting window's rounds are conditioned once, and each step
     writes the row of the round it plays.  Each
     step runs the actor alone on its observation (policy_sample) and
-    sells the action (env_step), and nothing else: one outcome pass, one
+    sells the action (env_step), and nothing else: one noise draw of
+    (steps, users), one outcome pass, one
     log-density pass over the rows, one batch, one target loop and one
     batch critic pass (the values and the bootstrap) per episode.  Every
     inner epoch runs one actor and one critic forward pass on the batch,
@@ -804,6 +863,12 @@ def test_train_does_each_episode_step_once(monkeypatch):
     names = ("batches", "targets", "rows", "actor", "critic", "critic_batch", "batch", "sample",
              "step", "outcomes", "log_density", "log_prob")
     counts = dict.fromkeys(names, 0)
+    draws = []
+
+    class CountingGenerator(np.random.Generator):
+        def standard_normal(self, size=None, *args, **kwargs):
+            draws.append(size)
+            return super().standard_normal(size, *args, **kwargs)
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -812,12 +877,18 @@ def test_train_does_each_episode_step_once(monkeypatch):
 
         return wrapped
 
-    forward, round_features = learner_mod.mlp_forward, learner_mod._round_features
+    forward, single, round_features = (learner_mod.mlp_forward, learner_mod._preactivation,
+                                       learner_mod._round_features)
 
     def classified_forward(params, x):
-        net = "actor" if params.bounded_output else "critic"
-        counts[net if np.ndim(x) == 1 else f"{net}_batch"] += 1
+        if np.ndim(x) != 1:
+            counts["actor_batch" if params.bounded_output else "critic_batch"] += 1
         return forward(params, x)
+
+    def classified_single(params, h):
+        # every single-state pass, through mlp_forward or not
+        counts["actor" if params.bounded_output else "critic"] += 1
+        return single(params, h)
 
     def counted_rows(prices, allocations, price_scale, out):
         counts["rows"] += len(np.atleast_2d(prices))
@@ -831,6 +902,8 @@ def test_train_does_each_episode_step_once(monkeypatch):
         monkeypatch.setattr(learner_mod, attr, counting(name, getattr(learner_mod, attr)))
     monkeypatch.setattr(learner_mod, "_round_features", counted_rows)
     monkeypatch.setattr(learner_mod, "mlp_forward", classified_forward)
+    monkeypatch.setattr(learner_mod, "_preactivation", classified_single)
+    monkeypatch.setattr(learner_mod.np.random, "Generator", CountingGenerator)
 
     def no_recomputed_forward(*args):
         raise AssertionError("the update must reuse its forward pass")
@@ -842,7 +915,9 @@ def test_train_does_each_episode_step_once(monkeypatch):
     assert counts["batches"] == eps and counts["targets"] == eps
     # every round observed once: the starting window's L, then one per step
     assert counts["rows"] == env.history_rounds + eps * steps
-    # per step one draw, one single-state actor pass and one sale; no single-state critic pass
+    # per episode one noise draw; per step one action, one single-state
+    # actor pass and one sale; no single-state critic pass
+    assert draws == [(steps, 3)] * eps
     assert counts["sample"] == counts["step"] == counts["actor"] == eps * steps
     assert counts["critic"] == 0
     # the rounds scored and the raw actions' densities taken once per episode

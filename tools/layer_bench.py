@@ -15,9 +15,15 @@ step's features are written out here: per round of the last L, oldest
 first, the prices over p_max, then log1p of the allocations.
 
 - env_step: one environment step on a recorded action (the executed
-  prices and the sales);
-- policy_sample: one action draw on recorded features, given the
-  exploration constants train computes once per episode;
+  prices and the sales), the action in the form the tree's
+  policy_sample returns it (a list, or an array before lists);
+- policy_sample: one action on recorded features: the actor mean and
+  the step's exploration noise, drawn as the tree's train draws it (one
+  (D, N) draw per episode, or one draw per step before it);
+- rollout_step: one step of train's rollout on recorded features, as
+  the tree's train runs it: the action (policy_sample, with the noise
+  drawn as above), the sale (env_step), the round's feature row and the
+  step's rows of the episode arrays;
 - episode_outcomes: what train computes once per episode after the
   rollout: the recorded rounds' rewards and payoffs
   (dynamics.episode_outcomes), and the raw actions' log densities over
@@ -84,6 +90,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import gc  # noqa: E402
+import inspect  # noqa: E402
 import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
@@ -210,24 +217,41 @@ def measure(repeats: int, passes: int) -> dict:
     cfg = TrainConfig(seed=SEED)
     policy, _ = train(scenario, env, TrainConfig(seed=SEED, episodes=1))
 
-    noise = learner._noise(policy)
     rng = np.random.Generator(np.random.PCG64(SEED))
+    steps, users = cfg.steps_per_batch, scenario.n
+    if "jitter" in inspect.signature(policy_sample).parameters:
+        # one (D, N) noise draw per episode; the action and mean are lists
+        def episode_noise():
+            return (np.exp(policy.log_std) * rng.standard_normal((steps, users))).tolist()
+
+        def sample(feats, jitter):
+            return policy_sample(policy, feats, jitter)
+    else:
+        # a tree from before: policy_sample draws each step's noise itself
+        noise = learner._noise(policy)
+
+        def episode_noise():
+            return [None] * steps
+
+        def sample(feats, _):
+            return policy_sample(policy, feats, rng, noise)
+
     history = env.history_rounds
-    start = rng.uniform(0.0, env.p_max, size=(history, scenario.n))
+    start = rng.uniform(0.0, env.p_max, size=(history, users))
     rounds = [(row, respond(scenario, row)) for row in start]
 
     def observed():
-        return np.concatenate([np.concatenate([p / env.p_max, np.log1p(x)])
+        return np.concatenate([np.concatenate([np.asarray(p) / env.p_max, np.log1p(x)])
                                for p, x in rounds[-history:]])
 
     features, actions, means = [], [], []
-    for _ in range(cfg.steps_per_batch):
+    for jitter in episode_noise():
         features.append(observed())
-        actions.append(policy_sample(policy, features[-1], rng, noise)[0])
+        actions.append(sample(features[-1], jitter)[0])
         means.append(mlp_forward(policy.actor, features[-1]))
         rounds.append(env_step(scenario, env, actions[-1]))
     features = np.array([*features, observed()])
-    actions, means = np.array(actions), np.array(means)
+    step_inputs, actions, means = actions, np.array(actions), np.array(means)
     prices, allocations = (np.array(column) for column in zip(*rounds[history:]))
     log_probs = gaussian_log_prob(means, policy.log_std, actions)
     rewards = episode_outcomes(scenario, env, prices, allocations).reward
@@ -240,13 +264,25 @@ def measure(repeats: int, passes: int) -> dict:
 
     def steps_pass():
         for _ in range(passes):
-            for action in actions:
+            for action in step_inputs:
                 env_step(scenario, env, action)
 
     def samples_pass():
         for _ in range(passes):
-            for feats in features[:-1]:
-                policy_sample(policy, feats, rng, noise)
+            for feats, jitter in zip(features[:-1], episode_noise()):
+                sample(feats, jitter)
+
+    # train's episode arrays and round rows; each step writes one row of each
+    step_actions, step_means, step_prices, step_sales = (np.empty((steps, users)) for _ in range(4))
+    feature_rows = np.empty((steps, 2 * users))
+    step_views = list(zip(features, feature_rows))
+
+    def rollout_pass():
+        for _ in range(passes):
+            for k, ((feats, row), jitter) in enumerate(zip(step_views, episode_noise())):
+                step_actions[k], step_means[k] = drawn = sample(feats, jitter)
+                p, x = step_prices[k], step_sales[k] = env_step(scenario, env, drawn[0])
+                learner._round_features(p, x, env.p_max, row)
 
     def outcomes_pass():
         for _ in range(passes):
@@ -271,6 +307,7 @@ def measure(repeats: int, passes: int) -> dict:
         for name, fn, n in (
             ("env_step", steps_pass, calls),
             ("policy_sample", samples_pass, calls),
+            ("rollout_step", rollout_pass, calls),
             ("episode_outcomes", outcomes_pass, passes),
             ("episode_values", values_pass, passes),
             ("ppo_update", update, 1),
