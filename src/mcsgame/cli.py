@@ -283,8 +283,8 @@ def cmd_train(config: RunConfig, out_dir: str, svg: bool, steps_trace: bool) -> 
     except TrainingDiverged as e:
         os.makedirs(out_dir, exist_ok=True)
         snap_path = write_json(os.path.join(out_dir, "divergence_snapshot.json"), {
-            "format": "mcsgame-divergence", "version": 1, "config": _echo(config, "train"),
-            "episode": e.episode, "inner_epoch": e.inner_epoch, "parameters": e.snapshot,
+            "format": "mcsgame-divergence", "version": 2, "config": _echo(config, "train"),
+            "episode": e.episode, "inner_epoch": e.inner_epoch, "parameters": e.parameters,
         })
         print(
             f"training diverged at episode {e.episode}, inner epoch {e.inner_epoch}; "

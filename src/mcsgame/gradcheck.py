@@ -5,6 +5,10 @@ against central differences of the quantity it claims to differentiate,
 and reports the worst relative error |analytic - numeric| / max(1,
 |analytic|).  The checks double as a library for the test suite and as
 the engine of the gradcheck CLI command.
+
+The network checks run on plain MLPs with linear heads; the actor's
+squash p_max * sigmoid(z) is checked where it lives, in the PPO actor
+gradient, on a toy policy with p_max = 1.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ def _leader_hessian_diag(rng: np.random.Generator, _k: int) -> float:
 
 
 def _toy_policy(rng: np.random.Generator):
-    actor = learner.mlp_init((6, 5, 4, 2), rng, bounded_output=True, output_scale=1.0)
+    actor = learner.mlp_init((6, 5, 4, 2), rng)
     critic = learner.mlp_init((6, 5, 4, 1), rng)
     log_std = rng.uniform(-1.0, -0.3, size=2)
     return learner.PolicyParams(actor, log_std, critic, 1.0)
@@ -113,8 +117,8 @@ def _toy_batch(policy, rng: np.random.Generator, gamma: float, steps: int = 5):
     rows = []  # (features, action, log density, reward, value) of each step
     for _ in range(steps):
         feats = rng.uniform(-1.0, 1.0, size=6)
-        mean = learner.mlp_forward(policy.actor, feats)
-        action = mean + np.exp(policy.log_std) * rng.standard_normal(2)
+        action, mean = learner.policy_sample(
+            policy, feats, (np.exp(policy.log_std) * rng.standard_normal(2)).tolist())
         # jitter the stored density so the ratios differ from 1
         logp = learner.gaussian_log_prob(mean, policy.log_std, action) + rng.uniform(-0.05, 0.05)
         rows.append((feats, action, logp, rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)))
@@ -124,9 +128,8 @@ def _toy_batch(policy, rng: np.random.Generator, gamma: float, steps: int = 5):
     return batch, bootstrap
 
 
-def _mlp_backward(rng: np.random.Generator, k: int) -> float:
-    # even probes check the sigmoid output layer, odd ones the linear one
-    net = learner.mlp_init((5, 4, 3), rng, bounded_output=k % 2 == 0, output_scale=1.5)
+def _mlp_backward(rng: np.random.Generator, _k: int) -> float:
+    net = learner.mlp_init((5, 4, 3), rng)
     x = rng.uniform(-1.0, 1.0, size=(3, 5))
     upstream = rng.uniform(-1.0, 1.0, size=(3, 3))
     grads = learner.mlp_backward(net, x, upstream)

@@ -1,12 +1,15 @@
 """PPO pricing agent built directly on numpy.
 
 The actor maps the observed history window to a diagonal Gaussian over
-price profiles: a small tanh network outputs the mean through a
-sigmoid scaled to (0, p_max), and a state-independent learnable log
-standard deviation controls exploration.  The critic is a second tanh
-network with a linear scalar head.  Both are updated by plain gradient
-steps computed by hand; there is no autograd, optimizer state, GAE,
-entropy bonus or mini-batching.
+price profiles: a small tanh network with a linear head gives z, the
+policy squashes it to the mean p_max * sigmoid(z) in (0, p_max), and a
+state-independent learnable log standard deviation controls
+exploration.  The critic is a second tanh network with a linear scalar
+head.  Every network is the same plain MLP (MlpParams); the squash and
+its derivative belong to the policy code, and PolicyParams.p_max is the
+one number that scales both the observed prices and the squash.  Both
+networks are updated by plain gradient steps computed by hand; there is
+no autograd, optimizer state, GAE, entropy bonus or mini-batching.
 
 A training step does only what the next observation needs.  train
 keeps one array of round features, one row per (price, allocation)
@@ -21,9 +24,10 @@ critic batch pass, over one read-only copy of the observations and the
 next state's, for the values and the bootstrap V(s(D+1)).  The
 EpisodeBatch built on that copy serves every update epoch.
 
-A network's weights and biases are views into one float64 vector, and
-train writes each network's gradients into one such vector allocated
-per call, so a parameter step is one array operation.  Products use
+A network's weights and biases are views into one float64 vector.  A
+gradient is an MlpParams of its network's shapes, so it is packed the
+same way; train writes each network's gradients into one allocated per
+call, so a parameter step is one array operation.  Products use
 ndarray.dot (less per-call cost than @); single states take W.dot(h).
 
 This module sees the game only through dynamics' env_reset (the
@@ -31,7 +35,9 @@ starting window's price and allocation arrays), env_step and
 episode_outcomes: the (price, allocation, reward) stream.  It never
 imports the market model and never reads user profile fields, so the
 agent cannot peek at capacities, valuations, costs or demand laws.
-save_policy writes the trained policy as JSON; nothing reads it back.
+save_policy writes the trained policy as JSON in the layout of
+_policy_record, which TrainingDiverged also carries; nothing reads it
+back.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from .reporting import write_json
 
 __all__ = [
     "MlpParams",
-    "MlpGrads",
     "ActorGrads",
     "PolicyParams",
     "TrainConfig",
@@ -81,30 +86,26 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # plain multilayer perceptron
 
 
-def _pack(layers: MlpParams | MlpGrads) -> MlpParams | MlpGrads:
+def _pack(layers: MlpParams) -> None:
     """Copy the weights, then the biases, into one new vector; leave views of it in their place."""
     arrays = [*layers.weights, *layers.biases]
     layers.vector = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
     parts = np.split(layers.vector, np.cumsum([a.size for a in arrays[:-1]]))
     views = [part.reshape(a.shape) for part, a in zip(parts, arrays)]
     layers.weights, layers.biases = views[: len(layers.weights)], views[len(layers.weights):]
-    return layers
 
 
 @dataclass
 class MlpParams:
-    """Dense layers with tanh hidden activations.
+    """Dense layers with tanh hidden activations and a linear output layer.
 
-    weights[i] has shape (fan_out, fan_in).  With bounded_output the
-    last layer goes through a sigmoid scaled by output_scale, otherwise
-    it is linear.  The constructor copies the weights and biases into
-    ``vector`` and keeps views of it (see _pack).
+    weights[i] has shape (fan_out, fan_in).  The constructor copies the
+    weights and biases into ``vector`` and keeps views of it (see
+    _pack).  A network's gradient is an MlpParams of the same shapes.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    bounded_output: bool = False
-    output_scale: float = 1.0
     vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -116,25 +117,14 @@ class MlpParams:
         _pack(self)
 
 
-@dataclass
-class MlpGrads:
-    """Parameter gradients, same shapes as the owning MlpParams; _grads_for packs them."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    vector: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-
-def _grads_for(params: MlpParams) -> MlpGrads:
+def _grads_for(params: MlpParams) -> MlpParams:
     """A gradient packed like params, for _backprop to overwrite."""
-    return _pack(MlpGrads(params.weights, params.biases))
+    return MlpParams(params.weights, params.biases)
 
 
 def mlp_init(
     sizes: tuple[int, ...],
     rng: np.random.Generator,
-    bounded_output: bool = False,
-    output_scale: float = 1.0,
     out_weight_std: float | None = None,
 ) -> MlpParams:
     """Gaussian fan-in init; the output layer may use its own std."""
@@ -148,7 +138,7 @@ def mlp_init(
             std = out_weight_std
         weights.append(rng.normal(0.0, std, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases, bounded_output, output_scale)
+    return MlpParams(weights, biases)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -169,7 +159,7 @@ def _scaled_sigmoid(z: np.ndarray, scale: float) -> list:
 
 
 def _forward_cached(params: MlpParams, x: np.ndarray):
-    """Forward pass that also returns what the backward pass needs."""
+    """Forward pass of a batch (B, in): the output (B, out) and what _backprop needs."""
     a = np.atleast_2d(np.asarray(x, dtype=float))
     acts = [a]
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
@@ -179,11 +169,11 @@ def _forward_cached(params: MlpParams, x: np.ndarray):
         acts.append(a)
     z = a.dot(params.weights[-1].T)
     z += params.biases[-1]
-    return params.output_scale * _sigmoid(z) if params.bounded_output else z, acts
+    return z, acts
 
 
 def _preactivation(params: MlpParams, h: np.ndarray) -> np.ndarray:
-    """The output layer's pre-activation for one input (in,): W.dot(h), bias and tanh per layer.
+    """The output for one input (in,): W.dot(h), bias and tanh per layer, then the linear head.
 
     On OpenBLAS these bits equal a batch of one row's, but not that row's in a
     batch of many (128 steps), whose matrix kernel sums in another order: so
@@ -201,31 +191,19 @@ def _preactivation(params: MlpParams, h: np.ndarray) -> np.ndarray:
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
     """Evaluate the network on one input (in,) or a batch (B, in); see _preactivation."""
     h = np.asarray(x, dtype=float)
-    if h.ndim != 1:
-        return _forward_cached(params, h)[0]
-    z = _preactivation(params, h)
-    return params.output_scale * _sigmoid(z) if params.bounded_output else z
+    return _preactivation(params, h) if h.ndim == 1 else _forward_cached(params, h)[0]
 
 
-def _backprop(params: MlpParams, out: np.ndarray, acts: list, upstream, into=None) -> MlpGrads:
-    """Parameter gradients from a forward pass already computed by _forward_cached.
+def _backprop(params: MlpParams, acts: list, dz: np.ndarray, into=None) -> MlpParams:
+    """Parameter gradients from d(loss)/d(output) dz (B, out) and _forward_cached's activations.
 
-    They are written into the arrays of ``into`` if given, else new ones.
+    They are written into ``into`` if given, else into a new _grads_for(params).
     """
-    up = np.atleast_2d(np.asarray(upstream, dtype=float))
-    if up.shape != out.shape:
-        raise ValueError(f"upstream shape {up.shape} does not match output {out.shape}")
-    if params.bounded_output:
-        s = out / params.output_scale
-        dz = up * params.output_scale * s * (1.0 - s)
-    else:
-        dz = up
-    layers = len(params.weights)
-    grads = MlpGrads([None] * layers, [None] * layers) if into is None else into
+    grads = _grads_for(params) if into is None else into
     gw, gb = grads.weights, grads.biases
-    for i in range(layers - 1, -1, -1):
-        gw[i] = np.dot(dz.T, acts[i], out=gw[i])  # out=None allocates
-        gb[i] = dz.sum(axis=0, out=gb[i])
+    for i in range(len(gw) - 1, -1, -1):
+        np.dot(dz.T, acts[i], out=gw[i])
+        dz.sum(axis=0, out=gb[i])
         if i > 0:
             dz = dz.dot(params.weights[i])
             tanh_prime = np.square(acts[i])
@@ -234,14 +212,18 @@ def _backprop(params: MlpParams, out: np.ndarray, acts: list, upstream, into=Non
     return grads
 
 
-def mlp_backward(params: MlpParams, x, upstream) -> MlpGrads:
+def mlp_backward(params: MlpParams, x, upstream) -> MlpParams:
     """Backpropagate d(loss)/d(output) to parameter gradients.
 
     A batched upstream (B, out) yields gradients summed over the batch.
     The forward pass is computed from x, so the call is self-contained;
     the PPO gradients below reuse their own forward pass instead.
     """
-    return _backprop(params, *_forward_cached(params, x), upstream)
+    out, acts = _forward_cached(params, x)
+    up = np.atleast_2d(np.asarray(upstream, dtype=float))
+    if up.shape != out.shape:
+        raise ValueError(f"upstream shape {up.shape} does not match output {out.shape}")
+    return _backprop(params, acts, up)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +232,16 @@ def mlp_backward(params: MlpParams, x, upstream) -> MlpGrads:
 
 @dataclass
 class PolicyParams:
-    """Actor network, exploration scale and critic network."""
+    """Actor network, exploration scale, critic network and the price cap.
+
+    p_max scales both the observed prices (features hold price / p_max)
+    and the squash of the actor's output z to the mean p_max * sigmoid(z).
+    """
 
     actor: MlpParams
     log_std: np.ndarray
     critic: MlpParams
-    obs_price_scale: float
+    p_max: float
 
     def all_finite(self) -> bool:
         arrays = (self.actor.vector, self.critic.vector, self.log_std)
@@ -269,21 +255,16 @@ def _round_features(prices: list, allocations: list, price_scale: float, out: np
     np.log1p(allocations, out=out[n:])
 
 
-def _noise(policy: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
-    """The policy's standard deviations and per-dimension log-density constants."""
-    return np.exp(policy.log_std), -0.5 * _LOG_2PI - policy.log_std
-
-
-def _log_density(action: np.ndarray, mean: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
-    """z-scores and log densities of actions (N,) or rows (D, N); noise is as _noise gives it."""
-    std, log_norm = noise
+def _log_density(action: np.ndarray, mean: np.ndarray, log_std: np.ndarray):
+    """Standard deviations, z-scores and log densities of actions (N,) or rows (D, N)."""
+    std = np.exp(log_std)
     z = (action - mean) / std
-    return z, np.sum(log_norm - 0.5 * z * z, axis=-1)
+    return std, z, np.sum(-0.5 * _LOG_2PI - log_std - 0.5 * z * z, axis=-1)
 
 
 def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, action: np.ndarray):
     """Log density of a diagonal Gaussian at an action (N,), a float, or at each row of (D, N)."""
-    logp = _log_density(np.asarray(action), mean, (np.exp(log_std), -0.5 * _LOG_2PI - log_std))[1]
+    logp = _log_density(np.asarray(action), mean, log_std)[2]
     return logp if np.ndim(logp) else float(logp)
 
 
@@ -295,7 +276,7 @@ def policy_sample(policy: PolicyParams, feats: np.ndarray, jitter: list) -> tupl
     (D, N) standard normal draw.  The action is mean + jitter, unclamped:
     train takes the raw samples' log densities, as a clamped price's would bias PPO.
     """
-    mean = _scaled_sigmoid(_preactivation(policy.actor, feats), policy.actor.output_scale)
+    mean = _scaled_sigmoid(_preactivation(policy.actor, feats), policy.p_max)
     return [m + j for m, j in zip(mean, jitter)], mean
 
 
@@ -366,11 +347,12 @@ def clip_ratio(f, epsilon: float):
 
 
 def _ratio_pieces(policy: PolicyParams, batch: EpisodeBatch):
-    mean, acts = _forward_cached(policy.actor, batch.features)
-    noise = _noise(policy)
-    z, logp_now = _log_density(batch.actions, mean, noise)
+    """The batch's actor means, the actor's activations, std, z-scores and probability ratios."""
+    out, acts = _forward_cached(policy.actor, batch.features)
+    mean = policy.p_max * _sigmoid(out)
+    std, z, logp_now = _log_density(batch.actions, mean, policy.log_std)
     f = np.exp(logp_now - batch.log_probs)
-    return mean, acts, noise[0], z, f
+    return mean, acts, std, z, f
 
 
 def ppo_surrogate(policy: PolicyParams, batch: EpisodeBatch, epsilon: float) -> float:
@@ -384,12 +366,12 @@ def ppo_surrogate(policy: PolicyParams, batch: EpisodeBatch, epsilon: float) -> 
 class ActorGrads:
     """Surrogate gradients for the actor network and log_std vector."""
 
-    mlp: MlpGrads
+    mlp: MlpParams
     log_std: np.ndarray
 
 
 def ppo_actor_gradient(policy: PolicyParams, batch: EpisodeBatch, epsilon: float,
-                       into: MlpGrads | None = None) -> ActorGrads:
+                       into: MlpParams | None = None) -> ActorGrads:
     """Gradient of the clipped surrogate w.r.t. actor weights and log_std.
 
     The actor network's gradient is written into ``into`` if given.
@@ -397,7 +379,8 @@ def ppo_actor_gradient(policy: PolicyParams, batch: EpisodeBatch, epsilon: float
     Each step contributes advantage * ratio * grad(log pi) while its
     unclipped branch is active or the ratio sits inside the clip band;
     once the min saturates at a clipped constant the contribution is
-    exactly zero.
+    exactly zero.  The mean's derivative chains through the squash
+    p_max * sigmoid(z), whose slope is p_max * s * (1 - s) at s = mean / p_max.
     """
     mean, acts, std, z, f = _ratio_pieces(policy, batch)
     adv = batch.advantages
@@ -407,14 +390,15 @@ def ppo_actor_gradient(policy: PolicyParams, batch: EpisodeBatch, epsilon: float
     # a ratio inside the clip band is its own clip
     active = (unclipped <= clipped) | (cf == f)
     coef = np.where(active, unclipped, 0.0)
-    upstream_mean = coef[:, None] * z / std
-    mlp_grads = _backprop(policy.actor, mean, acts, upstream_mean, into)
+    s = mean / policy.p_max
+    dz = coef[:, None] * z / std * policy.p_max * s * (1.0 - s)
+    mlp_grads = _backprop(policy.actor, acts, dz, into)
     log_std_grad = np.sum(coef[:, None] * (z * z - 1.0), axis=0)
     return ActorGrads(mlp_grads, log_std_grad)
 
 
 def critic_loss_and_gradient(policy: PolicyParams, batch: EpisodeBatch,
-                             into: MlpGrads | None = None) -> tuple[float, MlpGrads]:
+                             into: MlpParams | None = None) -> tuple[float, MlpParams]:
     """Summed squared error of the critic against fixed return targets, and its gradient.
 
     The gradient is written into ``into`` if given.
@@ -422,7 +406,7 @@ def critic_loss_and_gradient(policy: PolicyParams, batch: EpisodeBatch,
     out, acts = _forward_cached(policy.critic, batch.features)
     resid = out[:, 0] - batch.targets
     loss = float(np.sum(resid * resid))
-    grads = _backprop(policy.critic, out, acts, (2.0 * resid)[:, None], into)
+    grads = _backprop(policy.critic, acts, (2.0 * resid)[:, None], into)
     return loss, grads
 
 
@@ -485,38 +469,26 @@ class EpisodeStats:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when any parameter stops being finite during training."""
+    """Raised when any parameter stops being finite during training.
 
-    def __init__(self, message: str, episode: int, inner_epoch: int, snapshot: dict):
+    parameters is the policy's record at that point (_policy_record), the
+    layout of a checkpoint's actor, critic and log_std.
+    """
+
+    def __init__(self, message: str, episode: int, inner_epoch: int, parameters: dict):
         super().__init__(message)
         self.episode = episode
         self.inner_epoch = inner_epoch
-        self.snapshot = snapshot
+        self.parameters = parameters
 
 
 def _init_policy(in_dim: int, n: int, env_config: EnvConfig, cfg: TrainConfig,
                  rng) -> PolicyParams:
     """Fresh networks for in_dim observed features (two per user and round) and n users."""
-    actor = mlp_init(
-        (in_dim, *cfg.hidden, n),
-        rng,
-        bounded_output=True,
-        output_scale=env_config.p_max,
-        out_weight_std=0.01,
-    )
+    actor = mlp_init((in_dim, *cfg.hidden, n), rng, out_weight_std=0.01)
     critic = mlp_init((in_dim, *cfg.hidden, 1), rng, out_weight_std=0.01)
     log_std = np.full(n, float(cfg.log_std_init))
     return PolicyParams(actor, log_std, critic, env_config.p_max)
-
-
-def _snapshot(policy: PolicyParams) -> dict:
-    return {
-        "actor_weights": [W.tolist() for W in policy.actor.weights],
-        "actor_biases": [b.tolist() for b in policy.actor.biases],
-        "critic_weights": [W.tolist() for W in policy.critic.weights],
-        "critic_biases": [b.tolist() for b in policy.critic.biases],
-        "log_std": policy.log_std.tolist(),
-    }
 
 
 def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_episode=None):
@@ -538,7 +510,7 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_episode
     policy = _init_policy(2 * start_prices.size, n, env_config, cfg, rng)
     actor_grads, critic_grads = _grads_for(policy.actor), _grads_for(policy.critic)
     trace: list[EpisodeStats] = []
-    scale = policy.obs_price_scale
+    scale = policy.p_max
     # one feature row per round, oldest first; step k observes rows k .. k + L - 1
     rounds = np.empty((history + d, 2 * n))
     for row, p, x in zip(rounds, start_prices.tolist(), start_allocations.tolist()):
@@ -581,7 +553,7 @@ def train(scenario, env_config: EnvConfig, train_config: TrainConfig, on_episode
                 policy.critic.vector -= cfg.critic_lr * critic_grads.vector
                 if not policy.all_finite():
                     raise TrainingDiverged(f"non-finite parameter after episode {ep}, inner "
-                                           f"epoch {epoch}", ep, epoch, _snapshot(policy))
+                                           f"epoch {epoch}", ep, epoch, _policy_record(policy))
             trace.append(EpisodeStats(
                 ep, float(step_mean(outcomes.reward)), float(step_mean(outcomes.sp_payoff)),
                 ppo_surrogate(policy, batch, cfg.clip_epsilon), critic_loss,
@@ -599,21 +571,16 @@ def _mlp_record(params: MlpParams) -> dict:
         "shapes": [list(W.shape) for W in params.weights],
         "weights": [W.reshape(-1).tolist() for W in params.weights],
         "biases": [b.tolist() for b in params.biases],
-        "bounded_output": params.bounded_output,
-        "output_scale": params.output_scale,
     }
+
+
+def _policy_record(policy: PolicyParams) -> dict:
+    """The policy's parameters as JSON values; p_max is the env config's."""
+    return {"actor": _mlp_record(policy.actor), "critic": _mlp_record(policy.critic),
+            "log_std": policy.log_std.tolist()}
 
 
 def save_policy(path, policy: PolicyParams, env_config: EnvConfig, train_config: TrainConfig) -> None:
     """Write a self-describing JSON checkpoint; every float in it reads back to its bits."""
-    record = {
-        "format": "mcsgame-policy",
-        "version": 2,
-        "env": asdict(env_config),
-        "train": asdict(train_config),
-        "obs_price_scale": policy.obs_price_scale,
-        "log_std": policy.log_std.tolist(),
-        "actor": _mlp_record(policy.actor),
-        "critic": _mlp_record(policy.critic),
-    }
-    write_json(path, record)
+    write_json(path, {"format": "mcsgame-policy", "version": 3, "env": asdict(env_config),
+                      "train": asdict(train_config), **_policy_record(policy)})

@@ -136,9 +136,18 @@ def line_chart(
     y_label: str,
     series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
 ) -> str:
-    """Plot named (xs, ys) series as polylines and write the file."""
+    """Plot named (xs, ys) series as polylines and write the file.
+
+    Raises ValueError, naming the series, when a series' lengths differ or
+    one of its points is not finite.
+    """
     if not series:
         raise ValueError("line_chart needs at least one series")
+    for name, (xs, ys) in series.items():
+        if len(xs) != len(ys):
+            raise ValueError(f"series {name!r} has mismatched lengths")
+        if not all(map(math.isfinite, (*xs, *ys))):
+            raise ValueError(f"series {name!r} has a point that is not finite")
     all_x = [float(x) for xs, _ in series.values() for x in xs]
     all_y = [float(y) for _, ys in series.values() for y in ys]
     if not all_x:
@@ -146,9 +155,7 @@ def line_chart(
     frame = _Frame(min(all_x), max(all_x), min(all_y), max(all_y))
     parts = _open_svg(title)
     _axes(parts, frame, x_label, y_label)
-    for i, (name, (xs, ys)) in enumerate(series.items()):
-        if len(xs) != len(ys):
-            raise ValueError(f"series {name!r} has mismatched lengths")
+    for i, (xs, ys) in enumerate(series.values()):
         pts = " ".join(f"{frame.px(float(x)):.2f},{frame.py(float(y)):.2f}" for x, y in zip(xs, ys))
         color = _PALETTE[i % len(_PALETTE)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')

@@ -38,25 +38,51 @@ def _bits(arr):
     return np.asarray(arr, dtype=float).view(np.uint64)
 
 
+def _same_bits(got, want):
+    """Equal floats, bit for bit; a NaN matches any NaN, as JSON keeps no NaN's sign or payload."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(_bits(got[~nan]), _bits(want[~nan]))
+
+
+def policy_record(policy):
+    """The record policy's arrays should be written as, each weight matrix flattened row by row."""
+    nets = {key: {"shapes": [list(W.shape) for W in net.weights],
+                  "weights": [W.ravel() for W in net.weights], "biases": list(net.biases)}
+            for key, net in (("actor", policy.actor), ("critic", policy.critic))}
+    return {"log_std": policy.log_std, **nets}
+
+
+def assert_record_holds(record, want):
+    """A policy record read from JSON holds want, a record of the same layout, number for number.
+
+    Both are {actor, critic, log_std}, a network being {shapes, weights, biases};
+    every float must keep its bits, infinities included, and a NaN stay a NaN.
+    """
+    assert sorted(record) == sorted(want) == ["actor", "critic", "log_std"]
+    _same_bits(record["log_std"], want["log_std"])
+    for key in ("actor", "critic"):
+        rec, net = record[key], want[key]
+        assert sorted(rec) == sorted(net) == ["biases", "shapes", "weights"]
+        assert rec["shapes"] == [list(shape) for shape in net["shapes"]]
+        for part in ("weights", "biases"):
+            assert len(rec[part]) == len(net[part]) == len(rec["shapes"])
+            for got, expected in zip(rec[part], net[part]):
+                _same_bits(got, expected)
+
+
 def assert_checkpoint_holds(path, policy, env_config, train_config):
     """checkpoint.json at path holds policy and both configs, every number bit for bit."""
     record = json.loads(path.read_text(encoding="utf-8"))
-    assert sorted(record) == ["actor", "critic", "env", "format", "log_std", "obs_price_scale",
-                              "train", "version"]
-    assert (record["format"], record["version"]) == ("mcsgame-policy", 2)
+    assert sorted(record) == ["actor", "critic", "env", "format", "log_std", "train", "version"]
+    assert (record["format"], record["version"]) == ("mcsgame-policy", 3)
     for key, cfg in (("env", env_config), ("train", train_config)):
         # a tuple field is a JSON list; every float reads back to its bits
         assert record[key] == json.loads(json.dumps(dataclasses.asdict(cfg))), key
-    assert _bits(record["obs_price_scale"]) == _bits(policy.obs_price_scale)
-    assert np.array_equal(_bits(record["log_std"]), _bits(policy.log_std))
-    for key, net in (("actor", policy.actor), ("critic", policy.critic)):
-        rec = record[key]
-        assert sorted(rec) == ["biases", "bounded_output", "output_scale", "shapes", "weights"]
-        assert rec["shapes"] == [list(W.shape) for W in net.weights]
-        for flat, W in zip(rec["weights"], net.weights, strict=True):
-            assert np.array_equal(_bits(flat), _bits(W.ravel()))
-        for b_rec, b in zip(rec["biases"], net.biases, strict=True):
-            assert np.array_equal(_bits(b_rec), _bits(b))
-        assert rec["bounded_output"] is net.bounded_output
-        assert _bits(rec["output_scale"]) == _bits(net.output_scale)
+    # p_max is held once, in the env section
+    assert _bits(record["env"]["p_max"]) == _bits(policy.p_max)
+    assert_record_holds({key: record[key] for key in ("actor", "critic", "log_std")},
+                        policy_record(policy))
     return record

@@ -246,19 +246,12 @@ def _ref_forward(net, x):
     for W, b in zip(net.weights[:-1], net.biases[:-1]):
         a = np.tanh(a @ W.T + b)
         acts.append(a)
-    z = a @ net.weights[-1].T + net.biases[-1]
-    out = net.output_scale * masked_sigmoid(z) if net.bounded_output else z
-    return out, acts
+    return a @ net.weights[-1].T + net.biases[-1], acts
 
 
 def _ref_backward(net, x, upstream):
-    out, acts = _ref_forward(net, x)
-    up = np.atleast_2d(np.asarray(upstream, dtype=float))
-    if net.bounded_output:
-        s = out / net.output_scale
-        dz = up * net.output_scale * s * (1.0 - s)
-    else:
-        dz = up
+    _, acts = _ref_forward(net, x)
+    dz = np.atleast_2d(np.asarray(upstream, dtype=float))
     gw = [None] * len(net.weights)
     gb = [None] * len(net.biases)
     for i in range(len(net.weights) - 1, -1, -1):
@@ -291,11 +284,12 @@ def _ref_targets(rewards, bootstrap, gamma):
 def _ref_ratio_pieces(policy, batch, bootstrap, gamma):
     feats, actions, logp_old, rewards, values = _ref_stack(batch)
     adv = _ref_targets(rewards, bootstrap, gamma) - values
-    mean, _ = _ref_forward(policy.actor, feats)
+    # the policy squashes the actor's linear output into (0, p_max)
+    mean = policy.p_max * masked_sigmoid(_ref_forward(policy.actor, feats)[0])
     std = np.exp(policy.log_std)
     z = (actions - mean) / std
     logp_now = np.sum(-0.5 * _LOG_2PI - policy.log_std - 0.5 * z * z, axis=1)
-    return feats, adv, std, z, np.exp(logp_now - logp_old)
+    return feats, adv, mean, std, z, np.exp(logp_now - logp_old)
 
 
 def ppo_reference(policy, batch, bootstrap, epsilon, gamma):
@@ -307,16 +301,18 @@ def ppo_reference(policy, batch, bootstrap, epsilon, gamma):
     Returns a dict with keys surrogate, actor_weights, actor_biases,
     log_std, critic_loss, critic_weights and critic_biases.
     """
-    _, adv, _, _, f = _ref_ratio_pieces(policy, batch, bootstrap, gamma)
+    _, adv, _, _, _, f = _ref_ratio_pieces(policy, batch, bootstrap, gamma)
     clip = np.clip(f, 1.0 - epsilon, 1.0 + epsilon)
     surrogate = float(np.sum(np.minimum(f * adv, clip * adv)))
 
-    feats, adv, std, z, f = _ref_ratio_pieces(policy, batch, bootstrap, gamma)
+    feats, adv, mean, std, z, f = _ref_ratio_pieces(policy, batch, bootstrap, gamma)
     unclipped = f * adv
     clipped = np.clip(f, 1.0 - epsilon, 1.0 + epsilon) * adv
     active = (unclipped <= clipped) | ((f >= 1.0 - epsilon) & (f <= 1.0 + epsilon))
     coef = np.where(active, f * adv, 0.0)
-    actor_w, actor_b = _ref_backward(policy.actor, feats, coef[:, None] * z / std)
+    s = mean / policy.p_max  # the squash's slope is p_max * s * (1 - s)
+    actor_w, actor_b = _ref_backward(policy.actor, feats,
+                                     coef[:, None] * z / std * policy.p_max * s * (1.0 - s))
     log_std = np.sum(coef[:, None] * (z * z - 1.0), axis=0)
 
     feats, _, _, rewards, _ = _ref_stack(batch)

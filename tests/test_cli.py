@@ -13,14 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_checkpoint_holds, make_scenario
+from conftest import assert_checkpoint_holds, assert_record_holds, make_scenario
 from mcsgame import cli, gradcheck, learner
 from mcsgame.cli import main
 from mcsgame.dynamics import EnvConfig
 from mcsgame.experiments import ScenarioSpec
 from mcsgame.gradcheck import CHECK_NAMES, run_all
 from mcsgame.leader import compute_se
-from mcsgame.learner import ActorGrads, MlpGrads, TrainConfig
+from mcsgame.learner import ActorGrads, MlpParams, TrainConfig, TrainingDiverged
 from oracles import leader_grid_best_uniform_n1
 
 
@@ -530,7 +530,17 @@ def test_train_reruns_identical_manifests(tmp_path):
     assert ma["artifacts"] == mb["artifacts"]
 
 
-def test_train_divergence_exits_4_with_snapshot(tmp_path):
+def test_train_divergence_exits_4_with_snapshot(tmp_path, monkeypatch):
+    diverged, real_train = [], cli.train
+
+    def recording_train(*args, **kwargs):
+        try:
+            return real_train(*args, **kwargs)
+        except TrainingDiverged as e:
+            diverged.append(e)
+            raise
+
+    monkeypatch.setattr(cli, "train", recording_train)
     out = tmp_path / "run"
     with np.errstate(all="ignore"):
         rc = main(
@@ -544,11 +554,17 @@ def test_train_divergence_exits_4_with_snapshot(tmp_path):
         )
     assert rc == 4
     snap = json.loads((out / "divergence_snapshot.json").read_text())
-    assert snap["format"] == "mcsgame-divergence"
+    assert sorted(snap) == ["config", "episode", "format", "inner_epoch", "parameters", "version"]
+    assert (snap["format"], snap["version"]) == ("mcsgame-divergence", 2)
+    (e,) = diverged
+    assert (snap["episode"], snap["inner_epoch"]) == (e.episode, e.inner_epoch)
     assert snap["episode"] >= 1
-    assert set(snap["parameters"]) == {
-        "actor_weights", "actor_biases", "critic_weights", "critic_biases", "log_std",
-    }
+    # the parameters, in the checkpoint's layout, are the exception's record
+    # bit for bit, the non-finite entries included
+    assert_record_holds(snap["parameters"], e.parameters)
+    critic = np.concatenate([*snap["parameters"]["critic"]["weights"],
+                             *snap["parameters"]["critic"]["biases"]])
+    assert not np.isfinite(critic).all()
     # nothing else was written
     assert not (out / "episodes.csv").exists()
     assert not (out / "manifest.json").exists()
@@ -787,7 +803,7 @@ def test_gradcheck_prints_one_row_per_check(capsys):
 
 
 def _scaled_mlp(grads):
-    return MlpGrads([1.01 * w for w in grads.weights], [1.01 * b for b in grads.biases])
+    return MlpParams([1.01 * w for w in grads.weights], [1.01 * b for b in grads.biases])
 
 
 # each check: where it looks its analytic derivative up, and that

@@ -45,9 +45,15 @@ def _features(window, price_scale):
                            for p, x in zip(prices, allocations)])
 
 
+def _policy_mean(policy, feats):
+    """The Gaussian mean policy_sample gives for one observation, as an array."""
+    return np.array(policy_sample(policy, feats, [0.0] * policy.log_std.size)[1])
+
+
 def _mean_action(policy, window):
-    """The Gaussian mean, through the actor and observation train uses."""
-    return mlp_forward(policy.actor, _features(window, policy.obs_price_scale))
+    """The Gaussian mean p_max * sigmoid(actor output), at the observation train uses."""
+    z = mlp_forward(policy.actor, _features(window, policy.p_max))
+    return policy.p_max * learner_mod._sigmoid(z)
 
 
 def _init_policy(window, env, cfg, rng):
@@ -56,10 +62,15 @@ def _init_policy(window, env, cfg, rng):
     return learner_mod._init_policy(2 * prices.size, prices.shape[1], env, cfg, rng)
 
 
-def _zero_mlp(sizes, bounded_output=False, output_scale=1.0):
+def _zero_mlp(sizes):
     weights = [np.zeros((sizes[i + 1], sizes[i])) for i in range(len(sizes) - 1)]
     biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
-    return MlpParams(weights, biases, bounded_output, output_scale)
+    return MlpParams(weights, biases)
+
+
+def _is_critic(params):
+    """The tests' actors have more than one output, their critics one."""
+    return params.biases[-1].size == 1
 
 
 # ---------------------------------------------------------------------------
@@ -74,20 +85,22 @@ def test_zero_weights_linear_head_outputs_zero():
 
 
 def test_zero_weights_bounded_head_outputs_half_scale():
-    # sigmoid(0) = 1/2, scaled by the price cap
-    params = _zero_mlp((4, 8, 2), bounded_output=True, output_scale=3.0)
-    out = mlp_forward(params, _rng(0).uniform(-1, 1, 4))
-    assert np.allclose(out, 1.5, rtol=0, atol=1e-15)
+    # the policy's squash: sigmoid(0) = 1/2, scaled by the price cap
+    policy = PolicyParams(_zero_mlp((4, 8, 2)), np.zeros(2), _zero_mlp((4, 8, 1)), 3.0)
+    assert np.allclose(_policy_mean(policy, _rng(0).uniform(-1, 1, 4)), 1.5, rtol=0, atol=1e-15)
 
 
 def test_random_init_finite_and_bounded():
     rng = _rng(5)
-    params = mlp_init((6, 16, 16, 3), rng, bounded_output=True, output_scale=2.0)
+    params = mlp_init((6, 16, 16, 3), rng)
     xs = rng.uniform(-2, 2, size=(50, 6))
     out = mlp_forward(params, xs)
     assert out.shape == (50, 3)
     assert np.all(np.isfinite(out))
-    assert np.all(out > 0.0) and np.all(out < 2.0)
+    # the policy squashes the linear head into (0, p_max)
+    policy = PolicyParams(params, np.zeros(3), params, 2.0)
+    means = np.array([_policy_mean(policy, x) for x in xs])
+    assert np.all(means > 0.0) and np.all(means < 2.0)
 
 
 def test_mlp_init_shapes_and_zero_biases():
@@ -103,7 +116,7 @@ def test_mlp_init_rejects_single_size():
 
 def test_batch_forward_matches_single():
     rng = _rng(7)
-    params = mlp_init((3, 8, 2), rng, bounded_output=True, output_scale=1.0)
+    params = mlp_init((3, 8, 2), rng)
     xs = rng.uniform(-1, 1, size=(4, 3))
     batch = mlp_forward(params, xs)
     for i in range(4):
@@ -118,13 +131,17 @@ def test_single_state_forward_matches_the_batch_path(sizes, bounded):
     # two differently.  The same row inside a batch of many rows need not
     # have these bits on any BLAS (a matrix-matrix kernel sums in another
     # order), so the first update epoch's ratios are near 1, not exactly 1.
-    # atol is a floor for outputs that cancel to near 0.
+    # atol is a floor for outputs that cancel to near 0.  bounded compares
+    # the policy's squashed means: policy_sample's and the PPO ratio's.
     rng = _rng(len(sizes) + bounded)
-    params = mlp_init(sizes, rng, bounded_output=bounded, output_scale=1.5)
+    params = mlp_init(sizes, rng)
+    policy = PolicyParams(params, np.zeros(sizes[-1]), params, 1.5)
     for x in rng.uniform(-2.0, 2.0, size=(50, sizes[0])):
-        single = mlp_forward(params, x)
+        single = _policy_mean(policy, x) if bounded else mlp_forward(params, x)
         assert single.shape == (sizes[-1],)
         batch_row = learner_mod._forward_cached(params, x[None, :])[0][0]
+        if bounded:
+            batch_row = 1.5 * learner_mod._sigmoid(batch_row)
         np.testing.assert_allclose(single, batch_row, rtol=1e-13, atol=1e-15)
 
 
@@ -138,7 +155,7 @@ def _assert_packed(params):
 
 
 def test_parameters_are_views_of_one_vector(tmp_path):
-    net = mlp_init((5, 7, 3, 2), _rng(3), bounded_output=True)
+    net = mlp_init((5, 7, 3, 2), _rng(3))
     _assert_packed(net)
     net.vector += 1.0  # a step on the vector moves every layer
     assert all(np.all(b == 1.0) for b in net.biases)
@@ -163,15 +180,15 @@ def test_params_copy_the_arrays_they_are_built_from():
     _assert_packed(params)
 
 
-def _fd_sum_loss(params, x, upstream, arrays, idx_pairs, h=1e-6):
-    """Central differences of sum(upstream * forward(x)) per coordinate."""
+def _fd_sum_loss(params, x, upstream, arrays, idx_pairs, squash, h=1e-6):
+    """Central differences of sum(upstream * squash(forward(x))) per coordinate."""
     grads = []
     for arr, idx in zip(arrays, idx_pairs):
         orig = arr[idx]
         arr[idx] = orig + h
-        up = float(np.sum(upstream * mlp_forward(params, x)))
+        up = float(np.sum(upstream * squash(mlp_forward(params, x))))
         arr[idx] = orig - h
-        dn = float(np.sum(upstream * mlp_forward(params, x)))
+        dn = float(np.sum(upstream * squash(mlp_forward(params, x))))
         arr[idx] = orig
         grads.append((up - dn) / (2.0 * h))
     return grads
@@ -179,11 +196,19 @@ def _fd_sum_loss(params, x, upstream, arrays, idx_pairs, h=1e-6):
 
 @pytest.mark.parametrize("bounded", [False, True])
 def test_mlp_backward_matches_finite_differences(bounded):
+    # bounded: the loss reads the network through the policy's squash
+    # 1.7 * sigmoid(z), whose slope chains into the upstream as
+    # ppo_actor_gradient chains it
     rng = _rng(11)
-    params = mlp_init((5, 9, 3), rng, bounded_output=bounded, output_scale=1.7)
+    params = mlp_init((5, 9, 3), rng)
     x = rng.uniform(-1, 1, size=(4, 5))
     upstream = rng.uniform(-1, 1, size=(4, 3))
-    grads = mlp_backward(params, x, upstream)
+    squash, slope = lambda z: z, 1.0
+    if bounded:
+        squash = lambda z: 1.7 * learner_mod._sigmoid(z)
+        s = learner_mod._sigmoid(mlp_forward(params, x))
+        slope = 1.7 * s * (1.0 - s)
+    grads = mlp_backward(params, x, upstream * slope)
 
     probes = []
     for li in range(len(params.weights)):
@@ -196,7 +221,7 @@ def test_mlp_backward_matches_finite_differences(bounded):
 
     arrays = [p[0] for p in probes]
     idxs = [p[1] for p in probes]
-    fd = _fd_sum_loss(params, x, upstream, arrays, idxs)
+    fd = _fd_sum_loss(params, x, upstream, arrays, idxs, squash)
     for (arr, idx, analytic), numeric in zip(probes, fd):
         denom = max(abs(numeric), abs(analytic), 1e-8)
         assert abs(numeric - analytic) / denom < 1e-4
@@ -213,7 +238,7 @@ def test_mlp_backward_zero_upstream_gives_zero_grads():
 
 def test_mlp_backward_linear_in_upstream():
     rng = _rng(3)
-    params = mlp_init((4, 6, 2), rng, bounded_output=True, output_scale=1.0)
+    params = mlp_init((4, 6, 2), rng)
     x = rng.uniform(-1, 1, size=(3, 4))
     upstream = rng.uniform(-1, 1, size=(3, 2))
     g1 = mlp_backward(params, x, upstream)
@@ -282,7 +307,7 @@ def _jitter(policy, rng, steps):
 def test_policy_sample_deterministic_in_rng():
     scenario, cfg, state = _fresh_state(4)
     policy = _init_policy(state, cfg, TrainConfig(), _rng(9))
-    feats = _features(state, policy.obs_price_scale)
+    feats = _features(state, policy.p_max)
     vector = policy.actor.vector.copy()
     a1, m1 = policy_sample(policy, feats, _jitter(policy, _rng(33), 1)[0])
     a2, m2 = policy_sample(policy, feats, _jitter(policy, _rng(33), 1)[0])
@@ -293,7 +318,7 @@ def test_policy_sample_deterministic_in_rng():
 def test_policy_sample_returns_the_raw_action_and_the_actor_mean():
     scenario, cfg, state = _fresh_state(4)
     policy = _init_policy(state, cfg, TrainConfig(log_std_init=LOG_STD_MAX), _rng(9))
-    feats = _features(state, policy.obs_price_scale)
+    feats = _features(state, policy.p_max)
     mean = _mean_action(policy, state)
     # the episode's one draw is the stream of one draw per step
     per_step = _rng(12)
@@ -314,7 +339,7 @@ def test_tiny_log_std_concentrates_samples():
     policy = _init_policy(state, cfg, TrainConfig(), _rng(9))
     policy.log_std = np.full(scenario.n, -5.0)
     mean = _mean_action(policy, state)
-    feats = _features(state, policy.obs_price_scale)
+    feats = _features(state, policy.p_max)
     sigma = np.exp(-5.0)
     for jitter in _jitter(policy, _rng(77), 1000):
         action, _ = policy_sample(policy, feats, jitter)
@@ -447,13 +472,13 @@ def _toy_policy_and_batch(
     """
     rng = _rng(seed)
     in_dim, n_act = 6, 2
-    actor = mlp_init((in_dim, 8, n_act), rng, bounded_output=True, output_scale=1.5)
+    actor = mlp_init((in_dim, 8, n_act), rng)
     critic = mlp_init((in_dim, 8, 1), rng, out_weight_std=0.5)
-    policy = PolicyParams(actor, np.array([-0.4, -0.1]), critic, obs_price_scale=1.0)
+    policy = PolicyParams(actor, np.array([-0.4, -0.1]), critic, p_max=1.5)
     feats, actions, log_probs, drawn_rewards, drawn_values = ([] for _ in range(5))
     for k in range(d_steps):
         feats.append(rng.uniform(-1.0, 1.0, in_dim))
-        mean = mlp_forward(actor, feats[-1])
+        mean = _policy_mean(policy, feats[-1])
         actions.append(mean + np.exp(policy.log_std) * rng.standard_normal(n_act))
         lp = gaussian_log_prob(mean, policy.log_std, actions[-1])
         if ratio_offsets is not None:
@@ -637,13 +662,13 @@ def _rollout_policy_and_batch(seed, steps=24):
     policy = _init_policy(state, cfg, TrainConfig(hidden=(16, 16)), rng)
     feats, actions, means, rounds = [], [], [], []
     for jitter in _jitter(policy, rng, steps):
-        feats.append(_features(state, policy.obs_price_scale))
+        feats.append(_features(state, policy.p_max))
         action, mean = policy_sample(policy, feats[-1], jitter)
         rounds.append(env_step(scenario, cfg, action))
         actions.append(action)
         means.append(mean)
         state = _windows(state, rounds[-1:])[-1]
-    feats.append(_features(state, policy.obs_price_scale))
+    feats.append(_features(state, policy.p_max))
     values = mlp_forward(policy.critic, np.array(feats))[:, 0]
     rewards = episode_outcomes(scenario, cfg, *map(np.array, zip(*rounds))).reward
     log_probs = gaussian_log_prob(np.array(means), policy.log_std, np.array(actions))
@@ -701,7 +726,7 @@ def test_update_equals_restacking_reference_bitwise(case):
 
 
 def test_step_float_sigmoid_equals_the_array_form_bitwise():
-    # policy_sample's mean in floats against mlp_forward's output_scale * _sigmoid(z)
+    # policy_sample's mean in floats against the PPO ratio's p_max * _sigmoid(z)
     tiny = np.nextafter(0.0, 1.0)  # 5e-324
     edges = np.array([0.0, tiny, 1e-300, 36.0, 709.0, 745.0, np.inf])
     random = _rng(8).standard_normal(1000) * np.exp(_rng(9).uniform(-5.0, 7.0, 1000))
@@ -834,7 +859,7 @@ def test_train_actions_are_the_mean_plus_the_stream_of_per_step_draws():
 def test_recorded_log_probs_are_the_gaussian_density_of_the_raw_action():
     policy, batch, _ = _rollout_policy_and_batch(11)
     for feats, action, lp in zip(batch.features, batch.actions, batch.log_probs):
-        want = gaussian_log_prob(mlp_forward(policy.actor, feats), policy.log_std, action)
+        want = gaussian_log_prob(_policy_mean(policy, feats), policy.log_std, action)
         assert lp == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -882,12 +907,12 @@ def test_train_does_each_episode_step_once(monkeypatch):
 
     def classified_forward(params, x):
         if np.ndim(x) != 1:
-            counts["actor_batch" if params.bounded_output else "critic_batch"] += 1
+            counts["critic_batch" if _is_critic(params) else "actor_batch"] += 1
         return forward(params, x)
 
     def classified_single(params, h):
         # every single-state pass, through mlp_forward or not
-        counts["actor" if params.bounded_output else "critic"] += 1
+        counts["critic" if _is_critic(params) else "actor"] += 1
         return single(params, h)
 
     def counted_rows(prices, allocations, price_scale, out):
@@ -934,7 +959,7 @@ def test_the_batch_and_the_critic_pass_share_one_copy_of_the_features(monkeypatc
     critic_inputs, forward = [], learner_mod.mlp_forward
 
     def recording_forward(params, x):
-        if not params.bounded_output:
+        if _is_critic(params):
             critic_inputs.append(x)
         return forward(params, x)
 
@@ -1031,13 +1056,10 @@ def test_train_diverges_loudly_on_absurd_critic_rate():
             train(scenario, EnvConfig(), cfg)
     err = exc_info.value
     assert err.episode >= 1 and err.inner_epoch >= 1
-    assert set(err.snapshot) == {
-        "actor_weights",
-        "actor_biases",
-        "critic_weights",
-        "critic_biases",
-        "log_std",
-    }
+    # the checkpoint's layout
+    assert sorted(err.parameters) == ["actor", "critic", "log_std"]
+    for key in ("actor", "critic"):
+        assert sorted(err.parameters[key]) == ["biases", "shapes", "weights"]
 
 
 def test_train_config_validation():

@@ -167,6 +167,20 @@ def test_line_chart_rejects_mismatched_lengths(tmp_path):
         line_chart(str(tmp_path / "bad.svg"), "t", "x", "y", {"s": ([0, 1], [1.0])})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["xs", "ys"])
+def test_line_chart_names_the_series_with_a_point_that_is_not_finite(tmp_path, value, axis):
+    # NaN used to write "nan" coordinates and an infinity to overflow in the ticks
+    good = [0.0, 1.0, 2.0]
+    bad = [0.0, value, 2.0]
+    series = {"fine": (good, good),
+              "broken": (bad, good) if axis == "xs" else (good, np.array(bad))}
+    path = tmp_path / "bad.svg"
+    with pytest.raises(ValueError, match="'broken'"):
+        line_chart(str(path), "t", "x", "y", series)
+    assert not path.exists()
+
+
 @st.composite
 def _tick_ranges(draw):
     """lo < hi up to 1e300 in magnitude: a span of a few ulps, or any span."""

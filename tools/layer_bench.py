@@ -15,15 +15,14 @@ step's features are written out here: per round of the last L, oldest
 first, the prices over p_max, then log1p of the allocations.
 
 - env_step: one environment step on a recorded action (the executed
-  prices and the sales), the action in the form the tree's
-  policy_sample returns it (a list, or an array before lists);
-- policy_sample: one action on recorded features: the actor mean and
-  the step's exploration noise, drawn as the tree's train draws it (one
-  (D, N) draw per episode, or one draw per step before it);
+  prices and the sales), the action a list, as policy_sample returns it;
+- policy_sample: one action on recorded features: the actor mean plus
+  the step's row of the episode's exploration noise, drawn as train
+  draws it (exp(log_std) times one (D, N) standard normal draw);
 - rollout_step: one step of train's rollout on recorded features, as
-  the tree's train runs it: the action (policy_sample, with the noise
-  drawn as above), the sale (env_step), the round's feature row and the
-  step's rows of the episode arrays;
+  train runs it: the action (policy_sample, with the noise drawn as
+  above), the sale (env_step), the round's feature row and the step's
+  rows of the episode arrays;
 - episode_outcomes: what train computes once per episode after the
   rollout: the recorded rounds' rewards and payoffs
   (dynamics.episode_outcomes), and the raw actions' log densities over
@@ -32,11 +31,11 @@ first, the prices over p_max, then log1p of the allocations.
   and of the state after them, as train computes them: one batch pass
   over their features;
 - ppo_update: the episode batch built once from the episode's arrays
-  and update_epochs actor and critic gradient
-  evaluations on it, as in `train` but into new gradient arrays on each
-  call (`train` reuses one per network); the parameters are held fixed,
-  so every repeat times the same work (the parameter steps themselves, a
-  few array additions per epoch, are not timed);
+  and update_epochs actor and critic gradient evaluations on it, as in
+  `train`, into one gradient per network made once (`into`); the
+  parameters are held fixed, so every repeat times the same work (the
+  parameter steps themselves, a few array additions per epoch, are not
+  timed);
 - train_step: a whole `train` call of K episodes from a fresh policy,
   divided by its steps, the parameter steps included;
 - write_tables: `cli._write_tables` writing the episodes.csv,
@@ -90,7 +89,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import gc  # noqa: E402
-import inspect  # noqa: E402
 import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
@@ -219,22 +217,10 @@ def measure(repeats: int, passes: int) -> dict:
 
     rng = np.random.Generator(np.random.PCG64(SEED))
     steps, users = cfg.steps_per_batch, scenario.n
-    if "jitter" in inspect.signature(policy_sample).parameters:
-        # one (D, N) noise draw per episode; the action and mean are lists
-        def episode_noise():
-            return (np.exp(policy.log_std) * rng.standard_normal((steps, users))).tolist()
 
-        def sample(feats, jitter):
-            return policy_sample(policy, feats, jitter)
-    else:
-        # a tree from before: policy_sample draws each step's noise itself
-        noise = learner._noise(policy)
-
-        def episode_noise():
-            return [None] * steps
-
-        def sample(feats, _):
-            return policy_sample(policy, feats, rng, noise)
+    def episode_noise():
+        # one (D, N) noise draw per episode, a list of per-step rows
+        return (np.exp(policy.log_std) * rng.standard_normal((steps, users))).tolist()
 
     history = env.history_rounds
     start = rng.uniform(0.0, env.p_max, size=(history, users))
@@ -247,9 +233,10 @@ def measure(repeats: int, passes: int) -> dict:
     features, actions, means = [], [], []
     for jitter in episode_noise():
         features.append(observed())
-        actions.append(sample(features[-1], jitter)[0])
-        means.append(mlp_forward(policy.actor, features[-1]))
-        rounds.append(env_step(scenario, env, actions[-1]))
+        action, mean = policy_sample(policy, features[-1], jitter)
+        actions.append(action)
+        means.append(mean)
+        rounds.append(env_step(scenario, env, action))
     features = np.array([*features, observed()])
     step_inputs, actions, means = actions, np.array(actions), np.array(means)
     prices, allocations = (np.array(column) for column in zip(*rounds[history:]))
@@ -270,7 +257,7 @@ def measure(repeats: int, passes: int) -> dict:
     def samples_pass():
         for _ in range(passes):
             for feats, jitter in zip(features[:-1], episode_noise()):
-                sample(feats, jitter)
+                policy_sample(policy, feats, jitter)
 
     # train's episode arrays and round rows; each step writes one row of each
     step_actions, step_means, step_prices, step_sales = (np.empty((steps, users)) for _ in range(4))
@@ -280,7 +267,7 @@ def measure(repeats: int, passes: int) -> dict:
     def rollout_pass():
         for _ in range(passes):
             for k, ((feats, row), jitter) in enumerate(zip(step_views, episode_noise())):
-                step_actions[k], step_means[k] = drawn = sample(feats, jitter)
+                step_actions[k], step_means[k] = drawn = policy_sample(policy, feats, jitter)
                 p, x = step_prices[k], step_sales[k] = env_step(scenario, env, drawn[0])
                 learner._round_features(p, x, env.p_max, row)
 
@@ -293,11 +280,13 @@ def measure(repeats: int, passes: int) -> dict:
         for _ in range(passes):
             episode_values()
 
+    actor_grads, critic_grads = learner._grads_for(policy.actor), learner._grads_for(policy.critic)
+
     def update():
         batch = learner.episode_batch(features[:-1], actions, log_probs, rewards, values, cfg.gamma)
         for _ in range(cfg.update_epochs):
-            ppo_actor_gradient(policy, batch, cfg.clip_epsilon)
-            critic_loss_and_gradient(policy, batch)
+            ppo_actor_gradient(policy, batch, cfg.clip_epsilon, actor_grads)
+            critic_loss_and_gradient(policy, batch, critic_grads)
 
     def train_steps():
         train(scenario, env, TrainConfig(seed=SEED, episodes=passes))
