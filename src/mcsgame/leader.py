@@ -104,21 +104,17 @@ def _require_in_box(scenario: Scenario, p: np.ndarray) -> np.ndarray:
     return np.clip(p, lo, hi)
 
 
-def _gradient_from(scenario, p, alloc, slope):
-    # a product overflowing at the float-range corners is a signed infinity the box clips
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        gap = scenario.utility_scale / _aggregate(alloc) / (1.0 + alloc) - p
-        # one product per user: an infinite slope at a vanishing density
-        # gives a signed infinity here rather than inf - inf, and a zero
-        # gap meets the first-order condition whatever the slope, so it adds 0
-        return np.multiply(slope, gap, out=np.zeros_like(gap), where=gap != 0.0) - alloc
-
-
 def sp_payoff_gradient(scenario: Scenario, p) -> np.ndarray:
     """Analytic gradient of the platform payoff on the price box."""
     pa = _require_in_box(scenario, np.asarray(p, dtype=float))
     alloc, slope, _ = _responses(scenario, pa)
-    return _gradient_from(scenario, pa, alloc, slope)
+    # a product overflowing at the float-range corners is a signed infinity the box clips
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gap = scenario.utility_scale / _aggregate(alloc) / (1.0 + alloc) - pa
+        # one product per user: an infinite slope at a vanishing density
+        # gives a signed infinity here rather than inf - inf, and a zero
+        # gap meets the first-order condition whatever the slope, so it adds 0
+        return np.multiply(slope, gap, out=np.zeros_like(gap), where=gap != 0.0) - alloc
 
 
 def sp_payoff_hessian(scenario: Scenario, p) -> np.ndarray:
@@ -237,14 +233,16 @@ def _solve(market: _Market, utility_scale: float) -> tuple[np.ndarray, int]:
 def compute_se(scenario: Scenario, config: SolverConfig | None = None) -> EquilibriumResult:
     """Stackelberg equilibrium: exact leader prices plus follower responses.
 
-    Users held at the bottom of their allocation range are priced at
-    their threshold and those at the top at own_value, so a user's
-    region is the face of that range its allocation lies on: exactly
-    the bottom is below_threshold, exactly the top at_capacity, and
-    anything between interior.  iterations
+    allocations are the solver's own: each user's best response to its
+    price, found in allocation space.  Users held at the bottom of their
+    allocation range are priced at their threshold and those at the top
+    at own_value, so a user's region is the face of that range its
+    allocation lies on: exactly the bottom is below_threshold, exactly
+    the top at_capacity, and anything between interior.  iterations
     counts the outer root steps.  grad_residual is the projected
-    residual max |p - clip(p + grad U(p), box)| of the sp_payoff_gradient
-    formula, and converged says it is within config.tol.
+    residual max |p - clip(p + grad U(p), box)| of sp_payoff_gradient at
+    the reported prices, which re-derives every response from the
+    follower's formulas, and converged says it is within config.tol.
 
     Raises FloatingPointError when a price or a payoff of the solution
     is not finite, because the market's numbers left the floating-point
@@ -256,25 +254,23 @@ def compute_se(scenario: Scenario, config: SolverConfig | None = None) -> Equili
         market = _Market(scenario)
         x, iterations = _solve(market, scenario.utility_scale)
         lo, hi = price_box(scenario)
-        p = np.clip(market.price(x), lo, hi)
-        p = np.where(x <= market.x_lo, lo, np.where(x >= market.x_hi, hi, p))
+        at_lo, at_hi = x <= market.x_lo, x >= market.x_hi
+        p = np.where(at_lo, lo, np.where(at_hi, hi, np.clip(market.price(x), lo, hi)))
         if not np.isfinite(p).all():
             raise FloatingPointError("the equilibrium prices are not finite")
-        alloc, slope, _ = _responses(scenario, p)
-        grad = _gradient_from(scenario, p, alloc, slope)
+        grad = sp_payoff_gradient(scenario, p)
         residual = float(np.max(np.abs(p - np.clip(p + grad, lo, hi))))
-        payoffs = _mu_payoffs(scenario, alloc, p)
-        payoff = _sp_payoff(alloc, p, scenario.utility_scale)
+        payoffs = _mu_payoffs(scenario, x, p)
+        payoff = _sp_payoff(x, p, scenario.utility_scale)
         if not (math.isfinite(payoff) and np.isfinite(payoffs).all()):
             raise FloatingPointError("the equilibrium payoffs are not finite")
-        regions = np.where(alloc == market.x_lo, Region.BELOW_THRESHOLD.value,
-                           np.where(alloc == market.x_hi, Region.AT_CAPACITY.value,
-                                    Region.INTERIOR.value))
-        for arr in (p, alloc, payoffs, regions):
+        regions = np.where(at_lo, Region.BELOW_THRESHOLD.value,
+                           np.where(at_hi, Region.AT_CAPACITY.value, Region.INTERIOR.value))
+        for arr in (p, x, payoffs, regions):
             arr.flags.writeable = False
         return EquilibriumResult(
             prices=p,
-            allocations=alloc,
+            allocations=x,
             sp_payoff=payoff,
             mu_payoffs=payoffs,
             regions=regions,

@@ -90,8 +90,10 @@ def _pack(layers: MlpParams) -> None:
     """Copy the weights, then the biases, into one new vector; leave views of it in their place."""
     arrays = [*layers.weights, *layers.biases]
     layers.vector = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
-    parts = np.split(layers.vector, np.cumsum([a.size for a in arrays[:-1]]))
-    views = [part.reshape(a.shape) for part, a in zip(parts, arrays)]
+    views, start = [], 0
+    for a in arrays:
+        views.append(layers.vector[start:start + a.size].reshape(a.shape))
+        start += a.size
     layers.weights, layers.biases = views[: len(layers.weights)], views[len(layers.weights):]
 
 

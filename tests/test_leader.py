@@ -80,14 +80,17 @@ def test_hessian_symmetry_and_negative_definiteness():
 
 
 def test_hessian_diagonal_matches_second_differences():
-    h = 1e-4
+    # the diagonal against second differences of the payoff, and every
+    # column against central differences of the gradient (a finer step,
+    # as the gradient is smooth: about 4e-9 relative error here)
+    h, hg = 1e-4, 1e-6
     for seed, demand in ((2, UniformDemand(0.0, 25.0)), (2, LinearDemand(0.0, 25.0))):
         base = make_scenario(seed)
         mus = tuple(replace(mu, demand=demand) for mu in base.mus)
         scenario = Scenario(50.0, mus)
         lo, hi = price_box(scenario)
         p = lo + 0.5 * (hi - lo)
-        diag = np.diag(sp_payoff_hessian(scenario, p))
+        hess = sp_payoff_hessian(scenario, p)
         for i in range(scenario.n):
             e = np.zeros(scenario.n)
             e[i] = h
@@ -96,7 +99,11 @@ def test_hessian_diagonal_matches_second_differences():
                 - 2.0 * _perturbed_payoff(scenario, p)
                 + _perturbed_payoff(scenario, p - e)
             ) / (h * h)
-            assert diag[i] == pytest.approx(fd, rel=1e-3)
+            assert hess[i, i] == pytest.approx(fd, rel=1e-3)
+            e[i] = hg
+            column = (sp_payoff_gradient(scenario, p + e)
+                      - sp_payoff_gradient(scenario, p - e)) / (2.0 * hg)
+            assert hess[:, i] == pytest.approx(column, rel=1e-6)
 
 
 def test_hessian_rejects_box_faces(five_mu_scenario):
@@ -162,6 +169,16 @@ def test_region_is_the_face_of_the_allocation_box():
     want = np.array([mu_payoff(mu, x, p) for mu, x, p in
                      zip(mus, res.allocations.tolist(), res.prices.tolist())])
     assert np.array_equal(res.mu_payoffs.view(np.uint64), want.view(np.uint64))
+    # 200 users at seed 3: the solver holds 48 (uniform) and 54 (linear) at
+    # x = 0, priced at their threshold, where a scalar re-solve of the
+    # response returns rounding noise instead of 0
+    for law, held in (("uniform", 48), ("linear", 54)):
+        scenario = generate_scenario(ScenarioSpec(n_mus=200, demand_kind=law), 3)
+        res = compute_se(scenario)
+        at_threshold = res.prices == price_box(scenario)[0]
+        assert int(at_threshold.sum()) == held
+        assert np.array_equal(at_threshold, res.regions == Region.BELOW_THRESHOLD.value)
+        assert np.array_equal(at_threshold, res.allocations == 0.0)
 
 
 def test_gradient_rejects_out_of_box(five_mu_scenario):
@@ -321,5 +338,6 @@ def test_se_prices_stay_in_box():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(tol=tol)

@@ -68,12 +68,14 @@ TOLERANCES = {
 def _cases() -> dict:
     """{case name: (group, argv without --out, files kept)}."""
     cases = {}
-    for seed in (1, 2, 3):
-        for law in ("uniform", "linear"):
-            for n in (5, 25):
-                cases[f"static-s{seed}-{law}-n{n}"] = ("static", [
-                    "static", "--seed", str(seed), "--set", f'scenario.demand_kind="{law}"',
-                    "--set", f"scenario.n_mus={n}"], ("equilibrium.csv", "summary.csv"))
+    laws = ("uniform", "linear")
+    statics = [(seed, law, n) for seed in (1, 2, 3) for law in laws for n in (5, 25)]
+    # the 200-user seed-3 markets hold users at their threshold (below_threshold, x_star 0)
+    statics += [(3, law, 200) for law in laws]
+    for seed, law, n in statics:
+        cases[f"static-s{seed}-{law}-n{n}"] = ("static", [
+            "static", "--seed", str(seed), "--set", f'scenario.demand_kind="{law}"',
+            "--set", f"scenario.n_mus={n}"], ("equilibrium.csv", "summary.csv"))
     sweeps = {
         "delta": ("[0.1,0.4,0.7,1.0]", "uniform", ("--set", "scenario.unit_cost_range=[0,0]")),
         "cost": ("[0,0.3,0.6,0.9]", "uniform", ("--set", "scenario.own_value_range=[1,1]")),
