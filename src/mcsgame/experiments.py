@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import MAX_COUNT, EnvConfig, Outcomes, env_step, episode_outcomes, step_mean
+from .dynamics import MAX_COUNT, EnvConfig, Outcomes, env_step, episode_outcomes, respond, step_mean
 from .leader import EquilibriumResult, SolverConfig, compute_se
 from .model import DemandDistribution, LinearDemand, MuProfile, Scenario, UniformDemand
 
@@ -139,16 +139,16 @@ def play_random(
     """Roll the environment under uniformly random prices.
 
     One RNG stream, seeded by seed, draws every price uniform on
-    [0, p_max] in one draw: the L rows of env_reset's window, skipped,
+    [0, p_max) in one draw: the L rows of env_reset's window, skipped,
     then one row per step (the same stream as env_reset and one draw
-    per step); all rounds are scored in one pass.
+    per step).  The draws need no clamp, so each row's sales are the
+    users' responses to it (dynamics.respond); all rounds are scored in
+    one pass.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     skip = env_config.history_rounds
-    draws = rng.uniform(0.0, env_config.p_max, size=(skip + steps, scenario.n))[skip:]
-    prices, sold = np.empty((steps, scenario.n)), np.empty((steps, scenario.n))
-    for k, row in enumerate(draws):
-        prices[k], sold[k] = env_step(scenario, env_config, row)
+    prices = rng.uniform(0.0, env_config.p_max, size=(skip + steps, scenario.n))[skip:]
+    sold = np.array([respond(scenario, row) for row in prices])
     return _baseline("random", steps, episode_outcomes(scenario, env_config, prices, sold))
 
 
@@ -162,6 +162,7 @@ def play_greedy(scenario: Scenario, env_config: EnvConfig, steps: int) -> Baseli
 # comparative-statics sweeps
 
 # The user column each axis sweeps: a row's sweep value is that column.
+# demand_hi and utility_scale are also the ScenarioSpec fields swept.
 SWEEP_FIELDS = {
     "delta": "own_value",
     "cost": "unit_cost",
@@ -228,8 +229,9 @@ def run_sweep(
     delta and cost sweeps build a single scenario with one user per
     value (identical users otherwise, cost pinned at the range low end
     for delta, value pinned at the range high end for cost).
-    demand_upper and lambda sweeps redraw nothing: the population comes
-    from (spec, seed) once and is re-solved per value.
+    demand_upper and lambda sweeps draw each market from (spec with the
+    swept field set to the value, seed): the same users, re-solved per
+    value.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -251,20 +253,10 @@ def run_sweep(
             mus = tuple(MuProfile(spec.capacity, value, v, demand) for v in vals)
         markets = [("joint", Scenario(spec.utility_scale, mus))]
     else:
-        base = generate_scenario(spec, seed)
-        markets = []
-        for v in vals:
-            if axis == "demand_upper":
-                if v <= spec.demand_lo:
-                    raise ValueError("demand_upper values must exceed demand_lo")
-                demand = _DEMAND_KINDS[spec.demand_kind](spec.demand_lo, v)
-                mus = tuple(replace(mu, demand=demand) for mu in base.mus)
-                scenario = Scenario(base.utility_scale, mus)
-            else:
-                if v <= 0.0:
-                    raise ValueError("utility scale values must be positive")
-                scenario = Scenario(v, base.mus)
-            markets.append((_label(v), scenario))
+        # the draws read neither field, so one seed draws the same users
+        # for every value; ScenarioSpec rejects a value out of range
+        markets = [(_label(v), generate_scenario(replace(spec, **{SWEEP_FIELDS[axis]: v}), seed))
+                   for v in vals]
 
     users, summaries = [], []
     for label, scenario in markets:

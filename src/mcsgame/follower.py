@@ -27,21 +27,18 @@ class Region(enum.Enum):
 
 
 class BestResponse(NamedTuple):
-    """Optimal sale with its first two price sensitivities.
+    """Optimal sale with its sensitivity to the price.
 
-    slope is d(allocation)/d(price) and curvature the second derivative;
-    both are 0 outside the interior branch, and +inf and -inf where the
-    kept quantile sits on a vanishing density or where the density times
-    the margin underflows to 0.  On the interior branch the
-    slope is 1 / (f(q) (own_value - unit_cost)) with q the kept demand
-    quantile, and the curvature is f'(q) / (f(q)^3 (own_value -
-    unit_cost)^2), which is non-positive for non-increasing densities.
+    slope is d(allocation)/d(price): 0 outside the interior branch, and
+    +inf where the kept quantile sits on a vanishing density or where
+    the density times the margin underflows to 0.  On the interior
+    branch it is 1 / (f(q) (own_value - unit_cost)) with q the kept
+    demand quantile.
     """
 
     allocation: float
     region: Region
     slope: float
-    curvature: float
 
 
 # module constants: reading a member off the Enum class costs about as
@@ -83,27 +80,22 @@ def sale(mu: MuProfile, price: float) -> tuple[float, Region, float]:
 def best_response(mu: MuProfile, price: float) -> BestResponse:
     """Maximize the user's payoff over allocations in [0, capacity].
 
-    The sale with its slope and curvature in price on the interior
-    branch.
+    The sale with its slope in price on the interior branch.
     """
     if not (math.isfinite(price) and price >= 0.0):
         raise ValueError(f"price must be finite and non-negative, got {price}")
     alloc, region, kept = sale(mu, price)
     if region is not _INTERIOR:
-        return BestResponse(alloc, region, 0.0, 0.0)
-    dens = mu.demand.pdf(kept)
-    denom = dens * mu._margin
+        return BestResponse(alloc, region, 0.0)
+    denom = mu.demand.pdf(kept) * mu._margin
     if denom <= 0.0:
         # the density vanishes only at price == unit_cost with capacity
         # past the demand support and a density vanishing at its upper
         # end: the right-hand limit, where the response leaves the lower
         # face with unbounded slope.  The product also underflows to 0
         # for margins of about 1e-300 and below.
-        return BestResponse(alloc, region, math.inf, -math.inf)
-    slope = 1.0 / denom
-    # dens**3 underflows to 0 once the support is wider than about 1e108
-    curvature = (mu.demand.pdf_slope(kept) / dens) * slope * slope
-    return BestResponse(alloc, region, slope, curvature)
+        return BestResponse(alloc, region, math.inf)
+    return BestResponse(alloc, region, 1.0 / denom)
 
 
 def foc_residual(mu: MuProfile, x: float, price: float) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import learner
 from .dynamics import respond
-from .leader import price_box, sp_payoff_gradient, sp_payoff_hessian
+from .leader import price_box, sp_payoff_gradient
 from .model import MuProfile, Scenario, UniformDemand, sp_payoff
 
 __all__ = ["CheckResult", "run_all", "CHECK_NAMES"]
@@ -95,16 +95,6 @@ def _leader_gradient(rng: np.random.Generator, _k: int) -> float:
     return _worst(grad, (up - dn) / (2.0 * h))
 
 
-def _leader_hessian_diag(rng: np.random.Generator, _k: int) -> float:
-    sc = _random_scenario(rng)
-    p = _interior_price(sc, rng)
-    hess = sp_payoff_hessian(sc, p)
-    base = _payoff_at(sc, p)
-    h = 1e-4
-    up, dn = _stencil(lambda: _payoff_at(sc, p), [p], h)
-    return _worst(np.diag(hess), (up - 2.0 * base + dn) / (h * h))
-
-
 def _toy_policy(rng: np.random.Generator):
     actor = learner.mlp_init((6, 5, 4, 2), rng)
     critic = learner.mlp_init((6, 5, 4, 1), rng)
@@ -167,7 +157,6 @@ def _critic_gradient(rng: np.random.Generator, _k: int) -> float:
 # the probe's index, probes per run, tolerance)
 _CHECKS = {
     "leader_gradient": (_leader_gradient, 10, 1e-5),
-    "leader_hessian_diag": (_leader_hessian_diag, 10, 1e-3),
     "mlp_backward": (_mlp_backward, 10, 1e-4),
     "ppo_actor_gradient": (_actor_gradient, 5, 1e-4),
     "critic_gradient": (_critic_gradient, 5, 1e-4),

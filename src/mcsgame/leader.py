@@ -3,8 +3,9 @@
 Because each user's best response depends only on its own price, the
 platform payoff U(p) = utility_scale * ln(b(p)) - p.x*(p) with
 b = 1 + sum ln(1 + x*_n) is smooth on the price box
-[threshold_n, own_value_n]^N and strictly concave there for both
-demand laws.
+[threshold_n, own_value_n]^N.  It is strictly concave there for uniform
+demand; for linear demand only where each price is at most its user's
+marginal utility, as at and below the equilibrium prices.
 
 compute_se solves the same problem in allocation space.  The price that
 buys x units from user n is the inverse response
@@ -13,8 +14,10 @@ through the index b.  With the platform's marginal utility g =
 utility_scale / b held fixed, each user's optimality condition
 g / (1 + x) = p_n(x) + x p_n'(x) is a separate monotone equation (a
 quadratic for uniform demand, a cubic for linear demand), and g is the
-single root of g * b(g) = utility_scale.  The price-space gradient then
-certifies the result independently of how it was found.
+single root of g * b(g) = utility_scale.  The payoff is concave in x
+for both laws, as x p_n(x) is convex, so the equilibrium is unique.  The
+price-space gradient then certifies the result independently of how it
+was found.
 """
 
 from __future__ import annotations
@@ -32,12 +35,10 @@ __all__ = [
     "EquilibriumResult",
     "price_box",
     "sp_payoff_gradient",
-    "sp_payoff_hessian",
     "compute_se",
 ]
 
 _BOX_SLACK = 1e-9
-_HESSIAN_FACE_MARGIN = 1e-6
 _INNER_BUDGET = 100
 _OUTER_BUDGET = 200
 
@@ -82,19 +83,6 @@ def price_box(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return scenario.price_threshold, scenario.own_value
 
 
-def _responses(scenario: Scenario, p: np.ndarray):
-    n = scenario.n
-    alloc = np.empty(n)
-    slope = np.empty(n)
-    curv = np.empty(n)
-    for i, mu in enumerate(scenario.mus):
-        br = best_response(mu, float(p[i]))
-        alloc[i] = br.allocation
-        slope[i] = br.slope
-        curv[i] = br.curvature
-    return alloc, slope, curv
-
-
 def _require_in_box(scenario: Scenario, p: np.ndarray) -> np.ndarray:
     lo, hi = price_box(scenario)
     if p.shape != lo.shape:
@@ -107,7 +95,10 @@ def _require_in_box(scenario: Scenario, p: np.ndarray) -> np.ndarray:
 def sp_payoff_gradient(scenario: Scenario, p) -> np.ndarray:
     """Analytic gradient of the platform payoff on the price box."""
     pa = _require_in_box(scenario, np.asarray(p, dtype=float))
-    alloc, slope, _ = _responses(scenario, pa)
+    alloc = np.empty(scenario.n)
+    slope = np.empty(scenario.n)
+    for i, mu in enumerate(scenario.mus):
+        alloc[i], _, slope[i] = best_response(mu, float(pa[i]))
     # a product overflowing at the float-range corners is a signed infinity the box clips
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         gap = scenario.utility_scale / _aggregate(alloc) / (1.0 + alloc) - pa
@@ -115,32 +106,6 @@ def sp_payoff_gradient(scenario: Scenario, p) -> np.ndarray:
         # gives a signed infinity here rather than inf - inf, and a zero
         # gap meets the first-order condition whatever the slope, so it adds 0
         return np.multiply(slope, gap, out=np.zeros_like(gap), where=gap != 0.0) - alloc
-
-
-def sp_payoff_hessian(scenario: Scenario, p) -> np.ndarray:
-    """Analytic Hessian of the platform payoff, strict box interior only.
-
-    The cross terms couple users solely through the aggregate index, so
-    the off-diagonal is a rank-one profile; the diagonal carries the
-    own-price curvature.  Symmetric and negative definite for both
-    demand laws.
-    """
-    pa = np.asarray(p, dtype=float)
-    lo, hi = price_box(scenario)
-    if pa.shape != lo.shape:
-        raise ValueError(f"price vector must have {lo.size} entries, got {pa.size}")
-    if np.any(pa < lo + _HESSIAN_FACE_MARGIN) or np.any(pa > hi - _HESSIAN_FACE_MARGIN):
-        raise ValueError("hessian is only evaluated strictly inside the price box")
-    alloc, slope, curv = _responses(scenario, pa)
-    b = _aggregate(alloc)
-    gp = scenario.utility_scale / b
-    gpp = -scenario.utility_scale / (b * b)
-    opx = 1.0 + alloc
-    q = slope / opx
-    hess = gpp * np.outer(q, q)
-    diag = (gpp - gp) / opx**2 * slope**2 - 2.0 * slope + (gp / opx - pa) * curv
-    np.fill_diagonal(hess, diag)
-    return hess
 
 
 class _Market:

@@ -90,7 +90,8 @@ class DemandDistribution:
         """k t**(k - 1) / (hi - lo) on [lo, hi], 0 outside.
 
         Affine in z for k in {1, 2}: the density at hi, (2 - k) / (hi -
-        lo), minus the constant pdf_slope times (hi - z).
+        lo), minus the density's constant slope k (1 - k) / (hi - lo)**2
+        times (hi - z).
         """
         if self.lo <= z <= self.hi:
             return self._top - self._slope * (self.hi - z)
@@ -109,15 +110,6 @@ class DemandDistribution:
         z = self.hi - self._width * (1.0 - q) ** self._root
         # hi - (hi - lo) can round below lo when lo is far below hi
         return z if z > self.lo else self.lo
-
-    def pdf_slope(self, z: float) -> float:
-        """Derivative of the density inside the support.
-
-        -k (k - 1) t**(k - 2) / (hi - lo)**2, a constant for k in {1, 2},
-        so z is not read: the follower evaluates it at a demand quantile,
-        which lies in [lo, hi].
-        """
-        return self._slope
 
     def expected_min(self, r: float) -> float:
         """E[min(demand, r)] in closed form.

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from mcsgame.leader import sp_payoff_gradient
 from mcsgame.model import MuProfile, Scenario, UniformDemand
 
 
@@ -32,6 +33,24 @@ def make_scenario(seed: int, n: int = 5, utility_scale: float = 50.0) -> Scenari
 @pytest.fixture
 def five_mu_scenario():
     return make_scenario(11)
+
+
+def assert_concave_at(scenario: Scenario, p: np.ndarray, h: float = 1e-6):
+    """The payoff Hessian at p, as central differences of sp_payoff_gradient, is negative definite.
+
+    Column i differences the gradient compute_se certifies with across
+    p_i +- h, so p must lie at least h inside the price box.  The matrix
+    must be symmetric (rtol 1e-6), and its symmetric part must have a
+    Cholesky factor when negated.
+    """
+    hess = np.empty((scenario.n, scenario.n))
+    for i in range(scenario.n):
+        e = np.zeros(scenario.n)
+        e[i] = h
+        hess[:, i] = (sp_payoff_gradient(scenario, p + e)
+                      - sp_payoff_gradient(scenario, p - e)) / (2.0 * h)
+    np.testing.assert_allclose(hess, hess.T, rtol=1e-6, atol=0.0)
+    np.linalg.cholesky(-0.5 * (hess + hess.T))  # raises LinAlgError unless negative definite
 
 
 def _bits(arr):

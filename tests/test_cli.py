@@ -810,7 +810,6 @@ def _scaled_mlp(grads):
 # derivative's result with every gradient entry scaled by 1.01
 _CORRUPTIONS = {
     "leader_gradient": (gradcheck, "sp_payoff_gradient", lambda g: 1.01 * g),
-    "leader_hessian_diag": (gradcheck, "sp_payoff_hessian", lambda h: 1.01 * h),
     "mlp_backward": (learner, "mlp_backward", _scaled_mlp),
     "ppo_actor_gradient": (
         learner, "ppo_actor_gradient", lambda g: ActorGrads(_scaled_mlp(g.mlp), 1.01 * g.log_std)

@@ -220,6 +220,14 @@ def test_demand_upper_sweep_resamples_nothing():
         assert (block["unit_cost"] == blocks[0]["unit_cost"]).all()
 
 
+@pytest.mark.parametrize("axis, bad", [("demand_upper", 0.0), ("demand_upper", -1.0),
+                                       ("lambda", 0.0), ("lambda", -1.0)])
+def test_market_sweeps_reject_what_scenario_spec_rejects(axis, bad):
+    # demand_upper must exceed demand_lo (0 here) and lambda be positive
+    with pytest.raises(ValueError):
+        run_sweep(ScenarioSpec(), axis, [25.0, bad], seed=0)
+
+
 def test_lambda_sweep_rescales_utility_only():
     values = [20.0, 50.0]
     users, summary = run_sweep(ScenarioSpec(), "lambda", values, seed=11)

@@ -37,7 +37,6 @@ def test_best_response_interior_example(example_mu):
     # kept quantile at level 0.4 is 10, so 10 units are sold
     assert br.allocation == pytest.approx(10.0, abs=1e-12)
     assert br.slope == pytest.approx(25.0, abs=1e-9)
-    assert br.curvature == 0.0
 
 
 def test_best_response_below_threshold(example_mu):
@@ -81,7 +80,7 @@ def test_best_response_vanishing_density_corner():
         corner = best_response(MuProfile(cap, 1.0, 0.0, LinearDemand(0.0, 25.0)), 0.0)
         assert corner.region is Region.INTERIOR
         assert corner.allocation == sold
-        assert corner.slope == math.inf and corner.curvature == -math.inf
+        assert corner.slope == math.inf
     br = best_response(mu, 1e-4)
     assert br.region is Region.INTERIOR
     assert br.allocation > 0.0
@@ -95,7 +94,7 @@ def test_best_response_slope_is_infinite_when_density_times_margin_underflows(la
     br = best_response(mu, mu.own_value)
     assert br.region is Region.INTERIOR
     assert br.allocation == 20.0
-    assert br.slope == math.inf and br.curvature == -math.inf
+    assert br.slope == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +170,6 @@ def test_slope_matches_finite_differences():
             best_response(mu, price + h).allocation - best_response(mu, price - h).allocation
         ) / (2.0 * h)
         assert br.slope == pytest.approx(fd, rel=1e-4, abs=1e-6)
-
-
-def test_curvature_matches_finite_differences_linear_demand():
-    mu = MuProfile(20.0, 1.0, 0.1, LinearDemand(0.0, 25.0))
-    h = 1e-4
-    for price in (0.4, 0.6, 0.8):
-        br = best_response(mu, price)
-        xs = [best_response(mu, price + k * h).allocation for k in (-1, 0, 1)]
-        fd = (xs[2] - 2.0 * xs[1] + xs[0]) / (h * h)
-        assert br.curvature == pytest.approx(fd, rel=1e-3)
-        assert br.curvature <= 0.0
-
-
-def test_uniform_curvature_is_zero(example_mu):
-    for price in (0.3, 0.5, 0.9):
-        assert best_response(example_mu, price).curvature == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -50,3 +50,39 @@ def test_compare_walks_json_trees():
                 b'{"a": [1.0, 2], "b": "y", "c": true}', b'{"a": [1.0, 2], "b": "x", "c": 1}',
                 b'{"a": [1.1, 2], "b": "x", "c": true}', b'{"b": "x", "a": [1.0, 2], "c": true}'):
         assert not golden.compare("checkpoint.json", want, got)[0], got
+
+
+def test_write_reports_each_replaced_file_against_its_old_reference(monkeypatch, tmp_path, capsys):
+    # references made from this tree's own output, then one kept, one
+    # moved within tolerance, one moved beyond it and one removed
+    cases = ("static-s1-uniform-n5", "static-s1-linear-n5")
+    monkeypatch.setattr(golden, "CASES", {name: golden.CASES[name] for name in cases})
+    monkeypatch.setattr(golden, "GOLDEN", tmp_path / "golden")
+    fresh = {name: golden.run_case(name, tmp_path / "run") for name in cases}
+    for name, files in fresh.items():
+        (golden.GOLDEN / name).mkdir(parents=True)
+        for file_name, data in files.items():
+            (golden.GOLDEN / name / file_name).write_bytes(data)
+
+    def rewrite(name, file_name, edit):
+        path = golden.GOLDEN / name / file_name
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[-1] = edit(cells[-1])  # the first user's mu_payoff, or the converged flag
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    rewrite(cases[0], "equilibrium.csv", lambda v: repr(float(v) * (1.0 + 1e-14)))
+    rewrite(cases[1], "summary.csv", lambda v: "0")
+    (golden.GOLDEN / cases[1] / "equilibrium.csv").unlink()
+
+    assert golden.main(["--write", "static"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[0].startswith(f"wrote {cases[0]}/equilibrium.csv: bytes differ, within tolerance")
+    assert lines[1] == f"wrote {cases[0]}/summary.csv: identical bytes"
+    assert lines[2] == f"wrote {cases[1]}/equilibrium.csv: new file"
+    assert lines[3].startswith(f"wrote {cases[1]}/summary.csv: DIFFERS beyond tolerance")
+    for name, files in fresh.items():
+        for file_name, data in files.items():
+            assert (golden.GOLDEN / name / file_name).read_bytes() == data

@@ -7,11 +7,11 @@ import pytest
 from mcsgame.experiments import ScenarioSpec, generate_scenario
 from mcsgame.follower import Region, best_response, price_threshold
 from mcsgame.leader import (
+    _BOX_SLACK,
     SolverConfig,
     compute_se,
     price_box,
     sp_payoff_gradient,
-    sp_payoff_hessian,
 )
 from mcsgame.model import (
     LinearDemand,
@@ -21,7 +21,7 @@ from mcsgame.model import (
     mu_payoff,
     sp_payoff,
 )
-from conftest import make_scenario
+from conftest import assert_concave_at, make_scenario
 from oracles import leader_grid_best_uniform_n1, mu_payoff_oracle
 
 
@@ -31,7 +31,7 @@ def _perturbed_payoff(scenario, p):
 
 
 # ---------------------------------------------------------------------------
-# gradient and Hessian
+# gradient and concavity
 
 
 def test_gradient_hand_example(single_mu_scenario):
@@ -66,50 +66,53 @@ def test_gradient_matches_finite_differences():
 
 
 def test_hessian_symmetry_and_negative_definiteness():
+    # the Hessian as central differences of the gradient compute_se
+    # certifies with.  Uniform demand: anywhere inside the box.  Linear
+    # demand: inside the part of the box below the equilibrium prices,
+    # where every price is at most its user's marginal utility (see the
+    # next test for why not beyond)
     rng = np.random.Generator(np.random.PCG64(53))
-    for seed in (1, 4, 8):
-        scenario = make_scenario(seed)
-        lo, hi = price_box(scenario)
-        for _ in range(20):
-            p = lo + (hi - lo) * rng.uniform(0.05, 0.95, size=scenario.n)
-            h = sp_payoff_hessian(scenario, p)
-            assert np.array_equal(h, h.T)
-            for _ in range(10):
-                v = rng.standard_normal(scenario.n)
-                assert v @ h @ v < 0.0
+    for law in (UniformDemand, LinearDemand):
+        for seed in (1, 4, 8):
+            base = make_scenario(seed)
+            scenario = Scenario(50.0, tuple(replace(mu, demand=law(0.0, 25.0))
+                                            for mu in base.mus))
+            lo, hi = price_box(scenario)
+            top = hi if law is UniformDemand else compute_se(scenario).prices
+            for _ in range(20):
+                assert_concave_at(scenario, lo + (top - lo) * rng.uniform(0.05, 0.95, scenario.n))
 
 
-def test_hessian_diagonal_matches_second_differences():
-    # the diagonal against second differences of the payoff, and every
-    # column against central differences of the gradient (a finer step,
-    # as the gradient is smooth: about 4e-9 relative error here)
-    h, hg = 1e-4, 1e-6
-    for seed, demand in ((2, UniformDemand(0.0, 25.0)), (2, LinearDemand(0.0, 25.0))):
-        base = make_scenario(seed)
-        mus = tuple(replace(mu, demand=demand) for mu in base.mus)
-        scenario = Scenario(50.0, mus)
-        lo, hi = price_box(scenario)
-        p = lo + 0.5 * (hi - lo)
-        hess = sp_payoff_hessian(scenario, p)
-        for i in range(scenario.n):
-            e = np.zeros(scenario.n)
-            e[i] = h
-            fd = (
-                _perturbed_payoff(scenario, p + e)
-                - 2.0 * _perturbed_payoff(scenario, p)
-                + _perturbed_payoff(scenario, p - e)
-            ) / (h * h)
-            assert hess[i, i] == pytest.approx(fd, rel=1e-3)
-            e[i] = hg
-            column = (sp_payoff_gradient(scenario, p + e)
-                      - sp_payoff_gradient(scenario, p - e)) / (2.0 * hg)
-            assert hess[:, i] == pytest.approx(column, rel=1e-6)
+def test_linear_demand_payoff_is_convex_in_price_above_marginal_utility():
+    # One linear user above its equilibrium price 0.5234: the price 0.568
+    # exceeds the marginal utility g / (1 + x) by 0.50, and the
+    # response's curvature then outweighs the other terms of U''(p).
+    # So price-space concavity is a uniform-demand property; linear
+    # demand is concave in allocation space instead.
+    scenario = Scenario(1.0, (MuProfile(20.0, 1.0, 0.5, LinearDemand(0.0, 25.0)),))
+    p, h = np.array([0.568]), 1e-4
+    second = (_perturbed_payoff(scenario, p + h) - 2.0 * _perturbed_payoff(scenario, p)
+              + _perturbed_payoff(scenario, p - h)) / (h * h)
+    assert second == pytest.approx(24.0, rel=0.01)
+    assert compute_se(scenario).prices[0] == pytest.approx(0.5234, abs=1e-4)
 
 
-def test_hessian_rejects_box_faces(five_mu_scenario):
-    lo, hi = price_box(five_mu_scenario)
-    with pytest.raises(ValueError):
-        sp_payoff_hessian(five_mu_scenario, lo)
+@pytest.mark.parametrize("face", ["lo", "hi"])
+def test_gradient_box_slack_accepts_half_and_rejects_twice(five_mu_scenario, face):
+    # a price within _BOX_SLACK of a face is that face; one twice as far
+    # out is outside the box
+    sc = five_mu_scenario
+    lo, hi = price_box(sc)
+    at, outward = (lo, -1.0) if face == "lo" else (hi, 1.0)
+    want = sp_payoff_gradient(sc, at)
+    for i in range(sc.n):
+        p = at.copy()
+        p[i] += outward * 0.5 * _BOX_SLACK
+        assert p[i] != at[i]
+        assert sp_payoff_gradient(sc, p).tobytes() == want.tobytes()
+        p[i] = at[i] + outward * 2.0 * _BOX_SLACK
+        with pytest.raises(ValueError, match="outside"):
+            sp_payoff_gradient(sc, p)
 
 
 def test_gradient_is_signed_infinity_at_vanishing_density():

@@ -123,10 +123,11 @@ def test_density_integrates_to_one(demand):
     for v in _probe_points(demand):
         want = float(dist_pdf(demand.kind, demand.lo, demand.hi, v))
         assert demand.pdf(float(v)) == pytest.approx(want, rel=1e-14, abs=1e-15)
-        if demand.lo <= v <= demand.hi:
-            assert demand.pdf_slope(float(v)) == pytest.approx(
-                dist_pdf_slope(demand.kind, demand.lo, demand.hi), rel=1e-14, abs=0.0
-            )
+    # the density is affine on the support, with the oracle's slope
+    rise = demand.pdf(demand.hi) - demand.pdf(demand.lo)
+    assert rise / (demand.hi - demand.lo) == pytest.approx(
+        dist_pdf_slope(demand.kind, demand.lo, demand.hi), rel=1e-14, abs=0.0
+    )
 
 
 @pytest.mark.parametrize("demand", LAWS)
@@ -167,7 +168,7 @@ def test_uniform_pdf_values():
     d = UniformDemand(0.0, 25.0)
     assert d.pdf(10.0) == pytest.approx(0.04)
     assert d.pdf(-1.0) == 0.0
-    assert d.pdf_slope(10.0) == 0.0
+    assert d.pdf(20.0) == d.pdf(10.0)
 
 
 def test_linear_demand_shape():
@@ -175,7 +176,7 @@ def test_linear_demand_shape():
     # density decreases linearly to zero at the upper end
     assert d.pdf(0.0) == pytest.approx(2.0 / 25.0)
     assert d.pdf(25.0) == 0.0
-    assert d.pdf_slope(10.0) == pytest.approx(-2.0 / 625.0)
+    assert (d.pdf(20.0) - d.pdf(10.0)) / 10.0 == pytest.approx(-2.0 / 625.0)
     assert d.quantile(1.0) == pytest.approx(25.0)
     assert d.quantile(0.75) == pytest.approx(25.0 - 25.0 * 0.5)
 
@@ -194,7 +195,7 @@ def test_demand_rejects_a_support_whose_squared_width_underflows(law):
         with pytest.raises(ValueError, match="width"):
             law(lo, hi)
     narrowest = law(0.0, 1.5e-154)
-    assert math.isfinite(narrowest.pdf_slope(0.0))
+    assert narrowest.pdf(0.0) == pytest.approx(narrowest.tail_power / 1.5e-154)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ tests/golden/<case>/.  --write runs the cases of the named groups
 references.  --check runs every case and compares each file with its
 reference.  It prints, per file, whether the bytes are identical, and
 if not, the largest relative and absolute difference of a float; it
-exits 1 when a file differs by more than its tolerance.
+exits 1 when a file differs by more than its tolerance or has no
+reference.  --write prints the same report for each file it replaces,
+taken against the reference it replaces ("new file" where there was
+none), so the drift to state comes from the run that regenerates.
 
 Integers and strings must match exactly.  Floats must match within the
 file's tolerance, |a - b| <= atol + rtol * max(|a|, |b|), listed in
@@ -20,8 +23,8 @@ the check to one host.  tests/test_golden.py runs the same comparison
 in tier-1.
 
 A change that moves outputs on purpose regenerates the references of
-the groups it moves, in the same change, and states the drift --check
-reported before.  Standard library only, apart from the package itself,
+the groups it moves, in the same change, and states the drift --write
+reported.  Standard library only, apart from the package itself,
 which is imported from src/ next to this directory.
 """
 
@@ -211,10 +214,17 @@ def compare(file_name: str, want: bytes, got: bytes) -> tuple[bool, str]:
                   f"max abs diff {drift.abs:.2e}")
 
 
+def _against_reference(name: str, file_name: str, data: bytes) -> tuple[bool, str]:
+    """compare() of one output with its reference; a missing reference fails as a new file."""
+    ref = GOLDEN / name / file_name
+    if not ref.is_file():
+        return False, "new file"
+    return compare(file_name, ref.read_bytes(), data)
+
+
 def check_case(name: str, tmp: Path) -> list[tuple[str, bool, str]]:
     """(file, within tolerance, report) for each file of one case."""
-    got = run_case(name, tmp)
-    return [(f, *compare(f, (GOLDEN / name / f).read_bytes(), data)) for f, data in got.items()]
+    return [(f, *_against_reference(name, f, data)) for f, data in run_case(name, tmp).items()]
 
 
 def main(argv=None) -> int:
@@ -238,11 +248,13 @@ def main(argv=None) -> int:
         groups = args.write or GROUPS
         for name, (group, _, _) in CASES.items():
             if group in groups:
+                got = run_case(name, Path(tmp))
+                reports = {f: _against_reference(name, f, data)[1] for f, data in got.items()}
                 shutil.rmtree(GOLDEN / name, ignore_errors=True)
                 (GOLDEN / name).mkdir(parents=True)
-                for file_name, data in run_case(name, Path(tmp)).items():
+                for file_name, data in got.items():
                     (GOLDEN / name / file_name).write_bytes(data)
-                print(f"wrote {GOLDEN.relative_to(ROOT) / name}")
+                    print(f"wrote {name}/{file_name}: {reports[file_name]}")
     return 0
 
 
