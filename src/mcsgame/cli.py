@@ -343,7 +343,7 @@ def cmd_sweep(config: RunConfig, out_dir: str, svg: bool) -> int:
     artifacts = _write_tables(out_dir, {"sweep_mus.csv": mus, "sweep_summary.csv": summaries})
     if svg:
         prices, allocations = mus["p_star"], mus["x_star"]
-        if axis in ("delta", "cost"):
+        if len(summaries["label"]) == 1:
             # one market with one user per value
             price, allocation, extra = {"p*": (values, prices)}, {"x*": (values, allocations)}, []
         else:

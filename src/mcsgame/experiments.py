@@ -241,16 +241,11 @@ def run_sweep(
 
     if axis in ("delta", "cost"):
         demand = spec.demand()
+        # MuProfile rejects a swept value that leaves no margin
         if axis == "delta":
-            cost = spec.unit_cost_range[0]
-            if any(v <= cost for v in vals):
-                raise ValueError(f"every swept own_value must exceed unit_cost {cost}")
-            mus = tuple(MuProfile(spec.capacity, v, cost, demand) for v in vals)
+            mus = tuple(MuProfile(spec.capacity, v, spec.unit_cost_range[0], demand) for v in vals)
         else:
-            value = spec.own_value_range[1]
-            if any(v >= value for v in vals):
-                raise ValueError(f"every swept unit_cost must stay below own_value {value}")
-            mus = tuple(MuProfile(spec.capacity, value, v, demand) for v in vals)
+            mus = tuple(MuProfile(spec.capacity, spec.own_value_range[1], v, demand) for v in vals)
         markets = [("joint", Scenario(spec.utility_scale, mus))]
     else:
         # the draws read neither field, so one seed draws the same users

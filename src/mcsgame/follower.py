@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .model import MuProfile
 
-__all__ = ["Region", "BestResponse", "price_threshold", "sale", "best_response", "foc_residual"]
+__all__ = ["Region", "BestResponse", "sale", "best_response", "foc_residual"]
 
 
 class Region(enum.Enum):
@@ -48,17 +48,6 @@ _BELOW_THRESHOLD = Region.BELOW_THRESHOLD
 _INTERIOR = Region.INTERIOR
 
 
-def price_threshold(mu: MuProfile) -> float:
-    """Lowest price at which selling anything can beat keeping all.
-
-    Equals unit_cost + (own_value - unit_cost) * P(demand > capacity),
-    computed once per user by MuProfile.  When demand never reaches
-    capacity this collapses to unit_cost, and when demand always exceeds
-    capacity it collapses to own_value.
-    """
-    return mu._threshold
-
-
 def sale(mu: MuProfile, price: float) -> tuple[float, Region, float]:
     """(allocation, region, kept demand quantile) of the optimal sale.
 
@@ -70,9 +59,9 @@ def sale(mu: MuProfile, price: float) -> tuple[float, Region, float]:
     """
     if price > mu.own_value:
         return mu.capacity, _AT_CAPACITY, 0.0
-    if price < mu._threshold:
+    if price < mu.price_threshold:
         return 0.0, _BELOW_THRESHOLD, mu.capacity
-    ratio = (mu.own_value - price) / mu._margin
+    ratio = (mu.own_value - price) / mu.margin
     kept = mu.demand.quantile(min(max(ratio, 0.0), 1.0))
     return min(max(mu.capacity - kept, 0.0), mu.capacity), _INTERIOR, kept
 
@@ -87,7 +76,7 @@ def best_response(mu: MuProfile, price: float) -> BestResponse:
     alloc, region, kept = sale(mu, price)
     if region is not _INTERIOR:
         return BestResponse(alloc, region, 0.0)
-    denom = mu.demand.pdf(kept) * mu._margin
+    denom = mu.demand.pdf(kept) * mu.margin
     if denom <= 0.0:
         # the density vanishes only at price == unit_cost with capacity
         # past the demand support and a density vanishing at its upper
@@ -106,4 +95,4 @@ def foc_residual(mu: MuProfile, x: float, price: float) -> float:
     """
     if not 0.0 <= x <= mu.capacity:
         raise ValueError(f"x must lie in [0, {mu.capacity}], got {x}")
-    return mu._margin * (mu.demand.cdf(mu.capacity - x) - 1.0) + price - mu.unit_cost
+    return mu.margin * (mu.demand.cdf(mu.capacity - x) - 1.0) + price - mu.unit_cost

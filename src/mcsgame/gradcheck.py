@@ -19,8 +19,9 @@ import numpy as np
 
 from . import learner
 from .dynamics import respond
+from .experiments import ScenarioSpec, generate_scenario
 from .leader import price_box, sp_payoff_gradient
-from .model import MuProfile, Scenario, UniformDemand, sp_payoff
+from .model import Scenario, sp_payoff
 
 __all__ = ["CheckResult", "run_all", "CHECK_NAMES"]
 
@@ -35,19 +36,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.max_rel_err <= self.tol
-
-
-def _random_scenario(rng: np.random.Generator, n: int = 4) -> Scenario:
-    mus = []
-    for _ in range(n):
-        while True:
-            cost = rng.uniform(0.0, 0.8)
-            value = rng.uniform(0.0, 1.0)
-            # keep a healthy margin so difference stencils stay in-branch
-            if value - cost >= 0.1:
-                break
-        mus.append(MuProfile(20.0, value, cost, UniformDemand(0.0, 25.0)))
-    return Scenario(utility_scale=rng.uniform(20.0, 60.0), mus=tuple(mus))
 
 
 def _payoff_at(scenario: Scenario, p: np.ndarray) -> float:
@@ -86,8 +74,12 @@ def _flat(arrays) -> np.ndarray:
     return np.concatenate([a.ravel() for a in arrays])
 
 
-def _leader_gradient(rng: np.random.Generator, _k: int) -> float:
-    sc = _random_scenario(rng)
+def _leader_gradient(rng: np.random.Generator) -> float:
+    # cost below 0.45 and value above 0.55 keep every margin at least 0.1,
+    # so difference stencils stay in-branch
+    spec = ScenarioSpec(n_mus=4, unit_cost_range=(0.0, 0.45), own_value_range=(0.55, 1.0),
+                        utility_scale=rng.uniform(20.0, 60.0))
+    sc = generate_scenario(spec, int(rng.integers(2**63)))
     p = _interior_price(sc, rng)
     grad = sp_payoff_gradient(sc, p)
     h = 1e-6
@@ -118,7 +110,7 @@ def _toy_batch(policy, rng: np.random.Generator, gamma: float, steps: int = 5):
     return batch, bootstrap
 
 
-def _mlp_backward(rng: np.random.Generator, _k: int) -> float:
+def _mlp_backward(rng: np.random.Generator) -> float:
     net = learner.mlp_init((5, 4, 3), rng)
     x = rng.uniform(-1.0, 1.0, size=(3, 5))
     upstream = rng.uniform(-1.0, 1.0, size=(3, 3))
@@ -133,7 +125,7 @@ def _mlp_backward(rng: np.random.Generator, _k: int) -> float:
 _GAMMA, _EPSILON = 0.9, 0.2
 
 
-def _actor_gradient(rng: np.random.Generator, _k: int) -> float:
+def _actor_gradient(rng: np.random.Generator) -> float:
     policy = _toy_policy(rng)
     batch, _ = _toy_batch(policy, rng, _GAMMA)
     g = learner.ppo_actor_gradient(policy, batch, _EPSILON)
@@ -143,7 +135,7 @@ def _actor_gradient(rng: np.random.Generator, _k: int) -> float:
     return _worst(_flat([*g.mlp.weights, *g.mlp.biases, g.log_std]), (up - dn) / (2.0 * h))
 
 
-def _critic_gradient(rng: np.random.Generator, _k: int) -> float:
+def _critic_gradient(rng: np.random.Generator) -> float:
     policy = _toy_policy(rng)
     batch, _ = _toy_batch(policy, rng, _GAMMA)
     _, grads = learner.critic_loss_and_gradient(policy, batch)
@@ -153,8 +145,8 @@ def _critic_gradient(rng: np.random.Generator, _k: int) -> float:
     return _worst(_flat([*grads.weights, *grads.biases]), (up - dn) / (2.0 * h))
 
 
-# name: (one probe's worst relative error from the check's generator and
-# the probe's index, probes per run, tolerance)
+# name: (one probe's worst relative error from the check's generator,
+# probes per run, tolerance)
 _CHECKS = {
     "leader_gradient": (_leader_gradient, 10, 1e-5),
     "mlp_backward": (_mlp_backward, 10, 1e-4),
@@ -173,6 +165,6 @@ def run_all(seed: int = 0) -> list[CheckResult]:
     results = []
     for name, (probe, probes, tol) in _CHECKS.items():
         rng = np.random.Generator(np.random.PCG64(seed))
-        worst = float(np.max([probe(rng, k) for k in range(probes)]))
+        worst = float(np.max([probe(rng) for _ in range(probes)]))
         results.append(CheckResult(name, probes, worst, tol))
     return results

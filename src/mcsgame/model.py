@@ -163,11 +163,12 @@ class MuProfile:
     interesting when own_value exceeds unit_cost, so that is enforced.
 
     Three constants of the user are computed once per instance, the way
-    DemandDistribution keeps its own: the margin own_value - unit_cost,
-    the price threshold below which nothing is sold (see
-    follower.price_threshold) and the own-use profit of keeping the
-    whole capacity, mu_own_profit(mu, capacity).  The scalar payoff and
-    response read them, and Scenario gathers them into its columns.
+    DemandDistribution keeps its own, under the names of the Scenario
+    columns they feed: margin = own_value - unit_cost; price_threshold =
+    unit_cost + margin * P(demand > capacity), the lowest price at which
+    selling anything can beat keeping all; and full_profit =
+    mu_own_profit(mu, capacity), the own-use profit of keeping the whole
+    capacity.  The scalar payoff and response read them.
     """
 
     capacity: float
@@ -187,9 +188,9 @@ class MuProfile:
         margin = self.own_value - self.unit_cost
         tail = 1.0 - self.demand.cdf(self.capacity)
         put = object.__setattr__  # the instance is frozen
-        put(self, "_margin", margin)
-        put(self, "_threshold", self.unit_cost + margin * tail)
-        put(self, "_full_profit", mu_own_profit(self, self.capacity))
+        put(self, "margin", margin)
+        put(self, "price_threshold", self.unit_cost + margin * tail)
+        put(self, "full_profit", mu_own_profit(self, self.capacity))
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ class Scenario:
             raise ValueError("scenario needs at least one mobile user")
         object.__setattr__(self, "mus", tuple(self.mus))
         table = np.array([(mu.capacity, mu.own_value, mu.unit_cost, mu.demand.lo, mu.demand.hi,
-                           mu.demand.tail_power, mu._margin, mu._threshold, mu._full_profit)
+                           mu.demand.tail_power, mu.margin, mu.price_threshold, mu.full_profit)
                           for mu in self.mus], dtype=float).T.copy()
         table.flags.writeable = False
         vars(self).update(zip(self.COLUMNS, table))  # past the frozen __setattr__
@@ -288,7 +289,7 @@ def mu_own_profit(mu: MuProfile, remaining: float) -> float:
         raise ValueError(
             f"remaining must lie in [0, {mu.capacity}], got {remaining}"
         )
-    return mu._margin * mu.demand.expected_min(remaining)
+    return mu.margin * mu.demand.expected_min(remaining)
 
 
 def mu_payoff(mu: MuProfile, x: float, price: float) -> float:
@@ -300,5 +301,5 @@ def mu_payoff(mu: MuProfile, x: float, price: float) -> float:
         raise ValueError(f"x must lie in [0, {mu.capacity}], got {x}")
     if price < 0.0:
         raise ValueError(f"price must be non-negative, got {price}")
-    return (mu._margin * mu.demand.expected_min(mu.capacity - x) - mu._full_profit
+    return (mu.margin * mu.demand.expected_min(mu.capacity - x) - mu.full_profit
             - mu.unit_cost * x + price * x)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from mcsgame.experiments import ScenarioSpec, generate_scenario
 from mcsgame.leader import sp_payoff_gradient
 from mcsgame.model import MuProfile, Scenario, UniformDemand
 
@@ -21,13 +22,7 @@ def single_mu_scenario(example_mu):
 
 def make_scenario(seed: int, n: int = 5, utility_scale: float = 50.0) -> Scenario:
     """Random scenario per the default experiment recipe."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    mus = []
-    while len(mus) < n:
-        cost, value = rng.uniform(0.0, 1.0, size=2)
-        if value > cost:
-            mus.append(MuProfile(20.0, float(value), float(cost), UniformDemand(0.0, 25.0)))
-    return Scenario(utility_scale=utility_scale, mus=tuple(mus))
+    return generate_scenario(ScenarioSpec(n_mus=n, utility_scale=utility_scale), seed)
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from conftest import assert_concave_at, make_scenario
 from mcsgame.cli import main
 from mcsgame.dynamics import EnvConfig
 from mcsgame.experiments import ScenarioSpec, generate_scenario, play_greedy, play_random, run_sweep
-from mcsgame.follower import Region, best_response, foc_residual, price_threshold
+from mcsgame.follower import Region, best_response, foc_residual
 from mcsgame.gradcheck import run_all
 from mcsgame.leader import compute_se, price_box, sp_payoff_gradient
 from mcsgame.learner import TrainConfig, train
@@ -75,7 +75,7 @@ def test_criterion_02_interior_foc_residuals():
     while checked < 100:
         kind, lo, hi, cap, value, cost = random_mu_params(rng)
         mu = _mu_from_params(kind, lo, hi, cap, value, cost)
-        thr = price_threshold(mu)
+        thr = mu.price_threshold
         price = float(rng.uniform(thr, value))
         resp = best_response(mu, price)
         if resp.region is not Region.INTERIOR:

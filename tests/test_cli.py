@@ -363,6 +363,23 @@ def test_train_section_not_an_object_exits_2(tmp_path, capsys, command, value, s
     _exits_2_without_files(capsys, argv, out)
 
 
+@pytest.mark.parametrize("text", _NOT_OBJECTS)
+def test_config_file_not_an_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "run"
+    _exits_2_without_files(capsys, ["static", "--config", str(path), "--out", str(out)], out)
+
+
+def test_config_file_that_does_not_exist_exits_2(tmp_path, capsys):
+    out, path = tmp_path / "run", tmp_path / "absent.json"
+    rc = main(["static", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    # a failed read, not the failed write that main's own OSError handler reports
+    assert f"config error: cannot read config {path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["static", "train", "gradcheck"])
 def test_sweep_section_is_checked_on_every_command(tmp_path, capsys, command):
     out = tmp_path / "run"
@@ -692,6 +709,28 @@ def test_sweep_value_is_the_swept_field(tmp_path, axis):
     assert [float(v) for v in sweep_value[::per_market]] == values
 
 
+@pytest.mark.parametrize("axis, values", [("delta", "[0.5,0.0]"), ("cost", "[0.0,1.0]"),
+                                          ("cost", "[-0.1,0.5]")])
+def test_sweep_to_a_user_without_margin_exits_2(tmp_path, capsys, axis, values):
+    # the default ranges pin unit_cost 0 for delta and own_value 1 for cost
+    out = tmp_path / "run"
+    argv = ["sweep", "--set", f'sweep.axis="{axis}"', "--set", f"sweep.values={values}",
+            "--out", str(out)]
+    _exits_2_without_files(capsys, argv, out)
+
+
+def test_sweep_that_does_not_converge_exits_3_with_its_files(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["sweep", "--set", 'sweep.axis="lambda"', "--set", "sweep.values=[20,50]",
+               "--set", "solver.tol=1e-18", "--svg", "off", "--out", str(out)])
+    assert rc == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "sweep_mus.csv", "sweep_summary.csv"]
+    header, rows = _read_csv(out / "sweep_summary.csv")
+    assert [r[header.index("converged")] for r in rows] == ["0", "0"]
+
+
 def test_csv_headers_are_pinned(tmp_path):
     n2 = ["--set", "scenario.n_mus=2"]
     static, train = tmp_path / "static", tmp_path / "train"
@@ -827,3 +866,15 @@ def test_gradcheck_catches_corrupted_gradient(monkeypatch, corrupted):
     monkeypatch.setattr(module, name, lambda *args: scale(analytic(*args)))
     failed = [r.name for r in run_all(seed=0) if not r.passed]
     assert failed == [corrupted]
+
+
+def test_gradcheck_with_a_corrupted_gradient_exits_4(monkeypatch, capsys):
+    module, name, scale = _CORRUPTIONS["mlp_backward"]
+    analytic = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: scale(analytic(*args)))
+    rc = main(["gradcheck", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    rows = {line.split()[0]: line.split()[-1] for line in captured.out.splitlines()[1:]}
+    assert rows == {name: "FAIL" if name == "mlp_backward" else "PASS" for name in CHECK_NAMES}
+    assert "mlp_backward" in captured.err

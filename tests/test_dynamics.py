@@ -12,7 +12,7 @@ from mcsgame.dynamics import (
     respond,
 )
 from mcsgame.experiments import ScenarioSpec, generate_scenario, play_constant, play_greedy
-from mcsgame.follower import best_response, price_threshold
+from mcsgame.follower import best_response
 from mcsgame.leader import compute_se
 from mcsgame.model import LinearDemand, MuProfile, Scenario, UniformDemand, mu_payoff, sp_payoff
 from conftest import make_scenario
@@ -73,9 +73,9 @@ def test_reset_history_self_consistent(five_mu_scenario):
 # interior, at own_value, above own_value, and clamped from either side
 # of [0, p_max = 1].
 _PRICE_KINDS = (
-    lambda mu: 0.5 * price_threshold(mu),
-    price_threshold,
-    lambda mu: 0.5 * (price_threshold(mu) + mu.own_value),
+    lambda mu: 0.5 * mu.price_threshold,
+    lambda mu: mu.price_threshold,
+    lambda mu: 0.5 * (mu.price_threshold + mu.own_value),
     lambda mu: mu.own_value,
     lambda mu: 0.5 * (mu.own_value + 1.0),
     lambda mu: 1.7,

@@ -16,7 +16,6 @@ from mcsgame.experiments import (
     play_random,
     run_sweep,
 )
-from mcsgame.follower import price_threshold
 from mcsgame.leader import compute_se
 from mcsgame.model import LinearDemand, UniformDemand, mu_payoff, sp_payoff
 
@@ -263,7 +262,7 @@ def test_sweep_points_carry_thresholds():
                              "price_threshold"))
     ):
         mu = MuProfile(cap, value, cost, UniformDemand(lo, hi))
-        assert threshold == pytest.approx(price_threshold(mu), abs=1e-12)
+        assert threshold == pytest.approx(mu.price_threshold, abs=1e-12)
 
 
 def test_sweep_axes_constant():

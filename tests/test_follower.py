@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcsgame.follower import Region, best_response, foc_residual, price_threshold
+from mcsgame.follower import Region, best_response, foc_residual
 from mcsgame.model import LinearDemand, MuProfile, UniformDemand
 from oracles import follower_grid_best, mu_payoff_oracle, random_mu_params
 
@@ -14,17 +14,17 @@ from oracles import follower_grid_best, mu_payoff_oracle, random_mu_params
 
 def test_threshold_example(example_mu):
     # F(20) = 0.8 under uniform[0,25], so threshold = 1 * 0.2
-    assert price_threshold(example_mu) == pytest.approx(0.2, abs=1e-15)
+    assert example_mu.price_threshold == pytest.approx(0.2, abs=1e-15)
 
 
 def test_threshold_capacity_past_support():
     mu = MuProfile(30.0, 1.0, 0.4, UniformDemand(0.0, 25.0))
-    assert price_threshold(mu) == pytest.approx(0.4, abs=1e-15)
+    assert mu.price_threshold == pytest.approx(0.4, abs=1e-15)
 
 
 def test_threshold_capacity_below_support():
     mu = MuProfile(5.0, 1.0, 0.3, UniformDemand(5.0, 25.0))
-    assert price_threshold(mu) == pytest.approx(1.0, abs=1e-15)
+    assert mu.price_threshold == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +54,7 @@ def test_best_response_above_own_value(example_mu):
 
 
 def test_best_response_closed_boundaries(example_mu):
-    lowest = best_response(example_mu, price_threshold(example_mu))
+    lowest = best_response(example_mu, example_mu.price_threshold)
     assert lowest.region is Region.INTERIOR
     assert lowest.allocation == pytest.approx(0.0, abs=1e-12)
     highest = best_response(example_mu, 1.0)
@@ -73,7 +73,7 @@ def test_best_response_vanishing_density_corner():
     # capacity covers the whole support, so the threshold price is the
     # unit cost and the kept quantile lands where the density is zero
     mu = MuProfile(25.0, 1.0, 0.0, LinearDemand(0.0, 25.0))
-    assert price_threshold(mu) == pytest.approx(0.0, abs=1e-15)
+    assert mu.price_threshold == pytest.approx(0.0, abs=1e-15)
     # the right-hand limit: nothing beyond capacity - hi is sold, and the
     # response leaves that face with unbounded slope
     for cap, sold in ((25.0, 0.0), (30.0, 5.0)):
@@ -127,7 +127,7 @@ def test_interior_foc_residual_vanishes():
         kind, lo, hi, cap, value, cost = random_mu_params(rng)
         demand = UniformDemand(lo, hi) if kind == "uniform" else LinearDemand(lo, hi)
         mu = MuProfile(cap, value, cost, demand)
-        price = float(rng.uniform(price_threshold(mu), value))
+        price = float(rng.uniform(mu.price_threshold, value))
         br = best_response(mu, price)
         if br.region is not Region.INTERIOR or br.allocation in (0.0, cap):
             continue
@@ -161,7 +161,7 @@ def test_slope_matches_finite_differences():
         kind, lo, hi, cap, value, cost = random_mu_params(rng)
         demand = UniformDemand(lo, hi) if kind == "uniform" else LinearDemand(lo, hi)
         mu = MuProfile(cap, value, cost, demand)
-        thr = price_threshold(mu)
+        thr = mu.price_threshold
         price = float(rng.uniform(thr + 0.02, value - 0.02))
         if price <= thr + h or price >= value - h:
             continue
@@ -178,7 +178,7 @@ def test_slope_matches_finite_differences():
 
 def test_response_continuous_at_breakpoints(example_mu):
     eps = 1e-9
-    thr = price_threshold(example_mu)
+    thr = example_mu.price_threshold
     below = best_response(example_mu, thr - eps).allocation
     above = best_response(example_mu, thr + eps).allocation
     assert abs(above - below) <= 1e-6

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mcsgame.experiments import ScenarioSpec, generate_scenario
-from mcsgame.follower import Region, best_response, price_threshold
+from mcsgame.follower import Region, best_response
 from mcsgame.leader import (
     _BOX_SLACK,
     SolverConfig,
@@ -190,6 +190,12 @@ def test_gradient_rejects_out_of_box(five_mu_scenario):
         sp_payoff_gradient(five_mu_scenario, hi + 0.5)
 
 
+def test_gradient_rejects_a_price_vector_of_another_length(five_mu_scenario):
+    lo, _ = price_box(five_mu_scenario)
+    with pytest.raises(ValueError, match="must have 5 entries, got 4"):
+        sp_payoff_gradient(five_mu_scenario, lo[:-1])
+
+
 # ---------------------------------------------------------------------------
 # solver against the brute-force oracle
 
@@ -256,7 +262,7 @@ def test_tiny_utility_scale_degenerates():
     scenario = Scenario(1e-6, base.mus)
     res = compute_se(scenario)
     assert res.iterations <= 3
-    thresholds = np.array([price_threshold(mu) for mu in scenario.mus])
+    thresholds = np.array([mu.price_threshold for mu in scenario.mus])
     assert np.allclose(res.prices, thresholds, atol=1e-9)
     assert np.allclose(res.allocations, 0.0, atol=1e-9)
 
@@ -326,7 +332,7 @@ def test_se_beats_follower_grid(single_mu_scenario):
 
 def test_price_box_bounds(five_mu_scenario):
     lo, hi = price_box(five_mu_scenario)
-    thresholds = np.array([price_threshold(mu) for mu in five_mu_scenario.mus])
+    thresholds = np.array([mu.price_threshold for mu in five_mu_scenario.mus])
     assert np.allclose(lo, thresholds)
     assert np.allclose(hi, five_mu_scenario.own_value)
 

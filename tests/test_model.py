@@ -13,7 +13,6 @@ from mcsgame.model import (
     mu_payoff,
     sp_payoff,
 )
-from mcsgame.follower import price_threshold
 from oracles import (
     dist_cdf,
     dist_pdf,
@@ -329,8 +328,8 @@ def test_mu_profile_caches_its_constants(demand, capacity):
     mu = MuProfile(capacity, 0.9, 0.2, demand)
     margin = mu.own_value - mu.unit_cost
     full = margin * demand.expected_min(capacity)
-    assert mu._margin == margin
-    assert price_threshold(mu) == mu.unit_cost + margin * (1.0 - demand.cdf(capacity))
+    assert mu.margin == margin
+    assert mu.price_threshold == mu.unit_cost + margin * (1.0 - demand.cdf(capacity))
     assert mu_own_profit(mu, capacity) == full
     for x in (0.0, 0.4 * capacity, capacity):
         kept = margin * demand.expected_min(capacity - x)
@@ -357,7 +356,7 @@ def _profile_numbers(mu):
         "capacity": mu.capacity, "own_value": mu.own_value, "unit_cost": mu.unit_cost,
         "demand_lo": mu.demand.lo, "demand_hi": mu.demand.hi,
         "tail_power": mu.demand.tail_power, "margin": mu.own_value - mu.unit_cost,
-        "price_threshold": price_threshold(mu), "full_profit": mu_own_profit(mu, mu.capacity),
+        "price_threshold": mu.price_threshold, "full_profit": mu_own_profit(mu, mu.capacity),
     }
 
 
